@@ -29,10 +29,8 @@ from .dynamics import (
     entropy_rate,
     evolve,
     random_coupling,
-    reduced_generator,
 )
 from .errors import (
-    DegenerateSpectrumError,
     DimensionMismatchError,
     InvalidStateError,
     LazyStatesError,
@@ -90,8 +88,8 @@ __all__ = [
     "criterion_matrix", "criterion_prefactor", "is_lazy",
     "diagonal_correlation_state",
     # dynamics
-    "Coupling", "DynamicsAudit", "entropy", "evolve", "reduced_generator",
-    "entropy_rate", "random_coupling", "derive_trial_seed", "dynamics_audit",
+    "Coupling", "DynamicsAudit", "entropy", "evolve", "entropy_rate",
+    "random_coupling", "derive_trial_seed", "dynamics_audit",
     # gaussian
     "GaussianStandardForm", "CovarianceState", "UncertaintyCheck", "KernelPair",
     "characteristic_function", "standard_form_from_covariance",
@@ -104,5 +102,5 @@ __all__ = [
     "maximally_entangled", "product_state", "werner", "generate_example",
     # errors
     "LazyStatesError", "InvalidStateError", "DimensionMismatchError",
-    "UnphysicalFormError", "DegenerateSpectrumError", "TruncationError",
+    "UnphysicalFormError", "TruncationError",
 ]

@@ -20,6 +20,7 @@ package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -79,6 +80,10 @@ class DensityMatrix:
             )
         asym = np.abs(data - data.conj().T)
         max_asym = float(asym.max())
+        if not math.isfinite(max_asym):
+            # a NaN or Inf entry leaves a non-finite asymmetry at its position
+            i, j = np.argwhere(~np.isfinite(asym))[0]
+            raise InvalidStateError(f"non-finite entry at ({i}, {j})")
         if max_asym > HERMITICITY_TOL:
             i, j = np.unravel_index(int(asym.argmax()), asym.shape)
             raise InvalidStateError(

@@ -19,7 +19,6 @@ from . import __version__
 from .bloch import decompose
 from .dynamics import dynamics_audit
 from .errors import (
-    DegenerateSpectrumError,
     DimensionMismatchError,
     InvalidStateError,
     TruncationError,
@@ -179,13 +178,8 @@ def _handle_gaussian(args):
     else:
         form = standard_form_from_covariance(load_covariance(args.cov))
         params = {"cov": args.cov, "tol": args.tol}
-    chk = check_uncertainty(form)
-    if not chk.physical:
-        raise UnphysicalFormError(
-            f"standard form violates the uncertainty relation: "
-            f"nu_minus = {chk.nu_minus:.6g}"
-        )
     lazy = is_lazy_gaussian(form, args.tol)
+    chk = check_uncertainty(form)
     pair = commutator_kernels(form)
     det_closed = kernel_determinant(form)
     det_residual = max(
@@ -316,8 +310,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT
     try:
         handled = args.handler(args)
-    except (DegenerateSpectrumError, TruncationError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except (TruncationError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     except (InvalidStateError, DimensionMismatchError, UnphysicalFormError,

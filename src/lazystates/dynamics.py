@@ -2,24 +2,27 @@
 
 For a lazy state the entropy of the distinguished subsystem is stationary
 at t = 0 under *every* joint Hamiltonian; conversely a nonzero rate under
-some coupling witnesses non-laziness.  Rates are evaluated analytically,
+some coupling witnesses non-laziness.  The rate is linear in the coupling,
 
-    d(rho_side)/dt = tr_other(-i [H, rho]),
-    dS/dt          = -tr( d(rho_side)/dt * log2(rho_side) ),
+    dS_A/dt = tr(H K),    K = i [rho, log2(rho_A) (x) I]
 
-whenever the reduced spectrum stays clear of zero, and by a central finite
-difference of the entropy along the exact unitary evolution otherwise.
+(mirrored for B), with log2 taken on the support of the reduced state.
+This is exact for rank-deficient marginals too: rho >= 0 makes the kernel
+block of d(rho_A)/dt vanish, so the kernel eigenvalues move only at O(t^2).
+A central finite difference of the entropy along the exact unitary
+evolution remains only as the `method="fd"` cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .bloch import DensityMatrix, Side, _check_side, partial_trace, reduced_state
-from .errors import DegenerateSpectrumError, DimensionMismatchError
+from .bloch import DensityMatrix, Side, partial_trace, reduced_state
+from .errors import DimensionMismatchError
 from .laziness import DEFAULT_TOL, commutator_residual
 
 __all__ = [
@@ -27,22 +30,18 @@ __all__ = [
     "DynamicsAudit",
     "entropy",
     "evolve",
-    "reduced_generator",
     "entropy_rate",
     "random_coupling",
     "derive_trial_seed",
     "dynamics_audit",
 ]
 
-#: reduced eigenvalues below this floor force the finite-difference path
-EIG_FLOOR = 1e-12
-
-#: central finite-difference half-step for the fallback rate
+#: central finite-difference half-step of the `method="fd"` cross-check
 FD_STEP = 1e-5
 
 COUPLING_HERMITICITY_TOL = 1e-12
 
-RateMethod = Literal["auto", "analytic", "fd"]
+RateMethod = Literal["analytic", "fd"]
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,8 @@ class Coupling:
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatchError(f"coupling must be square, got {h.shape}")
         dev = float(np.abs(h - h.conj().T).max())
+        if not math.isfinite(dev):
+            raise ValueError("coupling has a non-finite entry")
         if dev > COUPLING_HERMITICITY_TOL:
             raise ValueError(f"coupling is not Hermitian: max asymmetry {dev:.3e}")
         h.setflags(write=False)
@@ -94,53 +95,46 @@ def evolve(rho: DensityMatrix, hamiltonian: np.ndarray, t: float) -> DensityMatr
     return DensityMatrix(rho.dim_a, rho.dim_b, data)
 
 
-def reduced_generator(rho: DensityMatrix, coupling: Coupling, side: Side) -> np.ndarray:
-    """Instantaneous derivative of the reduced state, tr_other(-i [H, rho])."""
-    _check_side(side)
-    h = coupling.hamiltonian
-    if h.shape != rho.data.shape:
-        raise DimensionMismatchError(
-            f"coupling shape {h.shape} does not match state shape {rho.data.shape}"
-        )
-    drho = -1j * (h @ rho.data - rho.data @ h)
-    return partial_trace(drho, rho.dim_a, rho.dim_b, side)
+def _rate_operator(rho: DensityMatrix, side: Side) -> np.ndarray:
+    """K = i [rho, log2(rho_side) (x) I] with dS_side/dt = tr(H K) for every H.
+
+    log2 acts on the support only: eigenvalues <= 0 are dropped, matching
+    the 0 log 0 = 0 convention of `entropy`.
+    """
+    w, q = np.linalg.eigh(partial_trace(rho.data, rho.dim_a, rho.dim_b, side))
+    keep = w > 0.0
+    log2_red = (q[:, keep] * np.log2(w[keep])) @ q[:, keep].conj().T
+    if side == "A":
+        big = np.kron(log2_red, np.eye(rho.dim_b))
+    else:
+        big = np.kron(np.eye(rho.dim_a), log2_red)
+    return 1j * (rho.data @ big - big @ rho.data)
 
 
 def entropy_rate(
     rho: DensityMatrix,
     coupling: Coupling,
     side: Side = "A",
-    method: RateMethod = "auto",
-    step: float = FD_STEP,
+    method: RateMethod = "analytic",
 ) -> float:
     """dS/dt of one subsystem at t = 0 under the given coupling.
 
-    `method="auto"` uses the analytic expression when the reduced spectrum
-    is bounded away from zero and falls back to the central finite
-    difference otherwise; `"analytic"` raises DegenerateSpectrumError in
-    the degenerate case instead of falling back.
+    `method="analytic"` evaluates the exact linear form tr(H K);
+    `"fd"` is the independent central finite difference of the entropy
+    along the exact evolution, kept as a cross-check.
     """
-    _check_side(side)
-    if method not in ("auto", "analytic", "fd"):
+    if method not in ("analytic", "fd"):
         raise ValueError(f"unknown rate method {method!r}")
-    red = reduced_state(rho, side)
-    if method != "fd":
-        min_eig = red.min_eigenvalue
-        if min_eig > EIG_FLOOR:
-            w, q = np.linalg.eigh(red.data)
-            log2_red = (q * np.log2(w)) @ q.conj().T
-            dred = reduced_generator(rho, coupling, side)
-            return float(-np.trace(dred @ log2_red).real)
-        if method == "analytic":
-            raise DegenerateSpectrumError(
-                f"degenerate spectrum: smallest reduced eigenvalue {min_eig:.3e} "
-                f"is at or below the {EIG_FLOOR:g} floor; use the "
-                "finite-difference mode"
-            )
     h = coupling.hamiltonian
-    s_plus = entropy(reduced_state(evolve(rho, h, step), side))
-    s_minus = entropy(reduced_state(evolve(rho, h, -step), side))
-    return float((s_plus - s_minus) / (2.0 * step))
+    if h.shape != rho.data.shape:
+        raise DimensionMismatchError(
+            f"coupling shape {h.shape} does not match state shape {rho.data.shape}"
+        )
+    if method == "analytic":
+        return float(np.vdot(_rate_operator(rho, side), h).real)
+    s_plus = entropy(reduced_state(evolve(rho, h, FD_STEP), side))
+    s_minus = entropy(reduced_state(evolve(rho, h, -FD_STEP), side))
+    return float((s_plus - s_minus) / (2.0 * FD_STEP))
 
 
 def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
@@ -185,10 +179,11 @@ def dynamics_audit(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     lazy = commutator_residual(rho, side) < laziness_tol
+    k = _rate_operator(rho, side)
     rates = []
     for index in range(trials):
         coupling = random_coupling(rho.dim_a, rho.dim_b, derive_trial_seed(seed, index))
-        rates.append(entropy_rate(rho, coupling, side))
+        rates.append(float(np.vdot(k, coupling.hamiltonian).real))
     max_rate = max(abs(r) for r in rates)
     consistent = max_rate < lazy_rate_tol if lazy else max_rate > nonlazy_rate_floor
     return DynamicsAudit(

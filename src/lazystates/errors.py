@@ -17,9 +17,5 @@ class UnphysicalFormError(LazyStatesError, ValueError):
     """A covariance matrix or standard form fails the uncertainty relation."""
 
 
-class DegenerateSpectrumError(LazyStatesError, ArithmeticError):
-    """A reduced state is too close to singular for the analytic entropy rate."""
-
-
 class TruncationError(LazyStatesError, ArithmeticError):
     """A number-basis truncation drops too much trace to be trusted."""

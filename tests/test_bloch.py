@@ -15,6 +15,12 @@ class TestDensityMatrix:
         with pytest.raises(lz.InvalidStateError, match="asymmetry"):
             lz.DensityMatrix(2, 2, data)
 
+    def test_rejects_non_finite(self):
+        data = np.eye(4, dtype=complex) / 4.0
+        data[0, 1] = np.nan
+        with pytest.raises(lz.InvalidStateError, match="non-finite"):
+            lz.DensityMatrix(2, 2, data)
+
     def test_rejects_bad_trace(self):
         with pytest.raises(lz.InvalidStateError, match="trace deviation"):
             lz.DensityMatrix(2, 2, np.eye(4, dtype=complex) / 5.0)

@@ -80,6 +80,15 @@ class TestCheck:
         assert code == 2
         assert "parse error" in err
 
+    def test_non_finite_entry_exits_two(self, capsys, tmp_path, bell_file):
+        doc = json.loads(open(bell_file).read())
+        doc["matrix"][0][1] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["check", "--state", str(path)])
+        assert code == 2
+        assert "non-finite" in err
+
     def test_deterministic_output(self, capsys, bell_file):
         _, first, _ = run(capsys, ["check", "--state", bell_file])
         _, second, _ = run(capsys, ["check", "--state", bell_file])
@@ -109,6 +118,16 @@ class TestDynamics:
         assert len(results["perTrialRates"]) == 5
         assert results["consistentWithLaziness"] is True
         assert results["maxRate"] < 1e-8
+
+    def test_pure_marginal_product_is_consistent(self, capsys, tmp_path):
+        pure = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        path = tmp_path / "product.json"
+        save_state(lz.product_state(pure, np.diag([0.6, 0.4])), path)
+        code, out, _ = run(capsys, ["dynamics", "--state", str(path), "--side", "A"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["consistentWithLaziness"] is True
+        assert results["maxRate"] < 1e-12
 
 
 class TestGaussian:

@@ -7,6 +7,40 @@ from conftest import finite_difference_rate
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+def pure_density(rng, dim):
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def random_marginal(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
+def mp_entropy_rate_a(rho, hamiltonian, step="1e-12"):
+    """Central finite difference of the entropy of A at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    na, nb = rho.dim_a, rho.dim_b
+    with mp.workdps(40):
+        h = mp.matrix(hamiltonian.tolist())
+        r = mp.matrix(rho.data.tolist())
+        dt = mp.mpf(step)
+
+        def entropy_a(t):
+            u = mp.expm(mp.mpc(0, -1) * t * h)
+            ev = u * r * u.H
+            red = mp.matrix(
+                [[sum(ev[a * nb + b, c * nb + b] for b in range(nb)) for c in range(na)]
+                 for a in range(na)]
+            )
+            vals = mp.eighe(red, eigvals_only=True)
+            return -sum(v * mp.log(v, 2) for v in vals if v > 0)
+
+        return float((entropy_a(dt) - entropy_a(-dt)) / (2 * dt))
+
+
 class TestEntropy:
     def test_pure_state(self, bell):
         assert lz.entropy(bell) == pytest.approx(0.0, abs=1e-12)
@@ -41,6 +75,10 @@ class TestRandomCoupling:
     def test_rejects_trivial_dimensions(self):
         with pytest.raises(lz.DimensionMismatchError):
             lz.random_coupling(1, 4, 0)
+
+    def test_rejects_non_finite_coupling(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            lz.Coupling(hamiltonian=np.full((4, 4), np.nan), seed=0)
 
 
 class TestEntropyRate:
@@ -88,24 +126,46 @@ class TestEntropyRate:
             fd = lz.entropy_rate(rho, c, "A", method="fd")
             assert abs(analytic - fd) <= max(1e-6, 1e-4 * abs(analytic))
 
-    def test_degenerate_spectrum_error_and_fallback(self):
-        pure = np.zeros((2, 2), dtype=complex)
-        pure[0, 0] = 1.0
-        rho = lz.product_state(pure, pure)
-        c = lz.random_coupling(2, 2, 5)
-        with pytest.raises(lz.DegenerateSpectrumError, match="degenerate"):
-            lz.entropy_rate(rho, c, "A", method="analytic")
-        # auto falls back to the finite difference and stays tiny
-        assert abs(lz.entropy_rate(rho, c, "A")) < 1e-8
+    def test_rank_deficient_marginals_are_exact(self):
+        rng = np.random.default_rng(8)
+        for na, nb in ((2, 2), (2, 3), (3, 3), (4, 3)):
+            rho = lz.product_state(pure_density(rng, na), random_marginal(rng, nb))
+            for seed in range(5):
+                c = lz.random_coupling(na, nb, seed)
+                assert abs(lz.entropy_rate(rho, c, "A")) < 1e-12
+        # a pure entangled 3x2 state and a mixed 3x3 state whose rho_A has
+        # rank 2: the rates are nonzero and must match a high-precision
+        # finite difference
+        pure = pure_density(rng, 6)
+        isometry = np.linalg.qr(
+            rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        )[0]
+        lift = np.kron(isometry, np.eye(3))
+        mixed = lift @ random_marginal(rng, 6) @ lift.conj().T
+        for na, nb, data in ((3, 2, pure), (3, 3, mixed)):
+            rho = lz.DensityMatrix(na, nb, data)
+            assert np.linalg.matrix_rank(lz.reduced_state(rho, "A").data, tol=1e-10) == 2
+            c = lz.random_coupling(na, nb, 11)
+            rate = lz.entropy_rate(rho, c, "A")
+            assert abs(rate) > 1e-3
+            assert abs(rate - mp_entropy_rate_a(rho, c.hamiltonian)) < 1e-12
 
-    def test_trace_of_reduced_generator_vanishes(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            rho = lz.random_density_matrix(2, 3, int(rng.integers(2**32)))
-            c = lz.random_coupling(2, 3, int(rng.integers(2**32)))
+    def test_rate_is_linear_in_the_coupling(self):
+        rng = np.random.default_rng(9)
+        for na, nb in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
+            rho = lz.random_density_matrix(na, nb, int(rng.integers(2**32)))
+            h1 = lz.random_coupling(na, nb, int(rng.integers(2**32))).hamiltonian
+            h2 = lz.random_coupling(na, nb, int(rng.integers(2**32))).hamiltonian
+            s = float(rng.normal())
             for side in ("A", "B"):
-                dred = lz.reduced_generator(rho, c, side)
-                assert abs(np.trace(dred)) < 1e-13
+                def rate(h):
+                    return lz.entropy_rate(rho, lz.Coupling(hamiltonian=h, seed=0), side)
+
+                assert abs(rate(h1 + s * h2) - rate(h1) - s * rate(h2)) < 1e-12
+
+    def test_rejects_shape_mismatch(self, bell):
+        with pytest.raises(lz.DimensionMismatchError):
+            lz.entropy_rate(bell, lz.random_coupling(2, 3, 0), "A")
 
     def test_rejects_unknown_method(self, bell):
         with pytest.raises(ValueError, match="method"):
@@ -139,6 +199,23 @@ class TestDynamicsAudit:
     def test_witness_consistent(self, witness):
         audit = lz.dynamics_audit(witness, "A", trials=20, seed=3)
         assert audit.max_rate > 1e-3
+        assert audit.consistent_with_laziness
+
+    def test_per_trial_rates_match_entropy_rate(self):
+        rho = lz.random_density_matrix(2, 3, 21)
+        for side in ("A", "B"):
+            audit = lz.dynamics_audit(rho, side, trials=8, seed=4)
+            direct = [
+                lz.entropy_rate(rho, lz.random_coupling(2, 3, lz.derive_trial_seed(4, i)), side)
+                for i in range(8)
+            ]
+            np.testing.assert_allclose(audit.per_trial_rates, direct, rtol=0, atol=1e-14)
+
+    def test_rank_deficient_lazy_state_is_consistent(self):
+        rng = np.random.default_rng(12)
+        rho = lz.product_state(pure_density(rng, 3), random_marginal(rng, 4))
+        audit = lz.dynamics_audit(rho, "A", trials=100, seed=1)
+        assert audit.max_rate < 1e-12
         assert audit.consistent_with_laziness
 
     def test_schedule_independent(self, witness):
