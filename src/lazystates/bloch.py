@@ -55,6 +55,13 @@ def _check_side(side: str) -> str:
     return side
 
 
+def _require_finite(arr: np.ndarray, label: str) -> None:
+    """Raise InvalidStateError naming the first NaN or Inf entry of `arr`."""
+    if not np.isfinite(arr).all():
+        pos = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise InvalidStateError(f"non-finite entry in {label} at {pos}")
+
+
 class DensityMatrix:
     """Complex Hermitian unit-trace matrix with a bipartite dimension split.
 
@@ -139,6 +146,7 @@ class BlochForm:
     def __post_init__(self):
         for name in ("x", "y", "T"):
             arr = np.array(getattr(self, name), dtype=float)
+            _require_finite(arr, name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.x.ndim != 1 or self.y.ndim != 1 or self.T.shape != (
@@ -176,12 +184,18 @@ def decompose(
     through unchanged.
     """
     na, nb = rho.dim_a, rho.dim_b
-    ga = _generators_for(na, basis_a)
-    gb = _generators_for(nb, basis_b)
+    # s[i, c*n + a] = g_i[c, a]: the generator stack flattened, no copy
+    sa = _generators_for(na, basis_a).reshape(-1, na * na)
+    sb = _generators_for(nb, basis_b).reshape(-1, nb * nb)
+    # m[(c,a), (d,b)] = r[a,b,c,d], so T = S_A M S_B^T up to the prefactor
     r = rho.data.reshape(na, nb, na, nb)
-    x = (na / 2.0) * np.einsum("abcb,kca->k", r, ga).real
-    y = (nb / 2.0) * np.einsum("abad,kdb->k", r, gb).real
-    t = (na * nb / 4.0) * np.einsum("abcd,ica,jdb->ij", r, ga, gb).real
+    m = r.transpose(2, 0, 3, 1).reshape(na * na, nb * nb)
+    # the (b,b) columns of m sum to vec(rho_A), the (a,a) rows to vec(rho_B)
+    vec_a = m[:, :: nb + 1].sum(axis=1)
+    vec_b = m[:: na + 1].sum(axis=0)
+    x = (na / 2.0) * (sa @ vec_a).real
+    y = (nb / 2.0) * (sb @ vec_b).real
+    t = (na * nb / 4.0) * (sa @ m @ sb.T).real
     return BlochForm(x=x, y=y, T=t)
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .bloch import DensityMatrix
+from .bloch import DensityMatrix, _require_finite
 from .errors import TruncationError, UnphysicalFormError
 
 __all__ = [
@@ -82,7 +82,10 @@ class GaussianStandardForm:
 
     def __post_init__(self):
         for name in ("n", "m", "c", "c_prime"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite standard-form parameter {name} = {value}")
+            object.__setattr__(self, name, value)
         if self.n < 1.0 - PHYSICALITY_TOL or self.m < 1.0 - PHYSICALITY_TOL:
             raise UnphysicalFormError(
                 f"local variances must be >= 1, got n={self.n}, m={self.m}"
@@ -112,14 +115,17 @@ class CovarianceState:
         V = np.array(V, dtype=float)
         if V.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got {V.shape}")
+        _require_finite(V, "covariance matrix V")
         dev = float(np.abs(V - V.T).max())
         if dev > COVARIANCE_SYMMETRY_TOL:
             raise ValueError(f"covariance matrix is not symmetric: deviation {dev:.3e}")
         if d is None:
             d = np.zeros(4)
-        d = np.array(d, dtype=float)
-        if d.shape != (4,):
-            raise ValueError(f"displacement must have 4 entries, got shape {d.shape}")
+        else:
+            d = np.array(d, dtype=float)
+            if d.shape != (4,):
+                raise ValueError(f"displacement must have 4 entries, got shape {d.shape}")
+            _require_finite(d, "displacement d")
         V.setflags(write=False)
         d.setflags(write=False)
         self.V = V
@@ -359,29 +365,23 @@ def _thermal_weights(a: float, dim: int) -> np.ndarray:
     return ratio ** np.arange(dim) / (nbar + 1.0)
 
 
-def _two_mode_squeezer(r: float, dim: int) -> np.ndarray:
-    """exp(r (adag (x) adag - a (x) a)) on a (dim x dim)-level space.
+def _squeezer_sector(r: float, d: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sector of exp(r (adag (x) adag - a (x) a)) on (dim x dim) levels.
 
-    The generator conserves the occupation difference between the modes, so
-    it is exponentiated sector by sector on small tridiagonal blocks.
+    The generator conserves the occupation difference d = n1 - n2, so the
+    squeezer is block-diagonal over these sectors.  Returns the occupations
+    (n1, n2) of the sector's basis states, in increasing order, and the
+    exponentiated tridiagonal block acting on them.
     """
-    u = np.zeros((dim * dim, dim * dim))
-    levels = np.arange(dim, dtype=float)
-    for d in range(-(dim - 1), dim):
-        size = dim - abs(d)
-        k = np.arange(size, dtype=float)
-        hi = levels[abs(d) : abs(d) + size]
-        gen = np.zeros((size, size))
-        # raising part: (k+d, k) -> (k+d+1, k+1) with weight r sqrt((k+d+1)(k+1))
-        coup = r * np.sqrt((hi[:-1] + 1.0) * (k[:-1] + 1.0))
-        gen[np.arange(1, size), np.arange(size - 1)] = coup
-        gen[np.arange(size - 1), np.arange(1, size)] = -coup
-        if d >= 0:
-            idx = (np.arange(size) + d) * dim + np.arange(size)
-        else:
-            idx = np.arange(size) * dim + (np.arange(size) - d)
-        u[np.ix_(idx, idx)] = expm(gen)
-    return u
+    size = dim - abs(d)
+    k = np.arange(size)
+    n1, n2 = (k + d, k) if d >= 0 else (k, k - d)
+    gen = np.zeros((size, size))
+    # raising part: (n1, n2) -> (n1+1, n2+1) with weight r sqrt((n1+1)(n2+1))
+    coup = r * np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))
+    gen[k[1:], k[:-1]] = coup
+    gen[k[:-1], k[1:]] = -coup
+    return n1, n2, expm(gen)
 
 
 def fock_truncate(
@@ -398,6 +398,10 @@ def fock_truncate(
     returned block, then truncated to (cutoff + 1)^2 and renormalized.
     Raises TruncationError when the trace outside the block exceeds
     `max_deficit`, and ValueError for forms outside the c' = -c subfamily.
+
+    The state U W U^T (W the thermal product weights, U the two-mode
+    squeezer) inherits the squeezer's block structure over the sectors of
+    fixed n1 - n2, so only the kept rows of each sector block are formed.
     """
     if cutoff < 4:
         raise ValueError(f"cutoff must be >= 4, got {cutoff}")
@@ -405,12 +409,16 @@ def fock_truncate(
         raise ValueError(f"pad must be >= 0, got {pad}")
     a, b, r = squeezed_thermal_parameters(form)
     dim = cutoff + 1 + pad
-    weights = np.kron(_thermal_weights(a, dim), _thermal_weights(b, dim))
-    u = _two_mode_squeezer(r, dim)
-    rho = (u * weights) @ u.T
+    weights_a, weights_b = _thermal_weights(a, dim), _thermal_weights(b, dim)
     keep = cutoff + 1
-    block = rho.reshape(dim, dim, dim, dim)[:keep, :keep, :keep, :keep]
-    block = block.reshape(keep * keep, keep * keep).astype(complex)
+    block = np.zeros((keep * keep, keep * keep))
+    for d in range(-cutoff, keep):
+        n1, n2, u = _squeezer_sector(r, d, dim)
+        # occupations grow along a sector, so its kept states come first
+        rows = u[: keep - abs(d)]
+        idx = n1[: len(rows)] * keep + n2[: len(rows)]
+        block[np.ix_(idx, idx)] = (rows * (weights_a[n1] * weights_b[n2])) @ rows.T
+    block = block.astype(complex)
     tr = float(np.trace(block).real)
     deficit = 1.0 - tr
     if deficit > max_deficit:

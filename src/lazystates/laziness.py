@@ -19,6 +19,14 @@ The two are tied together by the exact identity
 
 (and its mirror with n_A n_B^2 for side B), which follows from expanding
 the commutator over the generator products and using their orthogonality.
+
+The commutator never forms rho_A (x) I: with rho viewed as the tensor
+r[a, b, c, d] (A indices a, c slow, B indices b, d fast), left
+multiplication by rho_A (x) I contracts rho_A with the row index a alone,
+right multiplication with the column index c alone, and I (x) rho_B does
+the same on b and d.  Each product is one GEMM over a reshaped view of rho,
+O(d^2 n) work instead of the O(d^3) of a dense d x d product.  The
+criterion matrix is a scatter-add over the nonzero structure constants.
 """
 
 from __future__ import annotations
@@ -72,12 +80,18 @@ def commutator_residual(rho: DensityMatrix, side: Side) -> float:
     """Frobenius norm of [rho, rho_side (x) I]; zero iff lazy on that side."""
     _check_side(side)
     red = reduced_state(rho, side).data
+    na, nb = rho.dim_a, rho.dim_b
+    r = rho.data
+    # one GEMM per product over a reshaped view (see the module docstring);
+    # both are formed, since rho is only Hermitian to within the tolerance
+    # DensityMatrix accepts
     if side == "A":
-        big = np.kron(red, np.eye(rho.dim_b))
+        red_rho = red @ r.reshape(na, -1)
+        rho_red = red.T @ r.reshape(-1, na, nb)
     else:
-        big = np.kron(np.eye(rho.dim_a), red)
-    comm = rho.data @ big - big @ rho.data
-    return float(np.linalg.norm(comm))
+        red_rho = red @ r.reshape(na, nb, -1)
+        rho_red = r.reshape(-1, nb) @ red
+    return float(np.linalg.norm(rho_red.reshape(-1) - red_rho.reshape(-1)))
 
 
 def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:
@@ -86,7 +100,9 @@ def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:
     Returns the matrix F with F[j, l] = sum_k coeffs[k] f[j, k, l] (0-based
     here; the tensor itself is totally antisymmetric).  For the su(3) basis
     this is the linear map whose kernel condition characterizes laziness of
-    the diagonal-correlation family below.
+    the diagonal-correlation family below.  F is a scatter-add over the six
+    signed index permutations of every stored triple, so its cost is linear
+    in the number of nonzero constants.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     count = basis.dim * basis.dim - 1
@@ -95,7 +111,10 @@ def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:
             f"coefficient vector of length {coeffs.size} does not match "
             f"su({basis.dim}) with {count} generators"
         )
-    return np.einsum("k,jkl->jl", coeffs, basis.f.dense())
+    # F[i, k] = sum_j coeffs[j] f[i, j, k] over the signed permutations
+    i, j, k, v = basis.f.permuted
+    flat = np.bincount(i * count + k, weights=v * coeffs[j], minlength=count * count)
+    return flat.reshape(count, count)
 
 
 def criterion_matrix(form: BlochForm, basis: SuBasis, side: Side = "A") -> np.ndarray:

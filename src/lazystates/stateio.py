@@ -79,14 +79,50 @@ def state_from_dict(obj) -> DensityMatrix:
     return rho.require_physical()
 
 
-def load_state(path) -> DensityMatrix:
-    """Load and validate a state file."""
+#: stands in for a NaN/Infinity token while a document is parsed
+_NON_FINITE = object()
+
+
+def _locate(obj, where: str = "$"):
+    """JSONPath-style location of the first `_NON_FINITE` in `obj`, or None."""
+    if obj is _NON_FINITE:
+        return where
+    if isinstance(obj, dict):
+        children = ((f"{where}.{key}", value) for key, value in obj.items())
+    elif isinstance(obj, list):
+        children = ((f"{where}[{pos}]", value) for pos, value in enumerate(obj))
+    else:
+        return None
+    for sub, value in children:
+        hit = _locate(value, sub)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _load_json(path):
+    """Parse a JSON file, rejecting the non-standard NaN/Infinity tokens."""
     text = Path(path).read_text()
+    tokens: list[str] = []
+
+    def non_finite(token: str):
+        tokens.append(token)
+        return _NON_FINITE
+
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise InvalidStateError(f"parse error in {path}: {exc}") from exc
-    return state_from_dict(obj)
+    if tokens:
+        raise InvalidStateError(
+            f"non-finite number {tokens[0]} at {_locate(obj)} in {path}"
+        )
+    return obj
+
+
+def load_state(path) -> DensityMatrix:
+    """Load and validate a state file."""
+    return state_from_dict(_load_json(path))
 
 
 def save_state(rho: DensityMatrix, path) -> None:
@@ -95,11 +131,7 @@ def save_state(rho: DensityMatrix, path) -> None:
 
 def load_covariance(path) -> CovarianceState:
     """Load a covariance file into a CovarianceState."""
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidStateError(f"parse error in {path}: {exc}") from exc
+    obj = _load_json(path)
     if not isinstance(obj, dict) or "V" not in obj:
         raise InvalidStateError("covariance document must be an object with a 'V' key")
     return CovarianceState(V=obj["V"], d=obj.get("d"))

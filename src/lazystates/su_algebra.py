@@ -16,14 +16,36 @@ so the n = 2 structure constants are still the Levi-Civita symbol.
 
 All generators g_i are Hermitian, traceless, and normalized to
 tr(g_i g_j) = 2 delta_ij.  The structure constants are the real, totally
-antisymmetric coefficients in [g_i, g_j] = 2i sum_k f_ijk g_k, recovered
-from the traces f_ijk = tr([g_i, g_j] g_k) / (4i).
+antisymmetric coefficients in [g_i, g_j] = 2i sum_k f_ijk g_k, i.e.
+f_ijk = tr([g_i, g_j] g_k) / (4i).
+
+`build_su_basis` takes them from the closed forms of the generalized
+Gell-Mann basis (Bertlmann & Krammer, "Bloch vectors for qudits",
+J. Phys. A 41, 235303 (2008)).  In the textbook convention (v and w
+without the sign flips above) the only nonzero constants are, for
+1 <= j < k < l <= n and 1 <= m <= n - 1,
+
+    f(u[j,k], u[j,l], v[k,l]) = f(v[j,k], u[j,l], u[k,l])
+        = f(v[j,k], v[j,l], v[k,l]) = 1/2,   f(u[j,k], v[j,l], u[k,l]) = -1/2,
+    f(u[j,k], v[j,k], w[m]) = (d[m]_jj - d[m]_kk) / 2,
+
+with d[m] = -w[m] the textbook diagonal generator, together with their
+permutations.  This package's signs follow from
+
+    f_here(a, b, c) = s_a s_b s_c f_textbook(a, b, c),
+
+with s = -1 on the v and w families and s = +1 on the u family: every
+off-diagonal constant flips sign and the diagonal ones keep theirs.  Only
+4 C(n, 3) + O(n^3) of the (n^2 - 1)^3 entries are nonzero; they are stored
+as coordinate arrays.  `structure_constants` evaluates the trace formula on
+an arbitrary basis and serves as the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -55,53 +77,99 @@ def _permutation_sign(triple: tuple[int, int, int]) -> int:
 
 
 class StructureConstants:
-    """Sparse, totally antisymmetric rank-3 tensor over 1-based indices.
+    """Sparse, totally antisymmetric rank-3 tensor in coordinate form.
 
-    Only triples with i < j < k are stored; every other index order is
-    recovered from the permutation sign, and repeated indices give zero.
+    Only triples with i < j < k are stored: `index` holds them as 0-based
+    rows of an (nnz, 3) integer array in lexicographic order and `data`
+    their values.  Every other index order is recovered from the
+    permutation sign, and repeated indices give zero.  The public accessors
+    `value` and `triples` use 1-based indices.
     """
 
-    def __init__(self, size: int, entries: dict[tuple[int, int, int], float]):
+    def __init__(self, size: int, index, data):
         self.size = int(size)
-        cleaned = {}
-        for (i, j, k), v in entries.items():
-            if not (1 <= i < j < k <= self.size):
-                raise ValueError(f"non-canonical index triple {(i, j, k)}")
-            if abs(v) > ZERO_CUTOFF:
-                cleaned[(i, j, k)] = float(v)
-        self._entries = cleaned
+        index = np.array(index, dtype=np.int64).reshape(-1, 3)
+        data = np.array(data, dtype=float).reshape(-1)
+        if data.shape[0] != index.shape[0]:
+            raise ValueError(
+                f"{index.shape[0]} index triples but {data.shape[0]} values"
+            )
+        bad = (index[:, 0] < 0) | (index[:, 0] >= index[:, 1])
+        bad |= (index[:, 1] >= index[:, 2]) | (index[:, 2] >= self.size)
+        if bad.any():
+            raise ValueError(
+                f"non-canonical index triple {tuple(index[bad][0] + 1)}"
+            )
+        keep = np.abs(data) > ZERO_CUTOFF
+        index, data = index[keep], data[keep]
+        keys = (index[:, 0] * self.size + index[:, 1]) * self.size + index[:, 2]
+        order = np.argsort(keys, kind="stable")
+        self.index, self.data, self._keys = index[order], data[order], keys[order]
+        for arr in (self.index, self.data, self._keys):
+            arr.setflags(write=False)
         self._dense: np.ndarray | None = None
 
     def value(self, i: int, j: int, k: int) -> float:
         """f_ijk for any 1-based index order."""
         if len({i, j, k}) < 3:
             return 0.0
-        canonical = tuple(sorted((i, j, k)))
-        return _permutation_sign((i, j, k)) * self._entries.get(canonical, 0.0)
+        a, b, c = sorted((i, j, k))
+        key = ((a - 1) * self.size + b - 1) * self.size + c - 1
+        pos = int(np.searchsorted(self._keys, key))
+        if pos == len(self._keys) or self._keys[pos] != key:
+            return 0.0
+        return _permutation_sign((i, j, k)) * float(self.data[pos])
 
     def triples(self) -> Iterator[tuple[int, int, int, float]]:
-        """Nonzero canonical entries as sorted (i, j, k, value) tuples."""
-        return iter(sorted((i, j, k, v) for (i, j, k), v in self._entries.items()))
+        """Nonzero canonical entries as sorted 1-based (i, j, k, value) tuples."""
+        return (
+            (int(i) + 1, int(j) + 1, int(k) + 1, float(v))
+            for (i, j, k), v in zip(self.index, self.data)
+        )
+
+    @cached_property
+    def permuted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every nonzero f_ijk as 0-based arrays (i, j, k, value); cached.
+
+        Holds all six index orders of each stored triple, each with its
+        permutation sign folded into the value.
+        """
+        a, b, c = self.index.T
+        v = self.data
+        out = (
+            np.concatenate([a, b, c, a, b, c]),
+            np.concatenate([b, c, a, c, a, b]),
+            np.concatenate([c, a, b, b, c, a]),
+            np.concatenate([v, v, v, -v, -v, -v]),
+        )
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     def dense(self) -> np.ndarray:
-        """Full (N, N, N) tensor with 0-based indices; cached, read-only."""
+        """Full (N, N, N) tensor with 0-based indices; cached, read-only.
+
+        Only basis verification and tests need it: it is O(N^3) memory.
+        """
         if self._dense is None:
             f = np.zeros((self.size,) * 3)
-            for (i, j, k), v in self._entries.items():
-                a, b, c = i - 1, j - 1, k - 1
-                f[a, b, c] = f[b, c, a] = f[c, a, b] = v
-                f[a, c, b] = f[b, a, c] = f[c, b, a] = -v
+            i, j, k, v = self.permuted
+            f[i, j, k] = v
             f.setflags(write=False)
             self._dense = f
         return self._dense
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureConstants):
             return NotImplemented
-        return self.size == other.size and self._entries == other._entries
+        return (
+            self.size == other.size
+            and np.array_equal(self.index, other.index)
+            and np.array_equal(self.data, other.data)
+        )
 
 
 @dataclass(frozen=True)
@@ -135,39 +203,71 @@ class BasisVerification:
         )
 
 
+def _gell_mann_constants(n: int) -> StructureConstants:
+    """Closed-form structure constants of the su(n) basis built below."""
+    pairs = n * (n - 1) // 2
+    pair = np.zeros((n, n), dtype=np.int64)
+    row, col = np.triu_indices(n, 1)
+    pair[row, col] = np.arange(pairs)
+    u, v = pair, pair + pairs  # generator index of u[j,k] and v[j,k]
+
+    # off-diagonal: four triples per j < k < l; the textbook +-1/2 flip
+    # sign here, and sorting each triple leaves all four at -1/2
+    j, k, l = (
+        np.array(list(combinations(range(n), 3)), dtype=np.int64)
+        .reshape(-1, 3)
+        .T
+    )
+    off = np.concatenate(
+        [
+            np.stack([u[j, k], u[j, l], v[k, l]], axis=1),
+            np.stack([u[j, k], u[k, l], v[j, l]], axis=1),
+            np.stack([u[j, l], u[k, l], v[j, k]], axis=1),
+            np.stack([v[j, k], v[j, l], v[k, l]], axis=1),
+        ]
+    )
+
+    # diagonal: f(u[j,k], v[j,k], w[m]) = (d_m[j] - d_m[k]) / 2, where row
+    # m - 1 of `d` holds the diagonal of the textbook generator d_m = -w[m]:
+    # c_m on the first m entries, -m c_m on the next one, zero after it
+    m = np.arange(1, n)
+    c = np.sqrt(2.0 / (m * (m + 1)))
+    d = np.where(np.arange(n) < m[:, None], c[:, None], 0.0)
+    d[m - 1, m] = -m * c
+    diff = (d[:, row] - d[:, col]) / 2.0  # (n - 1, pairs)
+    w_at, pair_at = np.nonzero(diff)
+    diag = np.stack([pair_at, pairs + pair_at, 2 * pairs + w_at], axis=1)
+
+    index = np.concatenate([off, diag])
+    data = np.concatenate([np.full(len(off), -0.5), diff[w_at, pair_at]])
+    return StructureConstants(n * n - 1, index, data)
+
+
 @lru_cache(maxsize=None)
 def build_su_basis(n: int) -> SuBasis:
     """Construct the su(n) generator basis in canonical order.
 
     The order is: symmetric block, antisymmetric block (each lexicographic
-    in (j, k)), then the diagonal generators.  Results are cached; the
-    returned arrays are read-only and safe to share.
+    in (j, k)), then the diagonal generators.  The structure constants come
+    from their closed forms.  Results are cached; the returned arrays are
+    read-only and safe to share.
     """
     if n < 2:
         raise ValueError(f"su(n) basis requires n >= 2, got {n}")
-    gens = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            g = np.zeros((n, n), dtype=complex)
-            g[j, k] = 1.0
-            g[k, j] = 1.0
-            gens.append(g)
-    for j in range(n):
-        for k in range(j + 1, n):
-            g = np.zeros((n, n), dtype=complex)
-            g[j, k] = 1.0j
-            g[k, j] = -1.0j
-            gens.append(g)
+    pairs = n * (n - 1) // 2
+    row, col = np.triu_indices(n, 1)
+    generators = np.zeros((n * n - 1, n, n), dtype=complex)
+    p = np.arange(pairs)
+    generators[p, row, col] = generators[p, col, row] = 1.0
+    generators[pairs + p, row, col] = 1.0j
+    generators[pairs + p, col, row] = -1.0j
     for l in range(1, n):
-        g = np.zeros((n, n), dtype=complex)
+        g = generators[2 * pairs + l - 1]
         g[np.arange(l), np.arange(l)] = 1.0
         g[l, l] = -float(l)
         g *= -np.sqrt(2.0 / (l * (l + 1)))
-        gens.append(g)
-    generators = np.array(gens)
-    f = structure_constants(generators)
     generators.setflags(write=False)
-    return SuBasis(dim=n, generators=generators, f=f)
+    return SuBasis(dim=n, generators=generators, f=_gell_mann_constants(n))
 
 
 def structure_constants(generators) -> StructureConstants:
@@ -175,7 +275,9 @@ def structure_constants(generators) -> StructureConstants:
 
     The generators must satisfy tr(g_i g_j) = 2 delta_ij; anything with a
     larger Gram deviation than 1e-10 is rejected.  The analytically
-    vanishing imaginary parts of the traces are discarded.
+    vanishing imaginary parts of the traces are discarded.  This builds the
+    dense (N, N, N) triple-product tensor and serves as the generic oracle
+    for the closed forms used by `build_su_basis`.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
@@ -190,13 +292,10 @@ def structure_constants(generators) -> StructureConstants:
     # tr(g_a g_b g_c) for all triples; antisymmetrize the first pair.
     triple = np.einsum("aij,bjk,cki->abc", gens, gens, gens)
     f = ((triple - np.transpose(triple, (1, 0, 2))) / 4j).real
-    entries = {}
-    for a in range(count):
-        for b in range(a + 1, count):
-            for c in range(b + 1, count):
-                if abs(f[a, b, c]) > ZERO_CUTOFF:
-                    entries[(a + 1, b + 1, c + 1)] = f[a, b, c]
-    return StructureConstants(count, entries)
+    a, b, c = np.indices(f.shape)
+    canonical = (a < b) & (b < c) & (np.abs(f) > ZERO_CUTOFF)
+    index = np.stack([a[canonical], b[canonical], c[canonical]], axis=1)
+    return StructureConstants(count, index, f[canonical])
 
 
 def verify_basis(basis: SuBasis) -> BasisVerification:

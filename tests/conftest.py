@@ -6,6 +6,7 @@ loops so that tests never compare an implementation against itself.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import lazystates as lz
 
@@ -85,6 +86,49 @@ def naive_commutator_residual(rho, side="A"):
                     big[r, c] = red[b, bp]
     comm = rho.data @ big - big @ rho.data
     return float(np.sqrt((np.abs(comm) ** 2).sum()))
+
+
+def kron_commutator_residual(rho, side="A"):
+    """Frobenius norm of [rho, rho_side (x) I] with the operator built by kron."""
+    na, nb = rho.dim_a, rho.dim_b
+    red = naive_partial_trace(rho.data, na, nb, side)
+    big = np.kron(red, np.eye(nb)) if side == "A" else np.kron(np.eye(na), red)
+    return float(np.linalg.norm(rho.data @ big - big @ rho.data))
+
+
+def naive_decompose(rho, gens_a, gens_b):
+    """(x, y, T) from the defining traces, one explicit kron per coefficient."""
+    na, nb = rho.dim_a, rho.dim_b
+    x = [na / 2.0 * np.trace(rho.data @ np.kron(s, np.eye(nb))).real for s in gens_a]
+    y = [nb / 2.0 * np.trace(rho.data @ np.kron(np.eye(na), t)).real for t in gens_b]
+    t = [
+        [na * nb / 4.0 * np.trace(rho.data @ np.kron(s, t)).real for t in gens_b]
+        for s in gens_a
+    ]
+    return np.array(x), np.array(y), np.array(t).reshape(len(gens_a), len(gens_b))
+
+
+def dense_fock_reference(a, b, r, cutoff, pad=8):
+    """Squeezed-thermal state from one dense expm on the padded two-mode space.
+
+    Thermal product weights are squeezed by exp(r (adag adag - a a)) built
+    with kron, then truncated to cutoff + 1 levels per mode and renormalized.
+    """
+    dim = cutoff + 1 + pad
+    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    gen = r * (np.kron(lower.T, lower.T) - np.kron(lower, lower))
+    squeezer = expm(gen)
+
+    def thermal(nu):
+        nbar = (nu - 1.0) / 2.0
+        return np.array([nbar**k / (nbar + 1.0) ** (k + 1) for k in range(dim)])
+
+    weights = np.kron(thermal(a), thermal(b))
+    full = squeezer @ np.diag(weights) @ squeezer.T
+    keep = cutoff + 1
+    kept = [n1 * dim + n2 for n1 in range(keep) for n2 in range(keep)]
+    block = full[np.ix_(kept, kept)]
+    return block / np.trace(block)
 
 
 def finite_difference_rate(rho, hamiltonian, side, step=1e-5):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lazystates as lz
-from conftest import naive_partial_trace
+from conftest import naive_decompose, naive_partial_trace
 
 DIM_PAIRS = [(2, 2), (2, 3), (3, 3), (3, 4)]
 
@@ -82,6 +82,28 @@ class TestDecompose:
         rho = lz.random_density_matrix(2, 2, 0)
         with pytest.raises(lz.DimensionMismatchError):
             lz.decompose(rho, basis_a=su3)
+
+    @pytest.mark.parametrize("na,nb", [(2, 5), (5, 2), (3, 4), (6, 2), (1, 3), (3, 1)])
+    def test_rectangular_splits_match_trace_oracle(self, na, nb):
+        def gens(n):
+            return lz.build_su_basis(n).generators if n > 1 else []
+
+        rho = lz.random_density_matrix(na, nb, 10 * na + nb)
+        form = lz.decompose(rho)
+        x, y, t = naive_decompose(rho, gens(na), gens(nb))
+        assert_allclose(form.x, x, rtol=0, atol=1e-14)
+        assert_allclose(form.y, y, rtol=0, atol=1e-14)
+        assert_allclose(form.T, t, rtol=0, atol=1e-14)
+
+
+class TestBlochForm:
+    @pytest.mark.parametrize("name", ["x", "y", "T"])
+    def test_rejects_non_finite(self, name):
+        parts = {"x": np.zeros(3), "y": np.zeros(3), "T": np.zeros((3, 3))}
+        parts[name] = np.array(parts[name])
+        parts[name].flat[1] = np.inf if name == "T" else np.nan
+        with pytest.raises(lz.InvalidStateError, match=f"non-finite entry in {name}"):
+            lz.BlochForm(**parts)
 
 
 class TestReconstruct:

@@ -168,6 +168,14 @@ class TestGaussian:
         results = json.loads(out)["results"]
         assert results["standardForm"]["c"] == pytest.approx(0.5, rel=1e-10)
 
+    def test_non_finite_covariance_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "cov.json"
+        path.write_text('{"V": [[NaN, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}')
+        code, out, err = run(capsys, ["gaussian", "--cov", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "non-finite number NaN at $.V[0][0]" in err
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, ["gaussian"])
         assert code == 2

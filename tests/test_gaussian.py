@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lazystates as lz
+from conftest import dense_fock_reference
 
 GAP_23 = 2.0 * (1.0 + 3.0) * (2.0 + 2.0)  # kernel determinant gap at n=2, m=3
 
@@ -38,6 +39,12 @@ class TestStandardForm:
     def test_rejects_subvacuum_variances(self):
         with pytest.raises(lz.UnphysicalFormError):
             lz.GaussianStandardForm(0.9, 1.0, 0.0, 0.0)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite standard-form parameter n"):
+            lz.GaussianStandardForm(np.nan, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="non-finite standard-form parameter c_prime"):
+            lz.GaussianStandardForm(2.0, 2.0, 0.5, -np.inf)
 
 
 class TestCharacteristicFunction:
@@ -175,6 +182,18 @@ class TestStandardFormExtraction:
         v[0, 1] = 1e-3
         with pytest.raises(ValueError, match="symmetric"):
             lz.CovarianceState(v)
+
+    def test_rejects_non_finite_covariance(self):
+        v = np.eye(4)
+        v[0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite entry in covariance matrix V at \(0, 0\)"):
+            lz.CovarianceState(v)
+        v = np.eye(4)
+        v[1, 2] = v[2, 1] = np.inf
+        with pytest.raises(ValueError, match=r"V at \(1, 2\)"):
+            lz.CovarianceState(v)
+        with pytest.raises(ValueError, match=r"displacement d at \(3,\)"):
+            lz.CovarianceState(np.eye(4), d=[0.0, 0.0, 0.0, np.nan])
 
 
 class TestKernels:
@@ -321,6 +340,13 @@ class TestFockTruncation:
                 exact[a, b] = amps[i] * amps[j]
         exact /= np.trace(exact).real
         assert np.abs(rho.data - exact).max() < 1e-12
+
+    @pytest.mark.parametrize("a,b,r", [(1.0, 1.0, 0.4), (1.2, 1.1, 0.25), (1.3, 1.0, 0.0)])
+    def test_matches_dense_expm_reference(self, a, b, r):
+        form = lz.squeezed_thermal_form(a, b, r)
+        rho = lz.fock_truncate(form, 10)
+        reference = dense_fock_reference(*lz.squeezed_thermal_parameters(form), cutoff=10)
+        assert np.abs(rho.data - reference).max() < 1e-14
 
     def test_thermal_marginal_occupation(self):
         form = lz.squeezed_thermal_form(1.5, 2.0, 0.3)

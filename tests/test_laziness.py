@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import lazystates as lz
-from conftest import golden_su3_contraction, haar_unitary, naive_commutator_residual
+from conftest import (
+    golden_su3_contraction,
+    haar_unitary,
+    kron_commutator_residual,
+    naive_commutator_residual,
+)
 
 #: Frobenius norm of the witness commutator, sqrt(2)/8 analytically
 WITNESS_RESIDUAL = np.sqrt(2.0) / 8.0
@@ -36,6 +41,29 @@ class TestCommutatorResidual:
                 assert lz.commutator_residual(rho, side) == pytest.approx(
                     naive_commutator_residual(rho, side), rel=1e-12
                 )
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_matches_kron_oracle_on_rectangular_and_fock_states(self, side):
+        states = [lz.random_density_matrix(na, nb, 7) for na, nb in [(2, 5), (5, 2), (3, 4)]]
+        states.append(lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.0, 0.3), 20))
+        for rho in states:
+            assert lz.commutator_residual(rho, side) == pytest.approx(
+                kron_commutator_residual(rho, side), rel=1e-12, abs=0
+            )
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_slightly_non_hermitian_input(self, side):
+        # a lazy product plus 1e-13 of asymmetry, inside the DensityMatrix
+        # tolerance: both products must be formed from rho itself
+        a = lz.random_density_matrix(3, 1, 5).data
+        b = lz.random_density_matrix(2, 1, 6).data
+        data = np.array(lz.product_state(a, b).data)
+        data[0, 3] += 1e-13
+        data[4, 1] -= 3e-13j
+        rho = lz.DensityMatrix(3, 2, data)
+        expected = kron_commutator_residual(rho, side)
+        assert expected > 1e-14
+        assert lz.commutator_residual(rho, side) == pytest.approx(expected, rel=0, abs=1e-15)
 
 
 class TestCriterionMatrix:
@@ -86,6 +114,25 @@ class TestCriterionMatrix:
             form = lz.decompose(prod, ba, bb)
             assert lz.commutator_residual(prod, "A") < tol
             assert np.linalg.norm(lz.criterion_matrix(form, ba, "A")) < tol * na * na * nb / 4.0
+
+
+class TestScaling:
+    """Local dimensions beyond the reach of dense (N, N, N) constants."""
+
+    @pytest.mark.parametrize("na,nb", [(12, 12), (16, 3)])
+    def test_verdicts_and_norm_identity(self, na, nb):
+        ba, bb = lz.build_su_basis(na), lz.build_su_basis(nb)
+        a = lz.random_density_matrix(na, 1, 1).data
+        b = lz.random_density_matrix(nb, 1, 2).data
+        product = lz.product_state(a, b)
+        wishart = lz.random_density_matrix(na, nb, 3)
+        for side in ("A", "B"):
+            assert lz.is_lazy(product, side, basis_a=ba, basis_b=bb).is_lazy
+            report = lz.is_lazy(wishart, side, basis_a=ba, basis_b=bb)
+            assert not report.is_lazy
+            g = lz.criterion_matrix(lz.decompose(wishart, ba, bb), ba if side == "A" else bb, side)
+            via = lz.criterion_prefactor(na, nb, side) * np.linalg.norm(g)
+            assert via == pytest.approx(report.commutator_residual, rel=1e-11, abs=0)
 
 
 class TestContractionMatrix:

@@ -85,6 +85,12 @@ class TestStateFiles:
         with pytest.raises(lz.InvalidStateError, match="parse error"):
             load_state(path)
 
+    def test_rejects_non_finite_token(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dimA": 1, "dimB": 1, "matrix": [[[1.0, NaN]]]}')
+        with pytest.raises(lz.InvalidStateError, match=r"NaN at \$\.matrix\[0\]\[0\]\[1\]"):
+            load_state(path)
+
     def test_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "short.json"
         path.write_text('{"dimA": 2}')
@@ -107,6 +113,15 @@ class TestCovarianceFiles:
         )
         cov = lz.load_covariance(path)
         assert np.abs(cov.V - form.matrix()).max() == 0.0
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_token(self, tmp_path, token):
+        path = tmp_path / "cov.json"
+        rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        text = json.dumps({"V": rows}).replace("[0, 0, 1, 0]", f"[0, 0, {token}, 0]")
+        path.write_text(text)
+        with pytest.raises(lz.InvalidStateError, match=rf"{token} at \$\.V\[2\]\[2\]"):
+            lz.load_covariance(path)
 
     def test_rejects_missing_matrix(self, tmp_path):
         path = tmp_path / "cov.json"

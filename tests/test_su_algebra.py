@@ -3,7 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lazystates as lz
-from lazystates.su_algebra import build_su_basis, structure_constants, verify_basis
+from lazystates.su_algebra import (
+    StructureConstants,
+    build_su_basis,
+    structure_constants,
+    verify_basis,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -107,6 +112,29 @@ def test_dense_tensor_antisymmetry(su3):
     f = su3.f.dense()
     assert np.abs(f + np.swapaxes(f, 0, 1)).max() == 0.0
     assert np.abs(f + np.swapaxes(f, 1, 2)).max() == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_closed_form_matches_trace_oracle(n):
+    basis = build_su_basis(n)
+    oracle = structure_constants(basis.generators)
+    assert np.array_equal(basis.f.index, oracle.index)
+    assert_allclose(basis.f.data, oracle.data, rtol=0, atol=1e-14)
+    assert_allclose(basis.f.dense(), oracle.dense(), rtol=0, atol=1e-14)
+
+
+def test_nonzero_count_is_cubic():
+    # 4 C(n, 3) off-diagonal triples plus the diagonal ones
+    assert len(build_su_basis(12).f) == 1221
+
+
+def test_constants_reject_non_canonical_triples():
+    with pytest.raises(ValueError, match="non-canonical"):
+        StructureConstants(3, [[1, 0, 2]], [1.0])
+    with pytest.raises(ValueError, match="non-canonical"):
+        StructureConstants(3, [[0, 1, 3]], [1.0])
+    with pytest.raises(ValueError, match="values"):
+        StructureConstants(3, [[0, 1, 2]], [1.0, 2.0])
 
 
 def test_rejects_small_dimension():
