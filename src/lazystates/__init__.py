@@ -29,6 +29,7 @@ from .dynamics import (
     entropy_rate,
     evolve,
     random_coupling,
+    random_couplings,
 )
 from .errors import (
     DimensionMismatchError,
@@ -89,7 +90,7 @@ __all__ = [
     "diagonal_correlation_state",
     # dynamics
     "Coupling", "DynamicsAudit", "entropy", "evolve", "entropy_rate",
-    "random_coupling", "derive_trial_seed", "dynamics_audit",
+    "random_coupling", "random_couplings", "derive_trial_seed", "dynamics_audit",
     # gaussian
     "GaussianStandardForm", "CovarianceState", "UncertaintyCheck", "KernelPair",
     "characteristic_function", "standard_form_from_covariance",

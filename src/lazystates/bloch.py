@@ -199,29 +199,35 @@ def decompose(
     return BlochForm(x=x, y=y, T=t)
 
 
-def reconstruct(form: BlochForm, basis_a: SuBasis, basis_b: SuBasis) -> DensityMatrix:
+def reconstruct(
+    form: BlochForm,
+    basis_a: SuBasis | None = None,
+    basis_b: SuBasis | None = None,
+) -> DensityMatrix:
     """Assemble the density matrix of a Bloch form.
 
-    The result is Hermitian with unit trace by construction.  Positivity is
-    not guaranteed; inspect `is_physical` on the returned state.
+    The mirror image of `decompose`: the subsystem dimensions follow from
+    the sizes of x and y, bases are built on demand when omitted, and a
+    trivial (dimension-1) side has empty coherence/correlation blocks.  The
+    result is Hermitian with unit trace by construction.  Positivity is not
+    guaranteed; inspect `is_physical` on the returned state.
     """
-    na, nb = basis_a.dim, basis_b.dim
-    if form.x.size != na * na - 1 or form.y.size != nb * nb - 1:
+    na, nb = math.isqrt(form.x.size + 1), math.isqrt(form.y.size + 1)
+    if na * na != form.x.size + 1 or nb * nb != form.y.size + 1:
         raise DimensionMismatchError(
-            f"Bloch form sized ({form.x.size}, {form.y.size}) does not match "
-            f"bases of dimension ({na}, {nb})"
+            f"Bloch form sized ({form.x.size}, {form.y.size}) is not "
+            "(n_A^2 - 1, n_B^2 - 1)"
         )
-    ga, gb = basis_a.generators, basis_b.generators
+    # the identity joins each generator stack as element 0, so that
+    # rho = (1/(n_A n_B)) sum_ij C_ij s_i (x) t_j with C = [[1, y], [x, T]]
+    # is the single GEMM S_A^T C S_B over the flattened stacks
+    sa = np.concatenate((np.eye(na)[None], _generators_for(na, basis_a)))
+    sb = np.concatenate((np.eye(nb)[None], _generators_for(nb, basis_b)))
+    coeffs = np.block([[np.ones((1, 1)), form.y[None]], [form.x[:, None], form.T]])
+    # m[(a,c), (b,d)] = rho[(a,b), (c,d)] up to the prefactor
+    m = sa.reshape(-1, na * na).T @ coeffs @ sb.reshape(-1, nb * nb)
     d = na * nb
-    local_a = np.einsum("i,iab->ab", form.x, ga)
-    local_b = np.einsum("j,jab->ab", form.y, gb)
-    cross = np.einsum("ij,iac,jbd->abcd", form.T, ga, gb).reshape(d, d)
-    data = (
-        np.eye(d, dtype=complex)
-        + np.kron(local_a, np.eye(nb))
-        + np.kron(np.eye(na), local_b)
-        + cross
-    ) / (na * nb)
+    data = m.reshape(na, na, nb, nb).transpose(0, 2, 1, 3).reshape(d, d) / d
     return DensityMatrix(na, nb, data)
 
 

@@ -144,6 +144,7 @@ def _handle_dynamics(args):
         "side": args.side,
         "trials": audit.trials,
         "maxRate": audit.max_rate,
+        "rateBound": audit.rate_bound,
         "perTrialRates": list(audit.per_trial_rates),
         "consistentWithLaziness": audit.consistent_with_laziness,
     }
@@ -155,7 +156,8 @@ def _handle_dynamics(args):
     }
     summary = (
         f"max |dS_{args.side}/dt| = {audit.max_rate:.3e} over {audit.trials} "
-        f"couplings; {'consistent' if audit.consistent_with_laziness else 'INCONSISTENT'} "
+        f"couplings (supremum {audit.rate_bound:.3e} per unit ||H||_F); "
+        f"{'consistent' if audit.consistent_with_laziness else 'INCONSISTENT'} "
         "with the commutator verdict"
     )
     return params, results, EXIT_LAZY, summary

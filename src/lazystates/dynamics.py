@@ -11,6 +11,22 @@ This is exact for rank-deficient marginals too: rho >= 0 makes the kernel
 block of d(rho_A)/dt vanish, so the kernel eigenvalues move only at O(t^2).
 A central finite difference of the entropy along the exact unitary
 evolution remains only as the `method="fd"` cross-check.
+
+Because the rate is the inner product of H with the fixed Hermitian K,
+its supremum over couplings with ||H||_F = 1 is ||K||_F, attained by
+H* = K / ||K||_F; `dynamics_audit` reports it as `rate_bound` next to the
+sampled maximum.
+
+Seeding: the couplings of an audit with seed s are the stack
+`random_couplings(dim_a, dim_b, trials, s)`, drawn from the single stream
+`np.random.default_rng(s)`.  Each trial takes 2 d^2 standard normals in the
+layout (2, d, d), real part then imaginary part, and is Hermitized as
+(G + G^dag)/2.  Trial i is element i of that stack, so the couplings of a
+k-trial audit are a prefix of those of any longer audit with the same seed,
+and `random_coupling(dim_a, dim_b, s)` is element 0.  The audit never forms
+the Hamiltonians: for Hermitian K, Re tr(K (G + G^dag)/2) = Re vdot(K, G)
+is the dot product of [Re G, Im G] with [Re K, Im K], so each block of
+draws costs one real matrix-vector product.
 """
 
 from __future__ import annotations
@@ -32,6 +48,7 @@ __all__ = [
     "evolve",
     "entropy_rate",
     "random_coupling",
+    "random_couplings",
     "derive_trial_seed",
     "dynamics_audit",
 ]
@@ -40,6 +57,10 @@ __all__ = [
 FD_STEP = 1e-5
 
 COUPLING_HERMITICITY_TOL = 1e-12
+
+#: trials per block of normal draws in `dynamics_audit`; it bounds the
+#: memory of one draw and does not change the stream
+TRIAL_BLOCK = 16
 
 RateMethod = Literal["analytic", "fd"]
 
@@ -66,12 +87,17 @@ class Coupling:
 
 @dataclass(frozen=True)
 class DynamicsAudit:
-    """Entropy-rate statistics over a battery of random couplings."""
+    """Entropy-rate statistics over a battery of random couplings.
+
+    `max_rate` is the largest |rate| sampled; `rate_bound` = ||K||_F is the
+    exact supremum of |rate| over all couplings with unit Frobenius norm.
+    """
 
     max_rate: float
     trials: int
     per_trial_rates: tuple[float, ...]
     consistent_with_laziness: bool
+    rate_bound: float
 
 
 def entropy(rho: DensityMatrix) -> float:
@@ -99,16 +125,23 @@ def _rate_operator(rho: DensityMatrix, side: Side) -> np.ndarray:
     """K = i [rho, log2(rho_side) (x) I] with dS_side/dt = tr(H K) for every H.
 
     log2 acts on the support only: eigenvalues <= 0 are dropped, matching
-    the 0 log 0 = 0 convention of `entropy`.
+    the 0 log 0 = 0 convention of `entropy`.  As in `commutator_residual`,
+    log2(rho_side) (x) I is never formed: each product applies log2(rho_side)
+    along one axis of a reshaped view of rho.
     """
-    w, q = np.linalg.eigh(partial_trace(rho.data, rho.dim_a, rho.dim_b, side))
+    na, nb = rho.dim_a, rho.dim_b
+    w, q = np.linalg.eigh(partial_trace(rho.data, na, nb, side))
     keep = w > 0.0
     log2_red = (q[:, keep] * np.log2(w[keep])) @ q[:, keep].conj().T
+    r = rho.data
     if side == "A":
-        big = np.kron(log2_red, np.eye(rho.dim_b))
+        log_rho = log2_red @ r.reshape(na, -1)
+        rho_log = log2_red.T @ r.reshape(-1, na, nb)
     else:
-        big = np.kron(np.eye(rho.dim_a), log2_red)
-    return 1j * (rho.data @ big - big @ rho.data)
+        log_rho = log2_red @ r.reshape(na, nb, -1)
+        rho_log = r.reshape(-1, nb) @ log2_red
+    d = na * nb
+    return 1j * (rho_log.reshape(d, d) - log_rho.reshape(d, d))
 
 
 def entropy_rate(
@@ -137,11 +170,13 @@ def entropy_rate(
     return float((s_plus - s_minus) / (2.0 * FD_STEP))
 
 
-def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
-    """Hermitian coupling with Gaussian unitary ensemble statistics.
+def _coupling_draws(dim_a: int, dim_b: int, count: int, seed: int):
+    """Blocks of (trials, 2, d, d) normals for `count` couplings, one stream.
 
-    Entries are independent standard complex normals, Hermitized as
-    (G + G^dag)/2, giving unit variance per entry.  Deterministic per seed.
+    Each trial's draw is the real part, then the imaginary part, of a
+    complex Gaussian G; blocks of TRIAL_BLOCK trials are consecutive draws
+    from `np.random.default_rng(seed)`, so the stream does not depend on
+    the block size.
     """
     if dim_a < 2 or dim_b < 2:
         raise DimensionMismatchError(
@@ -149,12 +184,45 @@ def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
         )
     rng = np.random.default_rng(seed)
     d = dim_a * dim_b
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return Coupling(hamiltonian=(g + g.conj().T) / 2.0, seed=int(seed))
+    return (
+        rng.standard_normal((min(TRIAL_BLOCK, count - start), 2, d, d))
+        for start in range(0, count, TRIAL_BLOCK)
+    )
+
+
+def random_couplings(dim_a: int, dim_b: int, count: int, seed: int) -> np.ndarray:
+    """Stack of `count` Hermitian GUE couplings from one seeded stream.
+
+    Element i is (G_i + G_i^dag)/2, where G_i takes the i-th (2, d, d)
+    block of standard normals (real part, then imaginary part) from
+    `np.random.default_rng(seed)`; entries have unit variance.  The first
+    k elements do not depend on `count`, and element i is the coupling of
+    trial i of `dynamics_audit(..., seed=seed)`.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    draws = np.concatenate(list(_coupling_draws(dim_a, dim_b, count, seed)))
+    g = draws[:, 0] + 1j * draws[:, 1]
+    return (g + g.conj().transpose(0, 2, 1)) / 2.0
+
+
+def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
+    """Hermitian coupling with Gaussian unitary ensemble statistics.
+
+    Element 0 of `random_couplings(dim_a, dim_b, count, seed)` for any
+    count, i.e. the coupling of trial 0 of an audit with this seed.
+    Deterministic per seed.
+    """
+    return Coupling(hamiltonian=random_couplings(dim_a, dim_b, 1, seed)[0], seed=int(seed))
 
 
 def derive_trial_seed(seed: int, index: int) -> int:
-    """Per-trial seed derived from (seed, index); schedule-independent."""
+    """Per-index seed derived from (seed, index); schedule-independent.
+
+    `dynamics_audit` does not use it (its trials share one stream); it
+    derives independent seeds for callers that draw one `random_coupling`
+    per index.
+    """
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
@@ -170,6 +238,11 @@ def dynamics_audit(
 ) -> DynamicsAudit:
     """Entropy rates over a battery of seeded random couplings.
 
+    Trial i uses element i of `random_couplings(rho.dim_a, rho.dim_b,
+    trials, seed)`; the rates are computed from the normal draws in blocks
+    of TRIAL_BLOCK trials, one matrix-vector product each, without forming
+    the couplings.
+
     The audit is consistent when a lazy state stays below `lazy_rate_tol`
     on every trial and a non-lazy one exceeds `nonlazy_rate_floor` on at
     least one.  The floor is calibrated per state family, not universal:
@@ -180,15 +253,21 @@ def dynamics_audit(
         raise ValueError(f"trials must be >= 1, got {trials}")
     lazy = commutator_residual(rho, side) < laziness_tol
     k = _rate_operator(rho, side)
+    k = (k + k.conj().T) / 2.0
+    # rate_i = Re vdot(K, G_i) = [Re G_i, Im G_i] . [Re K, Im K]
+    weights = np.stack((k.real, k.imag)).reshape(-1)
     rates = []
-    for index in range(trials):
-        coupling = random_coupling(rho.dim_a, rho.dim_b, derive_trial_seed(seed, index))
-        rates.append(float(np.vdot(k, coupling.hamiltonian).real))
-    max_rate = max(abs(r) for r in rates)
+    for block in _coupling_draws(rho.dim_a, rho.dim_b, trials, seed):
+        if not np.isfinite(block).all():
+            raise ValueError("coupling draw has a non-finite entry")
+        rates.append(block.reshape(len(block), -1) @ weights)
+    rates = np.concatenate(rates)
+    max_rate = float(np.abs(rates).max())
     consistent = max_rate < lazy_rate_tol if lazy else max_rate > nonlazy_rate_floor
     return DynamicsAudit(
         max_rate=max_rate,
         trials=trials,
-        per_trial_rates=tuple(rates),
+        per_trial_rates=tuple(rates.tolist()),
         consistent_with_laziness=consistent,
+        rate_bound=float(np.linalg.norm(k)),
     )

@@ -418,16 +418,16 @@ def fock_truncate(
         rows = u[: keep - abs(d)]
         idx = n1[: len(rows)] * keep + n2[: len(rows)]
         block[np.ix_(idx, idx)] = (rows * (weights_a[n1] * weights_b[n2])) @ rows.T
-    block = block.astype(complex)
-    tr = float(np.trace(block).real)
+    tr = float(np.trace(block))
     deficit = 1.0 - tr
     if deficit > max_deficit:
         raise TruncationError(
             f"truncation trace deficit {deficit:.3e} exceeds {max_deficit:g}; "
             "increase the cutoff"
         )
-    block = block / tr
-    block = (block + block.conj().T) / 2.0
+    # the block is real: normalize and symmetrize before the one complex cast
+    block /= tr
+    block = (block + block.T) / 2.0
     return DensityMatrix(keep, keep, block)
 
 

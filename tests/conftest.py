@@ -108,6 +108,40 @@ def naive_decompose(rho, gens_a, gens_b):
     return np.array(x), np.array(y), np.array(t).reshape(len(gens_a), len(gens_b))
 
 
+def einsum_reconstruct(form, gens_a, gens_b):
+    """Density matrix of a Bloch form from local krons and one 3-operand einsum.
+
+    Takes generator stacks, so a trivial side is an empty (0, 1, 1) stack.
+    """
+    na, nb = gens_a.shape[1], gens_b.shape[1]
+    d = na * nb
+    local_a = np.einsum("i,iab->ab", form.x, gens_a)
+    local_b = np.einsum("j,jab->ab", form.y, gens_b)
+    cross = np.einsum("ij,iac,jbd->abcd", form.T, gens_a, gens_b).reshape(d, d)
+    return (
+        np.eye(d, dtype=complex)
+        + np.kron(local_a, np.eye(nb))
+        + np.kron(np.eye(na), local_b)
+        + cross
+    ) / d
+
+
+def kron_rate_operator(rho, side):
+    """K = i [rho, log2(rho_side) (x) I] with the operator built by kron.
+
+    log2 on the support, from the index-summed partial trace.
+    """
+    na, nb = rho.dim_a, rho.dim_b
+    w, q = np.linalg.eigh(naive_partial_trace(rho.data, na, nb, side))
+    keep = w > 0.0
+    log2_red = (q[:, keep] * np.log2(w[keep])) @ q[:, keep].conj().T
+    if side == "A":
+        big = np.kron(log2_red, np.eye(nb))
+    else:
+        big = np.kron(np.eye(na), log2_red)
+    return 1j * (rho.data @ big - big @ rho.data)
+
+
 def dense_fock_reference(a, b, r, cutoff, pad=8):
     """Squeezed-thermal state from one dense expm on the padded two-mode space.
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lazystates as lz
-from conftest import naive_decompose, naive_partial_trace
+from conftest import einsum_reconstruct, naive_decompose, naive_partial_trace
 
 DIM_PAIRS = [(2, 2), (2, 3), (3, 3), (3, 4)]
 
@@ -119,6 +119,31 @@ class TestReconstruct:
             rho = lz.random_density_matrix(na, nb, trial)
             back = lz.reconstruct(lz.decompose(rho, ba, bb), ba, bb)
             assert np.abs(back.data - rho.data).max() < 1e-12
+
+    @pytest.mark.parametrize("na,nb", [(2, 5), (5, 2), (3, 4), (1, 3)])
+    def test_rectangular_splits_match_einsum_oracle(self, na, nb):
+        def gens(n):
+            return lz.build_su_basis(n).generators if n > 1 else np.zeros((0, 1, 1))
+
+        rng = np.random.default_rng(10 * na + nb)
+        ka, kb = na * na - 1, nb * nb - 1
+        form = lz.BlochForm(
+            x=rng.normal(size=ka), y=rng.normal(size=kb), T=rng.normal(size=(ka, kb))
+        )
+        expected = einsum_reconstruct(form, gens(na), gens(nb))
+        assert np.abs(lz.reconstruct(form).data - expected).max() < 1e-14
+        rho = lz.random_density_matrix(na, nb, na + 10 * nb)
+        back = lz.reconstruct(lz.decompose(rho))
+        assert (back.dim_a, back.dim_b) == (na, nb)
+        assert np.abs(back.data - rho.data).max() < 1e-14
+
+    def test_rejects_mismatched_basis_and_sizes(self, su2, su3):
+        form = lz.BlochForm(x=np.zeros(3), y=np.zeros(8), T=np.zeros((3, 8)))
+        with pytest.raises(lz.DimensionMismatchError):
+            lz.reconstruct(form, su3, su3)
+        odd = lz.BlochForm(x=np.zeros(4), y=np.zeros(3), T=np.zeros((4, 3)))
+        with pytest.raises(lz.DimensionMismatchError):
+            lz.reconstruct(odd)
 
     def test_output_hermitian_for_arbitrary_coefficients(self, su2, su3):
         rng = np.random.default_rng(9)

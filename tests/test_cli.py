@@ -66,7 +66,7 @@ class TestCheck:
         assert code == 1
         report = json.loads(out)["results"]["A"]
         assert report["isLazy"] is False
-        assert report["commutatorResidual"] == pytest.approx(np.sqrt(2) / 8, rel=1e-12)
+        assert report["commutatorResidual"] == pytest.approx(np.sqrt(2) / 8, rel=1e-12, abs=0)
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, ["check", "--state", str(tmp_path / "nope.json")])
@@ -118,6 +118,14 @@ class TestDynamics:
         assert len(results["perTrialRates"]) == 5
         assert results["consistentWithLaziness"] is True
         assert results["maxRate"] < 1e-8
+        assert results["rateBound"] < 1e-12
+
+    def test_witness_reports_the_exact_supremum(self, capsys, witness_file, witness):
+        code, out, _ = run(capsys, ["dynamics", "--state", witness_file, "--trials", "5"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["rateBound"] == lz.dynamics_audit(witness, "A", trials=1).rate_bound
+        assert results["rateBound"] > 1e-3
 
     def test_pure_marginal_product_is_consistent(self, capsys, tmp_path):
         pure = np.diag([1.0, 0.0, 0.0]).astype(complex)
@@ -128,6 +136,7 @@ class TestDynamics:
         results = json.loads(out)["results"]
         assert results["consistentWithLaziness"] is True
         assert results["maxRate"] < 1e-12
+        assert results["rateBound"] < 1e-12
 
 
 class TestGaussian:
@@ -166,7 +175,7 @@ class TestGaussian:
         code, out, _ = run(capsys, ["gaussian", "--cov", str(path)])
         assert code == 1
         results = json.loads(out)["results"]
-        assert results["standardForm"]["c"] == pytest.approx(0.5, rel=1e-10)
+        assert results["standardForm"]["c"] == pytest.approx(0.5, rel=1e-10, abs=0)
 
     def test_non_finite_covariance_exits_two(self, capsys, tmp_path):
         path = tmp_path / "cov.json"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import lazystates as lz
-from conftest import finite_difference_rate
+from conftest import finite_difference_rate, kron_rate_operator
+from lazystates.dynamics import TRIAL_BLOCK, _rate_operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -76,6 +77,24 @@ class TestRandomCoupling:
         with pytest.raises(lz.DimensionMismatchError):
             lz.random_coupling(1, 4, 0)
 
+    def test_stack_element_zero_is_random_coupling(self):
+        for na, nb, seed in ((2, 2, 0), (2, 3, 123), (3, 2, 7), (5, 5, 2**40 + 5)):
+            single = lz.random_coupling(na, nb, seed).hamiltonian
+            first = lz.random_couplings(na, nb, 1, seed)[0]
+            assert single.tobytes() == first.tobytes()
+            assert lz.random_couplings(na, nb, 37, seed)[0].tobytes() == single.tobytes()
+
+    def test_stack_is_one_unblocked_stream(self):
+        count = 2 * TRIAL_BLOCK + 5
+        stack = lz.random_couplings(3, 2, count, 11)
+        normals = np.random.default_rng(11).standard_normal((count, 2, 6, 6))
+        g = normals[:, 0] + 1j * normals[:, 1]
+        assert np.array_equal(stack, (g + g.conj().transpose(0, 2, 1)) / 2.0)
+        assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
+        assert np.array_equal(lz.random_couplings(3, 2, 9, 11), stack[:9])
+        with pytest.raises(ValueError, match="count"):
+            lz.random_couplings(3, 2, 0, 11)
+
     def test_rejects_non_finite_coupling(self):
         with pytest.raises(ValueError, match="non-finite"):
             lz.Coupling(hamiltonian=np.full((4, 4), np.nan), seed=0)
@@ -112,7 +131,7 @@ class TestEntropyRate:
     def test_witness_generic_coupling_rate(self, witness):
         coupling = lz.random_coupling(2, 2, lz.derive_trial_seed(7, 0))
         rate = lz.entropy_rate(witness, coupling, "A")
-        assert rate == pytest.approx(-1.1491593593656044, rel=1e-9)
+        assert rate == pytest.approx(-1.1491593593656044, rel=1e-9, abs=0)
         oracle = finite_difference_rate(witness, coupling.hamiltonian, "A")
         assert rate == pytest.approx(oracle, abs=max(1e-6, 1e-4 * abs(rate)))
 
@@ -163,6 +182,16 @@ class TestEntropyRate:
 
                 assert abs(rate(h1 + s * h2) - rate(h1) - s * rate(h2)) < 1e-12
 
+    @pytest.mark.parametrize("na,nb", [(2, 5), (5, 2), (3, 4), (2, 2)])
+    def test_rate_operator_matches_kron_form(self, na, nb):
+        rng = np.random.default_rng(na * 10 + nb)
+        full = lz.random_density_matrix(na, nb, int(rng.integers(2**32)))
+        pure_a = lz.product_state(pure_density(rng, na), random_marginal(rng, nb))
+        for rho in (full, pure_a):
+            for side in ("A", "B"):
+                k = _rate_operator(rho, side)
+                assert np.abs(k - kron_rate_operator(rho, side)).max() < 1e-14
+
     def test_rejects_shape_mismatch(self, bell):
         with pytest.raises(lz.DimensionMismatchError):
             lz.entropy_rate(bell, lz.random_coupling(2, 3, 0), "A")
@@ -203,13 +232,49 @@ class TestDynamicsAudit:
 
     def test_per_trial_rates_match_entropy_rate(self):
         rho = lz.random_density_matrix(2, 3, 21)
+        couplings = lz.random_couplings(2, 3, 8, 4)
         for side in ("A", "B"):
             audit = lz.dynamics_audit(rho, side, trials=8, seed=4)
             direct = [
-                lz.entropy_rate(rho, lz.random_coupling(2, 3, lz.derive_trial_seed(4, i)), side)
-                for i in range(8)
+                lz.entropy_rate(rho, lz.Coupling(hamiltonian=h, seed=4), side)
+                for h in couplings
             ]
             np.testing.assert_allclose(audit.per_trial_rates, direct, rtol=0, atol=1e-14)
+
+    def test_shorter_audit_is_a_prefix(self, witness):
+        long = lz.dynamics_audit(witness, "A", trials=100, seed=5)
+        short = lz.dynamics_audit(witness, "A", trials=37, seed=5)
+        assert short.per_trial_rates == long.per_trial_rates[:37]
+
+    def test_trial_count_off_the_block_size(self):
+        trials = 2 * TRIAL_BLOCK + 3
+        rho = lz.random_density_matrix(3, 2, 22)
+        audit = lz.dynamics_audit(rho, "B", trials=trials, seed=6)
+        assert len(audit.per_trial_rates) == audit.trials == trials
+        direct = [
+            lz.entropy_rate(rho, lz.Coupling(hamiltonian=h, seed=6), "B")
+            for h in lz.random_couplings(3, 2, trials, 6)
+        ]
+        np.testing.assert_allclose(audit.per_trial_rates, direct, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (4, 3)])
+    def test_rate_bound_is_attained(self, na, nb):
+        rho = lz.random_density_matrix(na, nb, 30 + na + nb)
+        for side in ("A", "B"):
+            audit = lz.dynamics_audit(rho, side, trials=20, seed=8)
+            k = _rate_operator(rho, side)
+            worst = lz.Coupling(hamiltonian=k / np.linalg.norm(k), seed=0)
+            rate = lz.entropy_rate(rho, worst, side)
+            assert rate == pytest.approx(audit.rate_bound, rel=1e-12, abs=0)
+            norms = np.linalg.norm(lz.random_couplings(na, nb, 20, 8), axis=(1, 2))
+            assert np.all(np.abs(audit.per_trial_rates) <= audit.rate_bound * norms)
+
+    def test_rate_bound_vanishes_on_lazy_states(self, bell):
+        rng = np.random.default_rng(13)
+        pure_a = lz.product_state(pure_density(rng, 3), random_marginal(rng, 2))
+        for rho in (bell, pure_a):
+            for side in ("A", "B"):
+                assert lz.dynamics_audit(rho, side, trials=4, seed=2).rate_bound < 1e-12
 
     def test_rank_deficient_lazy_state_is_consistent(self):
         rng = np.random.default_rng(12)

@@ -79,7 +79,7 @@ class TestCharacteristicFunction:
             l1 = complex(rng.standard_normal(), rng.standard_normal())
             l2 = complex(rng.standard_normal(), rng.standard_normal())
             assert lz.characteristic_function(form, l1, l2) == pytest.approx(
-                quadratic_form_oracle(form, l1, l2), rel=1e-12
+                quadratic_form_oracle(form, l1, l2), rel=1e-12, abs=0
             )
 
     def test_frozen_spot_value(self):
@@ -87,8 +87,9 @@ class TestCharacteristicFunction:
         # arguments, giving exp(-(n + m)/2)
         form = lz.GaussianStandardForm(2.0, 3.0, 1.0, -1.0)
         value = lz.characteristic_function(form, 1.0, 1.0j)
-        assert value == pytest.approx(np.exp(-2.5), rel=1e-14)
-        assert value == pytest.approx(quadratic_form_oracle(form, 1.0 + 0j, 1.0j), rel=1e-14)
+        assert value == pytest.approx(np.exp(-2.5), rel=1e-14, abs=0)
+        oracle = quadratic_form_oracle(form, 1.0 + 0j, 1.0j)
+        assert value == pytest.approx(oracle, rel=1e-14, abs=0)
 
 
 class TestUncertainty:
@@ -119,18 +120,18 @@ class TestStandardFormExtraction:
     def test_reads_off_standard_input(self):
         form_in = lz.GaussianStandardForm(2.0, 3.0, 0.5, -0.2)
         out = lz.standard_form_from_covariance(lz.CovarianceState(form_in.matrix()))
-        assert out.n == pytest.approx(2.0, rel=1e-12)
-        assert out.m == pytest.approx(3.0, rel=1e-12)
-        assert out.c == pytest.approx(0.5, rel=1e-12)
-        assert out.c_prime == pytest.approx(-0.2, rel=1e-12)
+        assert out.n == pytest.approx(2.0, rel=1e-12, abs=0)
+        assert out.m == pytest.approx(3.0, rel=1e-12, abs=0)
+        assert out.c == pytest.approx(0.5, rel=1e-12, abs=0)
+        assert out.c_prime == pytest.approx(-0.2, rel=1e-12, abs=0)
 
     def test_canonicalizes_order_and_sign(self):
         # |c| >= |c'| and c >= 0: the (0.2, -0.5) input is equivalent to
         # (0.5, -0.2) under local operations
         v = lz.GaussianStandardForm(2.0, 3.0, 0.2, -0.5).matrix()
         out = lz.standard_form_from_covariance(lz.CovarianceState(v))
-        assert out.c == pytest.approx(0.5, rel=1e-10)
-        assert out.c_prime == pytest.approx(-0.2, rel=1e-10)
+        assert out.c == pytest.approx(0.5, rel=1e-10, abs=0)
+        assert out.c_prime == pytest.approx(-0.2, rel=1e-10, abs=0)
 
     def test_rotated_thermal_product(self):
         v = np.zeros((4, 4))
@@ -138,8 +139,8 @@ class TestStandardFormExtraction:
         v[2:, 2:] = 1.7 * np.eye(2)
         s = rotation_pair(0.646, 0.0)
         out = lz.standard_form_from_covariance(lz.CovarianceState(s @ v @ s.T))
-        assert out.n == pytest.approx(2.5, rel=1e-12)
-        assert out.m == pytest.approx(1.7, rel=1e-12)
+        assert out.n == pytest.approx(2.5, rel=1e-12, abs=0)
+        assert out.m == pytest.approx(1.7, rel=1e-12, abs=0)
         assert abs(out.c) < 1e-12
         assert abs(out.c_prime) < 1e-12
 
@@ -151,10 +152,10 @@ class TestStandardFormExtraction:
              [sh * np.diag([1.0, -1.0]), ch * np.eye(2)]]
         )
         out = lz.standard_form_from_covariance(lz.CovarianceState(sq @ sq.T))
-        assert out.n == pytest.approx(np.cosh(2 * r), rel=1e-12)
-        assert out.m == pytest.approx(np.cosh(2 * r), rel=1e-12)
-        assert out.c == pytest.approx(np.sinh(2 * r), rel=1e-12)
-        assert out.c_prime == pytest.approx(-np.sinh(2 * r), rel=1e-12)
+        assert out.n == pytest.approx(np.cosh(2 * r), rel=1e-12, abs=0)
+        assert out.m == pytest.approx(np.cosh(2 * r), rel=1e-12, abs=0)
+        assert out.c == pytest.approx(np.sinh(2 * r), rel=1e-12, abs=0)
+        assert out.c_prime == pytest.approx(-np.sinh(2 * r), rel=1e-12, abs=0)
 
     def test_invariant_under_local_rotations(self):
         rng = np.random.default_rng(23)
@@ -171,7 +172,7 @@ class TestStandardFormExtraction:
         form_in = lz.GaussianStandardForm(2.0, 2.0, 0.7, -0.7)
         with_d = lz.CovarianceState(form_in.matrix(), d=[0.3, -1.0, 2.0, 0.1])
         out = lz.standard_form_from_covariance(with_d)
-        assert out.c == pytest.approx(0.7, rel=1e-12)
+        assert out.c == pytest.approx(0.7, rel=1e-12, abs=0)
 
     def test_rejects_subvacuum_covariance(self):
         with pytest.raises(lz.UnphysicalFormError, match="det"):
@@ -214,7 +215,7 @@ class TestKernels:
         form = lz.GaussianStandardForm(2.0, 3.0, 1.0, 0.0)
         assert lz.kernel_determinant(form) == pytest.approx(992.0, abs=0)
         numeric = np.linalg.det(lz.commutator_kernels(form).plus)
-        assert numeric == pytest.approx(992.0, rel=1e-9)
+        assert numeric == pytest.approx(992.0, rel=1e-9, abs=0)
 
     def test_determinant_closed_form_uncorrelated(self):
         form = lz.GaussianStandardForm(2.0, 3.0, 0.0, 0.0)
@@ -228,7 +229,7 @@ class TestKernels:
             closed = lz.kernel_determinant(form)
             pair = lz.commutator_kernels(form)
             for kernel in (pair.plus, pair.minus):
-                assert np.linalg.det(kernel) == pytest.approx(closed, rel=1e-9)
+                assert np.linalg.det(kernel) == pytest.approx(closed, rel=1e-9, abs=0)
 
     def test_quadratic_difference_frozen_value(self):
         form = lz.GaussianStandardForm(2.0, 3.0, 1.0, -1.0)
@@ -306,8 +307,8 @@ class TestSqueezedThermal:
             r = rng.uniform(0.0, 0.8)
             form = lz.squeezed_thermal_form(a, b, r)
             ar, br, rr = lz.squeezed_thermal_parameters(form)
-            assert ar == pytest.approx(a, rel=1e-12)
-            assert br == pytest.approx(b, rel=1e-12)
+            assert ar == pytest.approx(a, rel=1e-12, abs=0)
+            assert br == pytest.approx(b, rel=1e-12, abs=0)
             assert rr == pytest.approx(r, abs=1e-12)
 
     def test_zero_squeezing(self):
@@ -353,7 +354,7 @@ class TestFockTruncation:
         rho = lz.fock_truncate(form, 20)
         red = lz.reduced_state(rho, "A").data
         mean = sum(k * red[k, k].real for k in range(21))
-        assert mean == pytest.approx((form.n - 1.0) / 2.0, rel=1e-6)
+        assert mean == pytest.approx((form.n - 1.0) / 2.0, rel=1e-6, abs=0)
 
     def test_residual_grows_with_squeezing(self):
         residuals = []

@@ -29,9 +29,9 @@ class TestCommutatorResidual:
 
     def test_witness_residual_frozen_value(self, witness):
         res = lz.commutator_residual(witness, "A")
-        assert res == pytest.approx(WITNESS_RESIDUAL, rel=1e-12)
+        assert res == pytest.approx(WITNESS_RESIDUAL, rel=1e-12, abs=0)
         # independent dense evaluation
-        assert res == pytest.approx(naive_commutator_residual(witness, "A"), rel=1e-12)
+        assert res == pytest.approx(naive_commutator_residual(witness, "A"), rel=1e-12, abs=0)
         assert res > 0.1
 
     def test_matches_naive_oracle_on_random_states(self):
@@ -39,7 +39,7 @@ class TestCommutatorResidual:
             rho = lz.random_density_matrix(2, 3, trial)
             for side in ("A", "B"):
                 assert lz.commutator_residual(rho, side) == pytest.approx(
-                    naive_commutator_residual(rho, side), rel=1e-12
+                    naive_commutator_residual(rho, side), rel=1e-12, abs=0
                 )
 
     @pytest.mark.parametrize("side", ["A", "B"])
@@ -92,7 +92,7 @@ class TestCriterionMatrix:
                 direct = lz.commutator_residual(rho, side)
                 g = lz.criterion_matrix(form, basis, side)
                 via_criterion = lz.criterion_prefactor(na, nb, side) * np.linalg.norm(g)
-                assert direct == pytest.approx(via_criterion, rel=1e-11)
+                assert direct == pytest.approx(via_criterion, rel=1e-11, abs=0)
 
     def test_verdict_equivalence_battery(self):
         # thresholding ||G||_F through the norm identity must agree with the

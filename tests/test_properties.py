@@ -75,3 +75,30 @@ def test_local_unitary_invariance_of_both_verdicts(dims, family, seed):
         assert after.commutator_residual == pytest.approx(
             before.commutator_residual, rel=1e-10, abs=1e-13
         )
+
+
+@DETERMINISTIC
+@given(
+    dims=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+    rank_frac=st.floats(0.0, 1.0),
+    scale=st.floats(-3.0, 3.0),
+    seed=seeds,
+)
+def test_audit_rates_are_the_linear_form_on_the_coupling_stack(dims, rank_frac, scale, seed):
+    na, nb = dims
+    rank = 1 + int(rank_frac * (na * nb - 1))
+    rho = wishart_state(na, nb, rank, seed)
+    trials = 20
+    stack = lz.random_couplings(na, nb, trials, seed)
+    for side in ("A", "B"):
+        audit = lz.dynamics_audit(rho, side, trials=trials, seed=seed)
+
+        def rate(h):
+            return lz.entropy_rate(rho, lz.Coupling(hamiltonian=h, seed=seed), side)
+
+        direct = [rate(h) for h in stack]
+        np.testing.assert_allclose(audit.per_trial_rates, direct, rtol=0, atol=1e-14)
+        norms = np.linalg.norm(stack, axis=(1, 2))
+        assert np.all(np.abs(audit.per_trial_rates) <= audit.rate_bound * norms)
+        mixed = rate(stack[0] + scale * stack[1])
+        assert abs(mixed - direct[0] - scale * direct[1]) < 1e-12
