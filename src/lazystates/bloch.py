@@ -47,12 +47,23 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 #: eigenvalues above this (slightly negative) floor count as nonnegative
 POSITIVITY_TOL = -1e-10
+#: side of the square tiles over which the hermiticity of a larger matrix is
+#: scanned; a tile and its mirror stay in cache while they are compared
+HERMITICITY_TILE = 256
 
 
 def _check_side(side: str) -> str:
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     return side
+
+
+def _check_tolerance(tol: float) -> float:
+    """`tol` as a float; NaN, Inf and nonpositive values are rejected."""
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
+    return tol
 
 
 def _require_finite(arr: np.ndarray, label: str) -> None:
@@ -62,14 +73,32 @@ def _require_finite(arr: np.ndarray, label: str) -> None:
         raise InvalidStateError(f"non-finite entry in {label} at {pos}")
 
 
-class DensityMatrix:
-    """Complex Hermitian unit-trace matrix with a bipartite dimension split.
+def _max_asymmetry(data: np.ndarray) -> float:
+    """max |data - data^dagger| over the tile pairs (I, J >= I); NaN propagates.
 
-    Hermiticity and unit trace are enforced at construction.  Positivity is
-    *not*: generator expansions with out-of-range coefficients legitimately
-    produce indefinite matrices, so it is exposed as the lazy `is_physical`
-    flag instead and enforced only where callers demand it via
-    `require_physical`.
+    Each entry pair meets once, in the tile pair that holds it above the
+    diagonal, and both tiles are read row by row, unlike the full transpose.
+    """
+    t = HERMITICITY_TILE
+    tiles = [slice(i, i + t) for i in range(0, data.shape[0], t)]
+    maxima = [
+        np.abs(data[rows, cols] - data[cols, rows].conj().T).max()
+        for k, rows in enumerate(tiles)
+        for cols in tiles[k:]
+    ]
+    return float(np.max(maxima))
+
+
+class DensityMatrix:
+    """Hermitian unit-trace matrix with a bipartite dimension split.
+
+    Real input stays real: it is stored as float64, so the products of a
+    real state run in real arithmetic; any other input is stored as
+    complex128.  Hermiticity and unit trace are enforced at construction.
+    Positivity is *not*: generator expansions with out-of-range coefficients
+    legitimately produce indefinite matrices, so it is exposed as the lazy
+    `is_physical` flag instead and enforced only where callers demand it
+    via `require_physical`.
     """
 
     def __init__(self, dim_a: int, dim_b: int, data):
@@ -78,20 +107,27 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"subsystem dimensions must be >= 1, got ({dim_a}, {dim_b})"
             )
-        data = np.array(data, dtype=complex)
+        data = np.asarray(data)
+        data = np.array(data, dtype=complex if data.dtype.kind == "c" else float)
         d = dim_a * dim_b
         if data.shape != (d, d):
             raise DimensionMismatchError(
                 f"matrix shape {data.shape} does not match dimensions "
                 f"({dim_a}, {dim_b}) -> ({d}, {d})"
             )
-        asym = np.abs(data - data.conj().T)
-        max_asym = float(asym.max())
-        if not math.isfinite(max_asym):
-            # a NaN or Inf entry leaves a non-finite asymmetry at its position
-            i, j = np.argwhere(~np.isfinite(asym))[0]
-            raise InvalidStateError(f"non-finite entry at ({i}, {j})")
-        if max_asym > HERMITICITY_TOL:
+        if d <= HERMITICITY_TILE:
+            asym = np.abs(data - data.conj().T)
+            max_asym = float(asym.max())
+        else:
+            max_asym = _max_asymmetry(data)
+        if not max_asym <= HERMITICITY_TOL:
+            # a rejection is rare: only then locate it on the full matrix
+            if d > HERMITICITY_TILE:
+                asym = np.abs(data - data.conj().T)
+            if not math.isfinite(max_asym):
+                # a NaN or Inf entry leaves a non-finite asymmetry at its position
+                i, j = np.argwhere(~np.isfinite(asym))[0]
+                raise InvalidStateError(f"non-finite entry at ({i}, {j})")
             i, j = np.unravel_index(int(asym.argmax()), asym.shape)
             raise InvalidStateError(
                 f"hermiticity violation: max asymmetry {max_asym:.3e} "

@@ -9,6 +9,7 @@ where a verdict applies), 1 success but not lazy, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -304,8 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of `main`, built on its first call; parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "handler", None) is None:
         parser.print_usage(sys.stderr)

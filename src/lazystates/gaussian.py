@@ -30,6 +30,8 @@ two independent ways:
 
 * by truncating the squeezed-thermal subfamily (c' = -c) to a finite
   number basis and handing it to the finite-dimensional commutator test.
+  The truncated state is real, so it is stored, validated and multiplied
+  in real arithmetic.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .bloch import DensityMatrix, _require_finite
+from .bloch import DensityMatrix, _check_tolerance, _require_finite
 from .errors import TruncationError, UnphysicalFormError
 
 __all__ = [
@@ -297,8 +299,7 @@ def kernel_quadratic_difference(
 
 def is_lazy_gaussian(form: GaussianStandardForm, tol: float = 1e-10) -> bool:
     """Lazy iff both cross-correlations vanish, i.e. the state is a product."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = _check_tolerance(tol)
     chk = check_uncertainty(form)
     if not chk.physical:
         raise UnphysicalFormError(
@@ -402,6 +403,8 @@ def fock_truncate(
     The state U W U^T (W the thermal product weights, U the two-mode
     squeezer) inherits the squeezer's block structure over the sectors of
     fixed n1 - n2, so only the kept rows of each sector block are formed.
+    Each sector block is symmetrized before it is placed, so the returned
+    state is real (float64) and exactly symmetric.
     """
     if cutoff < 4:
         raise ValueError(f"cutoff must be >= 4, got {cutoff}")
@@ -417,7 +420,9 @@ def fock_truncate(
         # occupations grow along a sector, so its kept states come first
         rows = u[: keep - abs(d)]
         idx = n1[: len(rows)] * keep + n2[: len(rows)]
-        block[np.ix_(idx, idx)] = (rows * (weights_a[n1] * weights_b[n2])) @ rows.T
+        prod = (rows * (weights_a[n1] * weights_b[n2])) @ rows.T
+        # symmetric sectors make the block exactly symmetric by construction
+        block[np.ix_(idx, idx)] = (prod + prod.T) / 2.0
     tr = float(np.trace(block))
     deficit = 1.0 - tr
     if deficit > max_deficit:
@@ -425,9 +430,7 @@ def fock_truncate(
             f"truncation trace deficit {deficit:.3e} exceeds {max_deficit:g}; "
             "increase the cutoff"
         )
-    # the block is real: normalize and symmetrize before the one complex cast
     block /= tr
-    block = (block + block.T) / 2.0
     return DensityMatrix(keep, keep, block)
 
 

@@ -25,8 +25,10 @@ r[a, b, c, d] (A indices a, c slow, B indices b, d fast), left
 multiplication by rho_A (x) I contracts rho_A with the row index a alone,
 right multiplication with the column index c alone, and I (x) rho_B does
 the same on b and d.  Each product is one GEMM over a reshaped view of rho,
-O(d^2 n) work instead of the O(d^3) of a dense d x d product.  The
-criterion matrix is a scatter-add over the nonzero structure constants.
+O(d^2 n) work instead of the O(d^3) of a dense d x d product.  A real
+state (such as a truncated Fock state) has a real reduced state, so both
+GEMMs then run in real arithmetic.  The criterion matrix is a scatter-add
+over the nonzero structure constants.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .bloch import (
     DensityMatrix,
     Side,
     _check_side,
+    _check_tolerance,
     decompose,
     reconstruct,
     reduced_state,
@@ -151,8 +154,7 @@ def is_lazy(
     the criterion residual is computed alongside as a diagnostic.
     """
     _check_side(side)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = _check_tolerance(tol)
     if basis_a is None and rho.dim_a >= 2:
         basis_a = build_su_basis(rho.dim_a)
     if basis_b is None and rho.dim_b >= 2:
@@ -167,7 +169,7 @@ def is_lazy(
         criterion = float(np.abs(g).max()) if g.size else 0.0
     return LazinessReport(
         side=side,
-        tolerance=float(tol),
+        tolerance=tol,
         commutator_residual=residual,
         criterion_residual=criterion,
         is_lazy=residual < tol,

@@ -69,7 +69,8 @@ def state_from_dict(obj) -> DensityMatrix:
     if missing:
         raise InvalidStateError(f"state document missing keys: {sorted(missing)}")
     dim_a, dim_b = obj["dimA"], obj["dimB"]
-    if not isinstance(dim_a, int) or not isinstance(dim_b, int) or dim_a < 1 or dim_b < 1:
+    # `type(x) is int`: JSON true/false load as bool, a subclass of int
+    if not all(type(x) is int and x >= 1 for x in (dim_a, dim_b)):
         raise InvalidStateError(f"dimensions must be positive integers, got ({dim_a!r}, {dim_b!r})")
     try:
         matrix = pairs_to_complex_matrix(obj["matrix"])

@@ -3,9 +3,22 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lazystates as lz
+from lazystates import bloch
 from conftest import einsum_reconstruct, naive_decompose, naive_partial_trace
 
 DIM_PAIRS = [(2, 2), (2, 3), (3, 3), (3, 4)]
+
+
+def untiled_rejection(data):
+    """The rejection message of the one-pass hermiticity scan, or None."""
+    asym = np.abs(data - data.conj().T)
+    if not np.isfinite(asym).all():
+        i, j = np.argwhere(~np.isfinite(asym))[0]
+        return f"non-finite entry at ({i}, {j})"
+    if asym.max() > bloch.HERMITICITY_TOL:
+        i, j = np.unravel_index(int(asym.argmax()), asym.shape)
+        return f"hermiticity violation: max asymmetry {asym.max():.3e} at entry ({i}, {j})"
+    return None
 
 
 class TestDensityMatrix:
@@ -35,6 +48,56 @@ class TestDensityMatrix:
         assert not rho.is_physical
         with pytest.raises(lz.InvalidStateError, match="positivity"):
             rho.require_physical()
+
+    @pytest.mark.parametrize(
+        "data,dtype",
+        [
+            (np.eye(4) / 4.0, np.float64),
+            ((np.eye(4) / 4.0).tolist(), np.float64),
+            (np.eye(4, dtype=np.float32) / 4, np.float64),
+            (np.eye(4, dtype=complex) / 4.0, np.complex128),
+            (np.eye(4, dtype=np.complex64) / 4, np.complex128),
+        ],
+    )
+    def test_real_input_stays_real(self, data, dtype):
+        rho = lz.DensityMatrix(2, 2, data)
+        assert rho.data.dtype == dtype
+        assert not rho.data.flags.writeable
+
+    def test_input_is_copied(self):
+        data = np.eye(4) / 4.0
+        rho = lz.DensityMatrix(2, 2, data)
+        data[0, 0] = 1.0
+        assert rho.data[0, 0] == 0.25 and data.flags.writeable
+
+    @pytest.mark.parametrize("dims", [(257, 1), (20, 30)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("asymmetry", "hermiticity violation: max asymmetry 1.000e-09 at entry (0, {last})"),
+            ("nan", "non-finite entry at ({last}, {last})"),
+            ("inf", "non-finite entry at (3, {penult})"),
+        ],
+    )
+    def test_tiled_scan_matches_the_full_scan(self, dims, dtype, defect, message):
+        d = dims[0] * dims[1]
+        assert d > bloch.HERMITICITY_TILE
+        g = np.random.default_rng(d).standard_normal((d, 8))
+        data = (g @ g.T).astype(dtype)
+        data /= np.trace(data)
+        lz.DensityMatrix(*dims, data)
+        if defect == "asymmetry":
+            data[0, d - 1] += 1e-9
+        elif defect == "nan":
+            data[d - 1, d - 1] = np.nan
+        else:
+            data[d - 2, 3] = np.inf
+        expected = message.format(last=d - 1, penult=d - 2)
+        assert untiled_rejection(data) == expected
+        with pytest.raises(lz.InvalidStateError) as info:
+            lz.DensityMatrix(*dims, data)
+        assert str(info.value) == expected
 
     def test_random_generator_battery(self):
         for trial in range(100):

@@ -5,6 +5,7 @@ import pytest
 
 import lazystates as lz
 from conftest import make_witness
+from lazystates import cli
 from lazystates.cli import main
 from lazystates.stateio import save_state
 
@@ -88,6 +89,21 @@ class TestCheck:
         code, _, err = run(capsys, ["check", "--state", str(path)])
         assert code == 2
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tolerance_that_is_not_positive_and_finite_exits_two(self, capsys, bell_file, tol):
+        code, out, err = run(capsys, ["check", "--state", bell_file, "--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be a positive finite number" in err
+
+    def test_boolean_dimensions_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"dimA": true, "dimB": true, "matrix": [[[1, 0]]]}')
+        code, out, err = run(capsys, ["check", "--state", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "positive integers" in err
 
     def test_deterministic_output(self, capsys, bell_file):
         _, first, _ = run(capsys, ["check", "--state", bell_file])
@@ -185,6 +201,13 @@ class TestGaussian:
         assert out == ""
         assert "non-finite number NaN at $.V[0][0]" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_that_is_not_positive_and_finite_exits_two(self, capsys, tol):
+        code, out, err = run(capsys, ["gaussian", "--form", "5,2,0,0", "--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be a positive finite number" in err
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, ["gaussian"])
         assert code == 2
@@ -246,3 +269,31 @@ class TestManifest:
     def test_no_command_exits_two(self, capsys):
         code, _, _ = run(capsys, [])
         assert code == 2
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_parsers(
+        self, capsys, monkeypatch, bell_file, witness_file
+    ):
+        argvs = [
+            ["check", "--state", witness_file, "--side", "A", "--tol", "1e-6"],
+            ["example", "--name", "random", "--param", "dimA=2", "--param", "seed=4"],
+            ["check", "--state", bell_file],
+            ["example", "--name", "random", "--param", "dimB=3", "--param", "seed=5"],
+            ["gaussian", "--form", "2,2,0.5,-0.5", "--fock-check", "6"],
+            ["example", "--name", "random", "--param", "dimA=2", "--param", "seed=4"],
+            ["basis", "--dim", "2"],
+        ]
+        reused = [run(capsys, argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(capsys, argv) for argv in argvs]
+        assert reused == fresh
+        # --param appends: a reused parser must not carry values across calls
+        first, second = (json.loads(reused[i][1])["parameters"]["param"] for i in (1, 3))
+        assert first == ["dimA=2", "seed=4"]
+        assert second == ["dimB=3", "seed=5"]
+        assert reused[1] == reused[5]
+
+    def test_main_reuses_one_parser_and_build_parser_stays_fresh(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()

@@ -298,6 +298,12 @@ class TestLazinessDecision:
         with pytest.raises(lz.UnphysicalFormError):
             lz.is_lazy_gaussian(lz.GaussianStandardForm(1.0, 1.0, 0.5, 0.5))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+    def test_rejects_tolerance_that_is_not_positive_and_finite(self, tol):
+        form = lz.squeezed_thermal_form(1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+            lz.is_lazy_gaussian(form, tol=tol)
+
 
 class TestSqueezedThermal:
     def test_parameter_roundtrip(self):
@@ -348,6 +354,18 @@ class TestFockTruncation:
         rho = lz.fock_truncate(form, 10)
         reference = dense_fock_reference(*lz.squeezed_thermal_parameters(form), cutoff=10)
         assert np.abs(rho.data - reference).max() < 1e-14
+
+    @pytest.mark.parametrize("cutoff", [10, 20])
+    @pytest.mark.parametrize("a,b,r", [(1.0, 1.0, 0.4), (1.2, 1.1, 0.25)])
+    def test_block_is_real_and_exactly_symmetric(self, a, b, r, cutoff):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff)
+        assert rho.data.dtype == np.float64
+        assert np.array_equal(rho.data, rho.data.T)
+        cast = lz.DensityMatrix(rho.dim_a, rho.dim_b, rho.data.astype(complex))
+        for side in ("A", "B"):
+            assert lz.commutator_residual(rho, side) == pytest.approx(
+                lz.commutator_residual(cast, side), rel=0, abs=1e-13
+            )
 
     def test_thermal_marginal_occupation(self):
         form = lz.squeezed_thermal_form(1.5, 2.0, 0.3)

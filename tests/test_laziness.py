@@ -179,6 +179,12 @@ class TestIsLazy:
         with pytest.raises(ValueError):
             lz.is_lazy(bell, "A", tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_tolerance(self, tol):
+        wishart = lz.random_density_matrix(2, 2, 3)
+        with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+            lz.is_lazy(wishart, "A", tol=tol)
+
     def test_local_unitary_invariance(self, witness, bell):
         rng = np.random.default_rng(30)
         for rho in (witness, bell, lz.random_density_matrix(2, 3, 44)):

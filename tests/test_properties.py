@@ -4,6 +4,8 @@ Hypothesis runs derandomized so that the suite draws the same examples on
 every run.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,110 @@ def test_audit_rates_are_the_linear_form_on_the_coupling_stack(dims, rank_frac, 
         assert np.all(np.abs(audit.per_trial_rates) <= audit.rate_bound * norms)
         mixed = rate(stack[0] + scale * stack[1])
         assert abs(mixed - direct[0] - scale * direct[1]) < 1e-12
+
+
+def real_wishart_state(na, nb, rank, seed):
+    """rho = G G^T / tr(G G^T) with G a (d x rank) real Gaussian."""
+    g = np.random.default_rng(seed).standard_normal((na * nb, rank))
+    w = g @ g.T
+    return lz.DensityMatrix(na, nb, w / np.trace(w))
+
+
+def assert_rel_close(actual, expected, rel=1e-13):
+    """Frobenius-relative agreement, with no absolute slack."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.linalg.norm(actual - expected) <= rel * np.linalg.norm(expected)
+
+
+@DETERMINISTIC
+@given(dims=local_dims, rank_frac=st.floats(0.0, 1.0), seed=seeds)
+def test_real_states_agree_with_their_complex_cast(dims, rank_frac, seed):
+    na, nb = dims
+    rank = 1 + int(rank_frac * (na * nb - 1))
+    real = real_wishart_state(na, nb, rank, seed)
+    cast = lz.DensityMatrix(na, nb, real.data.astype(complex))
+    assert real.data.dtype == np.float64 and cast.data.dtype == np.complex128
+    ba, bb = lz.build_su_basis(na), lz.build_su_basis(nb)
+    form_real, form_cast = lz.decompose(real, ba, bb), lz.decompose(cast, ba, bb)
+    for name in ("x", "y", "T"):
+        assert_rel_close(getattr(form_real, name), getattr(form_cast, name))
+    for side, basis in (("A", ba), ("B", bb)):
+        direct = lz.commutator_residual(real, side)
+        assert direct == pytest.approx(lz.commutator_residual(cast, side), rel=1e-13, abs=0)
+        report_real = lz.is_lazy(real, side, basis_a=ba, basis_b=bb)
+        report_cast = lz.is_lazy(cast, side, basis_a=ba, basis_b=bb)
+        assert report_real.is_lazy == report_cast.is_lazy
+        assert report_real.commutator_residual == direct
+        via = lz.criterion_prefactor(na, nb, side) * np.linalg.norm(
+            lz.criterion_matrix(form_real, basis, side)
+        )
+        assert via == pytest.approx(direct, rel=1e-11, abs=0)
+        assert via == pytest.approx(
+            lz.criterion_prefactor(na, nb, side)
+            * np.linalg.norm(lz.criterion_matrix(form_cast, basis, side)),
+            rel=1e-13,
+            abs=0,
+        )
+
+
+def local_symplectic(rng):
+    """S_1 (+) S_2 with each S_i = R(a) diag(e^s, e^-s) R(b) in SL(2, R)."""
+
+    def sl2():
+        a, b = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        s = rng.uniform(-1.0, 1.0)
+        rot = [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) for t in (a, b)]
+        return rot[0] @ np.diag([np.exp(s), np.exp(-s)]) @ rot[1]
+
+    out = np.zeros((4, 4))
+    out[:2, :2] = sl2()
+    out[2:, 2:] = sl2()
+    return out
+
+
+@DETERMINISTIC
+@given(family=st.sampled_from(["product", "squeezed_thermal", "general"]), seed=seeds)
+def test_local_symplectic_invariance_of_the_gaussian_verdict(family, seed):
+    rng = np.random.default_rng(seed)
+    if family == "product":
+        n, m = rng.uniform(1.0, 4.0, size=2)
+        form = lz.GaussianStandardForm(n, m, 0.0, 0.0)
+    else:
+        form = lz.random_standard_form(rng, family)
+    canonical = lz.standard_form_from_covariance(lz.CovarianceState(form.matrix()))
+    s = local_symplectic(rng)
+    moved = lz.standard_form_from_covariance(lz.CovarianceState(s @ form.matrix() @ s.T))
+    for name in ("n", "m", "c", "c_prime"):
+        assert getattr(moved, name) == pytest.approx(getattr(canonical, name), abs=1e-9)
+    assert lz.is_lazy_gaussian(moved) == lz.is_lazy_gaussian(form) == (family == "product")
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def reversed_keys(doc):
+    """The same document with every object's keys inserted in reverse order."""
+    if isinstance(doc, dict):
+        return {key: reversed_keys(doc[key]) for key in reversed(list(doc))}
+    if isinstance(doc, list):
+        return [reversed_keys(item) for item in doc]
+    return doc
+
+
+@DETERMINISTIC
+@given(doc=json_documents)
+def test_canonical_json_round_trip_and_byte_determinism(doc):
+    text = lz.canonical_json(doc)
+    assert json.loads(text) == doc
+    assert lz.canonical_json(reversed_keys(doc)) == text

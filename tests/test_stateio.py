@@ -103,6 +103,21 @@ class TestStateFiles:
         with pytest.raises(lz.InvalidStateError, match="positive integers"):
             load_state(path)
 
+    @pytest.mark.parametrize("dims", ['"dimA": true, "dimB": true', '"dimA": 1.0, "dimB": 1'])
+    def test_rejects_boolean_and_float_dimensions(self, tmp_path, dims):
+        path = tmp_path / "dims.json"
+        path.write_text("{" + dims + ', "matrix": [[[1, 0]]]}')
+        with pytest.raises(lz.InvalidStateError, match="positive integers"):
+            load_state(path)
+
+    def test_real_state_serializes_like_its_complex_cast(self):
+        g = np.random.default_rng(5).standard_normal((6, 6))
+        w = g @ g.T
+        real = lz.DensityMatrix(2, 3, w / np.trace(w))
+        cast = lz.DensityMatrix(2, 3, real.data.astype(complex))
+        assert real.data.dtype == np.float64
+        assert canonical_json(state_to_dict(real)) == canonical_json(state_to_dict(cast))
+
 
 class TestCovarianceFiles:
     def test_roundtrip(self, tmp_path):
