@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .bloch import (
     BlochForm,
     DensityMatrix,
+    SectorDensityMatrix,
     decompose,
     partial_trace,
     random_density_matrix,
@@ -82,7 +83,7 @@ __all__ = [
     "SuBasis", "StructureConstants", "BasisVerification",
     "build_su_basis", "structure_constants", "verify_basis",
     # bloch
-    "DensityMatrix", "BlochForm", "decompose", "reconstruct",
+    "DensityMatrix", "SectorDensityMatrix", "BlochForm", "decompose", "reconstruct",
     "reduced_state", "partial_trace", "random_density_matrix",
     # laziness
     "LazinessReport", "commutator_residual", "contraction_matrix",

@@ -33,6 +33,7 @@ from .su_algebra import SuBasis, build_su_basis
 __all__ = [
     "Side",
     "DensityMatrix",
+    "SectorDensityMatrix",
     "BlochForm",
     "decompose",
     "reconstruct",
@@ -89,6 +90,47 @@ def _max_asymmetry(data: np.ndarray) -> float:
     return float(np.max(maxima))
 
 
+def _check_hermitian(data: np.ndarray, where: str = "") -> None:
+    """Reject a square matrix that is non-finite or not Hermitian to HERMITICITY_TOL.
+
+    `where` follows the entry position in a message, e.g. " of sector 3".
+    """
+    d = data.shape[0]
+    if d <= HERMITICITY_TILE:
+        asym = np.abs(data - data.conj().T)
+        max_asym = float(asym.max())
+    else:
+        max_asym = _max_asymmetry(data)
+    if not max_asym <= HERMITICITY_TOL:
+        # a rejection is rare: only then locate it on the full matrix
+        if d > HERMITICITY_TILE:
+            asym = np.abs(data - data.conj().T)
+        if not math.isfinite(max_asym):
+            # a NaN or Inf entry leaves a non-finite asymmetry at its position
+            i, j = np.argwhere(~np.isfinite(asym))[0]
+            raise InvalidStateError(f"non-finite entry at ({i}, {j}){where}")
+        i, j = np.unravel_index(int(asym.argmax()), asym.shape)
+        raise InvalidStateError(
+            f"hermiticity violation: max asymmetry {max_asym:.3e} "
+            f"at entry ({i}, {j}){where}"
+        )
+
+
+def _check_trace(trace: complex) -> None:
+    trace_dev = abs(complex(trace) - 1.0)
+    if trace_dev > TRACE_TOL:
+        raise InvalidStateError(f"trace deviation {trace_dev:.3e}")
+
+
+def _check_dims(dim_a, dim_b) -> tuple[int, int]:
+    dim_a, dim_b = int(dim_a), int(dim_b)
+    if dim_a < 1 or dim_b < 1:
+        raise DimensionMismatchError(
+            f"subsystem dimensions must be >= 1, got ({dim_a}, {dim_b})"
+        )
+    return dim_a, dim_b
+
+
 class DensityMatrix:
     """Hermitian unit-trace matrix with a bipartite dimension split.
 
@@ -102,11 +144,7 @@ class DensityMatrix:
     """
 
     def __init__(self, dim_a: int, dim_b: int, data):
-        dim_a, dim_b = int(dim_a), int(dim_b)
-        if dim_a < 1 or dim_b < 1:
-            raise DimensionMismatchError(
-                f"subsystem dimensions must be >= 1, got ({dim_a}, {dim_b})"
-            )
+        dim_a, dim_b = _check_dims(dim_a, dim_b)
         data = np.asarray(data)
         data = np.array(data, dtype=complex if data.dtype.kind == "c" else float)
         d = dim_a * dim_b
@@ -115,27 +153,8 @@ class DensityMatrix:
                 f"matrix shape {data.shape} does not match dimensions "
                 f"({dim_a}, {dim_b}) -> ({d}, {d})"
             )
-        if d <= HERMITICITY_TILE:
-            asym = np.abs(data - data.conj().T)
-            max_asym = float(asym.max())
-        else:
-            max_asym = _max_asymmetry(data)
-        if not max_asym <= HERMITICITY_TOL:
-            # a rejection is rare: only then locate it on the full matrix
-            if d > HERMITICITY_TILE:
-                asym = np.abs(data - data.conj().T)
-            if not math.isfinite(max_asym):
-                # a NaN or Inf entry leaves a non-finite asymmetry at its position
-                i, j = np.argwhere(~np.isfinite(asym))[0]
-                raise InvalidStateError(f"non-finite entry at ({i}, {j})")
-            i, j = np.unravel_index(int(asym.argmax()), asym.shape)
-            raise InvalidStateError(
-                f"hermiticity violation: max asymmetry {max_asym:.3e} "
-                f"at entry ({i}, {j})"
-            )
-        trace_dev = abs(complex(np.trace(data)) - 1.0)
-        if trace_dev > TRACE_TOL:
-            raise InvalidStateError(f"trace deviation {trace_dev:.3e}")
+        _check_hermitian(data)
+        _check_trace(np.trace(data))
         data.setflags(write=False)
         self.dim_a = dim_a
         self.dim_b = dim_b
@@ -169,6 +188,98 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b})"
+
+
+class SectorDensityMatrix(DensityMatrix):
+    """Real state that is a direct sum of symmetric blocks over sectors.
+
+    `sectors` is a sequence of triples `(labels_a, labels_b, block)`: the
+    sector holds the basis states `(labels_a[k], labels_b[k])`, i.e. the
+    rows `labels_a[k] * dim_b + labels_b[k]` of the dense matrix, and the
+    real block of the state on them.  Entries between two sectors, and on
+    basis states in no sector, are zero.
+
+    Within a sector the A labels are distinct and so are the B labels, so
+    no two states of one sector share the level of either subsystem: both
+    marginals are diagonal, with the sector diagonals summed by label.
+    `reduced_state` and `commutator_residual` read the sectors directly.
+    `data` assembles the dense matrix on first access only.
+
+    Every sector is checked as `DensityMatrix` checks its matrix (finite,
+    symmetric to HERMITICITY_TOL), the traces must sum to 1 within
+    TRACE_TOL, labels must be in range and distinct within a sector, and
+    no basis state may lie in two sectors.  float64 blocks are kept without
+    a copy and made read-only.
+    """
+
+    def __init__(self, dim_a: int, dim_b: int, sectors):
+        dim_a, dim_b = _check_dims(dim_a, dim_b)
+        checked = []
+        for s, (labels_a, labels_b, block) in enumerate(sectors):
+            labels_a, labels_b, block = map(np.asarray, (labels_a, labels_b, block))
+            size = len(labels_a)
+            if not (
+                labels_a.dtype.kind in "iu" and labels_b.dtype.kind in "iu"
+                and size and labels_a.shape == labels_b.shape == (size,)
+                and block.shape == (size, size)
+            ):
+                raise DimensionMismatchError(
+                    f"sector {s} needs n >= 1 integer A and B labels and an n x n "
+                    f"block, got labels shaped {labels_a.shape} and "
+                    f"{labels_b.shape} and a block shaped {block.shape}"
+                )
+            if block.dtype.kind == "c":
+                raise InvalidStateError(f"sector {s} is complex; sector blocks are real")
+            block = block.astype(float, copy=False)
+            _check_hermitian(block, f" of sector {s}")
+            block.setflags(write=False)
+            checked.append((labels_a.astype(np.intp), labels_b.astype(np.intp), block))
+        if not checked:
+            raise DimensionMismatchError("a sector state needs at least one sector")
+        # the label checks run over all sectors at once, keyed by sector
+        sector_of = np.repeat(np.arange(len(checked)), [len(sec[0]) for sec in checked])
+        labels = []
+        for side, column, dim in (("A", 0, dim_a), ("B", 1, dim_b)):
+            lab = np.concatenate([sec[column] for sec in checked])
+            outside = (lab < 0) | (lab >= dim)
+            if outside.any():
+                k = int(outside.argmax())
+                raise InvalidStateError(
+                    f"{side} label {lab[k]} of sector {sector_of[k]} is out of "
+                    f"range [0, {dim})"
+                )
+            counts = np.bincount(sector_of * dim + lab)
+            if counts.max() > 1:
+                sector, label = divmod(int(counts.argmax()), dim)
+                raise InvalidStateError(
+                    f"repeated {side} label {label} in sector {sector}: "
+                    "labels must be distinct within a sector"
+                )
+            labels.append(lab)
+        hits = np.bincount(labels[0] * dim_b + labels[1])
+        if hits.max() > 1:
+            a, b = divmod(int(hits.argmax()), dim_b)
+            raise InvalidStateError(f"basis state ({a}, {b}) lies in more than one sector")
+        _check_trace(np.concatenate([np.diagonal(sec[2]) for sec in checked]).sum())
+        self.dim_a = dim_a
+        self.dim_b = dim_b
+        self.sectors = tuple(checked)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The dense float64 matrix, assembled once; read-only."""
+        data = np.zeros((self.dim, self.dim))
+        for labels_a, labels_b, block in self.sectors:
+            rows = labels_a * self.dim_b + labels_b
+            data[np.ix_(rows, rows)] = block
+        data.setflags(write=False)
+        return data
+
+    def __repr__(self) -> str:
+        return (
+            f"SectorDensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b}, "
+            f"sectors={len(self.sectors)})"
+        )
 
 
 @dataclass(frozen=True)
@@ -280,8 +391,19 @@ def partial_trace(matrix: np.ndarray, dim_a: int, dim_b: int, side: Side) -> np.
 
 
 def reduced_state(rho: DensityMatrix, side: Side) -> DensityMatrix:
-    """Reduced state of one subsystem (the other one is traced out)."""
-    red = partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
+    """Reduced state of one subsystem (the other one is traced out).
+
+    The marginal of a `SectorDensityMatrix` is diagonal: its sector
+    diagonals summed by the kept side's labels.
+    """
+    if isinstance(rho, SectorDensityMatrix):
+        _check_side(side)
+        column, dim = (0, rho.dim_a) if side == "A" else (1, rho.dim_b)
+        labels = np.concatenate([sector[column] for sector in rho.sectors])
+        weights = np.concatenate([np.diagonal(sector[2]) for sector in rho.sectors])
+        red = np.diag(np.bincount(labels, weights=weights, minlength=dim))
+    else:
+        red = partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
     if side == "A":
         return DensityMatrix(rho.dim_a, 1, red)
     return DensityMatrix(1, rho.dim_b, red)

@@ -37,7 +37,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bloch import DensityMatrix, Side, partial_trace, reduced_state
+from .bloch import DensityMatrix, Side, _check_tolerance, partial_trace, reduced_state
 from .errors import DimensionMismatchError
 from .laziness import DEFAULT_TOL, commutator_residual
 
@@ -251,6 +251,9 @@ def dynamics_audit(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    laziness_tol = _check_tolerance(laziness_tol)
+    lazy_rate_tol = _check_tolerance(lazy_rate_tol)
+    nonlazy_rate_floor = _check_tolerance(nonlazy_rate_floor)
     lazy = commutator_residual(rho, side) < laziness_tol
     k = _rate_operator(rho, side)
     k = (k + k.conj().T) / 2.0

@@ -30,8 +30,10 @@ two independent ways:
 
 * by truncating the squeezed-thermal subfamily (c' = -c) to a finite
   number basis and handing it to the finite-dimensional commutator test.
-  The truncated state is real, so it is stored, validated and multiplied
-  in real arithmetic.
+  The truncated state is real and block-diagonal over the sectors of fixed
+  n1 - n2, so it is stored and validated as a `SectorDensityMatrix` of
+  real symmetric sector blocks, and the commutator test reads the sectors
+  without the dense (cutoff + 1)^2-square matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .bloch import DensityMatrix, _check_tolerance, _require_finite
+from .bloch import SectorDensityMatrix, _check_tolerance, _require_finite
 from .errors import TruncationError, UnphysicalFormError
 
 __all__ = [
@@ -366,23 +368,24 @@ def _thermal_weights(a: float, dim: int) -> np.ndarray:
     return ratio ** np.arange(dim) / (nbar + 1.0)
 
 
-def _squeezer_sector(r: float, d: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _squeezer_sector(r: float, shift: int, dim: int) -> np.ndarray:
     """One sector of exp(r (adag (x) adag - a (x) a)) on (dim x dim) levels.
 
     The generator conserves the occupation difference d = n1 - n2, so the
-    squeezer is block-diagonal over these sectors.  Returns the occupations
-    (n1, n2) of the sector's basis states, in increasing order, and the
-    exponentiated tridiagonal block acting on them.
+    squeezer is block-diagonal over these sectors.  The k-th state of the
+    sector d is (k + d, k) for d >= 0 and (k, k - d) for d < 0, and the
+    raising part (n1, n2) -> (n1+1, n2+1) has the weight
+    r sqrt((n1+1)(n2+1)) = r sqrt((k+|d|+1)(k+1)): sectors d and -d share
+    one tridiagonal generator, and so one exponentiated block, which is
+    returned for `shift` = |d|.
     """
-    size = dim - abs(d)
-    k = np.arange(size)
-    n1, n2 = (k + d, k) if d >= 0 else (k, k - d)
+    size = dim - shift
+    k = np.arange(size - 1)
+    coup = r * np.sqrt((k + shift + 1.0) * (k + 1.0))
     gen = np.zeros((size, size))
-    # raising part: (n1, n2) -> (n1+1, n2+1) with weight r sqrt((n1+1)(n2+1))
-    coup = r * np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))
-    gen[k[1:], k[:-1]] = coup
-    gen[k[:-1], k[1:]] = -coup
-    return n1, n2, expm(gen)
+    gen[k + 1, k] = coup
+    gen[k, k + 1] = -coup
+    return expm(gen)
 
 
 def fock_truncate(
@@ -391,7 +394,7 @@ def fock_truncate(
     *,
     pad: int = 8,
     max_deficit: float = MAX_TRACE_DEFICIT,
-) -> DensityMatrix:
+) -> SectorDensityMatrix:
     """Truncated number-basis representation of a squeezed-thermal form.
 
     The state is assembled on a padded space (cutoff + 1 + pad levels per
@@ -402,9 +405,11 @@ def fock_truncate(
 
     The state U W U^T (W the thermal product weights, U the two-mode
     squeezer) inherits the squeezer's block structure over the sectors of
-    fixed n1 - n2, so only the kept rows of each sector block are formed.
-    Each sector block is symmetrized before it is placed, so the returned
-    state is real (float64) and exactly symmetric.
+    fixed n1 - n2, and it is returned in that form: a `SectorDensityMatrix`
+    with one real, exactly symmetric block per sector, O(cutoff^3) numbers
+    in all.  Only the kept rows of each sector block are formed, and one
+    `expm` serves the mirror sectors d and -d.  The dense (cutoff + 1)^2
+    matrix is assembled only when `.data` is read.
     """
     if cutoff < 4:
         raise ValueError(f"cutoff must be >= 4, got {cutoff}")
@@ -414,24 +419,26 @@ def fock_truncate(
     dim = cutoff + 1 + pad
     weights_a, weights_b = _thermal_weights(a, dim), _thermal_weights(b, dim)
     keep = cutoff + 1
-    block = np.zeros((keep * keep, keep * keep))
-    for d in range(-cutoff, keep):
-        n1, n2, u = _squeezer_sector(r, d, dim)
+    sectors = []
+    for shift in range(keep):
         # occupations grow along a sector, so its kept states come first
-        rows = u[: keep - abs(d)]
-        idx = n1[: len(rows)] * keep + n2[: len(rows)]
-        prod = (rows * (weights_a[n1] * weights_b[n2])) @ rows.T
-        # symmetric sectors make the block exactly symmetric by construction
-        block[np.ix_(idx, idx)] = (prod + prod.T) / 2.0
-    tr = float(np.trace(block))
+        rows = _squeezer_sector(r, shift, dim)[: keep - shift]
+        k = np.arange(dim - shift)
+        # the sectors d = shift and d = -shift; shift 0 is its own mirror
+        for n1, n2 in ((k + shift, k), (k, k + shift))[: 2 if shift else 1]:
+            prod = (rows * (weights_a[n1] * weights_b[n2])) @ rows.T
+            # symmetric sectors make the state exactly symmetric
+            sectors.append((n1[: keep - shift], n2[: keep - shift], (prod + prod.T) / 2.0))
+    tr = float(sum(np.trace(block) for _, _, block in sectors))
     deficit = 1.0 - tr
     if deficit > max_deficit:
         raise TruncationError(
             f"truncation trace deficit {deficit:.3e} exceeds {max_deficit:g}; "
             "increase the cutoff"
         )
-    block /= tr
-    return DensityMatrix(keep, keep, block)
+    for _, _, block in sectors:
+        block /= tr
+    return SectorDensityMatrix(keep, keep, sectors)
 
 
 def random_standard_form(

@@ -26,13 +26,24 @@ multiplication by rho_A (x) I contracts rho_A with the row index a alone,
 right multiplication with the column index c alone, and I (x) rho_B does
 the same on b and d.  Each product is one GEMM over a reshaped view of rho,
 O(d^2 n) work instead of the O(d^3) of a dense d x d product.  A real
-state (such as a truncated Fock state) has a real reduced state, so both
-GEMMs then run in real arithmetic.  The criterion matrix is a scatter-add
-over the nonzero structure constants.
+state has a real reduced state, so both GEMMs then run in real arithmetic.
+
+A `SectorDensityMatrix` (such as a truncated Fock state) is a direct sum
+of real blocks rho^(s) whose marginals are diagonal, rho_A = diag(p).  The
+commutator then has the entries rho_kl (p(a_l) - p(a_k)) inside each
+sector and zeros elsewhere, with a_k the A level of the sector's k-th
+basis state, so
+
+    || [rho, rho_A (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
+
+summed over the sectors without the d x d matrix (side B reads the B
+levels and the B marginal).  The criterion matrix is a scatter-add over
+the nonzero structure constants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +51,7 @@ import numpy as np
 from .bloch import (
     BlochForm,
     DensityMatrix,
+    SectorDensityMatrix,
     Side,
     _check_side,
     _check_tolerance,
@@ -83,6 +95,16 @@ def commutator_residual(rho: DensityMatrix, side: Side) -> float:
     """Frobenius norm of [rho, rho_side (x) I]; zero iff lazy on that side."""
     _check_side(side)
     red = reduced_state(rho, side).data
+    if isinstance(rho, SectorDensityMatrix):
+        # rho_side = diag(p), so the commutator has the entries
+        # rho_kl (p_l - p_k) of each sector and zeros elsewhere
+        p = red.diagonal()
+        column = 0 if side == "A" else 1
+        total = 0.0
+        for sector in rho.sectors:
+            ps = p[sector[column]]
+            total += float(np.sum(np.square(sector[2] * (ps[None, :] - ps[:, None]))))
+        return math.sqrt(total)
     na, nb = rho.dim_a, rho.dim_b
     r = rho.data
     # one GEMM per product over a reshaped view (see the module docstring);

@@ -159,7 +159,8 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         if not np.isfinite(obj):
             raise ValueError(f"non-finite value {obj!r} is not representable in JSON")
-        out.append(format(obj, ".17g"))
+        # + 0.0 turns -0.0 into 0.0, which prints as the integer 0 reads back
+        out.append(format(obj + 0.0, ".17g"))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

@@ -159,6 +159,104 @@ class TestDecompose:
         assert_allclose(form.T, t, rtol=0, atol=1e-14)
 
 
+def sector_state(dim_a, dim_b, seed):
+    """Random real sector state; some basis states lie in no sector."""
+    rng = np.random.default_rng(seed)
+    free = np.ones((dim_a, dim_b), dtype=bool)
+    sectors = []
+    for _ in range(4):
+        # prefixes of two permutations: distinct labels on both sides
+        size = min(dim_a, dim_b)
+        labels_a, labels_b = rng.permutation(dim_a)[:size], rng.permutation(dim_b)[:size]
+        unused = free[labels_a, labels_b]
+        labels_a, labels_b = labels_a[unused], labels_b[unused]
+        if labels_a.size:
+            free[labels_a, labels_b] = False
+            g = rng.standard_normal((labels_a.size, labels_a.size))
+            sectors.append((labels_a, labels_b, g @ g.T))
+    total = sum(np.trace(block) for _, _, block in sectors)
+    return lz.SectorDensityMatrix(
+        dim_a, dim_b, [(la, lb, block / total) for la, lb, block in sectors]
+    )
+
+
+class TestSectorDensityMatrix:
+    @staticmethod
+    def sectors(**change):
+        """Valid sectors of a (2, 3) state; `change` replaces fields of sector 0."""
+        first = {
+            "labels_a": np.array([0, 1]),
+            "labels_b": np.array([0, 1]),
+            "block": np.array([[0.3, 0.1], [0.1, 0.2]]),
+        }
+        first.update(change)
+        return [tuple(first.values()), (np.array([1]), np.array([2]), np.array([[0.5]]))]
+
+    def test_dense_data_places_each_sector(self):
+        rho = lz.SectorDensityMatrix(2, 3, self.sectors())
+        expected = np.zeros((6, 6))
+        expected[np.ix_([0, 4], [0, 4])] = [[0.3, 0.1], [0.1, 0.2]]
+        expected[5, 5] = 0.5
+        assert rho.data.dtype == np.float64
+        assert np.array_equal(rho.data, expected)
+        assert rho.data is rho.data
+        assert not rho.data.flags.writeable
+        assert isinstance(rho, lz.DensityMatrix)
+
+    def test_rejects_non_finite_sector(self):
+        block = np.array([[0.3, np.nan], [np.nan, 0.2]])
+        with pytest.raises(lz.InvalidStateError, match="non-finite entry at .* of sector 0"):
+            lz.SectorDensityMatrix(2, 3, self.sectors(block=block))
+
+    def test_rejects_asymmetric_sector(self):
+        block = np.array([[0.3, 0.1 + 1e-9], [0.1, 0.2]])
+        with pytest.raises(lz.InvalidStateError, match="hermiticity violation.* of sector 0"):
+            lz.SectorDensityMatrix(2, 3, self.sectors(block=block))
+
+    @pytest.mark.parametrize("field,side", [("labels_a", "A"), ("labels_b", "B")])
+    def test_rejects_repeated_label(self, field, side):
+        with pytest.raises(lz.InvalidStateError, match=f"repeated {side} label 1 in sector 0"):
+            lz.SectorDensityMatrix(2, 3, self.sectors(**{field: np.array([1, 1])}))
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
+    def test_rejects_out_of_range_label(self, labels):
+        with pytest.raises(lz.InvalidStateError, match="A label .* out of range"):
+            lz.SectorDensityMatrix(2, 3, self.sectors(labels_a=np.array(labels)))
+
+    def test_rejects_trace_off_by_1e_9(self):
+        block = np.array([[0.3 + 1e-9, 0.1], [0.1, 0.2]])
+        with pytest.raises(lz.InvalidStateError, match="trace deviation 1.000e-09"):
+            lz.SectorDensityMatrix(2, 3, self.sectors(block=block))
+
+    def test_rejects_basis_state_in_two_sectors(self):
+        with pytest.raises(lz.InvalidStateError, match=r"\(1, 2\) lies in more than one"):
+            lz.SectorDensityMatrix(2, 3, self.sectors(labels_b=np.array([0, 2])))
+
+    def test_rejects_mismatched_sector_shapes(self):
+        with pytest.raises(lz.DimensionMismatchError, match="sector 0"):
+            lz.SectorDensityMatrix(2, 3, self.sectors(labels_b=np.array([0])))
+
+    def test_rejects_complex_sector(self):
+        block = np.array([[0.3, 0.1j], [-0.1j, 0.2]])
+        with pytest.raises(lz.InvalidStateError, match="complex"):
+            lz.SectorDensityMatrix(2, 3, self.sectors(block=block))
+
+    @pytest.mark.parametrize("na,nb", [(3, 4), (5, 2), (4, 4)])
+    def test_sector_readers_match_dense_oracle(self, na, nb):
+        for seed in range(5):
+            rho = sector_state(na, nb, seed)
+            dense = lz.DensityMatrix(na, nb, rho.data)
+            for side in ("A", "B"):
+                marginal = naive_partial_trace(rho.data, na, nb, side).real
+                assert np.array_equal(marginal, np.diag(np.diag(marginal)))
+                assert lz.reduced_state(rho, side).data == pytest.approx(
+                    marginal, rel=1e-13, abs=0
+                )
+                assert lz.commutator_residual(rho, side) == pytest.approx(
+                    lz.commutator_residual(dense, side), rel=1e-12, abs=0
+                )
+
+
 class TestBlochForm:
     @pytest.mark.parametrize("name", ["x", "y", "T"])
     def test_rejects_non_finite(self, name):

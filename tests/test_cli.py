@@ -42,6 +42,13 @@ class TestBasis:
         assert results["generators"][0][0][1] == [1, 0]
         assert results["f"] == [{"ijk": [1, 2, 3], "value": 1}]
 
+    def test_manifest_reserializes_to_the_same_bytes(self, capsys):
+        # su(3) has generator entries equal to -0.0, printed as 0
+        code, out, _ = run(capsys, ["basis", "--dim", "3", "--emit-f"])
+        assert code == 0
+        assert lz.canonical_json(json.loads(out)) + "\n" == out
+        assert "-0," not in out and "-0]" not in out
+
     def test_constants_opt_in(self, capsys):
         code, out, _ = run(capsys, ["basis", "--dim", "3"])
         assert code == 0

@@ -291,3 +291,9 @@ class TestDynamicsAudit:
     def test_rejects_zero_trials(self, bell):
         with pytest.raises(ValueError):
             lz.dynamics_audit(bell, "A", trials=0, seed=0)
+
+    @pytest.mark.parametrize("name", ["laziness_tol", "lazy_rate_tol", "nonlazy_rate_floor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_rejects_invalid_tolerances(self, bell, name, value):
+        with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+            lz.dynamics_audit(bell, "A", trials=4, seed=1, **{name: value})

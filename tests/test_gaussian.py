@@ -1,8 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import lazystates as lz
-from conftest import dense_fock_reference
+from conftest import dense_fock_reference, kron_commutator_residual, naive_partial_trace
 
 GAP_23 = 2.0 * (1.0 + 3.0) * (2.0 + 2.0)  # kernel determinant gap at n=2, m=3
 
@@ -401,6 +404,82 @@ class TestFockTruncation:
     def test_small_cutoff_rejected(self):
         with pytest.raises(ValueError, match="cutoff"):
             lz.fock_truncate(lz.squeezed_thermal_form(1.0, 1.0, 0.1), cutoff=2)
+
+
+#: squeezed, thermal (r = 0) and a != b squeezed-thermal forms
+SECTOR_FORMS = [(1.0, 1.0, 0.5), (1.5, 1.3, 0.0), (1.2, 1.1, 0.25)]
+
+
+class TestSectorFockState:
+    """The sector form of `fock_truncate` against the dense block as oracle."""
+
+    @pytest.mark.parametrize("cutoff", [10, 20, 40])
+    @pytest.mark.parametrize("a,b,r", SECTOR_FORMS)
+    def test_residual_matches_dense_and_kron_oracles(self, a, b, r, cutoff):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff)
+        assert isinstance(rho, lz.SectorDensityMatrix)
+        keep = cutoff + 1
+        dense = lz.DensityMatrix(keep, keep, rho.data)
+        for side in ("A", "B"):
+            residual = lz.commutator_residual(rho, side)
+            assert residual == pytest.approx(
+                lz.commutator_residual(dense, side), rel=1e-12, abs=0
+            )
+            assert residual == pytest.approx(
+                kron_commutator_residual(dense, side), rel=1e-12, abs=0
+            )
+
+    @pytest.mark.parametrize("cutoff", [10, 20, 40])
+    @pytest.mark.parametrize("a,b,r", SECTOR_FORMS)
+    def test_reduced_state_matches_partial_trace(self, a, b, r, cutoff):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff)
+        for side in ("A", "B"):
+            expected = lz.partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
+            assert lz.reduced_state(rho, side).data == pytest.approx(
+                expected, rel=1e-12, abs=0
+            )
+
+    def test_two_mode_squeezed_vacuum_closed_form(self):
+        # pure state sum_n sqrt(p_n) |n, n>: the residual squared is
+        # sum_kl p_k p_l (p_k - p_l)^2 = 2 (sum p^3 - (sum p^2)^2)
+        r, cutoff = 0.5, 40
+        lam = math.tanh(r)
+        p = (1.0 - lam * lam) * lam ** (2.0 * np.arange(cutoff + 1))
+        closed = math.sqrt(2.0 * (np.sum(p**3) - np.sum(p**2) ** 2))
+        assert closed == pytest.approx(0.3774318586733074, rel=1e-13, abs=0)
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(1.0, 1.0, r), cutoff)
+        for side in ("A", "B"):
+            assert lz.commutator_residual(rho, side) == pytest.approx(closed, rel=1e-13, abs=0)
+
+    def test_mirror_sectors_share_the_squeezer(self):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(1.0, 1.0, 0.3), 12)
+        # with a = b, the sectors d and -d hold the same block on swapped modes
+        blocks = {(int(la[0]) - int(lb[0])): block for la, lb, block in rho.sectors}
+        assert sorted(blocks) == list(range(-12, 13))
+        for d in range(1, 13):
+            assert np.array_equal(blocks[d], blocks[-d])
+
+    def test_is_lazy_reads_the_dense_block(self):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.25), 10)
+        report = lz.is_lazy(rho, "A")
+        assert report.commutator_residual == lz.commutator_residual(rho, "A")
+        assert not report.is_lazy
+        assert naive_partial_trace(rho.data, 11, 11, "A").real == pytest.approx(
+            lz.reduced_state(rho, "A").data, rel=1e-12, abs=0
+        )
+
+    def test_witness_memory_stays_off_the_dense_block(self):
+        # the dense (cutoff + 1)^2 block would be 101^4 * 8 bytes = 832 MB
+        form = lz.squeezed_thermal_form(1.2, 1.1, 0.5)
+        tracemalloc.start()
+        try:
+            rho = lz.fock_truncate(form, 100)
+            residuals = [lz.commutator_residual(rho, side) for side in ("A", "B")]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(res > 1e-3 for res in residuals)
+        assert peak < 50e6
 
 
 class TestRandomStandardForm:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import lazystates as lz  # noqa: E402
 from conftest import haar_unitary  # noqa: E402
@@ -207,7 +207,10 @@ def reversed_keys(doc):
 
 @DETERMINISTIC
 @given(doc=json_documents)
+@example(doc={"x": [-0.0, 0.0, -1.5, 1e300]})
 def test_canonical_json_round_trip_and_byte_determinism(doc):
     text = lz.canonical_json(doc)
     assert json.loads(text) == doc
     assert lz.canonical_json(reversed_keys(doc)) == text
+    # the text is a fixed point: parsed and re-serialized, it keeps its bytes
+    assert lz.canonical_json(json.loads(text)) == text
