@@ -202,7 +202,8 @@ class SectorDensityMatrix(DensityMatrix):
     Within a sector the A labels are distinct and so are the B labels, so
     no two states of one sector share the level of either subsystem: both
     marginals are diagonal, with the sector diagonals summed by label.
-    `reduced_state` and `commutator_residual` read the sectors directly.
+    `reduced_state`, `commutator_residual` and the spectrum read the
+    sectors directly.
     `data` assembles the dense matrix on first access only.
 
     Every sector is checked as `DensityMatrix` checks its matrix (finite,
@@ -264,6 +265,23 @@ class SectorDensityMatrix(DensityMatrix):
         self.dim_a = dim_a
         self.dim_b = dim_b
         self.sectors = tuple(checked)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Real spectrum in ascending order; cached.
+
+        The union of the sector spectra and one 0 for each basis state in
+        no sector; the dense matrix is not assembled.
+        """
+        covered = sum(len(labels_a) for labels_a, _, _ in self.sectors)
+        vals = np.sort(
+            np.concatenate(
+                [np.linalg.eigvalsh(block) for _, _, block in self.sectors]
+                + [np.zeros(self.dim - covered)]
+            )
+        )
+        vals.setflags(write=False)
+        return vals
 
     @cached_property
     def data(self) -> np.ndarray:

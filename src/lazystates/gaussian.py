@@ -33,7 +33,10 @@ two independent ways:
   The truncated state is real and block-diagonal over the sectors of fixed
   n1 - n2, so it is stored and validated as a `SectorDensityMatrix` of
   real symmetric sector blocks, and the commutator test reads the sectors
-  without the dense (cutoff + 1)^2-square matrix.
+  without the dense (cutoff + 1)^2-square matrix.  Each sector block comes
+  from the normal-ordered su(1,1) closed form of the squeezed thermal
+  state (see `fock_truncate`), which is exact on the kept levels, so no
+  padded levels and no matrix exponential are needed.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bloch import SectorDensityMatrix, _check_tolerance, _require_finite
 from .errors import TruncationError, UnphysicalFormError
@@ -358,86 +360,111 @@ def squeezed_thermal_form(a: float, b: float, r: float) -> GaussianStandardForm:
     )
 
 
-def _thermal_weights(a: float, dim: int) -> np.ndarray:
-    nbar = (a - 1.0) / 2.0
-    if nbar < 1e-15:
-        weights = np.zeros(dim)
-        weights[0] = 1.0
-        return weights
-    ratio = nbar / (nbar + 1.0)
-    return ratio ** np.arange(dim) / (nbar + 1.0)
+def _thermal_ratio(a: float) -> float:
+    """Boltzmann ratio q = nbar / (nbar + 1) = (a - 1) / (a + 1), 0 at vacuum.
 
-
-def _squeezer_sector(r: float, shift: int, dim: int) -> np.ndarray:
-    """One sector of exp(r (adag (x) adag - a (x) a)) on (dim x dim) levels.
-
-    The generator conserves the occupation difference d = n1 - n2, so the
-    squeezer is block-diagonal over these sectors.  The k-th state of the
-    sector d is (k + d, k) for d >= 0 and (k, k - d) for d < 0, and the
-    raising part (n1, n2) -> (n1+1, n2+1) has the weight
-    r sqrt((n1+1)(n2+1)) = r sqrt((k+|d|+1)(k+1)): sectors d and -d share
-    one tridiagonal generator, and so one exponentiated block, which is
-    returned for `shift` = |d|.
+    Thermal parameters within rounding of the vacuum (a recovered form can
+    land just below a = 1) clamp to q = 0.
     """
-    size = dim - shift
-    k = np.arange(size - 1)
-    coup = r * np.sqrt((k + shift + 1.0) * (k + 1.0))
-    gen = np.zeros((size, size))
-    gen[k + 1, k] = coup
-    gen[k, k + 1] = -coup
-    return expm(gen)
+    nbar = (a - 1.0) / 2.0
+    return 0.0 if nbar < 1e-15 else nbar / (nbar + 1.0)
+
+
+def _log_or_minus_inf(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def fock_truncate(
     form: GaussianStandardForm,
     cutoff: int,
     *,
-    pad: int = 8,
     max_deficit: float = MAX_TRACE_DEFICIT,
 ) -> SectorDensityMatrix:
     """Truncated number-basis representation of a squeezed-thermal form.
 
-    The state is assembled on a padded space (cutoff + 1 + pad levels per
-    mode) so that boundary distortion of the squeezer stays out of the
-    returned block, then truncated to (cutoff + 1)^2 and renormalized.
-    Raises TruncationError when the trace outside the block exceeds
+    The state S(r) (rho_th(a) (x) rho_th(b)) S(r)^dag, S(r) the two-mode
+    squeezer, is built from its normal-ordered closed form on the kept
+    levels (cutoff + 1 per mode), then renormalized.  Raises
+    TruncationError when the trace outside the block exceeds
     `max_deficit`, and ValueError for forms outside the c' = -c subfamily.
 
-    The state U W U^T (W the thermal product weights, U the two-mode
-    squeezer) inherits the squeezer's block structure over the sectors of
-    fixed n1 - n2, and it is returned in that form: a `SectorDensityMatrix`
-    with one real, exactly symmetric block per sector, O(cutoff^3) numbers
-    in all.  Only the kept rows of each sector block are formed, and one
-    `expm` serves the mirror sectors d and -d.  The dense (cutoff + 1)^2
-    matrix is assembled only when `.data` is read.
+    With K+ = adag bdag, K- = a b and K0 = (N_a + N_b + 1)/2, a thermal
+    state is (1 - q) q^N with q = (a - 1)/(a + 1), and multiplying in the
+    2x2 representation of su(1,1) gives
+
+        rho = (1 - q_a)(1 - q_b) q_a^d exp(alpha K+) (q_a q_b / D^2)^(N_b)
+              D^-(d + 1) exp(alpha K-)
+
+    on the sector of fixed d = n1 - n2 >= 0, where D = cosh^2 r -
+    sinh^2 r q_a q_b and alpha = cosh r sinh r (1 - q_a q_b) / D.  On its
+    states |k + d, k> the sector block is (1 - q_a)(1 - q_b) q_a^d L W L^T
+    with the lower-triangular
+
+        L[k, j] = alpha^(k - j) sqrt(C(k, j) C(k + d, j + d)),   k >= j,
+
+    and W = diag((q_a q_b)^j / D^(2j + d + 1)); the mirror sector -d on
+    |k, k + d> has q_b^d in place of q_a^d.  Since L is lower triangular,
+    the kept rows are exact before renormalization: no padded levels
+    enter, and the trace deficit is the true weight outside the block.
+
+    The result is a `SectorDensityMatrix` with one real block per sector,
+    O(cutoff^3) numbers in all.  Each block is formed as M M^T with
+    M = L W^(1/2) evaluated in logarithms, so it is exactly symmetric, and
+    one product serves the mirror sectors d and -d.  The dense
+    (cutoff + 1)^2 matrix is assembled only when `.data` is read.
     """
     if cutoff < 4:
         raise ValueError(f"cutoff must be >= 4, got {cutoff}")
-    if pad < 0:
-        raise ValueError(f"pad must be >= 0, got {pad}")
     a, b, r = squeezed_thermal_parameters(form)
-    dim = cutoff + 1 + pad
-    weights_a, weights_b = _thermal_weights(a, dim), _thermal_weights(b, dim)
+    q_a, q_b = _thermal_ratio(a), _thermal_ratio(b)
+    qq = q_a * q_b
+    ch, sh = math.cosh(r), math.sinh(r)
+    denom = ch * ch - sh * sh * qq
+    alpha = ch * sh * (1.0 - qq) / denom
     keep = cutoff + 1
-    sectors = []
+    n = np.arange(keep)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(keep)])
+    # log of alpha^(k-j) / (k-j)! at k >= j, -inf above the diagonal; the
+    # power is taken from n = 1 on, so alpha = 0 leaves 0 on the diagonal
+    log_power = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(abs(alpha))))
+    lag = n[:, None] - n[None, :]
+    log_toeplitz = np.where(lag >= 0, (log_power - log_fact)[np.abs(lag)], -np.inf)
+    log_qq = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(qq)))
+    products = []
     for shift in range(keep):
-        # occupations grow along a sector, so its kept states come first
-        rows = _squeezer_sector(r, shift, dim)[: keep - shift]
-        k = np.arange(dim - shift)
-        # the sectors d = shift and d = -shift; shift 0 is its own mirror
-        for n1, n2 in ((k + shift, k), (k, k + shift))[: 2 if shift else 1]:
-            prod = (rows * (weights_a[n1] * weights_b[n2])) @ rows.T
-            # symmetric sectors make the state exactly symmetric
-            sectors.append((n1[: keep - shift], n2[: keep - shift], (prod + prod.T) / 2.0))
-    tr = float(sum(np.trace(block) for _, _, block in sectors))
+        size = keep - shift
+        k = n[:size]
+        # sqrt(C(k, j) C(k + d, j + d)) (k - j)! = exp(half[k] - half[j])
+        half = 0.5 * (log_fact[:size] + log_fact[shift:])
+        log_w = log_qq[:size] - (2 * k + shift + 1) * math.log(denom)
+        m = np.add.outer(half, 0.5 * log_w - half)
+        m += log_toeplitz[:size, :size]
+        np.exp(m, out=m)
+        if alpha < 0.0:
+            # alpha^(k-j) = (-1)^k (-1)^j |alpha|^(k-j); the column signs
+            # cancel in M M^T
+            m[1::2] *= -1.0
+        products.append(m @ m.T)
+    scale = (1.0 - q_a) * (1.0 - q_b)
+    tr = scale * sum(
+        (q_a**shift + (q_b**shift if shift else 0.0)) * np.trace(prod)
+        for shift, prod in enumerate(products)
+    )
     deficit = 1.0 - tr
     if deficit > max_deficit:
         raise TruncationError(
             f"truncation trace deficit {deficit:.3e} exceeds {max_deficit:g}; "
             "increase the cutoff"
         )
-    for _, _, block in sectors:
-        block /= tr
+    sectors = []
+    for shift, prod in enumerate(products):
+        k = n[: keep - shift]
+        sectors.append((k + shift, k, prod))
+        if shift:
+            # the mirror sector -shift, on |k, k + shift>, before the
+            # sector +shift is scaled in place
+            sectors.append((k, k + shift, prod * (scale * q_b**shift / tr)))
+        prod *= scale * q_a**shift / tr
     return SectorDensityMatrix(keep, keep, sectors)
 
 

@@ -142,11 +142,18 @@ def kron_rate_operator(rho, side):
     return 1j * (rho.data @ big - big @ rho.data)
 
 
-def dense_fock_reference(a, b, r, cutoff, pad=8):
+#: padded levels per mode of `dense_fock_reference`
+FOCK_ORACLE_PAD = 12
+
+
+def dense_fock_reference(a, b, r, cutoff, pad=FOCK_ORACLE_PAD):
     """Squeezed-thermal state from one dense expm on the padded two-mode space.
 
     Thermal product weights are squeezed by exp(r (adag adag - a a)) built
     with kron, then truncated to cutoff + 1 levels per mode and renormalized.
+    The squeezer is distorted near the edge of the padded space; at the
+    default pad the kept block has converged to below 1e-15, where pad 8 is
+    still 3.8e-14 off at (a, b, r) = (1, 1, 0.4), cutoff 10.
     """
     dim = cutoff + 1 + pad
     lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
@@ -163,6 +170,48 @@ def dense_fock_reference(a, b, r, cutoff, pad=8):
     kept = [n1 * dim + n2 for n1 in range(keep) for n2 in range(keep)]
     block = full[np.ix_(kept, kept)]
     return block / np.trace(block)
+
+
+def mp_fock_sector(a, b, r, cutoff, shift, pad=6, dps=30):
+    """Unnormalized kept blocks of the sectors +shift and -shift, in mpmath.
+
+    The sector's tridiagonal squeezer generator, with raising weight
+    r sqrt((k + shift + 1)(k + 1)), is exponentiated by `mp.expm` on
+    cutoff + 1 + pad - shift states at `dps` digits, and U W U^T is kept on
+    the first cutoff + 1 - shift states, W the thermal product weights
+    (1 - q) q^n, q = (x - 1)/(x + 1), on |k + shift, k> (sector +shift) or
+    |k, k + shift> (sector -shift).  At (1.2, 1.1, 0.3), cutoff 30, pad 6 is
+    within 1e-22 of pad 10.  Returns both blocks as float64 arrays (the
+    same block twice for shift 0).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        size = cutoff + 1 + pad - shift
+        r = mp.mpf(r)
+        gen = mp.zeros(size, size)
+        for k in range(size - 1):
+            coupling = r * mp.sqrt((k + shift + 1) * (k + 1))
+            gen[k + 1, k] = coupling
+            gen[k, k + 1] = -coupling
+        u = mp.expm(gen)
+        q_a, q_b = ((mp.mpf(x) - 1) / (mp.mpf(x) + 1) for x in (a, b))
+        norm = (1 - q_a) * (1 - q_b)
+        keep = cutoff + 1 - shift
+        blocks = []
+        for q_shift in (q_a, q_b) if shift else (q_a,):
+            w = [norm * q_shift**shift * (q_a * q_b) ** j for j in range(size)]
+            blocks.append(
+                np.array(
+                    [
+                        [
+                            float(mp.fsum(u[k, j] * w[j] * u[l, j] for j in range(size)))
+                            for l in range(keep)
+                        ]
+                        for k in range(keep)
+                    ]
+                )
+            )
+    return blocks[0], blocks[-1]
 
 
 def finite_difference_rate(rho, hamiltonian, side, step=1e-5):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -255,6 +257,36 @@ class TestSectorDensityMatrix:
                 assert lz.commutator_residual(rho, side) == pytest.approx(
                     lz.commutator_residual(dense, side), rel=1e-12, abs=0
                 )
+
+    @pytest.mark.parametrize("na,nb", [(3, 4), (5, 2), (4, 4)])
+    def test_spectrum_is_the_union_of_sector_spectra(self, na, nb):
+        for seed in range(5):
+            rho = sector_state(na, nb, seed)
+            vals = rho.eigenvalues
+            assert "data" not in vars(rho)
+            assert not vals.flags.writeable
+            assert rho.eigenvalues is vals
+            assert np.all(np.diff(vals) >= 0.0)
+            assert vals == pytest.approx(np.linalg.eigvalsh(rho.data), rel=0, abs=1e-14)
+
+    def test_uncovered_basis_states_add_zeros(self):
+        rho = lz.SectorDensityMatrix(2, 3, self.sectors())
+        # 3 of the 6 basis states lie in a sector
+        expected = np.sort(
+            np.concatenate([np.linalg.eigvalsh([[0.3, 0.1], [0.1, 0.2]]), [0.5, 0, 0, 0]])
+        )
+        assert np.array_equal(rho.eigenvalues, expected)
+        assert rho.is_physical
+        assert "data" not in vars(rho)
+
+    def test_negative_sector_eigenvalue_is_unphysical(self):
+        block = np.array([[0.3, 0.4], [0.4, 0.2]])
+        rho = lz.SectorDensityMatrix(2, 3, self.sectors(block=block))
+        assert rho.min_eigenvalue == pytest.approx(0.25 - math.sqrt(0.1625), abs=1e-15)
+        assert not rho.is_physical
+        with pytest.raises(lz.InvalidStateError, match="positivity"):
+            rho.require_physical()
+        assert "data" not in vars(rho)
 
 
 class TestBlochForm:

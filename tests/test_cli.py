@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,22 @@ def witness_file(tmp_path):
     path = tmp_path / "witness.json"
     save_state(make_witness(), path)
     return str(path)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: scipy alone would add about
+    # 240 ms and 28 MB to every CLI call
+    code = (
+        "import sys, lazystates, lazystates.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    src = str(Path(lz.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def run(capsys, argv):

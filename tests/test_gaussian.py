@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import lazystates as lz
-from conftest import dense_fock_reference, kron_commutator_residual, naive_partial_trace
+from conftest import (
+    FOCK_ORACLE_PAD,
+    dense_fock_reference,
+    kron_commutator_residual,
+    mp_fock_sector,
+    naive_partial_trace,
+)
 
 GAP_23 = 2.0 * (1.0 + 3.0) * (2.0 + 2.0)  # kernel determinant gap at n=2, m=3
 
@@ -351,11 +357,17 @@ class TestFockTruncation:
         exact /= np.trace(exact).real
         assert np.abs(rho.data - exact).max() < 1e-12
 
-    @pytest.mark.parametrize("a,b,r", [(1.0, 1.0, 0.4), (1.2, 1.1, 0.25), (1.3, 1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "a,b,r", [(1.0, 1.0, 0.4), (1.2, 1.1, 0.25), (1.3, 1.0, 0.0), (1.2, 1.1, -0.25)]
+    )
     def test_matches_dense_expm_reference(self, a, b, r):
         form = lz.squeezed_thermal_form(a, b, r)
         rho = lz.fock_truncate(form, 10)
-        reference = dense_fock_reference(*lz.squeezed_thermal_parameters(form), cutoff=10)
+        params = lz.squeezed_thermal_parameters(form)
+        reference = dense_fock_reference(*params, cutoff=10)
+        # the oracle has converged in its own padding
+        wider = dense_fock_reference(*params, cutoff=10, pad=FOCK_ORACLE_PAD + 10)
+        assert np.abs(wider - reference).max() < 1e-15
         assert np.abs(rho.data - reference).max() < 1e-14
 
     @pytest.mark.parametrize("cutoff", [10, 20])
@@ -468,18 +480,107 @@ class TestSectorFockState:
             lz.reduced_state(rho, "A").data, rel=1e-12, abs=0
         )
 
-    def test_witness_memory_stays_off_the_dense_block(self):
-        # the dense (cutoff + 1)^2 block would be 101^4 * 8 bytes = 832 MB
+    @pytest.mark.parametrize("cutoff", [100, 200])
+    def test_witness_memory_stays_off_the_dense_block(self, cutoff):
+        # the dense (cutoff + 1)^2 block would be 832 MB at cutoff 100 and
+        # 13 GB at 200; the sector blocks alone are 43 MB at 200
         form = lz.squeezed_thermal_form(1.2, 1.1, 0.5)
         tracemalloc.start()
         try:
-            rho = lz.fock_truncate(form, 100)
+            rho = lz.fock_truncate(form, cutoff)
             residuals = [lz.commutator_residual(rho, side) for side in ("A", "B")]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert all(res > 1e-3 for res in residuals)
         assert peak < 50e6
+
+    @pytest.mark.parametrize("cutoff", [10, 20])
+    @pytest.mark.parametrize("a,b,r", SECTOR_FORMS)
+    def test_spectrum_matches_dense_eigvalsh(self, a, b, r, cutoff):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff)
+        vals = rho.eigenvalues
+        assert rho.is_physical
+        assert "data" not in vars(rho)
+        assert vals == pytest.approx(np.linalg.eigvalsh(rho.data), rel=0, abs=1e-13)
+
+
+def thermal_ratios(form):
+    a, b, _ = lz.squeezed_thermal_parameters(form)
+    return (a - 1.0) / (a + 1.0), (b - 1.0) / (b + 1.0)
+
+
+def blocks_by_shift(rho):
+    """Sector blocks keyed by d = n1 - n2."""
+    return {int(la[0]) - int(lb[0]): block for la, lb, block in rho.sectors}
+
+
+class TestClosedFormFockSectors:
+    """Edge cases of the normal-ordered closed form behind `fock_truncate`."""
+
+    def test_zero_squeezing_is_the_thermal_diagonal(self):
+        form = lz.squeezed_thermal_form(1.5, 1.3, 0.0)
+        cutoff = 20
+        rho = lz.fock_truncate(form, cutoff)
+        q_a, q_b = thermal_ratios(form)
+        # kept weight of the product of two geometric distributions
+        kept = (1.0 - q_a ** (cutoff + 1)) * (1.0 - q_b ** (cutoff + 1))
+        for la, lb, block in rho.sectors:
+            expected = (1.0 - q_a) * (1.0 - q_b) * q_a**la * q_b**lb / kept
+            assert np.array_equal(block, np.diag(np.diagonal(block)))
+            assert np.diagonal(block) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("a,b", [(1.2, 1.0), (1.0, 1.2), (1.0, 1.0), (1.2, 1.0 - 1e-10)])
+    def test_vacuum_mode_is_clamped(self, a, b):
+        # built without squeezed_thermal_form's a, b >= 1 check: even an
+        # exact vacuum, as in squeezed_thermal_form(1.2, 1.0, 0.3), can come
+        # back from squeezed_thermal_parameters a rounding error below 1
+        r = 0.3
+        ch, sh = math.cosh(r), math.sinh(r)
+        c = (a + b) * ch * sh
+        form = lz.GaussianStandardForm(a * ch**2 + b * sh**2, a * sh**2 + b * ch**2, c, -c)
+        rho = lz.fock_truncate(form, 10)
+        # n1 > n2 needs a thermal excitation of mode A, n2 > n1 one of mode B
+        for d, block in blocks_by_shift(rho).items():
+            assert np.isfinite(block).all()
+            if (d > 0 and a <= 1.0) or (d < 0 and b <= 1.0):
+                assert not block.any()
+        assert rho.is_physical
+        reference = dense_fock_reference(max(a, 1.0), max(b, 1.0), r, cutoff=10)
+        assert np.abs(rho.data - reference).max() < 1e-14
+
+    def test_mirror_sectors_scale_by_the_thermal_ratio(self):
+        form = lz.squeezed_thermal_form(1.5, 1.2, 0.3)
+        q_a, q_b = thermal_ratios(form)
+        blocks = blocks_by_shift(lz.fock_truncate(form, 20))
+        for d in range(1, 21):
+            assert blocks[-d] == pytest.approx(
+                (q_b / q_a) ** d * blocks[d], rel=1e-13, abs=0
+            )
+
+    def test_negative_squeezing_flips_the_odd_entries(self):
+        # S(-r) = P S(r) P with P = (-1)^(n2): entries pick up (-1)^(k + l)
+        plus = blocks_by_shift(lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), 20))
+        minus = blocks_by_shift(lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, -0.3), 20))
+        for d, block in plus.items():
+            k = np.arange(block.shape[0])
+            signs = (-1.0) ** np.add.outer(k, k)
+            assert minus[d] == pytest.approx(signs * block, rel=1e-14, abs=0)
+
+    def test_matches_mpmath_sector_oracle(self):
+        # two sectors at 30 digits; mp.expm on the padded sectors takes
+        # about 2 s, so the others are left to the float oracles
+        form = lz.squeezed_thermal_form(1.2, 1.1, 0.3)
+        params = lz.squeezed_thermal_parameters(form)
+        cutoff = 30
+        blocks = blocks_by_shift(lz.fock_truncate(form, cutoff))
+        oracle = {}
+        for shift in (0, 12):
+            oracle[shift], oracle[-shift] = mp_fock_sector(*params, cutoff, shift)
+        # the oracle is unnormalized: scale it to the state's vacuum entry
+        scale = blocks[0][0, 0] / oracle[0][0, 0]
+        for d, expected in oracle.items():
+            assert np.abs(blocks[d] - scale * expected).max() < 1e-14
 
 
 class TestRandomStandardForm:
