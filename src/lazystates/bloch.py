@@ -408,20 +408,29 @@ def partial_trace(matrix: np.ndarray, dim_a: int, dim_b: int, side: Side) -> np.
     return np.einsum("abad->bd", r)
 
 
+def _marginal(rho: DensityMatrix, side: Side) -> np.ndarray:
+    """Reduced state of `side` as a plain array, not Hermitized or re-validated.
+
+    For a `SectorDensityMatrix` it is diagonal: the sector diagonals summed
+    by the kept side's labels.
+    """
+    if not isinstance(rho, SectorDensityMatrix):
+        return partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
+    _check_side(side)
+    column, dim = (0, rho.dim_a) if side == "A" else (1, rho.dim_b)
+    labels = np.concatenate([sector[column] for sector in rho.sectors])
+    weights = np.concatenate([np.diagonal(sector[2]) for sector in rho.sectors])
+    return np.diag(np.bincount(labels, weights=weights, minlength=dim))
+
+
 def reduced_state(rho: DensityMatrix, side: Side) -> DensityMatrix:
     """Reduced state of one subsystem (the other one is traced out).
 
-    The marginal of a `SectorDensityMatrix` is diagonal: its sector
-    diagonals summed by the kept side's labels.
+    Hermitized as (m + m^dagger)/2: the partial trace sums entries that are
+    each Hermitian only to within the tolerance `DensityMatrix` accepts.
     """
-    if isinstance(rho, SectorDensityMatrix):
-        _check_side(side)
-        column, dim = (0, rho.dim_a) if side == "A" else (1, rho.dim_b)
-        labels = np.concatenate([sector[column] for sector in rho.sectors])
-        weights = np.concatenate([np.diagonal(sector[2]) for sector in rho.sectors])
-        red = np.diag(np.bincount(labels, weights=weights, minlength=dim))
-    else:
-        red = partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
+    red = _marginal(rho, side)
+    red = (red + red.conj().T) / 2.0
     if side == "A":
         return DensityMatrix(rho.dim_a, 1, red)
     return DensityMatrix(1, rho.dim_b, red)

@@ -196,6 +196,10 @@ def _handle_gaussian(args):
         )
         for u, v in _KERNEL_PROBES
     )
+    if quad_residual > 1e-9:
+        raise ArithmeticError(
+            f"kernel quadratic-form identity violated: residual {quad_residual:.3e}"
+        )
     results = {
         "standardForm": {
             "n": form.n,
@@ -316,7 +320,17 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        handled = args.handler(args)
+        params, results, code, summary, *extra = args.handler(args)
+        seed = extra[0] if extra else getattr(args, "seed", 0)
+        text = RunManifest(
+            command=args.command,
+            parameters=params,
+            seed=int(seed),
+            tool_version=__version__,
+            results=results,
+        ).to_json()
+        if args.output:
+            Path(args.output).write_text(text + "\n")
     except (TruncationError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
@@ -324,21 +338,6 @@ def main(argv=None) -> int:
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if len(handled) == 4:
-        params, results, code, summary = handled
-        seed = getattr(args, "seed", 0)
-    else:
-        params, results, code, summary, seed = handled
-    manifest = RunManifest(
-        command=args.command,
-        parameters=params,
-        seed=int(seed),
-        tool_version=__version__,
-        results=results,
-    )
-    text = manifest.to_json()
-    if args.output:
-        Path(args.output).write_text(text + "\n")
     print(text)
     if not args.quiet:
         print(summary, file=sys.stderr)

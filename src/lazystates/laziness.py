@@ -20,13 +20,16 @@ The two are tied together by the exact identity
 (and its mirror with n_A n_B^2 for side B), which follows from expanding
 the commutator over the generator products and using their orthogonality.
 
-The commutator never forms rho_A (x) I: with rho viewed as the tensor
+One kernel, `_commutator`, forms [rho, X (x) I] and [rho, I (x) X] for any
+local X: X = rho_A here, and X = log2(rho_A) for the entropy rate in
+`dynamics`.  It never forms X (x) I: with rho viewed as the tensor
 r[a, b, c, d] (A indices a, c slow, B indices b, d fast), left
-multiplication by rho_A (x) I contracts rho_A with the row index a alone,
-right multiplication with the column index c alone, and I (x) rho_B does
-the same on b and d.  Each product is one GEMM over a reshaped view of rho,
-O(d^2 n) work instead of the O(d^3) of a dense d x d product.  A real
-state has a real reduced state, so both GEMMs then run in real arithmetic.
+multiplication by X (x) I contracts X with the row index a alone, right
+multiplication with the column index c alone, and I (x) X does the same on
+b and d.  Each product is one GEMM over a reshaped view of rho, O(d^2 n)
+work instead of the O(d^3) of a dense d x d product.  A real state has a
+real reduced state, so both GEMMs then run in real arithmetic.  The
+marginal enters raw, neither Hermitized nor re-checked.
 
 A `SectorDensityMatrix` (such as a truncated Fock state) is a direct sum
 of real blocks rho^(s) whose marginals are diagonal, rho_A = diag(p).  The
@@ -55,9 +58,9 @@ from .bloch import (
     Side,
     _check_side,
     _check_tolerance,
+    _marginal,
     decompose,
     reconstruct,
-    reduced_state,
 )
 from .errors import DimensionMismatchError
 from .su_algebra import SuBasis, build_su_basis
@@ -91,10 +94,27 @@ class LazinessReport:
     is_lazy: bool
 
 
+def _commutator(rho: DensityMatrix, x: np.ndarray, side: Side) -> np.ndarray:
+    """[rho, X (x) I] (side A) or [rho, I (x) X] (side B) as a d x d array.
+
+    Both products are formed: rho is Hermitian only to within the tolerance
+    `DensityMatrix` accepts.
+    """
+    na, nb = rho.dim_a, rho.dim_b
+    r = rho.data
+    if side == "A":
+        x_rho = x @ r.reshape(na, -1)
+        rho_x = x.T @ r.reshape(-1, na, nb)
+    else:
+        x_rho = x @ r.reshape(na, nb, -1)
+        rho_x = r.reshape(-1, nb) @ x
+    d = na * nb
+    return rho_x.reshape(d, d) - x_rho.reshape(d, d)
+
+
 def commutator_residual(rho: DensityMatrix, side: Side) -> float:
     """Frobenius norm of [rho, rho_side (x) I]; zero iff lazy on that side."""
-    _check_side(side)
-    red = reduced_state(rho, side).data
+    red = _marginal(rho, side)
     if isinstance(rho, SectorDensityMatrix):
         # rho_side = diag(p), so the commutator has the entries
         # rho_kl (p_l - p_k) of each sector and zeros elsewhere
@@ -105,18 +125,7 @@ def commutator_residual(rho: DensityMatrix, side: Side) -> float:
             ps = p[sector[column]]
             total += float(np.sum(np.square(sector[2] * (ps[None, :] - ps[:, None]))))
         return math.sqrt(total)
-    na, nb = rho.dim_a, rho.dim_b
-    r = rho.data
-    # one GEMM per product over a reshaped view (see the module docstring);
-    # both are formed, since rho is only Hermitian to within the tolerance
-    # DensityMatrix accepts
-    if side == "A":
-        red_rho = red @ r.reshape(na, -1)
-        rho_red = red.T @ r.reshape(-1, na, nb)
-    else:
-        red_rho = red @ r.reshape(na, nb, -1)
-        rho_red = r.reshape(-1, nb) @ red
-    return float(np.linalg.norm(rho_red.reshape(-1) - red_rho.reshape(-1)))
+    return float(np.linalg.norm(_commutator(rho, red, side)))
 
 
 def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:

@@ -44,6 +44,23 @@ def make_witness():
     return lz.DensityMatrix(2, 2, 0.5 * np.kron(pz, pp) + 0.5 * np.kron(pp, pz))
 
 
+def marginal_asymmetric_state(side):
+    """Accepted state whose raw `side` marginal is beyond the hermiticity tolerance.
+
+    Side A: random_density_matrix(2, 4, 3) plus 0.9e-12 on <0,b|rho|1,b> for
+    every b; side B mirrors it on 4 x 2 with <a,0|rho|a,1> for every a.  Each
+    entry stays within HERMITICITY_TOL (1e-12), but the partial trace sums
+    four of them into a marginal asymmetry of 3.6e-12.
+    """
+    if side == "A":
+        data = lz.random_density_matrix(2, 4, 3).data.copy()
+        data[[0, 1, 2, 3], [4, 5, 6, 7]] += 0.9e-12
+        return lz.DensityMatrix(2, 4, data)
+    data = lz.random_density_matrix(4, 2, 3).data.copy()
+    data[[0, 2, 4, 6], [1, 3, 5, 7]] += 0.9e-12
+    return lz.DensityMatrix(4, 2, data)
+
+
 # --------------------------------------------------------------------------
 # oracles
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lazystates as lz
-from conftest import make_witness
+from conftest import make_witness, marginal_asymmetric_state
 from lazystates import cli
 from lazystates.cli import main
 from lazystates.stateio import save_state
@@ -109,7 +109,7 @@ class TestCheck:
         assert "parse error" in err
 
     def test_non_finite_entry_exits_two(self, capsys, tmp_path, bell_file):
-        doc = json.loads(open(bell_file).read())
+        doc = json.loads(Path(bell_file).read_text())
         doc["matrix"][0][1] = [float("nan"), 0.0]
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))
@@ -136,6 +136,17 @@ class TestCheck:
         _, first, _ = run(capsys, ["check", "--state", bell_file])
         _, second, _ = run(capsys, ["check", "--state", bell_file])
         assert first == second
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_marginal_asymmetry_within_tolerance_is_decided(capsys, tmp_path, side):
+    # each entry is within the hermiticity tolerance, their partial trace is not
+    path = tmp_path / "state.json"
+    save_state(marginal_asymmetric_state(side), path)
+    code, _, err = run(capsys, ["check", "--state", str(path)])
+    assert code == 1, err
+    code, _, err = run(capsys, ["dynamics", "--state", str(path), "--side", side])
+    assert code == 0, err
 
 
 class TestDecompose:
@@ -183,6 +194,17 @@ class TestDynamics:
 
 
 class TestGaussian:
+    def test_quadratic_identity_violation_exits_three(self, capsys, monkeypatch):
+        two_solves = cli.kernel_quadratic_difference
+        monkeypatch.setattr(
+            cli, "kernel_quadratic_difference",
+            lambda form, u, v: two_solves(form, u, v) + 2e-9,
+        )
+        code, out, err = run(capsys, ["gaussian", "--form", "2,2,0.5,-0.5"])
+        assert code == 3
+        assert out == ""
+        assert "quadratic-form identity violated" in err
+
     def test_lazy_product_form(self, capsys):
         code, out, _ = run(capsys, ["gaussian", "--form", "5,2,0,0"])
         assert code == 0
@@ -292,6 +314,14 @@ class TestManifest:
         assert code == 0
         assert err == ""
         assert target.read_text().strip() == out.strip()
+
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "m.json"
+        code, out, err = run(capsys, ["basis", "--dim", "2", "--output", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert not target.exists()
 
     def test_no_command_exits_two(self, capsys):
         code, _, _ = run(capsys, [])

@@ -6,7 +6,9 @@ from conftest import (
     golden_su3_contraction,
     haar_unitary,
     kron_commutator_residual,
+    marginal_asymmetric_state,
     naive_commutator_residual,
+    naive_partial_trace,
 )
 
 #: Frobenius norm of the witness commutator, sqrt(2)/8 analytically
@@ -64,6 +66,33 @@ class TestCommutatorResidual:
         expected = kron_commutator_residual(rho, side)
         assert expected > 1e-14
         assert lz.commutator_residual(rho, side) == pytest.approx(expected, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+class TestAcceptedStateWithAsymmetricMarginal:
+    """The deciders read the raw marginal, which sums several accepted asymmetries."""
+
+    def test_raw_marginal_exceeds_the_tolerance(self, side):
+        rho = marginal_asymmetric_state(side)
+        red = naive_partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
+        assert np.abs(red - red.conj().T).max() > 3e-12
+
+    def test_verdicts_are_returned(self, side):
+        rho = marginal_asymmetric_state(side)
+        residual = lz.commutator_residual(rho, side)
+        assert residual == pytest.approx(kron_commutator_residual(rho, side), rel=1e-12)
+        report = lz.is_lazy(rho, side)
+        assert report.commutator_residual == residual
+        assert not report.is_lazy
+        audit = lz.dynamics_audit(rho, side, trials=8, seed=1)
+        assert audit.consistent_with_laziness
+
+    def test_reduced_state_is_exactly_hermitian(self, side):
+        rho = marginal_asymmetric_state(side)
+        red = lz.reduced_state(rho, side).data
+        assert np.array_equal(red, red.conj().T)
+        naive = naive_partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
+        assert np.abs(red - naive).max() < 2e-12
 
 
 class TestCriterionMatrix:
