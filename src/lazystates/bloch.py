@@ -209,8 +209,8 @@ class SectorDensityMatrix(DensityMatrix):
     Every sector is checked as `DensityMatrix` checks its matrix (finite,
     symmetric to HERMITICITY_TOL), the traces must sum to 1 within
     TRACE_TOL, labels must be in range and distinct within a sector, and
-    no basis state may lie in two sectors.  float64 blocks are kept without
-    a copy and made read-only.
+    no basis state may lie in two sectors.  float64 blocks and intp labels
+    are kept without a copy and made read-only.
     """
 
     def __init__(self, dim_a: int, dim_b: int, sectors):
@@ -233,8 +233,11 @@ class SectorDensityMatrix(DensityMatrix):
                 raise InvalidStateError(f"sector {s} is complex; sector blocks are real")
             block = block.astype(float, copy=False)
             _check_hermitian(block, f" of sector {s}")
-            block.setflags(write=False)
-            checked.append((labels_a.astype(np.intp), labels_b.astype(np.intp), block))
+            labels_a = labels_a.astype(np.intp, copy=False)
+            labels_b = labels_b.astype(np.intp, copy=False)
+            for arr in (labels_a, labels_b, block):
+                arr.setflags(write=False)
+            checked.append((labels_a, labels_b, block))
         if not checked:
             raise DimensionMismatchError("a sector state needs at least one sector")
         # the label checks run over all sectors at once, keyed by sector

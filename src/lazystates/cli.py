@@ -37,7 +37,7 @@ from .gaussian import (
     kernel_quadratic_difference,
     standard_form_from_covariance,
 )
-from .laziness import commutator_residual, is_lazy
+from .laziness import DEFAULT_TOL, commutator_residual, is_lazy
 from .stateio import (
     canonical_json,
     complex_matrix_to_pairs,
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common], help="laziness verdict for a state")
     p.add_argument("--state", required=True)
     p.add_argument("--side", choices=["A", "B", "both"], default="both")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(handler=_handle_check)
 
     p = sub.add_parser("dynamics", parents=[common],
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="laziness of a two-mode Gaussian standard form")
     p.add_argument("--form", help="standard form as 'n,m,c,cprime'")
     p.add_argument("--cov", help="covariance JSON file, reduced to standard form first")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--fock-check", type=int, dest="fock_check", metavar="CUTOFF",
                    help="cross-check via a truncated number-basis state")
     p.set_defaults(handler=_handle_gaussian)

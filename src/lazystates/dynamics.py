@@ -19,6 +19,10 @@ its supremum over couplings with ||H||_F = 1 is ||K||_F, attained by
 H* = K / ||K||_F; `dynamics_audit` reports it as `rate_bound` next to the
 sampled maximum.
 
+`dynamics_audit` judges consistency with fixed thresholds: the verdict
+tolerance `laziness.DEFAULT_TOL`, LAZY_RATE_TOL for the rates of a lazy
+state and NONLAZY_RATE_FLOOR for those of a non-lazy one.
+
 Seeding: the couplings of an audit with seed s are the stack
 `random_couplings(dim_a, dim_b, trials, s)`, drawn from the single stream
 `np.random.default_rng(s)`.  Each trial takes 2 d^2 standard normals in the
@@ -33,13 +37,12 @@ draws costs one real matrix-vector product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .bloch import DensityMatrix, Side, _check_tolerance, _marginal, reduced_state
+from .bloch import DensityMatrix, Side, _check_hermitian, _marginal, reduced_state
 from .errors import DimensionMismatchError
 from .laziness import DEFAULT_TOL, _commutator, commutator_residual
 
@@ -58,7 +61,10 @@ __all__ = [
 #: central finite-difference half-step of the `method="fd"` cross-check
 FD_STEP = 1e-5
 
-COUPLING_HERMITICITY_TOL = 1e-12
+#: largest audit rate of a lazy state; its exact rates are rounding noise, ~1e-15
+LAZY_RATE_TOL = 1e-8
+#: a non-lazy audit must sample a rate above this; calibrated on the package's families
+NONLAZY_RATE_FLOOR = 1e-3
 
 #: trials per block of normal draws in `dynamics_audit`; it bounds the
 #: memory of one draw and does not change the stream
@@ -69,7 +75,11 @@ RateMethod = Literal["analytic", "fd"]
 
 @dataclass(frozen=True)
 class Coupling:
-    """Hermitian joint Hamiltonian with its generating seed."""
+    """Hermitian joint Hamiltonian with its generating seed.
+
+    Validated as a state's matrix is: a non-finite entry or an asymmetry
+    above HERMITICITY_TOL raises InvalidStateError naming its position.
+    """
 
     hamiltonian: np.ndarray
     seed: int
@@ -78,11 +88,7 @@ class Coupling:
         h = np.array(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatchError(f"coupling must be square, got {h.shape}")
-        dev = float(np.abs(h - h.conj().T).max())
-        if not math.isfinite(dev):
-            raise ValueError("coupling has a non-finite entry")
-        if dev > COUPLING_HERMITICITY_TOL:
-            raise ValueError(f"coupling is not Hermitian: max asymmetry {dev:.3e}")
+        _check_hermitian(h, " of the coupling")
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
 
@@ -224,10 +230,6 @@ def dynamics_audit(
     side: Side = "A",
     trials: int = 100,
     seed: int = 0,
-    *,
-    laziness_tol: float = DEFAULT_TOL,
-    lazy_rate_tol: float = 1e-8,
-    nonlazy_rate_floor: float = 1e-3,
 ) -> DynamicsAudit:
     """Entropy rates over a battery of seeded random couplings.
 
@@ -236,18 +238,16 @@ def dynamics_audit(
     of TRIAL_BLOCK trials, one matrix-vector product each, without forming
     the couplings.
 
-    The audit is consistent when a lazy state stays below `lazy_rate_tol`
-    on every trial and a non-lazy one exceeds `nonlazy_rate_floor` on at
-    least one.  The floor is calibrated per state family, not universal:
+    A state is lazy when its commutator residual is below DEFAULT_TOL.  The
+    audit is consistent when a lazy state stays below LAZY_RATE_TOL on
+    every trial and a non-lazy one exceeds NONLAZY_RATE_FLOOR on at least
+    one.  The floor is calibrated per state family, not universal:
     the couplings witness non-laziness with overwhelming probability, but
     the rate magnitude depends on the state.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    laziness_tol = _check_tolerance(laziness_tol)
-    lazy_rate_tol = _check_tolerance(lazy_rate_tol)
-    nonlazy_rate_floor = _check_tolerance(nonlazy_rate_floor)
-    lazy = commutator_residual(rho, side) < laziness_tol
+    lazy = commutator_residual(rho, side) < DEFAULT_TOL
     k = _rate_operator(rho, side)
     k = (k + k.conj().T) / 2.0
     # rate_i = Re vdot(K, G_i) = [Re G_i, Im G_i] . [Re K, Im K]
@@ -257,7 +257,7 @@ def dynamics_audit(
         rates.append(block.reshape(len(block), -1) @ weights)
     rates = np.concatenate(rates)
     max_rate = float(np.abs(rates).max())
-    consistent = max_rate < lazy_rate_tol if lazy else max_rate > nonlazy_rate_floor
+    consistent = max_rate < LAZY_RATE_TOL if lazy else max_rate > NONLAZY_RATE_FLOOR
     return DynamicsAudit(
         max_rate=max_rate,
         trials=trials,

@@ -48,6 +48,7 @@ import numpy as np
 
 from .bloch import SectorDensityMatrix, _check_tolerance, _require_finite
 from .errors import TruncationError, UnphysicalFormError
+from .laziness import DEFAULT_TOL
 
 __all__ = [
     "GaussianStandardForm",
@@ -294,7 +295,7 @@ def kernel_quadratic_difference(
     return complex(b @ np.linalg.solve(pair.plus, b) - b @ np.linalg.solve(pair.minus, b))
 
 
-def is_lazy_gaussian(form: GaussianStandardForm, tol: float = 1e-10) -> bool:
+def is_lazy_gaussian(form: GaussianStandardForm, tol: float = DEFAULT_TOL) -> bool:
     """Lazy iff both cross-correlations vanish, i.e. the state is a product."""
     tol = _check_tolerance(tol)
     chk = check_uncertainty(form)

@@ -172,31 +172,21 @@ def criterion_prefactor(dim_a: int, dim_b: int, side: Side) -> float:
     return 4.0 / (dim_a * dim_b * dim_b)
 
 
-def is_lazy(
-    rho: DensityMatrix,
-    side: Side = "A",
-    tol: float = DEFAULT_TOL,
-    basis_a: SuBasis | None = None,
-    basis_b: SuBasis | None = None,
-) -> LazinessReport:
+def is_lazy(rho: DensityMatrix, side: Side = "A", tol: float = DEFAULT_TOL) -> LazinessReport:
     """Evaluate both laziness detectors and return a report.
 
     The verdict comes from the commutator residual compared against `tol`;
-    the criterion residual is computed alongside as a diagnostic.
+    the criterion residual is computed alongside as a diagnostic, and only
+    for a decided side of dimension >= 2 (a trivial side reports 0 without
+    a Bloch expansion).
     """
     _check_side(side)
     tol = _check_tolerance(tol)
-    if basis_a is None and rho.dim_a >= 2:
-        basis_a = build_su_basis(rho.dim_a)
-    if basis_b is None and rho.dim_b >= 2:
-        basis_b = build_su_basis(rho.dim_b)
-    form = decompose(rho, basis_a, basis_b)
     residual = commutator_residual(rho, side)
-    basis = basis_a if side == "A" else basis_b
-    if basis is None:
-        criterion = 0.0
-    else:
-        g = criterion_matrix(form, basis, side)
+    n = rho.dim_a if side == "A" else rho.dim_b
+    criterion = 0.0
+    if n >= 2:
+        g = criterion_matrix(decompose(rho), build_su_basis(n), side)
         criterion = float(np.abs(g).max()) if g.size else 0.0
     return LazinessReport(
         side=side,

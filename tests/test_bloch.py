@@ -205,6 +205,18 @@ class TestSectorDensityMatrix:
         assert not rho.data.flags.writeable
         assert isinstance(rho, lz.DensityMatrix)
 
+    def test_keeps_intp_labels_without_a_copy(self):
+        labels_a, labels_b = np.array([0, 1], dtype=np.intp), np.array([0, 1], dtype=np.intp)
+        rho = lz.SectorDensityMatrix(2, 3, self.sectors(labels_a=labels_a, labels_b=labels_b))
+        kept_a, kept_b, _ = rho.sectors[0]
+        for kept, given in ((kept_a, labels_a), (kept_b, labels_b)):
+            assert np.shares_memory(kept, given)
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 1
+        # other integer labels are converted to intp
+        narrow = lz.SectorDensityMatrix(2, 3, self.sectors(labels_a=labels_a.astype(np.int32)))
+        assert narrow.sectors[0][0].dtype == np.intp
+
     def test_rejects_non_finite_sector(self):
         block = np.array([[0.3, np.nan], [np.nan, 0.2]])
         with pytest.raises(lz.InvalidStateError, match="non-finite entry at .* of sector 0"):

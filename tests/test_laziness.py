@@ -156,8 +156,8 @@ class TestScaling:
         product = lz.product_state(a, b)
         wishart = lz.random_density_matrix(na, nb, 3)
         for side in ("A", "B"):
-            assert lz.is_lazy(product, side, basis_a=ba, basis_b=bb).is_lazy
-            report = lz.is_lazy(wishart, side, basis_a=ba, basis_b=bb)
+            assert lz.is_lazy(product, side).is_lazy
+            report = lz.is_lazy(wishart, side)
             assert not report.is_lazy
             g = lz.criterion_matrix(lz.decompose(wishart, ba, bb), ba if side == "A" else bb, side)
             via = lz.criterion_prefactor(na, nb, side) * np.linalg.norm(g)

@@ -134,8 +134,8 @@ def test_real_states_agree_with_their_complex_cast(dims, rank_frac, seed):
     for side, basis in (("A", ba), ("B", bb)):
         direct = lz.commutator_residual(real, side)
         assert direct == pytest.approx(lz.commutator_residual(cast, side), rel=1e-13, abs=0)
-        report_real = lz.is_lazy(real, side, basis_a=ba, basis_b=bb)
-        report_cast = lz.is_lazy(cast, side, basis_a=ba, basis_b=bb)
+        report_real = lz.is_lazy(real, side)
+        report_cast = lz.is_lazy(cast, side)
         assert report_real.is_lazy == report_cast.is_lazy
         assert report_real.commutator_residual == direct
         via = lz.criterion_prefactor(na, nb, side) * np.linalg.norm(
