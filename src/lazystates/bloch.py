@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Literal
 
 import numpy as np
@@ -122,8 +123,15 @@ def _check_trace(trace: complex) -> None:
         raise InvalidStateError(f"trace deviation {trace_dev:.3e}")
 
 
+def _check_integer(value, what: str) -> int:
+    """`value` as an int; floats, bools and other non-integers are rejected."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise DimensionMismatchError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_dims(dim_a, dim_b) -> tuple[int, int]:
-    dim_a, dim_b = int(dim_a), int(dim_b)
+    dim_a, dim_b = (_check_integer(dim, "subsystem dimension") for dim in (dim_a, dim_b))
     if dim_a < 1 or dim_b < 1:
         raise DimensionMismatchError(
             f"subsystem dimensions must be >= 1, got ({dim_a}, {dim_b})"
@@ -193,81 +201,50 @@ class DensityMatrix:
 class SectorDensityMatrix(DensityMatrix):
     """Real state that is a direct sum of symmetric blocks over sectors.
 
-    `sectors` is a sequence of triples `(labels_a, labels_b, block)`: the
-    sector holds the basis states `(labels_a[k], labels_b[k])`, i.e. the
-    rows `labels_a[k] * dim_b + labels_b[k]` of the dense matrix, and the
-    real block of the state on them.  Entries between two sectors, and on
-    basis states in no sector, are zero.
+    `sectors` maps a shift s = n_A - n_B to the real block of the state on
+    its sector: the min(dim_a - max(s, 0), dim_b - max(-s, 0)) basis states
+    |k + max(s, 0), k + max(-s, 0)>, k = 0, 1, ..., of the (dim_a, dim_b)
+    box, so the levels are implied by s.  Entries between two sectors, and
+    on the sectors of shifts not given, are zero.
 
-    Within a sector the A labels are distinct and so are the B labels, so
-    no two states of one sector share the level of either subsystem: both
-    marginals are diagonal, with the sector diagonals summed by label.
-    `reduced_state`, `commutator_residual` and the spectrum read the
-    sectors directly.
+    Within a sector each level of either subsystem occurs once, so both
+    marginals are diagonal, each sector diagonal adding into a run of
+    levels.  `reduced_state`, `commutator_residual` and the spectrum read
+    the sectors directly.
     `data` assembles the dense matrix on first access only.
 
-    Every sector is checked as `DensityMatrix` checks its matrix (finite,
-    symmetric to HERMITICITY_TOL), the traces must sum to 1 within
-    TRACE_TOL, labels must be in range and distinct within a sector, and
-    no basis state may lie in two sectors.  float64 blocks and intp labels
-    are kept without a copy and made read-only.
+    A shift must be an integer with a nonempty sector, every block is
+    checked as `DensityMatrix` checks its matrix (finite, symmetric to
+    HERMITICITY_TOL), and the traces must sum to 1 within TRACE_TOL.
+    `sectors` is a read-only mapping in the given order; float64 blocks are
+    kept without a copy and made read-only.
     """
 
     def __init__(self, dim_a: int, dim_b: int, sectors):
         dim_a, dim_b = _check_dims(dim_a, dim_b)
-        checked = []
-        for s, (labels_a, labels_b, block) in enumerate(sectors):
-            labels_a, labels_b, block = map(np.asarray, (labels_a, labels_b, block))
-            size = len(labels_a)
-            if not (
-                labels_a.dtype.kind in "iu" and labels_b.dtype.kind in "iu"
-                and size and labels_a.shape == labels_b.shape == (size,)
-                and block.shape == (size, size)
-            ):
+        checked = {}
+        for shift, block in sectors.items():
+            shift = _check_integer(shift, "sector shift")
+            size = min(dim_a - max(shift, 0), dim_b - max(-shift, 0))
+            if size < 1:
                 raise DimensionMismatchError(
-                    f"sector {s} needs n >= 1 integer A and B labels and an n x n "
-                    f"block, got labels shaped {labels_a.shape} and "
-                    f"{labels_b.shape} and a block shaped {block.shape}"
+                    f"sector {shift} is empty: shifts run from {1 - dim_b} to {dim_a - 1}"
+                )
+            block = np.asarray(block)
+            if block.shape != (size, size):
+                raise DimensionMismatchError(
+                    f"sector {shift} needs a {size} x {size} block, got {block.shape}"
                 )
             if block.dtype.kind == "c":
-                raise InvalidStateError(f"sector {s} is complex; sector blocks are real")
+                raise InvalidStateError(f"sector {shift} is complex; sector blocks are real")
             block = block.astype(float, copy=False)
-            _check_hermitian(block, f" of sector {s}")
-            labels_a = labels_a.astype(np.intp, copy=False)
-            labels_b = labels_b.astype(np.intp, copy=False)
-            for arr in (labels_a, labels_b, block):
-                arr.setflags(write=False)
-            checked.append((labels_a, labels_b, block))
-        if not checked:
-            raise DimensionMismatchError("a sector state needs at least one sector")
-        # the label checks run over all sectors at once, keyed by sector
-        sector_of = np.repeat(np.arange(len(checked)), [len(sec[0]) for sec in checked])
-        labels = []
-        for side, column, dim in (("A", 0, dim_a), ("B", 1, dim_b)):
-            lab = np.concatenate([sec[column] for sec in checked])
-            outside = (lab < 0) | (lab >= dim)
-            if outside.any():
-                k = int(outside.argmax())
-                raise InvalidStateError(
-                    f"{side} label {lab[k]} of sector {sector_of[k]} is out of "
-                    f"range [0, {dim})"
-                )
-            counts = np.bincount(sector_of * dim + lab)
-            if counts.max() > 1:
-                sector, label = divmod(int(counts.argmax()), dim)
-                raise InvalidStateError(
-                    f"repeated {side} label {label} in sector {sector}: "
-                    "labels must be distinct within a sector"
-                )
-            labels.append(lab)
-        hits = np.bincount(labels[0] * dim_b + labels[1])
-        if hits.max() > 1:
-            a, b = divmod(int(hits.argmax()), dim_b)
-            raise InvalidStateError(f"basis state ({a}, {b}) lies in more than one sector")
-        _check_trace(np.concatenate([np.diagonal(sec[2]) for sec in checked]).sum())
+            _check_hermitian(block, f" of sector {shift}")
+            block.setflags(write=False)
+            checked[shift] = block
+        _check_trace(sum(np.trace(block) for block in checked.values()))
         self.dim_a = dim_a
         self.dim_b = dim_b
-        self.sectors = tuple(checked)
+        self.sectors = MappingProxyType(checked)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -276,10 +253,10 @@ class SectorDensityMatrix(DensityMatrix):
         The union of the sector spectra and one 0 for each basis state in
         no sector; the dense matrix is not assembled.
         """
-        covered = sum(len(labels_a) for labels_a, _, _ in self.sectors)
+        covered = sum(map(len, self.sectors.values()))
         vals = np.sort(
             np.concatenate(
-                [np.linalg.eigvalsh(block) for _, _, block in self.sectors]
+                [np.linalg.eigvalsh(block) for block in self.sectors.values()]
                 + [np.zeros(self.dim - covered)]
             )
         )
@@ -290,9 +267,12 @@ class SectorDensityMatrix(DensityMatrix):
     def data(self) -> np.ndarray:
         """The dense float64 matrix, assembled once; read-only."""
         data = np.zeros((self.dim, self.dim))
-        for labels_a, labels_b, block in self.sectors:
-            rows = labels_a * self.dim_b + labels_b
-            data[np.ix_(rows, rows)] = block
+        # consecutive states of a sector lie dim_b + 1 rows apart
+        step = self.dim_b + 1
+        for shift, block in self.sectors.items():
+            start = max(shift, 0) * self.dim_b + max(-shift, 0)
+            rows = slice(start, start + len(block) * step, step)
+            data[rows, rows] = block
         data.setflags(write=False)
         return data
 
@@ -411,19 +391,25 @@ def partial_trace(matrix: np.ndarray, dim_a: int, dim_b: int, side: Side) -> np.
     return np.einsum("abad->bd", r)
 
 
+def _sector_blocks(rho: SectorDensityMatrix, side: Side) -> list:
+    """(first level of `side`, block) per sector: max(s, 0) on A, max(-s, 0) on B."""
+    sign = 1 if side == "A" else -1
+    return [(max(sign * shift, 0), block) for shift, block in rho.sectors.items()]
+
+
 def _marginal(rho: DensityMatrix, side: Side) -> np.ndarray:
     """Reduced state of `side` as a plain array, not Hermitized or re-validated.
 
-    For a `SectorDensityMatrix` it is diagonal: the sector diagonals summed
-    by the kept side's labels.
+    For a `SectorDensityMatrix` it is diagonal: each sector diagonal summed
+    into the run of the kept side's levels that the sector holds.
     """
     if not isinstance(rho, SectorDensityMatrix):
         return partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
     _check_side(side)
-    column, dim = (0, rho.dim_a) if side == "A" else (1, rho.dim_b)
-    labels = np.concatenate([sector[column] for sector in rho.sectors])
-    weights = np.concatenate([np.diagonal(sector[2]) for sector in rho.sectors])
-    return np.diag(np.bincount(labels, weights=weights, minlength=dim))
+    p = np.zeros(rho.dim_a if side == "A" else rho.dim_b)
+    for lo, block in _sector_blocks(rho, side):
+        p[lo : lo + len(block)] += np.diagonal(block)
+    return np.diag(p)
 
 
 def reduced_state(rho: DensityMatrix, side: Side) -> DensityMatrix:

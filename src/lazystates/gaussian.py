@@ -31,12 +31,13 @@ two independent ways:
 * by truncating the squeezed-thermal subfamily (c' = -c) to a finite
   number basis and handing it to the finite-dimensional commutator test.
   The truncated state is real and block-diagonal over the sectors of fixed
-  n1 - n2, so it is stored and validated as a `SectorDensityMatrix` of
-  real symmetric sector blocks, and the commutator test reads the sectors
-  without the dense (cutoff + 1)^2-square matrix.  Each sector block comes
-  from the normal-ordered su(1,1) closed form of the squeezed thermal
-  state (see `fock_truncate`), which is exact on the kept levels, so no
-  padded levels and no matrix exponential are needed.
+  shift n1 - n2, so it is stored and validated as a `SectorDensityMatrix`
+  that maps each shift to its real symmetric sector block, and the
+  commutator test reads the sectors without the dense (cutoff + 1)^2-square
+  matrix.  Each sector block comes from the normal-ordered su(1,1) closed
+  form of the squeezed thermal state (see `fock_truncate`), which is exact
+  on the kept levels, so no padded levels and no matrix exponential are
+  needed.
 """
 
 from __future__ import annotations
@@ -281,18 +282,18 @@ def kernel_quadratic_difference(
 ) -> complex:
     """B^T (plus^-1 - minus^-1) B with B = (uI, uR, vI, vR, uI, uR).
 
-    Computed by two dense solves, independently of
-    `kernel_quadratic_closed_form`; the CLI reports the gap between the two
-    as `quadraticIdentityResidual`.
+    minus is the complex conjugate of plus and B is real, so the two terms
+    are conjugate and the difference is 2i Im(B^T plus^-1 B): one dense
+    solve, independent of `kernel_quadratic_closed_form`; the CLI reports
+    the gap between the two as `quadraticIdentityResidual`.
     """
     u = complex(u)
     v = complex(v)
     det = kernel_determinant(form)
     if abs(det) < 1e-12:
         raise np.linalg.LinAlgError("singular overlap kernels")
-    pair = commutator_kernels(form)
-    b = np.array([u.imag, u.real, v.imag, v.real, u.imag, u.real], dtype=complex)
-    return complex(b @ np.linalg.solve(pair.plus, b) - b @ np.linalg.solve(pair.minus, b))
+    b = np.array([u.imag, u.real, v.imag, v.real, u.imag, u.real])
+    return 2j * float((b @ np.linalg.solve(commutator_kernels(form).plus, b)).imag)
 
 
 def is_lazy_gaussian(form: GaussianStandardForm, tol: float = DEFAULT_TOL) -> bool:
@@ -396,10 +397,11 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     the kept rows are exact before renormalization: no padded levels
     enter, and the trace deficit is the true weight outside the block.
 
-    The result is a `SectorDensityMatrix` with one real block per sector,
-    O(cutoff^3) numbers in all.  Each block is formed as M M^T with
-    M = L W^(1/2) evaluated in logarithms, so it is exactly symmetric, and
-    one product serves the mirror sectors d and -d.  The dense
+    The result is a `SectorDensityMatrix` that maps each shift d to its real
+    block, in the order 0, 1, -1, 2, -2, ..., O(cutoff^3) numbers in all.
+    Each block is formed as M M^T with M = L W^(1/2) evaluated in
+    logarithms, so it is exactly symmetric, and one product serves the
+    mirror sectors d and -d.  The dense
     (cutoff + 1)^2 matrix is assembled only when `.data` is read.
     """
     if cutoff < 4:
@@ -445,14 +447,13 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
             f"truncation trace deficit {deficit:.3e} exceeds {MAX_TRACE_DEFICIT:g}; "
             "increase the cutoff"
         )
-    sectors = []
+    sectors = {}
     for shift, prod in enumerate(products):
-        k = n[: keep - shift]
-        sectors.append((k + shift, k, prod))
+        sectors[shift] = prod
         if shift:
             # the mirror sector -shift, on |k, k + shift>, before the
             # sector +shift is scaled in place
-            sectors.append((k, k + shift, prod * (scale * q_b**shift / tr)))
+            sectors[-shift] = prod * (scale * q_b**shift / tr)
         prod *= scale * q_a**shift / tr
     return SectorDensityMatrix(keep, keep, sectors)
 

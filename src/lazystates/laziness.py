@@ -32,16 +32,16 @@ real reduced state, so both GEMMs then run in real arithmetic.  The
 marginal enters raw, neither Hermitized nor re-checked.
 
 A `SectorDensityMatrix` (such as a truncated Fock state) is a direct sum
-of real blocks rho^(s) whose marginals are diagonal, rho_A = diag(p).  The
-commutator then has the entries rho_kl (p(a_l) - p(a_k)) inside each
-sector and zeros elsewhere, with a_k the A level of the sector's k-th
-basis state, so
+of real blocks rho^(s), one per shift s = n_A - n_B, whose marginals are
+diagonal, rho_A = diag(p).  The k-th state of sector s has the A level
+a_k = max(s, 0) + k, so the commutator has the entries
+rho_kl (p(a_l) - p(a_k)) inside each sector and zeros elsewhere, and
 
     || [rho, rho_A (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
 
-summed over the sectors without the d x d matrix (side B reads the B
-levels and the B marginal).  The criterion matrix is a scatter-add over
-the nonzero structure constants.
+summed over the sectors without the d x d matrix, one slice of p per
+sector (side B reads the B levels max(-s, 0) + k and the B marginal).  The
+criterion matrix is a scatter-add over the nonzero structure constants.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .bloch import (
     _check_side,
     _check_tolerance,
     _marginal,
+    _sector_blocks,
     decompose,
     reconstruct,
 )
@@ -119,11 +120,10 @@ def commutator_residual(rho: DensityMatrix, side: Side) -> float:
         # rho_side = diag(p), so the commutator has the entries
         # rho_kl (p_l - p_k) of each sector and zeros elsewhere
         p = red.diagonal()
-        column = 0 if side == "A" else 1
         total = 0.0
-        for sector in rho.sectors:
-            ps = p[sector[column]]
-            total += float(np.sum(np.square(sector[2] * (ps[None, :] - ps[:, None]))))
+        for lo, block in _sector_blocks(rho, side):
+            ps = p[lo : lo + len(block)]
+            total += float(np.sum(np.square(block * (ps[None, :] - ps[:, None]))))
         return math.sqrt(total)
     return float(np.linalg.norm(_commutator(rho, red, side)))
 

@@ -44,6 +44,17 @@ class TestDensityMatrix:
         with pytest.raises(lz.DimensionMismatchError):
             lz.DensityMatrix(2, 3, np.eye(4) / 4.0)
 
+    @pytest.mark.parametrize("dims", [(2.9, 2.9), (2.0, 2), (True, 4), (2, np.True_), ("2", 2)])
+    def test_rejects_non_integer_dimensions(self, dims):
+        # int() would read 2.9 as 2 and True as 1
+        with pytest.raises(lz.DimensionMismatchError, match="must be an integer"):
+            lz.DensityMatrix(*dims, np.eye(4) / 4.0)
+
+    def test_numpy_integer_dimensions_are_accepted(self):
+        rho = lz.DensityMatrix(np.int64(2), np.int32(2), np.eye(4) / 4.0)
+        assert (rho.dim_a, rho.dim_b) == (2, 2)
+        assert type(rho.dim_a) is int and type(rho.dim_b) is int
+
     def test_positivity_is_flagged_not_enforced(self):
         indefinite = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         rho = lz.DensityMatrix(2, 2, indefinite)
@@ -162,60 +173,54 @@ class TestDecompose:
 
 
 def sector_state(dim_a, dim_b, seed):
-    """Random real sector state; some basis states lie in no sector."""
+    """Random real sector state on a random subset of the shifts, in random order."""
     rng = np.random.default_rng(seed)
-    free = np.ones((dim_a, dim_b), dtype=bool)
-    sectors = []
-    for _ in range(4):
-        # prefixes of two permutations: distinct labels on both sides
-        size = min(dim_a, dim_b)
-        labels_a, labels_b = rng.permutation(dim_a)[:size], rng.permutation(dim_b)[:size]
-        unused = free[labels_a, labels_b]
-        labels_a, labels_b = labels_a[unused], labels_b[unused]
-        if labels_a.size:
-            free[labels_a, labels_b] = False
-            g = rng.standard_normal((labels_a.size, labels_a.size))
-            sectors.append((labels_a, labels_b, g @ g.T))
-    total = sum(np.trace(block) for _, _, block in sectors)
+    shifts = rng.permutation(np.arange(1 - dim_b, dim_a))
+    sectors = {}
+    for s in shifts[: rng.integers(len(shifts) // 2, len(shifts))]:
+        size = min(dim_a - max(s, 0), dim_b - max(-s, 0))
+        g = rng.standard_normal((size, size))
+        sectors[s] = g @ g.T
+    total = sum(np.trace(block) for block in sectors.values())
     return lz.SectorDensityMatrix(
-        dim_a, dim_b, [(la, lb, block / total) for la, lb, block in sectors]
+        dim_a, dim_b, {s: block / total for s, block in sectors.items()}
     )
 
 
 class TestSectorDensityMatrix:
     @staticmethod
     def sectors(**change):
-        """Valid sectors of a (2, 3) state; `change` replaces fields of sector 0."""
-        first = {
-            "labels_a": np.array([0, 1]),
-            "labels_b": np.array([0, 1]),
-            "block": np.array([[0.3, 0.1], [0.1, 0.2]]),
-        }
+        """Valid sectors of a (2, 3) state; `change` replaces the shift or block of sector 0."""
+        first = {"shift": 0, "block": np.array([[0.3, 0.1], [0.1, 0.2]])}
         first.update(change)
-        return [tuple(first.values()), (np.array([1]), np.array([2]), np.array([[0.5]]))]
+        return {first["shift"]: first["block"], 1: np.array([[0.5]])}
 
     def test_dense_data_places_each_sector(self):
         rho = lz.SectorDensityMatrix(2, 3, self.sectors())
         expected = np.zeros((6, 6))
+        # sector 0 holds |0, 0> and |1, 1>, sector 1 holds |1, 0>
         expected[np.ix_([0, 4], [0, 4])] = [[0.3, 0.1], [0.1, 0.2]]
-        expected[5, 5] = 0.5
+        expected[3, 3] = 0.5
         assert rho.data.dtype == np.float64
         assert np.array_equal(rho.data, expected)
         assert rho.data is rho.data
         assert not rho.data.flags.writeable
         assert isinstance(rho, lz.DensityMatrix)
 
-    def test_keeps_intp_labels_without_a_copy(self):
-        labels_a, labels_b = np.array([0, 1], dtype=np.intp), np.array([0, 1], dtype=np.intp)
-        rho = lz.SectorDensityMatrix(2, 3, self.sectors(labels_a=labels_a, labels_b=labels_b))
-        kept_a, kept_b, _ = rho.sectors[0]
-        for kept, given in ((kept_a, labels_a), (kept_b, labels_b)):
-            assert np.shares_memory(kept, given)
+    def test_keeps_float64_blocks_without_a_copy(self):
+        sectors = {
+            -1: np.array([[0.2, 0.0], [0.0, 0.1]]),
+            0: np.array([[0.3, 0.1], [0.1, 0.2]]),
+            1: np.array([[0.2]]),
+        }
+        rho = lz.SectorDensityMatrix(2, 3, sectors)
+        assert list(rho.sectors) == [-1, 0, 1]
+        for shift, block in rho.sectors.items():
+            assert block is sectors[shift]
             with pytest.raises(ValueError, match="read-only"):
-                kept[0] = 1
-        # other integer labels are converted to intp
-        narrow = lz.SectorDensityMatrix(2, 3, self.sectors(labels_a=labels_a.astype(np.int32)))
-        assert narrow.sectors[0][0].dtype == np.intp
+                block[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            rho.sectors[2] = np.array([[0.0]])
 
     def test_rejects_non_finite_sector(self):
         block = np.array([[0.3, np.nan], [np.nan, 0.2]])
@@ -227,28 +232,26 @@ class TestSectorDensityMatrix:
         with pytest.raises(lz.InvalidStateError, match="hermiticity violation.* of sector 0"):
             lz.SectorDensityMatrix(2, 3, self.sectors(block=block))
 
-    @pytest.mark.parametrize("field,side", [("labels_a", "A"), ("labels_b", "B")])
-    def test_rejects_repeated_label(self, field, side):
-        with pytest.raises(lz.InvalidStateError, match=f"repeated {side} label 1 in sector 0"):
-            lz.SectorDensityMatrix(2, 3, self.sectors(**{field: np.array([1, 1])}))
+    @pytest.mark.parametrize("shift", [2, -3])
+    def test_rejects_shift_outside_the_box(self, shift):
+        # a (2, 3) box has the shifts -2 .. 1
+        with pytest.raises(lz.DimensionMismatchError, match=f"sector {shift} is empty"):
+            lz.SectorDensityMatrix(2, 3, self.sectors(shift=shift))
 
-    @pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
-    def test_rejects_out_of_range_label(self, labels):
-        with pytest.raises(lz.InvalidStateError, match="A label .* out of range"):
-            lz.SectorDensityMatrix(2, 3, self.sectors(labels_a=np.array(labels)))
+    @pytest.mark.parametrize("shift", [1.0, np.float64(1.0), -1.5, True, "1"])
+    def test_rejects_non_integer_shift(self, shift):
+        # sector 1 of a (2, 3) box is the one state |1, 0>
+        with pytest.raises(lz.DimensionMismatchError, match="sector shift must be an integer"):
+            lz.SectorDensityMatrix(2, 3, {shift: np.array([[1.0]])})
 
     def test_rejects_trace_off_by_1e_9(self):
         block = np.array([[0.3 + 1e-9, 0.1], [0.1, 0.2]])
         with pytest.raises(lz.InvalidStateError, match="trace deviation 1.000e-09"):
             lz.SectorDensityMatrix(2, 3, self.sectors(block=block))
 
-    def test_rejects_basis_state_in_two_sectors(self):
-        with pytest.raises(lz.InvalidStateError, match=r"\(1, 2\) lies in more than one"):
-            lz.SectorDensityMatrix(2, 3, self.sectors(labels_b=np.array([0, 2])))
-
     def test_rejects_mismatched_sector_shapes(self):
-        with pytest.raises(lz.DimensionMismatchError, match="sector 0"):
-            lz.SectorDensityMatrix(2, 3, self.sectors(labels_b=np.array([0])))
+        with pytest.raises(lz.DimensionMismatchError, match="sector 0 needs a 2 x 2 block"):
+            lz.SectorDensityMatrix(2, 3, self.sectors(block=np.array([[0.5]])))
 
     def test_rejects_complex_sector(self):
         block = np.array([[0.3, 0.1j], [-0.1j, 0.2]])

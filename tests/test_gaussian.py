@@ -466,8 +466,8 @@ class TestSectorFockState:
     def test_mirror_sectors_share_the_squeezer(self):
         rho = lz.fock_truncate(lz.squeezed_thermal_form(1.0, 1.0, 0.3), 12)
         # with a = b, the sectors d and -d hold the same block on swapped modes
-        blocks = {(int(la[0]) - int(lb[0])): block for la, lb, block in rho.sectors}
-        assert sorted(blocks) == list(range(-12, 13))
+        blocks = rho.sectors
+        assert list(blocks) == [0] + [d for k in range(1, 13) for d in (k, -k)]
         for d in range(1, 13):
             assert np.array_equal(blocks[d], blocks[-d])
 
@@ -483,7 +483,8 @@ class TestSectorFockState:
     @pytest.mark.parametrize("cutoff", [100, 200])
     def test_witness_memory_stays_off_the_dense_block(self, cutoff):
         # the dense (cutoff + 1)^2 block would be 832 MB at cutoff 100 and
-        # 13 GB at 200; the sector blocks alone are 43 MB at 200
+        # 13 GB at 200; the sector blocks alone are 43 MB at 200, and what
+        # is allocated on top of them stays a small fraction
         form = lz.squeezed_thermal_form(1.2, 1.1, 0.5)
         tracemalloc.start()
         try:
@@ -494,6 +495,7 @@ class TestSectorFockState:
             tracemalloc.stop()
         assert all(res > 1e-3 for res in residuals)
         assert peak < 50e6
+        assert peak - sum(block.nbytes for block in rho.sectors.values()) < 2e6
 
     @pytest.mark.parametrize("cutoff", [10, 20])
     @pytest.mark.parametrize("a,b,r", SECTOR_FORMS)
@@ -510,11 +512,6 @@ def thermal_ratios(form):
     return (a - 1.0) / (a + 1.0), (b - 1.0) / (b + 1.0)
 
 
-def blocks_by_shift(rho):
-    """Sector blocks keyed by d = n1 - n2."""
-    return {int(la[0]) - int(lb[0]): block for la, lb, block in rho.sectors}
-
-
 class TestClosedFormFockSectors:
     """Edge cases of the normal-ordered closed form behind `fock_truncate`."""
 
@@ -525,7 +522,9 @@ class TestClosedFormFockSectors:
         q_a, q_b = thermal_ratios(form)
         # kept weight of the product of two geometric distributions
         kept = (1.0 - q_a ** (cutoff + 1)) * (1.0 - q_b ** (cutoff + 1))
-        for la, lb, block in rho.sectors:
+        for d, block in rho.sectors.items():
+            k = np.arange(len(block))
+            la, lb = k + max(d, 0), k + max(-d, 0)
             expected = (1.0 - q_a) * (1.0 - q_b) * q_a**la * q_b**lb / kept
             assert np.array_equal(block, np.diag(np.diagonal(block)))
             assert np.diagonal(block) == pytest.approx(expected, rel=1e-13, abs=0)
@@ -541,7 +540,7 @@ class TestClosedFormFockSectors:
         form = lz.GaussianStandardForm(a * ch**2 + b * sh**2, a * sh**2 + b * ch**2, c, -c)
         rho = lz.fock_truncate(form, 10)
         # n1 > n2 needs a thermal excitation of mode A, n2 > n1 one of mode B
-        for d, block in blocks_by_shift(rho).items():
+        for d, block in rho.sectors.items():
             assert np.isfinite(block).all()
             if (d > 0 and a <= 1.0) or (d < 0 and b <= 1.0):
                 assert not block.any()
@@ -552,7 +551,7 @@ class TestClosedFormFockSectors:
     def test_mirror_sectors_scale_by_the_thermal_ratio(self):
         form = lz.squeezed_thermal_form(1.5, 1.2, 0.3)
         q_a, q_b = thermal_ratios(form)
-        blocks = blocks_by_shift(lz.fock_truncate(form, 20))
+        blocks = lz.fock_truncate(form, 20).sectors
         for d in range(1, 21):
             assert blocks[-d] == pytest.approx(
                 (q_b / q_a) ** d * blocks[d], rel=1e-13, abs=0
@@ -560,8 +559,8 @@ class TestClosedFormFockSectors:
 
     def test_negative_squeezing_flips_the_odd_entries(self):
         # S(-r) = P S(r) P with P = (-1)^(n2): entries pick up (-1)^(k + l)
-        plus = blocks_by_shift(lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), 20))
-        minus = blocks_by_shift(lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, -0.3), 20))
+        plus = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), 20).sectors
+        minus = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, -0.3), 20).sectors
         for d, block in plus.items():
             k = np.arange(block.shape[0])
             signs = (-1.0) ** np.add.outer(k, k)
@@ -573,7 +572,7 @@ class TestClosedFormFockSectors:
         form = lz.squeezed_thermal_form(1.2, 1.1, 0.3)
         params = lz.squeezed_thermal_parameters(form)
         cutoff = 30
-        blocks = blocks_by_shift(lz.fock_truncate(form, cutoff))
+        blocks = lz.fock_truncate(form, cutoff).sectors
         oracle = {}
         for shift in (0, 12):
             oracle[shift], oracle[-shift] = mp_fock_sector(*params, cutoff, shift)
