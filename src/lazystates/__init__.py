@@ -68,20 +68,12 @@ from .laziness import (
     is_lazy,
 )
 from .stateio import canonical_json, load_covariance, load_state, save_state
-from .su_algebra import (
-    BasisVerification,
-    StructureConstants,
-    SuBasis,
-    build_su_basis,
-    structure_constants,
-    verify_basis,
-)
+from .su_algebra import StructureConstants, SuBasis, build_su_basis, structure_constants
 
 __all__ = [
     "__version__",
     # su_algebra
-    "SuBasis", "StructureConstants", "BasisVerification",
-    "build_su_basis", "structure_constants", "verify_basis",
+    "SuBasis", "StructureConstants", "build_su_basis", "structure_constants",
     # bloch
     "DensityMatrix", "SectorDensityMatrix", "BlochForm", "decompose", "reconstruct",
     "reduced_state", "partial_trace", "random_density_matrix",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,28 +53,6 @@ EXIT_NUMERICAL_FAILURE = 3
 
 #: fixed probe points for the on-line kernel identity residuals
 _KERNEL_PROBES = ((1.0 + 1.0j, 0.5 - 1.0j), (0.3 + 0.7j, -1.0 + 0.2j))
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducible record of one CLI invocation."""
-
-    command: str
-    parameters: dict
-    seed: int
-    tool_version: str
-    results: object
-
-    def to_json(self) -> str:
-        return canonical_json(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "seed": self.seed,
-                "toolVersion": self.tool_version,
-                "results": self.results,
-            }
-        )
 
 
 def _report_dict(report) -> dict:
@@ -185,10 +162,8 @@ def _handle_gaussian(args):
     chk = check_uncertainty(form)
     pair = commutator_kernels(form)
     det_closed = kernel_determinant(form)
-    det_residual = max(
-        abs(np.linalg.det(pair.plus) - det_closed),
-        abs(np.linalg.det(pair.minus) - det_closed),
-    ) / max(1.0, abs(det_closed))
+    # minus = conj(plus), so det(minus) is the conjugate and equally far off
+    det_residual = abs(np.linalg.det(pair.plus) - det_closed) / max(1.0, abs(det_closed))
     quad_residual = max(
         abs(
             kernel_quadratic_difference(form, u, v)
@@ -322,13 +297,15 @@ def main(argv=None) -> int:
     try:
         params, results, code, summary, *extra = args.handler(args)
         seed = extra[0] if extra else getattr(args, "seed", 0)
-        text = RunManifest(
-            command=args.command,
-            parameters=params,
-            seed=int(seed),
-            tool_version=__version__,
-            results=results,
-        ).to_json()
+        text = canonical_json(
+            {
+                "command": args.command,
+                "parameters": params,
+                "seed": int(seed),
+                "toolVersion": __version__,
+                "results": results,
+            }
+        )
         if args.output:
             Path(args.output).write_text(text + "\n")
     except (TruncationError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import DensityMatrix, random_density_matrix
+from .bloch import DensityMatrix, _check_integer, random_density_matrix
 from .laziness import diagonal_correlation_state
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
 
 def maximally_entangled(dim: int) -> DensityMatrix:
     """Projector onto sum_i |ii> / sqrt(dim) on a dim x dim split."""
-    dim = int(dim)
+    dim = _check_integer(dim, "maximally entangled dimension")
     if dim < 2:
         raise ValueError(f"maximally entangled state needs dim >= 2, got {dim}")
     vec = np.zeros(dim * dim, dtype=complex)
@@ -68,6 +68,10 @@ def _vector8(value, default=0.0) -> np.ndarray:
     return arr
 
 
+def _integer_param(params: dict, key: str, default: int) -> int:
+    return _check_integer(params.pop(key, default), f"parameter {key}")
+
+
 EXAMPLE_NAMES = (
     "maximally_entangled",
     "product",
@@ -90,7 +94,7 @@ def generate_example(name: str, params: dict | None = None) -> DensityMatrix:
     """
     params = dict(params or {})
     if name == "maximally_entangled":
-        state = maximally_entangled(params.pop("d", 2))
+        state = maximally_entangled(_integer_param(params, "d", 2))
     elif name == "product":
         state = product_state(
             _diag_marginal(params.pop("a", [0.7, 0.3])),
@@ -106,9 +110,9 @@ def generate_example(name: str, params: dict | None = None) -> DensityMatrix:
         state = werner(params.pop("p", 0.5))
     elif name == "random":
         state = random_density_matrix(
-            int(params.pop("dimA", 2)),
-            int(params.pop("dimB", 2)),
-            int(params.pop("seed", 0)),
+            _integer_param(params, "dimA", 2),
+            _integer_param(params, "dimB", 2),
+            _integer_param(params, "seed", 0),
         )
     else:
         raise ValueError(f"unknown example {name!r}; known: {', '.join(EXAMPLE_NAMES)}")

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SectorDensityMatrix, _check_tolerance, _require_finite
+from .bloch import SectorDensityMatrix, _check_hermitian, _check_tolerance, _require_finite
 from .errors import TruncationError, UnphysicalFormError
 from .laziness import DEFAULT_TOL
 
@@ -75,8 +75,6 @@ PHYSICALITY_TOL = 1e-9
 
 #: maximum trace allowed outside the requested Fock block
 MAX_TRACE_DEFICIT = 1e-6
-
-COVARIANCE_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,9 +122,7 @@ class CovarianceState:
         if V.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got {V.shape}")
         _require_finite(V, "covariance matrix V")
-        dev = float(np.abs(V - V.T).max())
-        if dev > COVARIANCE_SYMMETRY_TOL:
-            raise ValueError(f"covariance matrix is not symmetric: deviation {dev:.3e}")
+        _check_hermitian(V, " of covariance matrix V")
         if d is None:
             d = np.zeros(4)
         else:
@@ -342,8 +338,12 @@ def squeezed_thermal_parameters(form: GaussianStandardForm) -> tuple[float, floa
 
 
 def squeezed_thermal_form(a: float, b: float, r: float) -> GaussianStandardForm:
-    """Standard form of a two-mode squeezer acting on two thermal states."""
-    if a < 1.0 or b < 1.0:
+    """Standard form of a two-mode squeezer acting on two thermal states.
+
+    The thermal parameters may lie PHYSICALITY_TOL below vacuum, as
+    `squeezed_thermal_parameters` and `GaussianStandardForm` allow.
+    """
+    if a < 1.0 - PHYSICALITY_TOL or b < 1.0 - PHYSICALITY_TOL:
         raise ValueError(f"thermal parameters must be >= 1, got a={a}, b={b}")
     ch, sh = math.cosh(r), math.sinh(r)
     c = (a + b) * ch * sh

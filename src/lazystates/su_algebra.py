@@ -37,8 +37,9 @@ permutations.  This package's signs follow from
 with s = -1 on the v and w families and s = +1 on the u family: every
 off-diagonal constant flips sign and the diagonal ones keep theirs.  Only
 4 C(n, 3) + O(n^3) of the (n^2 - 1)^3 entries are nonzero; they are stored
-as coordinate arrays.  `structure_constants` evaluates the trace formula on
-an arbitrary basis and serves as the independent oracle.
+as coordinate arrays and never expanded to the dense tensor.
+`structure_constants` evaluates the trace formula on an arbitrary basis and
+serves as the independent oracle; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -53,17 +54,12 @@ import numpy as np
 __all__ = [
     "SuBasis",
     "StructureConstants",
-    "BasisVerification",
     "build_su_basis",
     "structure_constants",
-    "verify_basis",
 ]
 
 #: entries of f with absolute value at or below this are treated as zero
 ZERO_CUTOFF = 1e-12
-
-#: acceptance threshold for the defining basis relations in verify_basis
-IDENTITY_TOL = 1e-10
 
 #: maximum allowed deviation of the Gram matrix tr(g_i g_j) from 2*I
 GRAM_TOL = 1e-10
@@ -83,7 +79,8 @@ class StructureConstants:
     rows of an (nnz, 3) integer array in lexicographic order and `data`
     their values.  Every other index order is recovered from the
     permutation sign, and repeated indices give zero.  The public accessors
-    `value` and `triples` use 1-based indices.
+    `value` and `triples` use 1-based indices; `permuted` lists every
+    nonzero entry in all six index orders, the form the contractions consume.
     """
 
     def __init__(self, size: int, index, data):
@@ -107,7 +104,6 @@ class StructureConstants:
         self.index, self.data, self._keys = index[order], data[order], keys[order]
         for arr in (self.index, self.data, self._keys):
             arr.setflags(write=False)
-        self._dense: np.ndarray | None = None
 
     def value(self, i: int, j: int, k: int) -> float:
         """f_ijk for any 1-based index order."""
@@ -146,19 +142,6 @@ class StructureConstants:
             arr.setflags(write=False)
         return out
 
-    def dense(self) -> np.ndarray:
-        """Full (N, N, N) tensor with 0-based indices; cached, read-only.
-
-        Only basis verification and tests need it: it is O(N^3) memory.
-        """
-        if self._dense is None:
-            f = np.zeros((self.size,) * 3)
-            i, j, k, v = self.permuted
-            f[i, j, k] = v
-            f.setflags(write=False)
-            self._dense = f
-        return self._dense
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -179,28 +162,6 @@ class SuBasis:
     dim: int
     generators: np.ndarray  # (n**2 - 1, n, n) complex, read-only
     f: StructureConstants
-
-
-@dataclass(frozen=True)
-class BasisVerification:
-    """Worst-case deviations from the defining relations of an SuBasis."""
-
-    max_trace: float
-    max_hermiticity: float
-    max_orthogonality: float
-    max_commutator: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            max(
-                self.max_trace,
-                self.max_hermiticity,
-                self.max_orthogonality,
-                self.max_commutator,
-            )
-            < IDENTITY_TOL
-        )
 
 
 def _gell_mann_constants(n: int) -> StructureConstants:
@@ -297,27 +258,3 @@ def structure_constants(generators) -> StructureConstants:
     index = np.stack([a[canonical], b[canonical], c[canonical]], axis=1)
     return StructureConstants(count, index, f[canonical])
 
-
-def verify_basis(basis: SuBasis) -> BasisVerification:
-    """Report worst-case deviations from the defining algebra relations.
-
-    Checks tracelessness, Hermiticity, the orthogonality normalization,
-    and the reconstruction of every commutator from the stored structure
-    constants.  Report-only: nothing is raised.
-    """
-    g = basis.generators
-    count = g.shape[0]
-    max_trace = float(np.abs(np.trace(g, axis1=1, axis2=2)).max())
-    max_herm = float(np.abs(g - np.conj(np.transpose(g, (0, 2, 1)))).max())
-    gram = np.einsum("aij,bji->ab", g, g)
-    max_orth = float(np.abs(gram - 2.0 * np.eye(count)).max())
-    prod = np.einsum("aij,bjk->abik", g, g)
-    comm = prod - np.transpose(prod, (1, 0, 2, 3))
-    recon = 2j * np.einsum("abk,kij->abij", basis.f.dense(), g)
-    max_comm = float(np.abs(comm - recon).max())
-    return BasisVerification(
-        max_trace=max_trace,
-        max_hermiticity=max_herm,
-        max_orthogonality=max_orth,
-        max_commutator=max_comm,
-    )

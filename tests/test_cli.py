@@ -294,6 +294,25 @@ class TestExample:
         assert code == 0
         assert json.loads(out)["seed"] == 9
 
+    @pytest.mark.parametrize(
+        "params,name",
+        [
+            (["d=2.5"], "d"),
+            (["dimA=2.9", "seed=1"], "dimA"),
+            (["dimB=3.0"], "dimB"),
+            (["dimA=2", "seed=1.7"], "seed"),
+        ],
+    )
+    def test_non_integer_parameters_exit_two(self, capsys, params, name):
+        example = "maximally_entangled" if name == "d" else "random"
+        argv = ["example", "--name", example]
+        for param in params:
+            argv += ["--param", param]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"parameter {name} must be an integer" in err
+
     def test_unphysical_parameters_exit_two(self, capsys):
         code, _, err = run(
             capsys,

@@ -190,7 +190,11 @@ class TestStandardFormExtraction:
     def test_rejects_asymmetric_covariance(self):
         v = np.eye(4)
         v[0, 1] = 1e-3
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(
+            lz.InvalidStateError,
+            match=r"hermiticity violation: max asymmetry 1\.000e-03 at entry \(0, 1\) "
+            r"of covariance matrix V",
+        ):
             lz.CovarianceState(v)
 
     def test_rejects_non_finite_covariance(self):
@@ -325,6 +329,18 @@ class TestSqueezedThermal:
             assert ar == pytest.approx(a, rel=1e-12, abs=0)
             assert br == pytest.approx(b, rel=1e-12, abs=0)
             assert rr == pytest.approx(r, abs=1e-12)
+
+    def test_vacuum_roundtrip_rebuilds(self):
+        # recovered vacuum parameters can land a rounding error below 1
+        # (a = 0.9999999999999432 at r = 1.995); they must still rebuild
+        for r in np.linspace(0.01, 2.0, 400):
+            form = lz.squeezed_thermal_form(1.0, 1.0, r)
+            rebuilt = lz.squeezed_thermal_form(*lz.squeezed_thermal_parameters(form))
+            assert rebuilt.c == pytest.approx(form.c, rel=1e-12, abs=0)
+
+    def test_thermal_parameters_below_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="thermal parameters must be >= 1"):
+            lz.squeezed_thermal_form(1.0 - 1e-8, 1.0, 0.3)
 
     def test_zero_squeezing(self):
         a, b, r = lz.squeezed_thermal_parameters(lz.GaussianStandardForm(2.0, 3.0, 0.0, 0.0))
@@ -531,13 +547,11 @@ class TestClosedFormFockSectors:
 
     @pytest.mark.parametrize("a,b", [(1.2, 1.0), (1.0, 1.2), (1.0, 1.0), (1.2, 1.0 - 1e-10)])
     def test_vacuum_mode_is_clamped(self, a, b):
-        # built without squeezed_thermal_form's a, b >= 1 check: even an
-        # exact vacuum, as in squeezed_thermal_form(1.2, 1.0, 0.3), can come
-        # back from squeezed_thermal_parameters a rounding error below 1
+        # b = 1 - 1e-10 lies inside the PHYSICALITY_TOL vacuum slack: an exact
+        # vacuum can come back from squeezed_thermal_parameters a rounding
+        # error below 1, and fock_truncate must clamp it to q = 0
         r = 0.3
-        ch, sh = math.cosh(r), math.sinh(r)
-        c = (a + b) * ch * sh
-        form = lz.GaussianStandardForm(a * ch**2 + b * sh**2, a * sh**2 + b * ch**2, c, -c)
+        form = lz.squeezed_thermal_form(a, b, r)
         rho = lz.fock_truncate(form, 10)
         # n1 > n2 needs a thermal excitation of mode A, n2 > n1 one of mode B
         for d, block in rho.sectors.items():

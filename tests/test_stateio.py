@@ -169,6 +169,10 @@ class TestExamples:
         with pytest.raises(ValueError, match="unknown parameters"):
             lz.generate_example("werner", {"q": 0.5})
 
+    def test_maximally_entangled_rejects_non_integer_dim(self):
+        with pytest.raises(lz.DimensionMismatchError, match="dimension must be an integer"):
+            lz.maximally_entangled(2.5)
+
     def test_unphysical_parameters_rejected(self):
         with pytest.raises(lz.InvalidStateError, match="positivity"):
             lz.generate_example("diagonal_correlation", {"correlations": 0.5})

@@ -3,12 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lazystates as lz
-from lazystates.su_algebra import (
-    StructureConstants,
-    build_su_basis,
-    structure_constants,
-    verify_basis,
-)
+from lazystates.su_algebra import StructureConstants, build_su_basis, structure_constants
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -109,9 +104,16 @@ def test_repeated_indices_vanish(su3):
 
 
 def test_dense_tensor_antisymmetry(su3):
-    f = su3.f.dense()
+    # scatter the signed permutations that contraction_matrix consumes; a
+    # repeated (i, j, k) would be summed by add.at and fail the value check
+    i, j, k, v = su3.f.permuted
+    f = np.zeros((su3.f.size,) * 3)
+    np.add.at(f, (i, j, k), v)
+    assert len(v) == 6 * len(su3.f)
     assert np.abs(f + np.swapaxes(f, 0, 1)).max() == 0.0
     assert np.abs(f + np.swapaxes(f, 1, 2)).max() == 0.0
+    for a, b, c in np.ndindex(f.shape):
+        assert f[a, b, c] == su3.f.value(a + 1, b + 1, c + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -120,7 +122,6 @@ def test_closed_form_matches_trace_oracle(n):
     oracle = structure_constants(basis.generators)
     assert np.array_equal(basis.f.index, oracle.index)
     assert_allclose(basis.f.data, oracle.data, rtol=0, atol=1e-14)
-    assert_allclose(basis.f.dense(), oracle.dense(), rtol=0, atol=1e-14)
 
 
 def test_nonzero_count_is_cubic():
@@ -147,16 +148,6 @@ def test_structure_constants_reject_scaled_generator(su3):
     gens[0] = 2.0 * gens[0]
     with pytest.raises(ValueError, match="Gram"):
         structure_constants(gens)
-
-
-def test_verify_basis_reports(su2, su3):
-    for basis in (su2, su3):
-        report = verify_basis(basis)
-        assert report.passed
-        assert report.max_trace < 1e-12
-        assert report.max_hermiticity < 1e-12
-        assert report.max_orthogonality < 1e-12
-        assert report.max_commutator < 1e-12
 
 
 def test_rebuild_is_deterministic():
