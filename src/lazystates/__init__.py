@@ -29,8 +29,8 @@ from .dynamics import (
     entropy,
     entropy_rate,
     evolve,
+    product_couplings,
     random_coupling,
-    random_couplings,
 )
 from .errors import (
     DimensionMismatchError,
@@ -83,7 +83,7 @@ __all__ = [
     "diagonal_correlation_state",
     # dynamics
     "Coupling", "DynamicsAudit", "entropy", "evolve", "entropy_rate",
-    "random_coupling", "random_couplings", "derive_trial_seed", "dynamics_audit",
+    "random_coupling", "product_couplings", "derive_trial_seed", "dynamics_audit",
     # gaussian
     "GaussianStandardForm", "CovarianceState", "UncertaintyCheck", "KernelPair",
     "characteristic_function", "standard_form_from_covariance",

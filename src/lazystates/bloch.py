@@ -130,6 +130,17 @@ def _check_integer(value, what: str) -> int:
     raise DimensionMismatchError(f"{what} must be an integer, got {value!r}")
 
 
+def _check_count(value, what: str, minimum: int = 0) -> int:
+    """`value` as an int >= minimum, e.g. a seed or a trial count.
+
+    Floats, bools and other non-integers raise ValueError naming `what`,
+    before any random draw can turn them into a numpy message.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_dims(dim_a, dim_b) -> tuple[int, int]:
     dim_a, dim_b = (_check_integer(dim, "subsystem dimension") for dim in (dim_a, dim_b))
     if dim_a < 1 or dim_b < 1:
@@ -427,7 +438,8 @@ def reduced_state(rho: DensityMatrix, side: Side) -> DensityMatrix:
 
 def random_density_matrix(dim_a: int, dim_b: int, seed) -> DensityMatrix:
     """Full-rank random state rho = G G^dag / tr(G G^dag), G complex Gaussian."""
-    rng = np.random.default_rng(seed)
+    dim_a, dim_b = _check_dims(dim_a, dim_b)
+    rng = np.random.default_rng(_check_count(seed, "seed"))
     d = dim_a * dim_b
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     w = g @ g.conj().T

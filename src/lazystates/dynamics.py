@@ -23,16 +23,13 @@ sampled maximum.
 tolerance `laziness.DEFAULT_TOL`, LAZY_RATE_TOL for the rates of a lazy
 state and NONLAZY_RATE_FLOOR for those of a non-lazy one.
 
-Seeding: the couplings of an audit with seed s are the stack
-`random_couplings(dim_a, dim_b, trials, s)`, drawn from the single stream
-`np.random.default_rng(s)`.  Each trial takes 2 d^2 standard normals in the
-layout (2, d, d), real part then imaginary part, and is Hermitized as
-(G + G^dag)/2.  Trial i is element i of that stack, so the couplings of a
-k-trial audit are a prefix of those of any longer audit with the same seed,
-and `random_coupling(dim_a, dim_b, s)` is element 0.  The audit never forms
-the Hamiltonians: for Hermitian K, Re tr(K (G + G^dag)/2) = Re vdot(K, G)
-is the dot product of [Re G, Im G] with [Re K, Im K], so each block of
-draws costs one real matrix-vector product.
+Seeding: an audit with seed s uses the product couplings H_i = A_i (x) B_i
+of `product_couplings(dim_a, dim_b, trials, s)`, one draw of 2 (n_A^2 +
+n_B^2) normals per trial from `np.random.default_rng(s)`, so a k-trial
+audit is a prefix of any longer one with the same seed.  Products span
+every coupling and keep the GUE entry covariance, so each rate has second
+moment ||K||_F^2.  With K realigned as M[(a, c), (b, d)] = K[(c, d), (a, b)],
+rate_i = Re vec(A_i)^T M vec(B_i): one matrix product serves all trials.
 """
 
 from __future__ import annotations
@@ -42,7 +39,15 @@ from typing import Literal
 
 import numpy as np
 
-from .bloch import DensityMatrix, Side, _check_hermitian, _marginal, reduced_state
+from .bloch import (
+    DensityMatrix,
+    Side,
+    _check_count,
+    _check_dims,
+    _check_hermitian,
+    _marginal,
+    reduced_state,
+)
 from .errors import DimensionMismatchError
 from .laziness import DEFAULT_TOL, _commutator, commutator_residual
 
@@ -52,8 +57,8 @@ __all__ = [
     "entropy",
     "evolve",
     "entropy_rate",
+    "product_couplings",
     "random_coupling",
-    "random_couplings",
     "derive_trial_seed",
     "dynamics_audit",
 ]
@@ -63,12 +68,9 @@ FD_STEP = 1e-5
 
 #: largest audit rate of a lazy state; its exact rates are rounding noise, ~1e-15
 LAZY_RATE_TOL = 1e-8
-#: a non-lazy audit must sample a rate above this; calibrated on the package's families
+#: a non-lazy audit must sample a rate above this; calibrated on the package's
+#: families, whose audit rates have second moment `rate_bound`^2
 NONLAZY_RATE_FLOOR = 1e-3
-
-#: trials per block of normal draws in `dynamics_audit`; it bounds the
-#: memory of one draw and does not change the stream
-TRIAL_BLOCK = 16
 
 RateMethod = Literal["analytic", "fd"]
 
@@ -169,50 +171,48 @@ def entropy_rate(
     return float((s_plus - s_minus) / (2.0 * FD_STEP))
 
 
-def _coupling_draws(dim_a: int, dim_b: int, count: int, seed: int):
-    """Blocks of (trials, 2, d, d) normals for `count` couplings, one stream.
-
-    Each trial's draw is the real part, then the imaginary part, of a
-    complex Gaussian G; blocks of TRIAL_BLOCK trials are consecutive draws
-    from `np.random.default_rng(seed)`, so the stream does not depend on
-    the block size.
-    """
+def _coupling_rng(dim_a, dim_b, seed):
+    """(dim_a, dim_b, default_rng(seed)), with both dimensions >= 2 and seed >= 0."""
+    dim_a, dim_b = _check_dims(dim_a, dim_b)
     if dim_a < 2 or dim_b < 2:
         raise DimensionMismatchError(
             f"coupling needs both dimensions >= 2, got ({dim_a}, {dim_b})"
         )
-    rng = np.random.default_rng(seed)
-    d = dim_a * dim_b
-    return (
-        rng.standard_normal((min(TRIAL_BLOCK, count - start), 2, d, d))
-        for start in range(0, count, TRIAL_BLOCK)
-    )
+    return dim_a, dim_b, np.random.default_rng(_check_count(seed, "seed"))
 
 
-def random_couplings(dim_a: int, dim_b: int, count: int, seed: int) -> np.ndarray:
-    """Stack of `count` Hermitian GUE couplings from one seeded stream.
+def _gue(normals: np.ndarray) -> np.ndarray:
+    """(G + G^dag)/2 for G = normals[..., 0, :, :] + i normals[..., 1, :, :]."""
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
-    Element i is (G_i + G_i^dag)/2, where G_i takes the i-th (2, d, d)
-    block of standard normals (real part, then imaginary part) from
-    `np.random.default_rng(seed)`; entries have unit variance.  The first
-    k elements do not depend on `count`, and element i is the coupling of
-    trial i of `dynamics_audit(..., seed=seed)`.
+
+def product_couplings(
+    dim_a: int, dim_b: int, count: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """GUE factor stacks (a, b); coupling i is kron(a[i], b[i]), trial i of an audit.
+
+    Row i of `np.random.default_rng(seed).standard_normal((count, 2 (dim_a^2
+    + dim_b^2)))` is [Re G_A, Im G_A, Re G_B, Im G_B], each factor Hermitized
+    as (G + G^dag)/2, so the first k couplings do not depend on `count`.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    draws = np.concatenate(list(_coupling_draws(dim_a, dim_b, count, seed)))
-    g = draws[:, 0] + 1j * draws[:, 1]
-    return (g + g.conj().transpose(0, 2, 1)) / 2.0
+    dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
+    count = _check_count(count, "count", 1)
+    draws = rng.standard_normal((count, 2 * (dim_a**2 + dim_b**2)))
+    split = 2 * dim_a**2
+    a = _gue(draws[:, :split].reshape(count, 2, dim_a, dim_a))
+    b = _gue(draws[:, split:].reshape(count, 2, dim_b, dim_b))
+    return a, b
 
 
 def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
-    """Hermitian coupling with Gaussian unitary ensemble statistics.
+    """GUE coupling (G + G^dag)/2, G from the (2, d, d) normals of `default_rng(seed)`.
 
-    Element 0 of `random_couplings(dim_a, dim_b, count, seed)` for any
-    count, i.e. the coupling of trial 0 of an audit with this seed.
-    Deterministic per seed.
+    Real part, then imaginary part; entries have unit variance.
     """
-    return Coupling(hamiltonian=random_couplings(dim_a, dim_b, 1, seed)[0], seed=int(seed))
+    dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
+    d = dim_a * dim_b
+    return Coupling(hamiltonian=_gue(rng.standard_normal((2, d, d))), seed=int(seed))
 
 
 def derive_trial_seed(seed: int, index: int) -> int:
@@ -222,7 +222,8 @@ def derive_trial_seed(seed: int, index: int) -> int:
     derives independent seeds for callers that draw one `random_coupling`
     per index.
     """
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+    key = (_check_count(seed, "seed"), _check_count(index, "index"))
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
 def dynamics_audit(
@@ -231,31 +232,27 @@ def dynamics_audit(
     trials: int = 100,
     seed: int = 0,
 ) -> DynamicsAudit:
-    """Entropy rates over a battery of seeded random couplings.
+    """Entropy rates over a battery of seeded product couplings.
 
-    Trial i uses element i of `random_couplings(rho.dim_a, rho.dim_b,
-    trials, seed)`; the rates are computed from the normal draws in blocks
-    of TRIAL_BLOCK trials, one matrix-vector product each, without forming
-    the couplings.
+    Trial i uses kron(a[i], b[i]) of `product_couplings(rho.dim_a,
+    rho.dim_b, trials, seed)`, with `trials` >= 1 and `seed` >= 0 integers.
 
     A state is lazy when its commutator residual is below DEFAULT_TOL.  The
     audit is consistent when a lazy state stays below LAZY_RATE_TOL on
     every trial and a non-lazy one exceeds NONLAZY_RATE_FLOOR on at least
     one.  The floor is calibrated per state family, not universal:
-    the couplings witness non-laziness with overwhelming probability, but
-    the rate magnitude depends on the state.
+    the couplings witness non-laziness with probability 1, but the rate
+    magnitude depends on the state.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _check_count(trials, "trials", 1)
+    na, nb = rho.dim_a, rho.dim_b
+    a, b = product_couplings(na, nb, trials, seed)
     lazy = commutator_residual(rho, side) < DEFAULT_TOL
     k = _rate_operator(rho, side)
-    k = (k + k.conj().T) / 2.0
-    # rate_i = Re vdot(K, G_i) = [Re G_i, Im G_i] . [Re K, Im K]
-    weights = np.stack((k.real, k.imag)).reshape(-1)
-    rates = []
-    for block in _coupling_draws(rho.dim_a, rho.dim_b, trials, seed):
-        rates.append(block.reshape(len(block), -1) @ weights)
-    rates = np.concatenate(rates)
+    # tr(K (A (x) B)) = vec(A)^T M vec(B) with M[(a, c), (b, d)] = K[(c, d), (a, b)];
+    # its real part reads only the Hermitian part of K, as `entropy_rate` does
+    m = k.reshape(na, nb, na, nb).transpose(2, 0, 3, 1).reshape(na * na, nb * nb)
+    rates = np.einsum("ij,ij->i", a.reshape(trials, -1) @ m, b.reshape(trials, -1)).real
     max_rate = float(np.abs(rates).max())
     consistent = max_rate < LAZY_RATE_TOL if lazy else max_rate > NONLAZY_RATE_FLOOR
     return DynamicsAudit(

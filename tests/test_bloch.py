@@ -124,6 +124,13 @@ class TestDensityMatrix:
         b = lz.random_density_matrix(3, 3, 77)
         assert np.array_equal(a.data, b.data)
 
+    def test_random_generator_checks_before_drawing(self):
+        with pytest.raises(lz.DimensionMismatchError, match="subsystem dimension"):
+            lz.random_density_matrix(2.5, 2, 0)
+        for seed in (-1, True, 0.5):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                lz.random_density_matrix(2, 2, seed)
+
 
 class TestDecompose:
     def test_maximally_mixed_is_origin(self):

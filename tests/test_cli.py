@@ -174,6 +174,12 @@ class TestDynamics:
         assert results["maxRate"] < 1e-8
         assert results["rateBound"] < 1e-12
 
+    def test_negative_seed_exits_two(self, capsys, bell_file):
+        code, out, err = run(capsys, ["dynamics", "--state", bell_file, "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "seed must be an integer >= 0, got -1" in err
+
     def test_witness_reports_the_exact_supremum(self, capsys, witness_file, witness):
         code, out, _ = run(capsys, ["dynamics", "--state", witness_file, "--trials", "5"])
         assert code == 0
@@ -312,6 +318,12 @@ class TestExample:
         assert code == 2
         assert out == ""
         assert f"parameter {name} must be an integer" in err
+
+    def test_negative_seed_exits_two(self, capsys):
+        code, out, err = run(capsys, ["example", "--name", "random", "--param", "seed=-1"])
+        assert code == 2
+        assert out == ""
+        assert "seed must be an integer >= 0, got -1" in err
 
     def test_unphysical_parameters_exit_two(self, capsys):
         code, _, err = run(

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import lazystates as lz
 from conftest import finite_difference_rate, kron_rate_operator
-from lazystates.dynamics import TRIAL_BLOCK, _rate_operator
+from lazystates.dynamics import _rate_operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -77,23 +79,18 @@ class TestRandomCoupling:
         with pytest.raises(lz.DimensionMismatchError):
             lz.random_coupling(1, 4, 0)
 
-    def test_stack_element_zero_is_random_coupling(self):
+    def test_draws_its_own_gue_block(self):
         for na, nb, seed in ((2, 2, 0), (2, 3, 123), (3, 2, 7), (5, 5, 2**40 + 5)):
-            single = lz.random_coupling(na, nb, seed).hamiltonian
-            first = lz.random_couplings(na, nb, 1, seed)[0]
-            assert single.tobytes() == first.tobytes()
-            assert lz.random_couplings(na, nb, 37, seed)[0].tobytes() == single.tobytes()
+            d = na * nb
+            normals = np.random.default_rng(seed).standard_normal((2, d, d))
+            g = normals[0] + 1j * normals[1]
+            expected = (g + g.conj().T) / 2.0
+            assert lz.random_coupling(na, nb, seed).hamiltonian.tobytes() == expected.tobytes()
 
-    def test_stack_is_one_unblocked_stream(self):
-        count = 2 * TRIAL_BLOCK + 5
-        stack = lz.random_couplings(3, 2, count, 11)
-        normals = np.random.default_rng(11).standard_normal((count, 2, 6, 6))
-        g = normals[:, 0] + 1j * normals[:, 1]
-        assert np.array_equal(stack, (g + g.conj().transpose(0, 2, 1)) / 2.0)
-        assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
-        assert np.array_equal(lz.random_couplings(3, 2, 9, 11), stack[:9])
-        with pytest.raises(ValueError, match="count"):
-            lz.random_couplings(3, 2, 0, 11)
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_rejects_invalid_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            lz.random_coupling(2, 2, seed)
 
     def test_rejects_non_finite_coupling(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -106,6 +103,60 @@ class TestRandomCoupling:
             lz.InvalidStateError, match=r"hermiticity violation.* at entry \(1, 2\) of the coupling"
         ):
             lz.Coupling(hamiltonian=h, seed=3)
+
+
+def product_stack_from_normals(na, nb, count, seed):
+    normals = np.random.default_rng(seed).standard_normal((count, 2 * (na * na + nb * nb)))
+    stacks = []
+    for n, block in ((na, normals[:, : 2 * na * na]), (nb, normals[:, 2 * na * na:])):
+        g = block[:, : n * n] + 1j * block[:, n * n:]
+        g = g.reshape(count, n, n)
+        stacks.append((g + g.conj().transpose(0, 2, 1)) / 2.0)
+    return stacks
+
+
+class TestDeriveTrialSeed:
+    def test_deterministic_and_index_dependent(self):
+        assert lz.derive_trial_seed(7, 0) == lz.derive_trial_seed(7, 0)
+        assert lz.derive_trial_seed(7, 0) != lz.derive_trial_seed(7, 1)
+
+    @pytest.mark.parametrize(
+        "seed,index,name",
+        [(-1, 0, "seed"), (1.5, 0, "seed"), (True, 0, "seed"), (0, -2, "index")],
+    )
+    def test_rejects_invalid_arguments(self, seed, index, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+            lz.derive_trial_seed(seed, index)
+
+
+class TestProductCouplings:
+    @pytest.mark.parametrize("na,nb", [(3, 2), (2, 5), (4, 4)])
+    def test_one_draw_in_row_layout(self, na, nb):
+        a, b = lz.product_couplings(na, nb, 37, 11)
+        expected_a, expected_b = product_stack_from_normals(na, nb, 37, 11)
+        assert a.shape == (37, na, na) and b.shape == (37, nb, nb)
+        assert np.array_equal(a, expected_a)
+        assert np.array_equal(b, expected_b)
+        assert np.array_equal(a, a.conj().transpose(0, 2, 1))
+        assert np.array_equal(b, b.conj().transpose(0, 2, 1))
+
+    def test_shorter_stack_is_a_prefix(self):
+        a, b = lz.product_couplings(3, 2, 37, 11)
+        short_a, short_b = lz.product_couplings(3, 2, 9, 11)
+        assert np.array_equal(short_a, a[:9]) and np.array_equal(short_b, b[:9])
+
+    @pytest.mark.parametrize("count", [0, True, 2.0])
+    def test_rejects_invalid_count(self, count):
+        with pytest.raises(ValueError, match="count"):
+            lz.product_couplings(3, 2, count, 11)
+
+    def test_rejects_invalid_seed_and_trivial_dimensions(self):
+        with pytest.raises(ValueError, match="seed"):
+            lz.product_couplings(3, 2, 4, -1)
+        with pytest.raises(lz.DimensionMismatchError):
+            lz.product_couplings(1, 4, 4, 0)
+        with pytest.raises(lz.DimensionMismatchError):
+            lz.product_couplings(2.5, 2, 4, 0)
 
 
 class TestEntropyRate:
@@ -239,43 +290,46 @@ class TestDynamicsAudit:
         assert audit.consistent_with_laziness
 
     def test_per_trial_rates_match_entropy_rate(self):
-        rho = lz.random_density_matrix(2, 3, 21)
-        couplings = lz.random_couplings(2, 3, 8, 4)
-        for side in ("A", "B"):
-            audit = lz.dynamics_audit(rho, side, trials=8, seed=4)
-            direct = [
-                lz.entropy_rate(rho, lz.Coupling(hamiltonian=h, seed=4), side)
-                for h in couplings
-            ]
-            np.testing.assert_allclose(audit.per_trial_rates, direct, rtol=0, atol=1e-14)
+        rng = np.random.default_rng(21)
+        pure_a = lz.product_state(pure_density(rng, 3), random_marginal(rng, 2))
+        pure = lz.DensityMatrix(3, 2, pure_density(rng, 6))
+        for rho in (lz.random_density_matrix(2, 3, 21), pure_a, pure):
+            a, b = lz.product_couplings(rho.dim_a, rho.dim_b, 35, 4)
+            for side in ("A", "B"):
+                audit = lz.dynamics_audit(rho, side, trials=35, seed=4)
+                assert len(audit.per_trial_rates) == audit.trials == 35
+                direct = [
+                    lz.entropy_rate(rho, lz.Coupling(hamiltonian=np.kron(ai, bi), seed=4), side)
+                    for ai, bi in zip(a, b)
+                ]
+                np.testing.assert_allclose(audit.per_trial_rates, direct, rtol=0, atol=1e-14)
 
     def test_shorter_audit_is_a_prefix(self, witness):
         long = lz.dynamics_audit(witness, "A", trials=100, seed=5)
         short = lz.dynamics_audit(witness, "A", trials=37, seed=5)
         assert short.per_trial_rates == long.per_trial_rates[:37]
 
-    def test_trial_count_off_the_block_size(self):
-        trials = 2 * TRIAL_BLOCK + 3
-        rho = lz.random_density_matrix(3, 2, 22)
-        audit = lz.dynamics_audit(rho, "B", trials=trials, seed=6)
-        assert len(audit.per_trial_rates) == audit.trials == trials
-        direct = [
-            lz.entropy_rate(rho, lz.Coupling(hamiltonian=h, seed=6), "B")
-            for h in lz.random_couplings(3, 2, trials, 6)
-        ]
-        np.testing.assert_allclose(audit.per_trial_rates, direct, rtol=0, atol=1e-14)
-
     @pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (4, 3)])
     def test_rate_bound_is_attained(self, na, nb):
         rho = lz.random_density_matrix(na, nb, 30 + na + nb)
+        a, b = lz.product_couplings(na, nb, 20, 8)
+        norms = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
         for side in ("A", "B"):
             audit = lz.dynamics_audit(rho, side, trials=20, seed=8)
             k = _rate_operator(rho, side)
             worst = lz.Coupling(hamiltonian=k / np.linalg.norm(k), seed=0)
             rate = lz.entropy_rate(rho, worst, side)
             assert rate == pytest.approx(audit.rate_bound, rel=1e-12, abs=0)
-            norms = np.linalg.norm(lz.random_couplings(na, nb, 20, 8), axis=(1, 2))
             assert np.all(np.abs(audit.per_trial_rates) <= audit.rate_bound * norms)
+
+    def test_second_moment_is_the_squared_rate_bound(self):
+        # product couplings keep the GUE entry covariance, so E[rate^2] =
+        # ||K||_F^2 and NONLAZY_RATE_FLOOR compares with rate_bound as before
+        rho = lz.random_density_matrix(3, 4, 40)
+        for side in ("A", "B"):
+            audit = lz.dynamics_audit(rho, side, trials=8000, seed=17)
+            second_moment = np.mean(np.square(audit.per_trial_rates))
+            assert second_moment == pytest.approx(audit.rate_bound**2, rel=0.1, abs=0)
 
     def test_rate_bound_vanishes_on_lazy_states(self, bell):
         rng = np.random.default_rng(13)
@@ -296,6 +350,30 @@ class TestDynamicsAudit:
         b = lz.dynamics_audit(witness, "A", trials=10, seed=9)
         assert a.per_trial_rates == b.per_trial_rates
 
-    def test_rejects_zero_trials(self, bell):
-        with pytest.raises(ValueError):
-            lz.dynamics_audit(bell, "A", trials=0, seed=0)
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"trials": 0}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"trials": 2.5}, "trials"),
+            ({"seed": -1}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"seed": 1.0}, "seed"),
+        ],
+    )
+    def test_rejects_invalid_trials_and_seed(self, bell, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            lz.dynamics_audit(bell, "A", **{"trials": 4, "seed": 0, **kwargs})
+
+    def test_local_dimension_32_stays_small(self):
+        # full GUE couplings traced 570 MB at this size; the product
+        # factors are 2 x 100 x 1024 complex numbers
+        rho = lz.random_density_matrix(32, 32, 3)
+        tracemalloc.start()
+        try:
+            audit = lz.dynamics_audit(rho, "A", trials=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert audit.consistent_with_laziness and audit.max_rate > 1e-3
+        assert peak < 100e6

@@ -91,7 +91,8 @@ def test_audit_rates_are_the_linear_form_on_the_coupling_stack(dims, rank_frac, 
     rank = 1 + int(rank_frac * (na * nb - 1))
     rho = wishart_state(na, nb, rank, seed)
     trials = 20
-    stack = lz.random_couplings(na, nb, trials, seed)
+    a, b = lz.product_couplings(na, nb, trials, seed)
+    stack = [np.kron(ai, bi) for ai, bi in zip(a, b)]
     for side in ("A", "B"):
         audit = lz.dynamics_audit(rho, side, trials=trials, seed=seed)
 
@@ -100,7 +101,7 @@ def test_audit_rates_are_the_linear_form_on_the_coupling_stack(dims, rank_frac, 
 
         direct = [rate(h) for h in stack]
         np.testing.assert_allclose(audit.per_trial_rates, direct, rtol=0, atol=1e-14)
-        norms = np.linalg.norm(stack, axis=(1, 2))
+        norms = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
         assert np.all(np.abs(audit.per_trial_rates) <= audit.rate_bound * norms)
         mixed = rate(stack[0] + scale * stack[1])
         assert abs(mixed - direct[0] - scale * direct[1]) < 1e-12
