@@ -160,6 +160,10 @@ class DensityMatrix:
     legitimately produce indefinite matrices, so it is exposed as the lazy
     `is_physical` flag instead and enforced only where callers demand it
     via `require_physical`.
+
+    The matrix is read-only, so two derived quantities are computed on
+    first read and kept: `eigenvalues` and `bloch_form`, the expansion over
+    the canonical bases that both sides' laziness verdicts read.
     """
 
     def __init__(self, dim_a: int, dim_b: int, data):
@@ -189,6 +193,11 @@ class DensityMatrix:
         vals = np.linalg.eigvalsh(self.data)
         vals.setflags(write=False)
         return vals
+
+    @cached_property
+    def bloch_form(self) -> "BlochForm":
+        """`decompose(self)` over the canonical bases; cached."""
+        return decompose(self)
 
     @property
     def min_eigenvalue(self) -> float:

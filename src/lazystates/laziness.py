@@ -60,7 +60,6 @@ from .bloch import (
     _check_tolerance,
     _marginal,
     _sector_blocks,
-    decompose,
     reconstruct,
 )
 from .errors import DimensionMismatchError
@@ -178,7 +177,8 @@ def is_lazy(rho: DensityMatrix, side: Side = "A", tol: float = DEFAULT_TOL) -> L
     The verdict comes from the commutator residual compared against `tol`;
     the criterion residual is computed alongside as a diagnostic, and only
     for a decided side of dimension >= 2 (a trivial side reports 0 without
-    a Bloch expansion).
+    a Bloch expansion).  The criterion reads the state's cached
+    `bloch_form`, so both sides of one state share one expansion.
     """
     _check_side(side)
     tol = _check_tolerance(tol)
@@ -186,7 +186,7 @@ def is_lazy(rho: DensityMatrix, side: Side = "A", tol: float = DEFAULT_TOL) -> L
     n = rho.dim_a if side == "A" else rho.dim_b
     criterion = 0.0
     if n >= 2:
-        g = criterion_matrix(decompose(rho), build_su_basis(n), side)
+        g = criterion_matrix(rho.bloch_form, build_su_basis(n), side)
         criterion = float(np.abs(g).max()) if g.size else 0.0
     return LazinessReport(
         side=side,

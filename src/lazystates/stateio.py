@@ -13,6 +13,7 @@ digits so that identical inputs reproduce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +158,7 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        if not np.isfinite(obj):
+        if not math.isfinite(obj):
             raise ValueError(f"non-finite value {obj!r} is not representable in JSON")
         # + 0.0 turns -0.0 into 0.0, which prints as the integer 0 reads back
         out.append(format(obj + 0.0, ".17g"))

@@ -179,6 +179,29 @@ class TestDecompose:
         assert_allclose(form.T, t, rtol=0, atol=1e-14)
 
 
+class TestBlochFormProperty:
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            lz.random_density_matrix(2, 3, 21),
+            lz.product_state(np.diag([0.7, 0.3]), np.diag([0.2, 0.5, 0.3])),
+            lz.fock_truncate(lz.squeezed_thermal_form(1.05, 1.02, 0.2), 6),
+        ],
+        ids=["complex", "real", "sector"],
+    )
+    def test_cached_equal_to_decompose_and_read_only(self, rho):
+        form = rho.bloch_form
+        assert rho.bloch_form is form
+        fresh = lz.decompose(rho)
+        for name in ("x", "y", "T"):
+            arr = getattr(form, name)
+            assert arr.dtype == getattr(fresh, name).dtype
+            assert arr.tobytes() == getattr(fresh, name).tobytes()
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+
 def sector_state(dim_a, dim_b, seed):
     """Random real sector state on a random subset of the shifts, in random order."""
     rng = np.random.default_rng(seed)

@@ -96,6 +96,18 @@ class TestCheck:
         assert report["isLazy"] is False
         assert report["commutatorResidual"] == pytest.approx(np.sqrt(2) / 8, rel=1e-12, abs=0)
 
+    def test_both_sides_match_the_single_side_reports(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        save_state(lz.random_density_matrix(3, 2, 8), path)
+        results = {}
+        for side in ("both", "A", "B"):
+            code, out, _ = run(capsys, ["check", "--state", str(path), "--side", side])
+            assert code == 1
+            results[side] = json.loads(out)["results"]
+        for side in ("A", "B"):
+            both = lz.canonical_json(results["both"][side])
+            assert both == lz.canonical_json(results[side][side])
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, ["check", "--state", str(tmp_path / "nope.json")])
         assert code == 2

@@ -229,6 +229,46 @@ class TestIsLazy:
                     assert abs(lz.commutator_residual(rotated, side) - base[side]) < 1e-11
 
 
+class TestSharedExpansion:
+    """Both sides' verdicts read one cached Bloch expansion of the state."""
+
+    def test_both_sides_decompose_once(self, monkeypatch):
+        calls = []
+        original = lz.bloch.decompose
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lz.bloch, "decompose", counting)
+        rho = lz.random_density_matrix(2, 3, 12)
+        lz.is_lazy(rho, "A")
+        lz.is_lazy(rho, "B")
+        assert len(calls) == 1
+        lz.is_lazy(lz.random_density_matrix(2, 3, 12), "A")
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            lz.SectorDensityMatrix(1, 4, {0: [[0.3]], -1: [[0.2]], -3: [[0.5]]}),
+            lz.SectorDensityMatrix(4, 1, {0: [[0.6]], 2: [[0.4]]}),
+            lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.4), 10),
+        ],
+        ids=["1x4", "4x1", "fock10"],
+    )
+    def test_sector_reports_match_a_fresh_expansion(self, rho):
+        for side in ("A", "B"):
+            report = lz.is_lazy(rho, side)
+            n = rho.dim_a if side == "A" else rho.dim_b
+            criterion = 0.0
+            if n >= 2:
+                g = lz.criterion_matrix(lz.decompose(rho), lz.build_su_basis(n), side)
+                criterion = float(np.abs(g).max()) if g.size else 0.0
+            assert report.criterion_residual == criterion
+            assert report.commutator_residual == lz.commutator_residual(rho, side)
+
+
 class TestDiagonalCorrelationFamily:
     def test_all_zero_is_maximally_mixed(self):
         rho = lz.diagonal_correlation_state(np.zeros(8), np.zeros(8), np.zeros(8))

@@ -26,9 +26,25 @@ class TestCanonicalJson:
         doc = {"x": [0.1, -3.7e8, 12], "flag": False}
         assert json.loads(canonical_json(doc)) == doc
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            canonical_json(float("inf"))
+    @pytest.mark.parametrize(
+        "value",
+        [
+            float("inf"),
+            float("nan"),
+            -float("inf"),
+            np.float64("nan"),
+            np.float32("inf"),
+            {"a": [1.0, [0.5, float("nan")]]},
+            np.array([[1.0, 2.0], [np.inf, 0.0]]),
+        ],
+        ids=["inf", "nan", "-inf", "np.float64-nan", "np.float32-inf", "nested", "ndarray"],
+    )
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite value"):
+            canonical_json(value)
+
+    def test_negative_zero_in_a_list_prints_as_zero(self):
+        assert canonical_json([-0.0, 1.5, [-0.0]]) == "[0,1.5,[0]]"
 
 
 class TestStateFiles:
