@@ -24,17 +24,24 @@ tolerance `laziness.DEFAULT_TOL`, LAZY_RATE_TOL for the rates of a lazy
 state and NONLAZY_RATE_FLOOR for those of a non-lazy one.
 
 Seeding: an audit with seed s uses the product couplings H_i = A_i (x) B_i
-of `product_couplings(dim_a, dim_b, trials, s)`, one draw of 2 (n_A^2 +
-n_B^2) normals per trial from `np.random.default_rng(s)`, so a k-trial
-audit is a prefix of any longer one with the same seed.  Products span
-every coupling and keep the GUE entry covariance, so each rate has second
-moment ||K||_F^2.  With K realigned as M[(a, c), (b, d)] = K[(c, d), (a, b)],
+of `product_couplings(dim_a, dim_b, trials, s)`, one draw of n_A^2 + n_B^2
+normals per trial from `np.random.default_rng(s)`, so a k-trial audit is a
+prefix of any longer one with the same seed.  Each factor is drawn in
+Hermitian coordinates, A = sum_p a_p h_p with i.i.d. N(0, 1) coefficients
+over the Frobenius-orthonormal basis {E_kk, (E_kl + E_lk)/sqrt2,
+i (E_kl - E_lk)/sqrt2 : k < l}: the law of the GUE factor (G + G^dag)/2
+from n^2 normals instead of 2 n^2.  Row i of the draw holds A_i's
+diagonal, then sqrt2 Re A_kl and sqrt2 Im A_kl for each k < l in
+`np.triu_indices` order, then the same for B_i.  Products span every
+coupling and keep the GUE entry covariance, so each rate has second moment
+||K||_F^2.  With K realigned as M[(a, c), (b, d)] = K[(c, d), (a, b)],
 rate_i = Re vec(A_i)^T M vec(B_i): one matrix product serves all trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -45,6 +52,7 @@ from .bloch import (
     _check_count,
     _check_dims,
     _check_hermitian,
+    _check_side,
     _marginal,
     reduced_state,
 )
@@ -87,6 +95,7 @@ class Coupling:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed"))
         h = np.array(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatchError(f"coupling must be square, got {h.shape}")
@@ -187,22 +196,54 @@ def _gue(normals: np.ndarray) -> np.ndarray:
     return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
+@lru_cache(maxsize=None)
+def _hermitian_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each float slot of vec(A), A n x n Hermitian: its coordinate and scale.
+
+    Slots 2 (a n + c) and 2 (a n + c) + 1 hold Re and Im of A[a, c].  The
+    coordinates are A's diagonal, then sqrt2 Re A_kl and sqrt2 Im A_kl for
+    each k < l in `np.triu_indices` order; the imaginary diagonal reads
+    coordinate 0 with scale 0.
+    """
+    d = np.arange(n)
+    k, l = np.triu_indices(n, 1)
+    half = np.sqrt(0.5)
+    pair = n + 2 * np.arange(k.size)
+    index = np.zeros((n, n, 2), dtype=np.intp)
+    scale = np.zeros((n, n, 2))
+    index[d, d, 0], scale[d, d, 0] = d, 1.0
+    for rows, cols, sign in ((k, l, 1.0), (l, k, -1.0)):
+        index[rows, cols, 0], scale[rows, cols, 0] = pair, half
+        index[rows, cols, 1], scale[rows, cols, 1] = pair + 1, sign * half
+    index.setflags(write=False)
+    scale.setflags(write=False)
+    return index.ravel(), scale.ravel()
+
+
+def _hermitian_stack(coords: np.ndarray, n: int) -> np.ndarray:
+    """(count, n, n) stack of A_i = sum_p coords[i, p] h_p, coords (count, n^2)."""
+    index, scale = _hermitian_gather(n)
+    flat = np.take(coords, index, axis=1)
+    flat *= scale
+    return flat.view(complex).reshape(-1, n, n)
+
+
 def product_couplings(
     dim_a: int, dim_b: int, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """GUE factor stacks (a, b); coupling i is kron(a[i], b[i]), trial i of an audit.
 
-    Row i of `np.random.default_rng(seed).standard_normal((count, 2 (dim_a^2
-    + dim_b^2)))` is [Re G_A, Im G_A, Re G_B, Im G_B], each factor Hermitized
-    as (G + G^dag)/2, so the first k couplings do not depend on `count`.
+    Row i of `np.random.default_rng(seed).standard_normal((count, dim_a^2 +
+    dim_b^2))` holds a[i]'s Hermitian coordinates, then b[i]'s: the
+    diagonal, then sqrt2 Re A_kl and sqrt2 Im A_kl for each k < l in
+    `np.triu_indices` order.  Each factor has the law of (G + G^dag)/2, and
+    the first k couplings do not depend on `count`.
     """
-    dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
     count = _check_count(count, "count", 1)
-    draws = rng.standard_normal((count, 2 * (dim_a**2 + dim_b**2)))
-    split = 2 * dim_a**2
-    a = _gue(draws[:, :split].reshape(count, 2, dim_a, dim_a))
-    b = _gue(draws[:, split:].reshape(count, 2, dim_b, dim_b))
-    return a, b
+    dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
+    draws = rng.standard_normal((count, dim_a**2 + dim_b**2))
+    split = dim_a**2
+    return _hermitian_stack(draws[:, :split], dim_a), _hermitian_stack(draws[:, split:], dim_b)
 
 
 def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
@@ -212,7 +253,7 @@ def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
     """
     dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
     d = dim_a * dim_b
-    return Coupling(hamiltonian=_gue(rng.standard_normal((2, d, d))), seed=int(seed))
+    return Coupling(hamiltonian=_gue(rng.standard_normal((2, d, d))), seed=seed)
 
 
 def derive_trial_seed(seed: int, index: int) -> int:
@@ -244,6 +285,7 @@ def dynamics_audit(
     the couplings witness non-laziness with probability 1, but the rate
     magnitude depends on the state.
     """
+    side = _check_side(side)
     trials = _check_count(trials, "trials", 1)
     na, nb = rho.dim_a, rho.dim_b
     a, b = product_couplings(na, nb, trials, seed)

@@ -5,6 +5,7 @@ import pytest
 
 import lazystates as lz
 from conftest import finite_difference_rate, kron_rate_operator
+from lazystates import dynamics
 from lazystates.dynamics import _rate_operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -92,6 +93,15 @@ class TestRandomCoupling:
         with pytest.raises(ValueError, match="seed"):
             lz.random_coupling(2, 2, seed)
 
+    @pytest.mark.parametrize("seed", [1.5, -3, "x", True])
+    def test_coupling_rejects_invalid_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            lz.Coupling(hamiltonian=np.eye(4), seed=seed)
+
+    def test_coupling_stores_an_int_seed(self):
+        seed = lz.Coupling(hamiltonian=np.eye(4), seed=np.int64(5)).seed
+        assert type(seed) is int and seed == 5
+
     def test_rejects_non_finite_coupling(self):
         with pytest.raises(ValueError, match="non-finite"):
             lz.Coupling(hamiltonian=np.full((4, 4), np.nan), seed=0)
@@ -105,14 +115,40 @@ class TestRandomCoupling:
             lz.Coupling(hamiltonian=h, seed=3)
 
 
+def hermitian_from_coordinates(coords, n):
+    """A = sum_p coords[p] h_p, entry by entry: the diagonal, then for each
+    k < l the pair (sqrt2 Re A_kl, sqrt2 Im A_kl)."""
+    s = np.sqrt(0.5)
+    a = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        a[k, k] = coords[k]
+    p = n
+    for k in range(n):
+        for l in range(k + 1, n):
+            a[k, l] = complex(coords[p] * s, coords[p + 1] * s)
+            a[l, k] = complex(coords[p] * s, -coords[p + 1] * s)
+            p += 2
+    return a
+
+
 def product_stack_from_normals(na, nb, count, seed):
-    normals = np.random.default_rng(seed).standard_normal((count, 2 * (na * na + nb * nb)))
-    stacks = []
-    for n, block in ((na, normals[:, : 2 * na * na]), (nb, normals[:, 2 * na * na:])):
-        g = block[:, : n * n] + 1j * block[:, n * n:]
-        g = g.reshape(count, n, n)
-        stacks.append((g + g.conj().transpose(0, 2, 1)) / 2.0)
-    return stacks
+    normals = np.random.default_rng(seed).standard_normal((count, na * na + nb * nb))
+    return [
+        np.array([hermitian_from_coordinates(row, n) for row in block])
+        for n, block in ((na, normals[:, : na * na]), (nb, normals[:, na * na:]))
+    ]
+
+
+def gue_entry_covariance(n):
+    """Covariance of [Re vec A, Im vec A] for A = (G + G^dag)/2, G with 2 n^2
+    unit normals: L L^T with column j of L the image of the j-th normal."""
+    columns = []
+    for g in np.eye(2 * n * n):
+        g = (g[: n * n] + 1j * g[n * n:]).reshape(n, n)
+        a = ((g + g.conj().T) / 2.0).ravel()
+        columns.append(np.concatenate([a.real, a.imag]))
+    lin = np.array(columns).T
+    return lin @ lin.T
 
 
 class TestDeriveTrialSeed:
@@ -139,6 +175,41 @@ class TestProductCouplings:
         assert np.array_equal(b, expected_b)
         assert np.array_equal(a, a.conj().transpose(0, 2, 1))
         assert np.array_equal(b, b.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("na,nb", [(3, 2), (2, 5), (4, 4)])
+    def test_coordinates_are_orthonormal(self, na, nb):
+        normals = np.random.default_rng(11).standard_normal((37, na * na + nb * nb))
+        for n, stack, coords in zip(
+            (na, nb),
+            lz.product_couplings(na, nb, 37, 11),
+            (normals[:, : na * na], normals[:, na * na:]),
+        ):
+            basis = np.array([hermitian_from_coordinates(e, n) for e in np.eye(n * n)])
+            gram = np.einsum("pab,qba->pq", basis, basis)
+            assert np.abs(gram - np.eye(n * n)).max() < 1e-15
+            norms = np.linalg.norm(stack, axis=(1, 2)) ** 2
+            np.testing.assert_allclose(norms, np.square(coords).sum(axis=1), rtol=1e-13, atol=0)
+            traces = np.einsum("iab,pba->ip", stack, basis)
+            assert np.abs(traces.imag).max() < 1e-15
+            np.testing.assert_allclose(traces.real, coords, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("na,nb", [(3, 3), (4, 2)])
+    def test_entry_law_is_gue(self, na, nb):
+        # 20 000 draws: every mean and (co)variance of the real and imaginary
+        # entry parts of both factors within five standard errors of (G + G^dag)/2's
+        count = 20_000
+        a, b = lz.product_couplings(na, nb, count, 23)
+        a, b = a.reshape(count, -1), b.reshape(count, -1)
+        x = np.concatenate([a.real, a.imag, b.real, b.imag], axis=1)
+        sa, sb = gue_entry_covariance(na), gue_entry_covariance(nb)
+        expected = np.block([
+            [sa, np.zeros((len(sa), len(sb)))], [np.zeros((len(sb), len(sa))), sb]
+        ])
+        var = np.diag(expected)
+        assert np.all(np.abs(x.mean(axis=0)) <= 5 * np.sqrt(var / count) + 1e-12)
+        sample = np.cov(x, rowvar=False)
+        stderr = np.sqrt((np.outer(var, var) + expected**2) / count)
+        assert np.all(np.abs(sample - expected) <= 5 * stderr + 1e-12)
 
     def test_shorter_stack_is_a_prefix(self):
         a, b = lz.product_couplings(3, 2, 37, 11)
@@ -364,6 +435,14 @@ class TestDynamicsAudit:
     def test_rejects_invalid_trials_and_seed(self, bell, kwargs, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             lz.dynamics_audit(bell, "A", **{"trials": 4, "seed": 0, **kwargs})
+
+    def test_checks_side_before_drawing(self, bell, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("couplings drawn before the side was checked")
+
+        monkeypatch.setattr(dynamics, "product_couplings", no_draw)
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            lz.dynamics_audit(bell, "C", trials=4, seed=0)
 
     def test_local_dimension_32_stays_small(self):
         # full GUE couplings traced 570 MB at this size; the product
