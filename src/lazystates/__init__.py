@@ -44,9 +44,7 @@ from .gaussian import (
     CovarianceState,
     GaussianStandardForm,
     KernelPair,
-    UncertaintyCheck,
     characteristic_function,
-    check_uncertainty,
     commutator_kernels,
     fock_truncate,
     is_lazy_gaussian,
@@ -85,9 +83,9 @@ __all__ = [
     "Coupling", "DynamicsAudit", "entropy", "evolve", "entropy_rate",
     "random_coupling", "product_couplings", "derive_trial_seed", "dynamics_audit",
     # gaussian
-    "GaussianStandardForm", "CovarianceState", "UncertaintyCheck", "KernelPair",
+    "GaussianStandardForm", "CovarianceState", "KernelPair",
     "characteristic_function", "standard_form_from_covariance",
-    "check_uncertainty", "commutator_kernels", "kernel_determinant",
+    "commutator_kernels", "kernel_determinant",
     "kernel_quadratic_closed_form", "kernel_quadratic_difference",
     "is_lazy_gaussian", "squeezed_thermal_parameters", "squeezed_thermal_form",
     "fock_truncate", "random_standard_form",

@@ -26,8 +26,8 @@ from .errors import (
 )
 from .examples import EXAMPLE_NAMES, generate_example
 from .gaussian import (
+    QUADRATIC_IDENTITY_TOL,
     GaussianStandardForm,
-    check_uncertainty,
     commutator_kernels,
     fock_truncate,
     is_lazy_gaussian,
@@ -159,7 +159,6 @@ def _handle_gaussian(args):
         form = standard_form_from_covariance(load_covariance(args.cov))
         params = {"cov": args.cov, "tol": args.tol}
     lazy = is_lazy_gaussian(form, args.tol)
-    chk = check_uncertainty(form)
     pair = commutator_kernels(form)
     det_closed = kernel_determinant(form)
     # minus = conj(plus), so det(minus) is the conjugate and equally far off
@@ -171,7 +170,7 @@ def _handle_gaussian(args):
         )
         for u, v in _KERNEL_PROBES
     )
-    if quad_residual > 1e-9:
+    if quad_residual > QUADRATIC_IDENTITY_TOL:
         raise ArithmeticError(
             f"kernel quadratic-form identity violated: residual {quad_residual:.3e}"
         )
@@ -182,7 +181,7 @@ def _handle_gaussian(args):
             "c": form.c,
             "cPrime": form.c_prime,
         },
-        "symplecticEigenvalues": [chk.nu_minus, chk.nu_plus],
+        "symplecticEigenvalues": [form.nu_minus, form.nu_plus],
         "isLazy": lazy,
         "detIdentityResidual": float(det_residual),
         "quadraticIdentityResidual": float(quad_residual),
@@ -195,7 +194,7 @@ def _handle_gaussian(args):
     summary = (
         f"(n, m, c, c') = ({form.n:g}, {form.m:g}, {form.c:g}, {form.c_prime:g}): "
         f"{'lazy (product state)' if lazy else 'not lazy'}, "
-        f"nu_minus = {chk.nu_minus:.6g}"
+        f"nu_minus = {form.nu_minus:.6g}"
     )
     return params, results, code, summary
 

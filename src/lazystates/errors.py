@@ -14,7 +14,8 @@ class DimensionMismatchError(LazyStatesError, ValueError):
 
 
 class UnphysicalFormError(LazyStatesError, ValueError):
-    """A covariance matrix or standard form fails the uncertainty relation."""
+    """A covariance matrix or standard form is not positive definite or fails
+    the uncertainty relation nu_minus >= 1."""
 
 
 class TruncationError(LazyStatesError, ArithmeticError):

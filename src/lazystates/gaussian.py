@@ -6,15 +6,24 @@ by the quadruple (n, m, c, c') of its standard-form covariance matrix
     M = [[n, 0,  c,  0 ],
          [0, n,  0,  c'],
          [c, 0,  m,  0 ],
-         [0, c', 0,  m ]],     n >= 1, m >= 1,
+         [0, c', 0,  m ]],
 
 written in (Im l1, Re l1, Im l2, Re l2) ordering of the characteristic
 function chi(l1, l2) = exp(-xi^T M xi / 2), with the vacuum normalized to
-M = I.  Physicality is the symplectic condition nu_minus >= 1, where
+M = I.  The form is physical (M + i Omega >= 0) exactly when M > 0, i.e.
+n, m > 0, n m > c^2 and n m > c'^2, and its smaller symplectic eigenvalue
+satisfies nu_minus >= 1, where
 
     nu_pm^2 = (Delta pm sqrt(Delta^2 - 4 det M)) / 2,
     Delta   = n^2 + m^2 + 2 c c',
     det M   = (n m - c^2)(n m - c'^2).
+
+The nu_minus condition alone is not enough: M = (1, 1, 3, 3) has nu = 2, 4
+but eigenvalues -2 and 4.  A `GaussianStandardForm` exists only if it is
+physical, so nothing downstream checks physicality again.  For M > 0,
+nu_minus <= min(n, m) in exact arithmetic, but not in floats: once m^2
+swamps n^2 in Delta, (0.5, 1e8, 1, -1) computes nu_minus = 1.  So n, m >= 1
+is checked directly, before M > 0 and nu_minus.
 
 Such a state commutes with its reduced state exactly when c = c' = 0,
 i.e. when it is a product state.  The decision is cross-checked here in
@@ -43,7 +52,7 @@ two independent ways:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,11 +63,9 @@ from .laziness import DEFAULT_TOL
 __all__ = [
     "GaussianStandardForm",
     "CovarianceState",
-    "UncertaintyCheck",
     "KernelPair",
     "characteristic_function",
     "standard_form_from_covariance",
-    "check_uncertainty",
     "commutator_kernels",
     "kernel_determinant",
     "kernel_quadratic_closed_form",
@@ -73,18 +80,28 @@ __all__ = [
 #: slack allowed below the exact nu_minus >= 1 physicality boundary
 PHYSICALITY_TOL = 1e-9
 
+#: largest gap accepted between `kernel_quadratic_difference` and its closed form
+QUADRATIC_IDENTITY_TOL = 1e-9
+
 #: maximum trace allowed outside the requested Fock block
 MAX_TRACE_DEFICIT = 1e-6
 
 
 @dataclass(frozen=True)
 class GaussianStandardForm:
-    """Standard-form parameters (n, m, c, c') of a two-mode covariance."""
+    """Standard-form parameters (n, m, c, c') of a physical two-mode covariance.
+
+    Construction raises UnphysicalFormError unless n, m >= 1 -
+    PHYSICALITY_TOL, M > 0 and nu_minus >= 1 - PHYSICALITY_TOL; the
+    symplectic eigenvalues are kept as `nu_minus` and `nu_plus`.
+    """
 
     n: float
     m: float
     c: float
     c_prime: float
+    nu_minus: float = field(init=False, repr=False, compare=False)
+    nu_plus: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n", "m", "c", "c_prime"):
@@ -92,10 +109,26 @@ class GaussianStandardForm:
             if not math.isfinite(value):
                 raise ValueError(f"non-finite standard-form parameter {name} = {value}")
             object.__setattr__(self, name, value)
-        if self.n < 1.0 - PHYSICALITY_TOL or self.m < 1.0 - PHYSICALITY_TOL:
+        n, m, c, cp = self.n, self.m, self.c, self.c_prime
+        if n < 1.0 - PHYSICALITY_TOL or m < 1.0 - PHYSICALITY_TOL:
+            raise UnphysicalFormError(f"local variances must be >= 1, got n={n}, m={m}")
+        if not (n * m > c * c and n * m > cp * cp):
             raise UnphysicalFormError(
-                f"local variances must be >= 1, got n={self.n}, m={self.m}"
+                f"standard form (n, m, c, c') = ({n:.6g}, {m:.6g}, {c:.6g}, {cp:.6g}) "
+                "is not positive definite: needs nm > c^2 and nm > c'^2"
             )
+        delta = n * n + m * m + 2.0 * c * cp
+        det_m = (n * m - c * c) * (n * m - cp * cp)
+        # Delta^2 - 4 det M >= 0 for M > 0; the clamp only absorbs rounding
+        root = math.sqrt(max(delta * delta - 4.0 * det_m, 0.0))
+        nu_minus = math.sqrt(max((delta - root) / 2.0, 0.0))
+        if nu_minus < 1.0 - PHYSICALITY_TOL:
+            raise UnphysicalFormError(
+                f"standard form violates the uncertainty relation: "
+                f"nu_minus = {nu_minus:.6g}"
+            )
+        object.__setattr__(self, "nu_minus", nu_minus)
+        object.__setattr__(self, "nu_plus", math.sqrt((delta + root) / 2.0))
 
     def matrix(self) -> np.ndarray:
         """The 4x4 standard-form covariance matrix."""
@@ -137,13 +170,6 @@ class CovarianceState:
 
 
 @dataclass(frozen=True)
-class UncertaintyCheck:
-    physical: bool
-    nu_minus: float
-    nu_plus: float
-
-
-@dataclass(frozen=True)
 class KernelPair:
     """The two overlap kernels; `minus` is the entrywise conjugate of `plus`."""
 
@@ -159,27 +185,6 @@ def characteristic_function(
     lambda2 = complex(lambda2)
     xi = np.array([lambda1.imag, lambda1.real, lambda2.imag, lambda2.real])
     return float(np.exp(-0.5 * xi @ form.matrix() @ xi))
-
-
-def check_uncertainty(form: GaussianStandardForm) -> UncertaintyCheck:
-    """Symplectic eigenvalues of the standard form and the physicality verdict."""
-    n, m, c, cp = form.n, form.m, form.c, form.c_prime
-    delta = n * n + m * m + 2.0 * c * cp
-    det_m = (n * m - c * c) * (n * m - cp * cp)
-    inner = delta * delta - 4.0 * det_m
-    if inner < -1e-9 * max(1.0, delta * delta):
-        raise ValueError(
-            "malformed standard form: complex symplectic spectrum "
-            f"(discriminant {inner:.3e})"
-        )
-    root = math.sqrt(max(inner, 0.0))
-    nu_minus = math.sqrt(max((delta - root) / 2.0, 0.0))
-    nu_plus = math.sqrt((delta + root) / 2.0)
-    return UncertaintyCheck(
-        physical=nu_minus >= 1.0 - PHYSICALITY_TOL,
-        nu_minus=nu_minus,
-        nu_plus=nu_plus,
-    )
 
 
 def _unit_det_whitener(block: np.ndarray, label: str) -> np.ndarray:
@@ -219,19 +224,12 @@ def standard_form_from_covariance(cov: CovarianceState) -> GaussianStandardForm:
     cross = s1 @ block_c @ s2.T
     u, sing, vt = np.linalg.svd(cross)
     orientation = float(np.sign(np.linalg.det(u) * np.linalg.det(vt)))
-    form = GaussianStandardForm(
+    return GaussianStandardForm(
         n=math.sqrt(det_a),
         m=math.sqrt(det_b),
         c=float(sing[0]),
         c_prime=float(orientation * sing[1]),
     )
-    chk = check_uncertainty(form)
-    if not chk.physical:
-        raise UnphysicalFormError(
-            f"covariance violates the uncertainty relation: nu_minus = "
-            f"{chk.nu_minus:.6g}"
-        )
-    return form
 
 
 def commutator_kernels(form: GaussianStandardForm) -> KernelPair:
@@ -285,9 +283,6 @@ def kernel_quadratic_difference(
     """
     u = complex(u)
     v = complex(v)
-    det = kernel_determinant(form)
-    if abs(det) < 1e-12:
-        raise np.linalg.LinAlgError("singular overlap kernels")
     b = np.array([u.imag, u.real, v.imag, v.real, u.imag, u.real])
     return 2j * float((b @ np.linalg.solve(commutator_kernels(form).plus, b)).imag)
 
@@ -295,12 +290,6 @@ def kernel_quadratic_difference(
 def is_lazy_gaussian(form: GaussianStandardForm, tol: float = DEFAULT_TOL) -> bool:
     """Lazy iff both cross-correlations vanish, i.e. the state is a product."""
     tol = _check_tolerance(tol)
-    chk = check_uncertainty(form)
-    if not chk.physical:
-        raise UnphysicalFormError(
-            f"standard form violates the uncertainty relation: "
-            f"nu_minus = {chk.nu_minus:.6g}"
-        )
     return abs(form.c) < tol and abs(form.c_prime) < tol
 
 
@@ -320,12 +309,8 @@ def squeezed_thermal_parameters(form: GaussianStandardForm) -> tuple[float, floa
     if abs(c) < 1e-15:
         a, b, r = n, m, 0.0
     else:
-        inner = total * total - 4.0 * c * c
-        if inner <= 0:
-            raise ValueError(
-                f"no squeezed-thermal solution: |c|={abs(c)} too large for n+m={total}"
-            )
-        root = math.sqrt(inner)
+        # (n + m)^2 - 4 c^2 = (n - m)^2 + 4 (nm - c^2) > 0 since M > 0
+        root = math.sqrt(total * total - 4.0 * c * c)
         a = (root + (n - m)) / 2.0
         b = (root - (n - m)) / 2.0
         r = 0.5 * math.atanh(2.0 * c / total)
@@ -464,9 +449,10 @@ def random_standard_form(
     """Sample a physical standard form for property batteries.
 
     `family="squeezed_thermal"` draws thermal parameters in [1, 4] and a
-    squeezing in [0, 0.8]; `"general"` rejection-samples independent
-    (c, c') against the uncertainty relation; `"mixed"` picks either with
-    equal probability.
+    squeezing in [0, 0.8]; `"general"` draws n, m in [1, 4] and independent
+    c, c' in [-2, 2] until the draw is a physical form (M > 0 and
+    nu_minus >= 1, as `GaussianStandardForm` requires); `"mixed"` picks
+    either with equal probability.
     """
     if family not in ("mixed", "squeezed_thermal", "general"):
         raise ValueError(f"unknown family {family!r}")
@@ -480,9 +466,7 @@ def random_standard_form(
     while True:
         n, m = rng.uniform(1.0, 4.0, size=2)
         c, cp = rng.uniform(-2.0, 2.0, size=2)
-        form = GaussianStandardForm(n=n, m=m, c=c, c_prime=cp)
         try:
-            if check_uncertainty(form).physical:
-                return form
-        except ValueError:
+            return GaussianStandardForm(n=n, m=m, c=c, c_prime=cp)
+        except UnphysicalFormError:
             continue

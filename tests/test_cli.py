@@ -249,6 +249,20 @@ class TestGaussian:
         assert code == 2
         assert "uncertainty" in err
 
+    def test_non_positive_definite_form_exits_two(self, capsys, tmp_path):
+        # nu = 2, 4 pass nu_minus >= 1, but M has eigenvalues -2, -2, 4, 4
+        code, out, err = run(capsys, ["gaussian", "--form", "1,1,3,3"])
+        assert code == 2
+        assert out == ""
+        assert "positive definite" in err
+        path = tmp_path / "cov.json"
+        v = [[1, 0, 3, 0], [0, 1, 0, 3], [3, 0, 1, 0], [0, 3, 0, 1]]
+        path.write_text(lz.canonical_json({"V": v}))
+        code, out, err = run(capsys, ["gaussian", "--cov", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "positive definite" in err
+
     def test_covariance_file_input(self, capsys, tmp_path):
         form = lz.GaussianStandardForm(2.0, 2.0, 0.5, -0.5)
         path = tmp_path / "cov.json"

@@ -15,6 +15,9 @@ from conftest import (
 
 GAP_23 = 2.0 * (1.0 + 3.0) * (2.0 + 2.0)  # kernel determinant gap at n=2, m=3
 
+#: the symplectic form in (Im l1, Re l1, Im l2, Re l2) ordering
+SYMPLECTIC_FORM = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
 
 def rotation_pair(theta1, theta2):
     """Local per-mode rotations, symplectic in the paired ordering."""
@@ -48,6 +51,10 @@ class TestStandardForm:
     def test_rejects_subvacuum_variances(self):
         with pytest.raises(lz.UnphysicalFormError):
             lz.GaussianStandardForm(0.9, 1.0, 0.0, 0.0)
+        # M > 0 and the true nu_minus <= n = 0.5, but m^2 swamps n^2 in Delta
+        # and the computed nu_minus rounds to exactly 1
+        with pytest.raises(lz.UnphysicalFormError, match="local variances must be >= 1"):
+            lz.GaussianStandardForm(0.5, 1e8, 1.0, -1.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite standard-form parameter n"):
@@ -103,26 +110,57 @@ class TestCharacteristicFunction:
 
 class TestUncertainty:
     def test_vacuum_is_boundary(self):
-        chk = lz.check_uncertainty(lz.GaussianStandardForm(1.0, 1.0, 0.0, 0.0))
-        assert chk.physical
-        assert chk.nu_minus == pytest.approx(1.0, abs=1e-15)
-        assert chk.nu_plus == pytest.approx(1.0, abs=1e-15)
+        form = lz.GaussianStandardForm(1.0, 1.0, 0.0, 0.0)
+        assert form.nu_minus == pytest.approx(1.0, abs=1e-15)
+        assert form.nu_plus == pytest.approx(1.0, abs=1e-15)
 
     def test_thermal_product(self):
-        chk = lz.check_uncertainty(lz.GaussianStandardForm(3.0, 2.0, 0.0, 0.0))
-        assert chk.physical
-        assert chk.nu_minus == pytest.approx(2.0, abs=1e-12)
-        assert chk.nu_plus == pytest.approx(3.0, abs=1e-12)
+        form = lz.GaussianStandardForm(3.0, 2.0, 0.0, 0.0)
+        assert form.nu_minus == pytest.approx(2.0, abs=1e-12)
+        assert form.nu_plus == pytest.approx(3.0, abs=1e-12)
 
     def test_overcorrelated_form_unphysical(self):
         # Delta = 2.5, det M = 0.5625, so nu_minus = 0.5 exactly
-        chk = lz.check_uncertainty(lz.GaussianStandardForm(1.0, 1.0, 0.5, 0.5))
-        assert not chk.physical
-        assert chk.nu_minus == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(lz.UnphysicalFormError, match=r"nu_minus = 0\.5$"):
+            lz.GaussianStandardForm(1.0, 1.0, 0.5, 0.5)
 
     def test_complex_spectrum_rejected(self):
-        with pytest.raises(ValueError, match="symplectic"):
-            lz.check_uncertainty(lz.GaussianStandardForm(1.0, 2.0, 2.0, -2.0))
+        # Delta^2 < 4 det M here; such a form is never positive definite
+        with pytest.raises(lz.UnphysicalFormError, match="positive definite"):
+            lz.GaussianStandardForm(1.0, 2.0, 2.0, -2.0)
+
+    def test_non_positive_definite_form_rejected(self):
+        # M has eigenvalues -2, -2, 4, 4 but nu = 2, 4 pass nu_minus >= 1
+        with pytest.raises(lz.UnphysicalFormError, match="positive definite"):
+            lz.GaussianStandardForm(1.0, 1.0, 3.0, 3.0)
+
+    def test_constructor_matches_simon_criterion(self):
+        # physical iff M + i Omega >= 0 (Simon, PRL 84, 2726 (2000)), with
+        # the symplectic eigenvalues the moduli of the eigenvalues of Omega M
+        rng = np.random.default_rng(2000)
+        accepted = rejected = 0
+        saw_signs = set()
+        for _ in range(3000):
+            n, m = rng.uniform(0.5, 5.0, size=2)
+            c, cp = rng.uniform(-5.0, 5.0, size=2)
+            v = np.array([[n, 0, c, 0], [0, n, 0, cp], [c, 0, m, 0], [0, cp, 0, m]])
+            lowest = np.linalg.eigvalsh(v + 1j * SYMPLECTIC_FORM).min()
+            if abs(lowest) < 1e-7:
+                continue
+            try:
+                form = lz.GaussianStandardForm(n, m, c, cp)
+            except lz.UnphysicalFormError:
+                assert lowest < 0.0, (n, m, c, cp)
+                rejected += 1
+                continue
+            assert lowest > 0.0, (n, m, c, cp)
+            accepted += 1
+            saw_signs.add(np.sign(c * cp))
+            nu = np.sort(np.abs(np.linalg.eigvals(SYMPLECTIC_FORM @ v)))
+            assert form.nu_minus == pytest.approx(nu[0], rel=1e-12, abs=0)
+            assert form.nu_plus == pytest.approx(nu[-1], rel=1e-12, abs=0)
+        assert accepted > 300 and rejected > 300
+        assert saw_signs == {-1.0, 1.0}
 
 
 class TestStandardFormExtraction:
@@ -308,6 +346,7 @@ class TestLazinessDecision:
         assert lz.is_lazy_gaussian(form, tol=1e-10)
 
     def test_unphysical_form_rejected(self):
+        # the constructor raises, so no unphysical form reaches the decision
         with pytest.raises(lz.UnphysicalFormError):
             lz.is_lazy_gaussian(lz.GaussianStandardForm(1.0, 1.0, 0.5, 0.5))
 
@@ -351,8 +390,15 @@ class TestSqueezedThermal:
             lz.squeezed_thermal_parameters(lz.GaussianStandardForm(2.0, 2.0, 0.5, -0.4))
 
     def test_subvacuum_solution_rejected(self):
-        with pytest.raises(ValueError, match="below vacuum"):
-            lz.squeezed_thermal_parameters(lz.GaussianStandardForm(1.0, 3.0, 1.8, -1.8))
+        # the thermal parameters of a c' = -c form are its symplectic
+        # eigenvalues, so a solution below vacuum is not a form at all:
+        # here a = (sqrt(7) - 2) / 2
+        a = (math.sqrt(7.0) - 2.0) / 2.0
+        with pytest.raises(lz.UnphysicalFormError, match=f"nu_minus = {a:.6g}"):
+            lz.GaussianStandardForm(1.0, 3.0, 1.5, -1.5)
+        # (n + m)^2 < 4 c^2: no real solution, and M is not positive definite
+        with pytest.raises(lz.UnphysicalFormError, match="positive definite"):
+            lz.GaussianStandardForm(1.0, 3.0, 1.8, -1.8)
 
 
 class TestFockTruncation:
@@ -602,7 +648,10 @@ class TestRandomStandardForm:
         rng = np.random.default_rng(61)
         for _ in range(25):
             form = lz.random_standard_form(rng, family=family)
-            assert lz.check_uncertainty(form).physical
+            v = form.matrix()
+            assert np.linalg.eigvalsh(v).min() > 0.0
+            assert np.linalg.eigvalsh(v + 1j * SYMPLECTIC_FORM).min() >= -1e-12
+            assert form.nu_minus >= 1.0
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
