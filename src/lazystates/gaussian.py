@@ -21,9 +21,15 @@ satisfies nu_minus >= 1, where
 The nu_minus condition alone is not enough: M = (1, 1, 3, 3) has nu = 2, 4
 but eigenvalues -2 and 4.  A `GaussianStandardForm` exists only if it is
 physical, so nothing downstream checks physicality again.  For M > 0,
-nu_minus <= min(n, m) in exact arithmetic, but not in floats: once m^2
-swamps n^2 in Delta, (0.5, 1e8, 1, -1) computes nu_minus = 1.  So n, m >= 1
-is checked directly, before M > 0 and nu_minus.
+nu_minus <= min(n, m), and n, m >= 1 is still checked directly, before
+M > 0 and nu_minus, so a sub-vacuum variance is named as such.
+
+Once m^2 dominates Delta, Delta - sqrt(Delta^2 - 4 det M) cancels even
+when nm - c^2 keeps all its digits, so nu_minus is taken from the Vieta
+form nu_minus^2 = 2 det M / (Delta + root), with the discriminant written
+without Delta^2:
+
+    root^2 = Delta^2 - 4 det M = (n^2 - m^2)^2 + 4 (n c + m c')(n c' + m c).
 
 Such a state commutes with its reduced state exactly when c = c' = 0,
 i.e. when it is a product state.  The decision is cross-checked here in
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,7 +100,9 @@ class GaussianStandardForm:
 
     Construction raises UnphysicalFormError unless n, m >= 1 -
     PHYSICALITY_TOL, M > 0 and nu_minus >= 1 - PHYSICALITY_TOL; the
-    symplectic eigenvalues are kept as `nu_minus` and `nu_plus`.
+    symplectic eigenvalues are kept as `nu_minus` and `nu_plus`.  The
+    commutator kernels and the inverse of `plus` are built on first read
+    and kept, so every kernel identity checked on one form shares them.
     """
 
     n: float
@@ -119,9 +128,11 @@ class GaussianStandardForm:
             )
         delta = n * n + m * m + 2.0 * c * cp
         det_m = (n * m - c * c) * (n * m - cp * cp)
-        # Delta^2 - 4 det M >= 0 for M > 0; the clamp only absorbs rounding
-        root = math.sqrt(max(delta * delta - 4.0 * det_m, 0.0))
-        nu_minus = math.sqrt(max((delta - root) / 2.0, 0.0))
+        # root^2 >= 0 for M > 0; the clamp only absorbs rounding
+        disc = (n * n - m * m) ** 2 + 4.0 * (n * c + m * cp) * (n * cp + m * c)
+        root = math.sqrt(max(disc, 0.0))
+        # Delta + root > 0 for M > 0, and the sum does not cancel
+        nu_minus = math.sqrt(2.0 * det_m / (delta + root))
         if nu_minus < 1.0 - PHYSICALITY_TOL:
             raise UnphysicalFormError(
                 f"standard form violates the uncertainty relation: "
@@ -141,6 +152,32 @@ class GaussianStandardForm:
                 [0.0, cp, 0.0, m],
             ]
         )
+
+    @cached_property
+    def _kernels(self) -> KernelPair:
+        n, m, c, cp = self.n, self.m, self.c, self.c_prime
+        two_i = 2.0j
+        plus = np.array(
+            [
+                [2 * n + 1, 0, c, 0, 1, two_i],
+                [0, 2 * n + 1, 0, cp, -two_i, 1],
+                [c, 0, m + 1, 0, 0, 0],
+                [0, cp, 0, m + 1, 0, 0],
+                [1, -two_i, 0, 0, 1, 0],
+                [two_i, 1, 0, 0, 0, 1],
+            ],
+            dtype=complex,
+        )
+        minus = plus.conj()
+        plus.setflags(write=False)
+        minus.setflags(write=False)
+        return KernelPair(plus=plus, minus=minus)
+
+    @cached_property
+    def _plus_inverse(self) -> np.ndarray:
+        inverse = np.linalg.inv(self._kernels.plus)
+        inverse.setflags(write=False)
+        return inverse
 
 
 class CovarianceState:
@@ -187,70 +224,83 @@ def characteristic_function(
     return float(np.exp(-0.5 * xi @ form.matrix() @ xi))
 
 
-def _unit_det_whitener(block: np.ndarray, label: str) -> np.ndarray:
-    """Unit-determinant congruence taking a PD 2x2 block to sqrt(det) I."""
-    w, q = np.linalg.eigh(block)
-    if w[0] <= 0.0:
+def _unit_det_whitener(
+    a11: float, a12: float, a22: float, root_det: float, label: str
+) -> tuple[float, float, float]:
+    """Entries (s11, s12, s22) of the symmetric S with S A S^T = sqrt(det A) I.
+
+    For a 2x2 positive definite A with s = sqrt(det A), sqrt(A) = (A + sI)
+    / sqrt(tr A + 2s), so S = sqrt(s) A^(-1/2) = adj(A + sI) / (sqrt(s)
+    sqrt(tr A + 2s)), and det S = 1.  With det A > 0 already checked, A is
+    positive definite exactly when its trace is positive.
+    """
+    trace = a11 + a22
+    if not trace > 0.0:
         raise UnphysicalFormError(
-            f"covariance block {label} is not positive definite "
-            f"(eigenvalue {w[0]:.3e})"
+            f"covariance block {label} is not positive definite (trace {trace:.3e})"
         )
-    scale = math.sqrt(math.sqrt(w[0] * w[1]))
-    return (q / np.sqrt(w)) @ q.T * scale
+    scale = 1.0 / math.sqrt(root_det * (trace + 2.0 * root_det))
+    return (a22 + root_det) * scale, -a12 * scale, (a11 + root_det) * scale
 
 
 def standard_form_from_covariance(cov: CovarianceState) -> GaussianStandardForm:
-    """Standard form of a general covariance via its local invariants.
+    """Standard form of a general covariance via an explicit local reduction.
 
     With V = [[A, C], [C^T, B]] the parameters satisfy n = sqrt(det A),
-    m = sqrt(det B), c c' = det C, and (nm - c^2)(nm - c'^2) = det V.
-    They are computed by an explicit unit-determinant local reduction (an
-    SVD of the whitened cross block) rather than by solving the invariant
-    equations, which loses half the working precision whenever |c| and
-    |c'| nearly coincide.  The sign/order ambiguity left by local
-    operations is resolved by the convention c >= |c'| with c >= 0.
+    m = sqrt(det B), c c' = det C, and (nm - c^2)(nm - c'^2) = det V
+    (Simon, PRL 84, 2726 (2000); Serafini, Illuminati & De Siena, J. Phys.
+    B 37, L21 (2004)).  Solving those invariant equations loses half the
+    working precision whenever |c| and |c'| nearly coincide, so the
+    parameters come from a unit-determinant local reduction instead, all
+    in closed-form 2x2 arithmetic on Python floats: the whiteners S_A and
+    S_B of `_unit_det_whitener` take the cross block to X = S_A C S_B^T,
+    whose singular values are Q + R and |Q - R| with
+
+        Q = hypot(x11 + x22, x21 - x12) / 2,
+        R = hypot(x11 - x22, x21 + x12) / 2,
+
+    and det X = Q^2 - R^2.  So c = Q + R and c' = Q - R carry the
+    convention c >= |c'|, c >= 0 and the sign of det C by construction.
+    c' is not taken as det C / c: a pure state lies on the boundary
+    nu_minus = 1, where nu_minus has a square-root singularity in the
+    parameters, so every extra rounding of c' shows in the verdict, and
+    locally scrambled two-mode squeezed vacua near r = 4 are rejected
+    more often through that quotient than through Q - R.
+
+    The upper triangle of V is read; `CovarianceState` has checked that V
+    is symmetric.
     """
-    v = cov.V
-    block_a, block_b, block_c = v[:2, :2], v[2:, 2:], v[:2, 2:]
-    det_a = float(np.linalg.det(block_a))
-    det_b = float(np.linalg.det(block_b))
+    v = cov.V.tolist()
+    a11, a12, c11, c12 = v[0]
+    a22, c21, c22 = v[1][1:]
+    b11, b12 = v[2][2:]
+    b22 = v[3][3]
+    det_a = a11 * a22 - a12 * a12
+    det_b = b11 * b22 - b12 * b12
     if det_a < 1.0 - PHYSICALITY_TOL or det_b < 1.0 - PHYSICALITY_TOL:
         raise UnphysicalFormError(
             f"local determinant below vacuum: det A = {det_a:.6g}, "
             f"det B = {det_b:.6g}"
         )
-    s1 = _unit_det_whitener(block_a, "A")
-    s2 = _unit_det_whitener(block_b, "B")
-    cross = s1 @ block_c @ s2.T
-    u, sing, vt = np.linalg.svd(cross)
-    orientation = float(np.sign(np.linalg.det(u) * np.linalg.det(vt)))
-    return GaussianStandardForm(
-        n=math.sqrt(det_a),
-        m=math.sqrt(det_b),
-        c=float(sing[0]),
-        c_prime=float(orientation * sing[1]),
-    )
+    n, m = math.sqrt(det_a), math.sqrt(det_b)
+    p11, p12, p22 = _unit_det_whitener(a11, a12, a22, n, "A")
+    q11, q12, q22 = _unit_det_whitener(b11, b12, b22, m, "B")
+    # T = S_A C, then X = T S_B (S_B is symmetric)
+    t11, t12 = p11 * c11 + p12 * c21, p11 * c12 + p12 * c22
+    t21, t22 = p12 * c11 + p22 * c21, p12 * c12 + p22 * c22
+    x11, x12 = t11 * q11 + t12 * q12, t11 * q12 + t12 * q22
+    x21, x22 = t21 * q11 + t22 * q12, t21 * q12 + t22 * q22
+    q = math.hypot(x11 + x22, x21 - x12) / 2.0
+    r = math.hypot(x11 - x22, x21 + x12) / 2.0
+    return GaussianStandardForm(n=n, m=m, c=q + r, c_prime=q - r)
 
 
 def commutator_kernels(form: GaussianStandardForm) -> KernelPair:
-    """The 6x6 overlap kernels of the two commutator orderings."""
-    n, m, c, cp = form.n, form.m, form.c, form.c_prime
-    two_i = 2.0j
-    plus = np.array(
-        [
-            [2 * n + 1, 0, c, 0, 1, two_i],
-            [0, 2 * n + 1, 0, cp, -two_i, 1],
-            [c, 0, m + 1, 0, 0, 0],
-            [0, cp, 0, m + 1, 0, 0],
-            [1, -two_i, 0, 0, 1, 0],
-            [two_i, 1, 0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
-    minus = plus.conj()
-    plus.setflags(write=False)
-    minus.setflags(write=False)
-    return KernelPair(plus=plus, minus=minus)
+    """The 6x6 overlap kernels of the two commutator orderings.
+
+    The pair is built once per form and kept; both arrays are read-only.
+    """
+    return form._kernels
 
 
 def kernel_determinant(form: GaussianStandardForm) -> float:
@@ -277,14 +327,16 @@ def kernel_quadratic_difference(
     """B^T (plus^-1 - minus^-1) B with B = (uI, uR, vI, vR, uI, uR).
 
     minus is the complex conjugate of plus and B is real, so the two terms
-    are conjugate and the difference is 2i Im(B^T plus^-1 B): one dense
-    solve, independent of `kernel_quadratic_closed_form`; the CLI reports
-    the gap between the two as `quadraticIdentityResidual`.
+    are conjugate and the difference is 2i Im(B^T plus^-1 B).  plus^-1 is
+    one dense numerical inverse per form, computed on first use and shared
+    by every probe (u, v) of that form; it stays independent of
+    `kernel_quadratic_closed_form`, and the CLI reports the gap between the
+    two as `quadraticIdentityResidual`.
     """
     u = complex(u)
     v = complex(v)
     b = np.array([u.imag, u.real, v.imag, v.real, u.imag, u.real])
-    return 2j * float((b @ np.linalg.solve(commutator_kernels(form).plus, b)).imag)
+    return 2j * float((b @ form._plus_inverse @ b).imag)
 
 
 def is_lazy_gaussian(form: GaussianStandardForm, tol: float = DEFAULT_TOL) -> bool:

@@ -223,6 +223,28 @@ class TestGaussian:
         assert out == ""
         assert "quadratic-form identity violated" in err
 
+    def test_one_kernel_build_and_inverse_per_command(self, capsys, monkeypatch, tmp_path):
+        # the determinant and both quadratic probes share one kernel pair
+        # and one inverse of its plus kernel
+        built, inverted = [], []
+
+        def counting(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lz.gaussian, "KernelPair", counting(built, lz.gaussian.KernelPair))
+        monkeypatch.setattr(np.linalg, "inv", counting(inverted, np.linalg.inv))
+        path = tmp_path / "cov.json"
+        path.write_text(lz.canonical_json({"V": lz.GaussianStandardForm(2, 2, 0.5, -0.5).matrix()}))
+        for argv in (["--form", "2,2,0.5,-0.5"], ["--cov", str(path)]):
+            built.clear()
+            inverted.clear()
+            code, _, _ = run(capsys, ["gaussian", *argv])
+            assert code == 1
+            assert len(built) == 1 and len(inverted) == 1
+
     def test_lazy_product_form(self, capsys):
         code, out, _ = run(capsys, ["gaussian", "--form", "5,2,0,0"])
         assert code == 0
@@ -248,6 +270,12 @@ class TestGaussian:
         code, _, err = run(capsys, ["gaussian", "--form", "1,1,0.5,0.5"])
         assert code == 2
         assert "uncertainty" in err
+        # m^2 dominates Delta here; the true nu_minus is 0.879
+        form = "1.000048983677866,119981374.47829217,-3642.546233868969,-3971.0003451206007"
+        code, out, err = run(capsys, ["gaussian", "--form", form])
+        assert code == 2
+        assert out == ""
+        assert "uncertainty relation: nu_minus = 0.878981" in err
 
     def test_non_positive_definite_form_exits_two(self, capsys, tmp_path):
         # nu = 2, 4 pass nu_minus >= 1, but M has eigenvalues -2, -2, 4, 4
@@ -262,6 +290,13 @@ class TestGaussian:
         assert code == 2
         assert out == ""
         assert "positive definite" in err
+        # negative definite local blocks pass the det >= 1 vacuum check
+        for diagonal, label in (([-2, -2, -2, -2], "A"), ([2, 2, -2, -2], "B")):
+            path.write_text(lz.canonical_json({"V": np.diag(diagonal)}))
+            code, out, err = run(capsys, ["gaussian", "--cov", str(path)])
+            assert code == 2
+            assert out == ""
+            assert f"covariance block {label} is not positive definite" in err
 
     def test_covariance_file_input(self, capsys, tmp_path):
         form = lz.GaussianStandardForm(2.0, 2.0, 0.5, -0.5)

@@ -19,11 +19,12 @@ GAP_23 = 2.0 * (1.0 + 3.0) * (2.0 + 2.0)  # kernel determinant gap at n=2, m=3
 SYMPLECTIC_FORM = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+def rot(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
 def rotation_pair(theta1, theta2):
     """Local per-mode rotations, symplectic in the paired ordering."""
-    def rot(t):
-        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-
     out = np.zeros((4, 4))
     out[:2, :2] = rot(theta1)
     out[2:, 2:] = rot(theta2)
@@ -36,6 +37,60 @@ def quadratic_form_oracle(form, lam1, lam2):
     m = form.matrix()
     q = sum(xi[i] * m[i, j] * xi[j] for i in range(4) for j in range(4))
     return np.exp(-0.5 * q)
+
+
+def local_symplectic_scramble(rng, m, max_squeeze):
+    """S M S^T under independent random local rotations and squeezers."""
+    s = np.zeros((4, 4))
+    for i in (0, 2):
+        k = rng.uniform(-max_squeeze, max_squeeze)
+        s[i:i + 2, i:i + 2] = (
+            rot(rng.uniform(0, 2 * np.pi)) @ np.diag([np.exp(k), np.exp(-k)])
+            @ rot(rng.uniform(0, 2 * np.pi))
+        )
+    v = s @ m @ s.T
+    return (v + v.T) / 2.0
+
+
+REDUCTION_FAMILIES = ("workload", "squeezed", "near_pure", "large_m")
+
+
+def mp_standard_form(v, dps=40):
+    """(n, m, c, c') of the float matrix V from its local invariants, in mpmath.
+
+    n = sqrt(det A), m = sqrt(det B), c c' = det C and c^2 + c'^2 =
+    n m tr(A^-1 C B^-1 C^T), with c >= |c'|, c >= 0.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        v = mp.matrix(v.tolist())
+        a, b, c = v[0:2, 0:2], v[2:4, 2:4], v[0:2, 2:4]
+        n, m = mp.sqrt(mp.det(a)), mp.sqrt(mp.det(b))
+        product = mp.det(c)
+        t = a**-1 * c * b**-1 * c.T
+        total = n * m * (t[0, 0] + t[1, 1])
+        gap = mp.sqrt(max(total * total - 4 * product * product, 0))
+        big = mp.sqrt((total + gap) / 2)
+        small = mp.sqrt(max((total - gap) / 2, 0))
+        return [float(x) for x in (n, m, big, mp.sign(product) * small)]
+
+
+def mp_symplectic_eigenvalues(n, m, c, cp, dps=50):
+    """(nu_minus, nu_plus) of the float form (n, m, c, c'), in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        n, m, c, cp = (mp.mpf(x) for x in (n, m, c, cp))
+        delta = n * n + m * m + 2 * c * cp
+        root = mp.sqrt(delta * delta - 4 * (n * m - c * c) * (n * m - cp * cp))
+        return float(mp.sqrt((delta - root) / 2)), float(mp.sqrt((delta + root) / 2))
+
+
+def mp_simon_criterion(n, m, c, cp, dps=50):
+    """M + i Omega > 0 by Sylvester's leading principal minors, in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        h = mp.matrix([[n, 1j, c, 0], [-1j, n, 0, cp], [c, 0, m, 1j], [0, cp, -1j, m]])
+        return all(mp.re(mp.det(h[:k, :k])) > 0 for k in range(1, 5))
 
 
 class TestStandardForm:
@@ -162,6 +217,35 @@ class TestUncertainty:
         assert accepted > 300 and rejected > 300
         assert saw_signs == {-1.0, 1.0}
 
+    def test_constructor_matches_simon_criterion_at_large_m(self):
+        # once m^2 dominates Delta, Delta - root cancels: this family made
+        # 611 of about 20,000 wrong decisions with nu_minus^2 = (Delta - root)/2.
+        # At m up to 1e9 float eigensolvers are off by ~1e-7, so both
+        # oracles run in 50-digit mpmath on the float inputs
+        rng = np.random.default_rng(2001)
+        accepted = rejected = 0
+        for _ in range(2000):
+            n = 1.0 + rng.uniform() * 10.0 ** rng.uniform(-3.0, 0.0)
+            m = 10.0 ** rng.uniform(2.0, 9.0)
+            c, cp = rng.uniform(-1.0, 1.0, size=2) * np.sqrt(n * m)
+            if not (n * m > c * c and n * m > cp * cp):
+                continue
+            nu_minus, nu_plus = mp_symplectic_eigenvalues(n, m, c, cp)
+            if abs(nu_minus - 1.0) < 1e-8:
+                continue
+            physical = mp_simon_criterion(n, m, c, cp)
+            try:
+                form = lz.GaussianStandardForm(n, m, c, cp)
+            except lz.UnphysicalFormError:
+                assert not physical, (n, m, c, cp)
+                rejected += 1
+                continue
+            assert physical, (n, m, c, cp)
+            accepted += 1
+            assert form.nu_minus == pytest.approx(nu_minus, rel=1e-12, abs=0)
+            assert form.nu_plus == pytest.approx(nu_plus, rel=1e-12, abs=0)
+        assert accepted > 100 and rejected > 1000
+
 
 class TestStandardFormExtraction:
     def test_reads_off_standard_input(self):
@@ -204,6 +288,24 @@ class TestStandardFormExtraction:
         assert out.c == pytest.approx(np.sinh(2 * r), rel=1e-12, abs=0)
         assert out.c_prime == pytest.approx(-np.sinh(2 * r), rel=1e-12, abs=0)
 
+    def test_scrambled_two_mode_squeezed_vacua_stay_physical(self):
+        # a pure state has nu_minus = 1 exactly, on the physicality boundary,
+        # where nu_minus has a square-root singularity in the parameters;
+        # r stops short of the regime where rounding the inputs alone moves
+        # nu_minus by more than PHYSICALITY_TOL
+        rng = np.random.default_rng(29)
+        for r in np.linspace(0.01, 3.5, 400):
+            ch, sh = np.cosh(r), np.sinh(r)
+            sq = np.block(
+                [[ch * np.eye(2), sh * np.diag([1.0, -1.0])],
+                 [sh * np.diag([1.0, -1.0]), ch * np.eye(2)]]
+            )
+            v = local_symplectic_scramble(rng, sq @ sq.T, 0.6)
+            out = lz.standard_form_from_covariance(lz.CovarianceState(v))
+            assert abs(out.nu_minus - 1.0) <= lz.gaussian.PHYSICALITY_TOL
+            assert out.c == pytest.approx(np.sinh(2 * r), rel=1e-9, abs=0)
+            assert out.c_prime == pytest.approx(-np.sinh(2 * r), rel=1e-9, abs=0)
+
     def test_invariant_under_local_rotations(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -224,6 +326,50 @@ class TestStandardFormExtraction:
     def test_rejects_subvacuum_covariance(self):
         with pytest.raises(lz.UnphysicalFormError, match="det"):
             lz.standard_form_from_covariance(lz.CovarianceState(0.5 * np.eye(4)))
+
+    @pytest.mark.parametrize(
+        "diagonal, label",
+        [([-2.0, -2.0, -2.0, -2.0], "A"), ([2.0, 2.0, -2.0, -2.0], "B")],
+        ids=["both", "B-only"],
+    )
+    def test_rejects_negative_definite_block(self, diagonal, label):
+        # det A = det B = 4 pass the vacuum check; only the sign of the
+        # block's trace tells a negative definite block apart
+        with pytest.raises(
+            lz.UnphysicalFormError,
+            match=f"covariance block {label} is not positive definite",
+        ):
+            lz.standard_form_from_covariance(lz.CovarianceState(np.diag(diagonal)))
+
+    @pytest.mark.parametrize("family", REDUCTION_FAMILIES)
+    def test_matches_mpmath_invariants(self, family):
+        # the closed-form reduction against the invariants of the float V:
+        # the benchmark's forms and squeezers, local squeezing up to |s| = 3,
+        # thermal parameters within 1e-9 of vacuum, and m up to 1e4
+        rng = np.random.default_rng(REDUCTION_FAMILIES.index(family))
+        max_squeeze = 3.0 if family == "squeezed" else 0.6
+        for _ in range(100):
+            if family == "near_pure":
+                a, b = 1.0 + 10.0 ** rng.uniform(-9.0, 0.0, size=2)
+                form = lz.squeezed_thermal_form(a, b, rng.uniform(0.0, 2.0))
+            elif family == "large_m":
+                while True:
+                    n, m = rng.uniform(1.0, 4.0), 10.0 ** rng.uniform(0.0, 4.0)
+                    c, cp = rng.uniform(-1.0, 1.0, size=2) * np.sqrt(n * m)
+                    try:
+                        form = lz.GaussianStandardForm(n, m, c, cp)
+                        break
+                    except lz.UnphysicalFormError:
+                        continue
+            else:
+                form = lz.random_standard_form(rng)
+            v = local_symplectic_scramble(rng, form.matrix(), max_squeeze)
+            reference = mp_standard_form(v)
+            out = lz.standard_form_from_covariance(lz.CovarianceState(v))
+            got = (out.n, out.m, out.c, out.c_prime)
+            scale = max(abs(x) for x in reference)
+            assert max(abs(g - r) for g, r in zip(got, reference)) <= 1e-11 * scale, (
+                got, reference)
 
     def test_rejects_asymmetric_covariance(self):
         v = np.eye(4)
@@ -331,6 +477,43 @@ class TestKernels:
                 for _ in range(10)
             )
             assert best > 1e-6
+
+
+class TestSharedKernels:
+    """Every kernel identity checked on one form reads one cached pair and inverse."""
+
+    def test_pair_is_cached_and_read_only(self):
+        form = lz.GaussianStandardForm(2.0, 3.0, 1.0, -1.0)
+        pair = lz.commutator_kernels(form)
+        assert lz.commutator_kernels(form) is pair
+        for kernel in (pair.plus, pair.minus):
+            with pytest.raises(ValueError, match="read-only"):
+                kernel[0, 0] = 0.0
+        twin = lz.GaussianStandardForm(2.0, 3.0, 1.0, -1.0)
+        assert lz.commutator_kernels(twin) is not pair
+        assert np.array_equal(lz.commutator_kernels(twin).plus, pair.plus)
+
+    def test_probes_share_one_inverse(self, monkeypatch):
+        calls = []
+        original = np.linalg.inv
+
+        def counting(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        form = lz.GaussianStandardForm(2.0, 3.0, 1.0, -1.0)
+        rng = np.random.default_rng(59)
+        for _ in range(4):
+            u = complex(rng.standard_normal(), rng.standard_normal())
+            v = complex(rng.standard_normal(), rng.standard_normal())
+            numeric = lz.kernel_quadratic_difference(form, u, v)
+            # the dense path still agrees with a fresh solve
+            b = np.array([u.imag, u.real, v.imag, v.real, u.imag, u.real])
+            solved = b @ np.linalg.solve(lz.commutator_kernels(form).plus, b)
+            assert numeric == pytest.approx(2j * solved.imag, abs=1e-14)
+        assert len(calls) == 1
+        assert calls[0] is lz.commutator_kernels(form).plus
 
 
 class TestLazinessDecision:
