@@ -16,7 +16,6 @@ from .bloch import (
     DensityMatrix,
     SectorDensityMatrix,
     decompose,
-    partial_trace,
     random_density_matrix,
     reconstruct,
     reduced_state,
@@ -44,7 +43,6 @@ from .gaussian import (
     CovarianceState,
     GaussianStandardForm,
     KernelPair,
-    characteristic_function,
     commutator_kernels,
     fock_truncate,
     is_lazy_gaussian,
@@ -66,15 +64,15 @@ from .laziness import (
     is_lazy,
 )
 from .stateio import canonical_json, load_covariance, load_state, save_state
-from .su_algebra import StructureConstants, SuBasis, build_su_basis, structure_constants
+from .su_algebra import StructureConstants, SuBasis, build_su_basis
 
 __all__ = [
     "__version__",
     # su_algebra
-    "SuBasis", "StructureConstants", "build_su_basis", "structure_constants",
+    "SuBasis", "StructureConstants", "build_su_basis",
     # bloch
     "DensityMatrix", "SectorDensityMatrix", "BlochForm", "decompose", "reconstruct",
-    "reduced_state", "partial_trace", "random_density_matrix",
+    "reduced_state", "random_density_matrix",
     # laziness
     "LazinessReport", "commutator_residual", "contraction_matrix",
     "criterion_matrix", "criterion_prefactor", "is_lazy",
@@ -84,7 +82,7 @@ __all__ = [
     "random_coupling", "product_couplings", "derive_trial_seed", "dynamics_audit",
     # gaussian
     "GaussianStandardForm", "CovarianceState", "KernelPair",
-    "characteristic_function", "standard_form_from_covariance",
+    "standard_form_from_covariance",
     "commutator_kernels", "kernel_determinant",
     "kernel_quadratic_closed_form", "kernel_quadratic_difference",
     "is_lazy_gaussian", "squeezed_thermal_parameters", "squeezed_thermal_form",

@@ -39,7 +39,6 @@ __all__ = [
     "decompose",
     "reconstruct",
     "reduced_state",
-    "partial_trace",
     "random_density_matrix",
 ]
 
@@ -399,18 +398,6 @@ def reconstruct(
     return DensityMatrix(na, nb, data)
 
 
-def partial_trace(matrix: np.ndarray, dim_a: int, dim_b: int, side: Side) -> np.ndarray:
-    """Partial trace of an arbitrary (dim_a*dim_b)-square matrix.
-
-    `side` names the subsystem that is *kept*.
-    """
-    _check_side(side)
-    r = np.asarray(matrix).reshape(dim_a, dim_b, dim_a, dim_b)
-    if side == "A":
-        return np.einsum("abcb->ac", r)
-    return np.einsum("abad->bd", r)
-
-
 def _sector_blocks(rho: SectorDensityMatrix, side: Side) -> list:
     """(first level of `side`, block) per sector: max(s, 0) on A, max(-s, 0) on B."""
     sign = 1 if side == "A" else -1
@@ -423,9 +410,10 @@ def _marginal(rho: DensityMatrix, side: Side) -> np.ndarray:
     For a `SectorDensityMatrix` it is diagonal: each sector diagonal summed
     into the run of the kept side's levels that the sector holds.
     """
-    if not isinstance(rho, SectorDensityMatrix):
-        return partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
     _check_side(side)
+    if not isinstance(rho, SectorDensityMatrix):
+        r = rho.data.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+        return np.einsum("abcb->ac" if side == "A" else "abad->bd", r)
     p = np.zeros(rho.dim_a if side == "A" else rho.dim_b)
     for lo, block in _sector_blocks(rho, side):
         p[lo : lo + len(block)] += np.diagonal(block)

@@ -190,12 +190,6 @@ def _coupling_rng(dim_a, dim_b, seed):
     return dim_a, dim_b, np.random.default_rng(_check_count(seed, "seed"))
 
 
-def _gue(normals: np.ndarray) -> np.ndarray:
-    """(G + G^dag)/2 for G = normals[..., 0, :, :] + i normals[..., 1, :, :]."""
-    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
-    return (g + g.conj().swapaxes(-1, -2)) / 2.0
-
-
 @lru_cache(maxsize=None)
 def _hermitian_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     """For each float slot of vec(A), A n x n Hermitian: its coordinate and scale.
@@ -247,13 +241,14 @@ def product_couplings(
 
 
 def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
-    """GUE coupling (G + G^dag)/2, G from the (2, d, d) normals of `default_rng(seed)`.
+    """GUE coupling (G + G^dag)/2 on d = dim_a dim_b, from d^2 normals of `default_rng(seed)`.
 
-    Real part, then imaginary part; entries have unit variance.
+    They are its Hermitian coordinates, laid out as in `product_couplings`.
     """
     dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
     d = dim_a * dim_b
-    return Coupling(hamiltonian=_gue(rng.standard_normal((2, d, d))), seed=seed)
+    hamiltonian = _hermitian_stack(rng.standard_normal((1, d * d)), d)[0]
+    return Coupling(hamiltonian=hamiltonian, seed=seed)
 
 
 def derive_trial_seed(seed: int, index: int) -> int:

@@ -63,7 +63,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import SectorDensityMatrix, _check_hermitian, _check_tolerance, _require_finite
+from .bloch import (
+    SectorDensityMatrix,
+    _check_count,
+    _check_hermitian,
+    _check_tolerance,
+    _require_finite,
+)
 from .errors import TruncationError, UnphysicalFormError
 from .laziness import DEFAULT_TOL
 
@@ -71,7 +77,6 @@ __all__ = [
     "GaussianStandardForm",
     "CovarianceState",
     "KernelPair",
-    "characteristic_function",
     "standard_form_from_covariance",
     "commutator_kernels",
     "kernel_determinant",
@@ -191,6 +196,7 @@ class CovarianceState:
         V = np.array(V, dtype=float)
         if V.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got {V.shape}")
+        # before the hermiticity check, whose inf - inf would warn
         _require_finite(V, "covariance matrix V")
         _check_hermitian(V, " of covariance matrix V")
         if d is None:
@@ -212,16 +218,6 @@ class KernelPair:
 
     plus: np.ndarray
     minus: np.ndarray
-
-
-def characteristic_function(
-    form: GaussianStandardForm, lambda1: complex, lambda2: complex
-) -> float:
-    """chi(l1, l2) = exp(-xi^T M xi / 2) at zero displacement."""
-    lambda1 = complex(lambda1)
-    lambda2 = complex(lambda2)
-    xi = np.array([lambda1.imag, lambda1.real, lambda2.imag, lambda2.real])
-    return float(np.exp(-0.5 * xi @ form.matrix() @ xi))
 
 
 def _unit_det_whitener(
@@ -349,8 +345,9 @@ def squeezed_thermal_parameters(form: GaussianStandardForm) -> tuple[float, floa
     """Thermal parameters (a, b) and squeezing r realizing a c' = -c form.
 
     Solves n = a cosh^2(r) + b sinh^2(r), m = a sinh^2(r) + b cosh^2(r),
-    c = (a + b) cosh(r) sinh(r).  Raises ValueError outside the subfamily
-    or when the solution would need a thermal parameter below vacuum.
+    c = (a + b) cosh(r) sinh(r).  Raises ValueError only outside the
+    subfamily.  Near a pure state b cancels and can come back more than
+    PHYSICALITY_TOL below 1; `fock_truncate` reads it as the vacuum.
     """
     n, m, c, cp = form.n, form.m, form.c, form.c_prime
     if abs(c + cp) > 1e-9 * max(1.0, abs(c)):
@@ -366,19 +363,14 @@ def squeezed_thermal_parameters(form: GaussianStandardForm) -> tuple[float, floa
         a = (root + (n - m)) / 2.0
         b = (root - (n - m)) / 2.0
         r = 0.5 * math.atanh(2.0 * c / total)
-    if a < 1.0 - PHYSICALITY_TOL or b < 1.0 - PHYSICALITY_TOL:
-        raise ValueError(
-            f"no squeezed-thermal solution: thermal parameters a={a:.6g}, "
-            f"b={b:.6g} below vacuum"
-        )
     return a, b, r
 
 
 def squeezed_thermal_form(a: float, b: float, r: float) -> GaussianStandardForm:
     """Standard form of a two-mode squeezer acting on two thermal states.
 
-    The thermal parameters may lie PHYSICALITY_TOL below vacuum, as
-    `squeezed_thermal_parameters` and `GaussianStandardForm` allow.
+    Raises ValueError for a thermal parameter below 1 - PHYSICALITY_TOL,
+    which the parameters recovered from a near-pure form can be.
     """
     if a < 1.0 - PHYSICALITY_TOL or b < 1.0 - PHYSICALITY_TOL:
         raise ValueError(f"thermal parameters must be >= 1, got a={a}, b={b}")
@@ -413,7 +405,8 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     squeezer, is built from its normal-ordered closed form on the kept
     levels (cutoff + 1 per mode), then renormalized.  Raises
     TruncationError when the trace outside the block exceeds
-    MAX_TRACE_DEFICIT, and ValueError for forms outside the c' = -c subfamily.
+    MAX_TRACE_DEFICIT, and ValueError for a cutoff that is not an integer
+    >= 4 or a form outside the c' = -c subfamily.
 
     With K+ = adag bdag, K- = a b and K0 = (N_a + N_b + 1)/2, a thermal
     state is (1 - q) q^N with q = (a - 1)/(a + 1), and multiplying in the
@@ -441,8 +434,7 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     mirror sectors d and -d.  The dense
     (cutoff + 1)^2 matrix is assembled only when `.data` is read.
     """
-    if cutoff < 4:
-        raise ValueError(f"cutoff must be >= 4, got {cutoff}")
+    cutoff = _check_count(cutoff, "cutoff", 4)
     a, b, r = squeezed_thermal_parameters(form)
     q_a, q_b = _thermal_ratio(a), _thermal_ratio(b)
     qq = q_a * q_b

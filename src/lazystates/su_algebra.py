@@ -38,8 +38,9 @@ with s = -1 on the v and w families and s = +1 on the u family: every
 off-diagonal constant flips sign and the diagonal ones keep theirs.  Only
 4 C(n, 3) + O(n^3) of the (n^2 - 1)^3 entries are nonzero; they are stored
 as coordinate arrays and never expanded to the dense tensor.
-`structure_constants` evaluates the trace formula on an arbitrary basis and
-serves as the independent oracle; the tests compare the two.
+The tests compare them against an independent oracle,
+`tests/conftest.py::structure_constants`, which evaluates the trace formula
+on an arbitrary basis through the dense (N, N, N) triple-product tensor.
 """
 
 from __future__ import annotations
@@ -55,14 +56,10 @@ __all__ = [
     "SuBasis",
     "StructureConstants",
     "build_su_basis",
-    "structure_constants",
 ]
 
 #: entries of f with absolute value at or below this are treated as zero
 ZERO_CUTOFF = 1e-12
-
-#: maximum allowed deviation of the Gram matrix tr(g_i g_j) from 2*I
-GRAM_TOL = 1e-10
 
 
 def _permutation_sign(triple: tuple[int, int, int]) -> int:
@@ -229,32 +226,3 @@ def build_su_basis(n: int) -> SuBasis:
         g *= -np.sqrt(2.0 / (l * (l + 1)))
     generators.setflags(write=False)
     return SuBasis(dim=n, generators=generators, f=_gell_mann_constants(n))
-
-
-def structure_constants(generators) -> StructureConstants:
-    """Structure constants f_ijk = tr([g_i, g_j] g_k) / (4i) of a basis.
-
-    The generators must satisfy tr(g_i g_j) = 2 delta_ij; anything with a
-    larger Gram deviation than 1e-10 is rejected.  The analytically
-    vanishing imaginary parts of the traces are discarded.  This builds the
-    dense (N, N, N) triple-product tensor and serves as the generic oracle
-    for the closed forms used by `build_su_basis`.
-    """
-    gens = np.asarray(generators, dtype=complex)
-    if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {gens.shape}")
-    count = gens.shape[0]
-    gram = np.einsum("aij,bji->ab", gens, gens)
-    gram_dev = np.abs(gram - 2.0 * np.eye(count)).max()
-    if gram_dev > GRAM_TOL:
-        raise ValueError(
-            f"generators are not orthonormal: max Gram deviation {gram_dev:.3e}"
-        )
-    # tr(g_a g_b g_c) for all triples; antisymmetrize the first pair.
-    triple = np.einsum("aij,bjk,cki->abc", gens, gens, gens)
-    f = ((triple - np.transpose(triple, (1, 0, 2))) / 4j).real
-    a, b, c = np.indices(f.shape)
-    canonical = (a < b) & (b < c) & (np.abs(f) > ZERO_CUTOFF)
-    index = np.stack([a[canonical], b[canonical], c[canonical]], axis=1)
-    return StructureConstants(count, index, f[canonical])
-

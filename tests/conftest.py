@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 import lazystates as lz
+from lazystates.su_algebra import ZERO_CUTOFF, StructureConstants
 
 
 # --------------------------------------------------------------------------
@@ -61,6 +62,13 @@ def marginal_asymmetric_state(side):
     return lz.DensityMatrix(4, 2, data)
 
 
+#: a physical c' = -c standard form, nu_minus = 1.0000000375 at r = 3.99,
+#: whose thermal parameter b = (root - (n - m)) / 2 cancels to 0.99999999896
+NEAR_PURE_FORM = (
+    2163.828176286357, 2162.857215813163, 2163.342186039997, -2163.342186039997
+)
+
+
 # --------------------------------------------------------------------------
 # oracles
 # --------------------------------------------------------------------------
@@ -81,6 +89,38 @@ def naive_partial_trace(matrix, dim_a, dim_b, side):
                 for a in range(dim_a):
                     out[b, d] += matrix[a * dim_b + b, a * dim_b + d]
     return out
+
+
+#: maximum allowed deviation of the Gram matrix tr(g_i g_j) from 2*I
+GRAM_TOL = 1e-10
+
+
+def structure_constants(generators):
+    """Structure constants f_ijk = tr([g_i, g_j] g_k) / (4i) of a basis.
+
+    The generators must satisfy tr(g_i g_j) = 2 delta_ij; anything with a
+    larger Gram deviation than GRAM_TOL is rejected.  The analytically
+    vanishing imaginary parts of the traces are discarded.  This builds the
+    dense (N, N, N) triple-product tensor and serves as the generic oracle
+    for the closed forms used by `build_su_basis`.
+    """
+    gens = np.asarray(generators, dtype=complex)
+    if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {gens.shape}")
+    count = gens.shape[0]
+    gram = np.einsum("aij,bji->ab", gens, gens)
+    gram_dev = np.abs(gram - 2.0 * np.eye(count)).max()
+    if gram_dev > GRAM_TOL:
+        raise ValueError(
+            f"generators are not orthonormal: max Gram deviation {gram_dev:.3e}"
+        )
+    # tr(g_a g_b g_c) for all triples; antisymmetrize the first pair.
+    triple = np.einsum("aij,bjk,cki->abc", gens, gens, gens)
+    f = ((triple - np.transpose(triple, (1, 0, 2))) / 4j).real
+    a, b, c = np.indices(f.shape)
+    canonical = (a < b) & (b < c) & (np.abs(f) > ZERO_CUTOFF)
+    index = np.stack([a[canonical], b[canonical], c[canonical]], axis=1)
+    return StructureConstants(count, index, f[canonical])
 
 
 def naive_commutator_residual(rho, side="A"):

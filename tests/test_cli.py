@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lazystates as lz
-from conftest import make_witness, marginal_asymmetric_state
+from conftest import NEAR_PURE_FORM, make_witness, marginal_asymmetric_state
 from lazystates import cli
 from lazystates.cli import main
 from lazystates.stateio import save_state
@@ -276,6 +276,19 @@ class TestGaussian:
         assert code == 2
         assert out == ""
         assert "uncertainty relation: nu_minus = 0.878981" in err
+
+    def test_near_pure_squeezed_thermal_form_reaches_the_fock_check(self, capsys):
+        # physical (nu_minus = 1.0000000375), but its recovered thermal
+        # parameter b cancels to 0.99999999896; the Fock check must run,
+        # and at r = 3.99 cutoff 40 holds too little of the trace
+        form = ",".join(map(repr, NEAR_PURE_FORM))
+        code, out, _ = run(capsys, ["gaussian", "--form", form])
+        assert code == 1
+        assert json.loads(out)["results"]["isLazy"] is False
+        code, out, err = run(capsys, ["gaussian", "--form", form, "--fock-check", "40"])
+        assert code == 3
+        assert out == ""
+        assert "increase the cutoff" in err
 
     def test_non_positive_definite_form_exits_two(self, capsys, tmp_path):
         # nu = 2, 4 pass nu_minus >= 1, but M has eigenvalues -2, -2, 4, 4

@@ -7,6 +7,7 @@ import pytest
 import lazystates as lz
 from conftest import (
     FOCK_ORACLE_PAD,
+    NEAR_PURE_FORM,
     dense_fock_reference,
     kron_commutator_residual,
     mp_fock_sector,
@@ -29,14 +30,6 @@ def rotation_pair(theta1, theta2):
     out[:2, :2] = rot(theta1)
     out[2:, 2:] = rot(theta2)
     return out
-
-
-def quadratic_form_oracle(form, lam1, lam2):
-    """chi through an explicit 4x4 quadratic-form loop."""
-    xi = [lam1.imag, lam1.real, lam2.imag, lam2.real]
-    m = form.matrix()
-    q = sum(xi[i] * m[i, j] * xi[j] for i in range(4) for j in range(4))
-    return np.exp(-0.5 * q)
 
 
 def local_symplectic_scramble(rng, m, max_squeeze):
@@ -116,51 +109,6 @@ class TestStandardForm:
             lz.GaussianStandardForm(np.nan, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="non-finite standard-form parameter c_prime"):
             lz.GaussianStandardForm(2.0, 2.0, 0.5, -np.inf)
-
-
-class TestCharacteristicFunction:
-    def test_normalization_at_origin(self):
-        form = lz.GaussianStandardForm(2.0, 3.0, 1.0, -1.0)
-        assert lz.characteristic_function(form, 0.0, 0.0) == 1.0
-
-    def test_factorizes_iff_uncoupled(self):
-        coupled = lz.GaussianStandardForm(2.0, 2.0, 0.5, -0.5)
-        product = lz.GaussianStandardForm(2.0, 2.0, 0.0, 0.0)
-        grid = [0.3 + 0.1j, -0.7j, 1.0, 0.5 - 0.5j, -0.2 + 0.9j]
-        saw_coupling = False
-        for l1 in grid:
-            for l2 in grid:
-                joint = lz.characteristic_function(product, l1, l2)
-                split = lz.characteristic_function(
-                    product, l1, 0.0
-                ) * lz.characteristic_function(product, 0.0, l2)
-                assert joint == pytest.approx(split, abs=1e-12)
-                gap = abs(
-                    lz.characteristic_function(coupled, l1, l2)
-                    - lz.characteristic_function(coupled, l1, 0.0)
-                    * lz.characteristic_function(coupled, 0.0, l2)
-                )
-                saw_coupling = saw_coupling or gap > 1e-6
-        assert saw_coupling
-
-    def test_matches_quadratic_form_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            form = lz.random_standard_form(rng)
-            l1 = complex(rng.standard_normal(), rng.standard_normal())
-            l2 = complex(rng.standard_normal(), rng.standard_normal())
-            assert lz.characteristic_function(form, l1, l2) == pytest.approx(
-                quadratic_form_oracle(form, l1, l2), rel=1e-12, abs=0
-            )
-
-    def test_frozen_spot_value(self):
-        # oracle value: only the n and m diagonal terms survive for these
-        # arguments, giving exp(-(n + m)/2)
-        form = lz.GaussianStandardForm(2.0, 3.0, 1.0, -1.0)
-        value = lz.characteristic_function(form, 1.0, 1.0j)
-        assert value == pytest.approx(np.exp(-2.5), rel=1e-14, abs=0)
-        oracle = quadratic_form_oracle(form, 1.0 + 0j, 1.0j)
-        assert value == pytest.approx(oracle, rel=1e-14, abs=0)
 
 
 class TestUncertainty:
@@ -572,6 +520,37 @@ class TestSqueezedThermal:
         with pytest.raises(ValueError, match="squeezed-thermal"):
             lz.squeezed_thermal_parameters(lz.GaussianStandardForm(2.0, 2.0, 0.5, -0.4))
 
+    def test_near_pure_form_gets_its_parameters(self):
+        # the form is physical by construction; the cancellation in b leaves
+        # it further below 1 than PHYSICALITY_TOL, and nothing re-checks it
+        form = lz.GaussianStandardForm(*NEAR_PURE_FORM)
+        assert form.nu_minus > 1.0
+        a, b, r = lz.squeezed_thermal_parameters(form)
+        # the thermal parameters are the symplectic eigenvalues
+        assert a == pytest.approx(form.nu_plus, rel=0, abs=1e-6)
+        assert b == pytest.approx(form.nu_minus, rel=0, abs=1e-6)
+        assert r == pytest.approx(3.9884094, rel=0, abs=1e-6)
+
+    def test_every_accepted_near_pure_form_gets_its_parameters(self):
+        # one thermal parameter at or just above vacuum, the other within
+        # a factor 11 of it, r up to 5; near r = 4-5 rounding alone moves
+        # nu_minus by ~1e-9, so some forms are rejected and the rest must
+        # all come back
+        rng = np.random.default_rng(2024)
+        accepted_above_4 = 0
+        for _ in range(5000):
+            low = 1.0 if rng.random() < 0.5 else 1.0 + 10.0 ** rng.uniform(-12, 0)
+            high = 1.0 + 10.0 ** rng.uniform(-12, 1)
+            a, b = (low, high) if rng.random() < 0.5 else (high, low)
+            r = rng.uniform(0.0, 5.0)
+            try:
+                form = lz.squeezed_thermal_form(a, b, r)
+            except lz.UnphysicalFormError:
+                continue
+            lz.squeezed_thermal_parameters(form)
+            accepted_above_4 += r >= 4.0
+        assert accepted_above_4 > 500
+
     def test_subvacuum_solution_rejected(self):
         # the thermal parameters of a c' = -c form are its symplectic
         # eigenvalues, so a solution below vacuum is not a form at all:
@@ -653,14 +632,19 @@ class TestFockTruncation:
     def test_trace_deficit_rejected(self):
         with pytest.raises(lz.TruncationError, match="deficit"):
             lz.fock_truncate(lz.squeezed_thermal_form(3.0, 3.0, 0.5), cutoff=4)
+        # b of this near-pure form cancels below 1 - PHYSICALITY_TOL and is
+        # read as the vacuum; at r = 3.99 cutoff 40 leaves 96% of the trace
+        with pytest.raises(lz.TruncationError, match="deficit 9.6"):
+            lz.fock_truncate(lz.GaussianStandardForm(*NEAR_PURE_FORM), 40)
 
     def test_outside_family_rejected(self):
         with pytest.raises(ValueError, match="squeezed-thermal"):
             lz.fock_truncate(lz.GaussianStandardForm(2.0, 2.0, 0.3, -0.2), cutoff=6)
 
-    def test_small_cutoff_rejected(self):
-        with pytest.raises(ValueError, match="cutoff"):
-            lz.fock_truncate(lz.squeezed_thermal_form(1.0, 1.0, 0.1), cutoff=2)
+    @pytest.mark.parametrize("cutoff", [2, 3, 20.0, True, "20"])
+    def test_rejects_cutoff_that_is_not_an_integer_from_four(self, cutoff):
+        with pytest.raises(ValueError, match=f"cutoff must be an integer >= 4, got {cutoff!r}"):
+            lz.fock_truncate(lz.squeezed_thermal_form(1.0, 1.0, 0.1), cutoff)
 
 
 #: squeezed, thermal (r = 0) and a != b squeezed-thermal forms
@@ -691,7 +675,7 @@ class TestSectorFockState:
     def test_reduced_state_matches_partial_trace(self, a, b, r, cutoff):
         rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff)
         for side in ("A", "B"):
-            expected = lz.partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
+            expected = naive_partial_trace(rho.data, rho.dim_a, rho.dim_b, side)
             assert lz.reduced_state(rho, side).data == pytest.approx(
                 expected, rel=1e-12, abs=0
             )

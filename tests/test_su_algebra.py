@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import lazystates as lz
-from lazystates.su_algebra import StructureConstants, build_su_basis, structure_constants
+from conftest import structure_constants
+from lazystates.su_algebra import StructureConstants, build_su_basis
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -151,8 +151,8 @@ def test_structure_constants_reject_scaled_generator(su3):
 
 
 def test_rebuild_is_deterministic():
-    a = lz.structure_constants(build_su_basis(3).generators)
-    b = lz.structure_constants(build_su_basis(3).generators)
+    a = structure_constants(build_su_basis(3).generators)
+    b = structure_constants(build_su_basis(3).generators)
     assert a == b
 
 
