@@ -228,20 +228,24 @@ class SectorDensityMatrix(DensityMatrix):
 
     Within a sector each level of either subsystem occurs once, so both
     marginals are diagonal, each sector diagonal adding into a run of
-    levels.  `reduced_state`, `commutator_residual` and the spectrum read
-    the sectors directly.
-    `data` assembles the dense matrix on first access only.
+    levels.  The constructor accumulates the diagonal of rho_A in its
+    checking loop and keeps it read-only; the diagonal of rho_B is
+    accumulated on its first read and kept too.  `reduced_state`,
+    `commutator_residual` and the spectrum read the sectors and these
+    diagonals directly.  `data` assembles the dense matrix on first access
+    only.
 
     A shift must be an integer with a nonempty sector, every block is
     checked as `DensityMatrix` checks its matrix (finite, symmetric to
-    HERMITICITY_TOL), and the traces must sum to 1 within TRACE_TOL.
-    `sectors` is a read-only mapping in the given order; float64 blocks are
-    kept without a copy and made read-only.
+    HERMITICITY_TOL), and the trace, the sum of the rho_A diagonal, must
+    be 1 within TRACE_TOL.  `sectors` is a read-only mapping in the given
+    order; float64 blocks are kept without a copy and made read-only.
     """
 
     def __init__(self, dim_a: int, dim_b: int, sectors):
         dim_a, dim_b = _check_dims(dim_a, dim_b)
         checked = {}
+        diag_a = np.zeros(dim_a)
         for shift, block in sectors.items():
             shift = _check_integer(shift, "sector shift")
             size = min(dim_a - max(shift, 0), dim_b - max(-shift, 0))
@@ -260,10 +264,28 @@ class SectorDensityMatrix(DensityMatrix):
             _check_hermitian(block, f" of sector {shift}")
             block.setflags(write=False)
             checked[shift] = block
-        _check_trace(sum(np.trace(block) for block in checked.values()))
+            lo = max(shift, 0)
+            diag_a[lo : lo + size] += block.diagonal()
+        _check_trace(diag_a.sum())
+        diag_a.setflags(write=False)
         self.dim_a = dim_a
         self.dim_b = dim_b
         self.sectors = MappingProxyType(checked)
+        self._diagonal_a = diag_a
+
+    @cached_property
+    def _diagonal_b(self) -> np.ndarray:
+        """Read-only diagonal of rho_B, accumulated on first read."""
+        diag_b = np.zeros(self.dim_b)
+        for lo, block in _sector_blocks(self, "B"):
+            diag_b[lo : lo + len(block)] += block.diagonal()
+        diag_b.setflags(write=False)
+        return diag_b
+
+    def _diagonal(self, side: Side) -> np.ndarray:
+        """Read-only diagonal of the marginal of `side`, kept on the state."""
+        _check_side(side)
+        return self._diagonal_a if side == "A" else self._diagonal_b
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -407,17 +429,15 @@ def _sector_blocks(rho: SectorDensityMatrix, side: Side) -> list:
 def _marginal(rho: DensityMatrix, side: Side) -> np.ndarray:
     """Reduced state of `side` as a plain array, not Hermitized or re-validated.
 
-    For a `SectorDensityMatrix` it is diagonal: each sector diagonal summed
-    into the run of the kept side's levels that the sector holds.
+    For a `SectorDensityMatrix` it is diagonal: the diagonal the state keeps,
+    each sector diagonal summed into the run of the kept side's levels that
+    the sector holds.
     """
+    if isinstance(rho, SectorDensityMatrix):
+        return np.diag(rho._diagonal(side))
     _check_side(side)
-    if not isinstance(rho, SectorDensityMatrix):
-        r = rho.data.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-        return np.einsum("abcb->ac" if side == "A" else "abad->bd", r)
-    p = np.zeros(rho.dim_a if side == "A" else rho.dim_b)
-    for lo, block in _sector_blocks(rho, side):
-        p[lo : lo + len(block)] += np.diagonal(block)
-    return np.diag(p)
+    r = rho.data.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    return np.einsum("abcb->ac" if side == "A" else "abad->bd", r)
 
 
 def reduced_state(rho: DensityMatrix, side: Side) -> DensityMatrix:

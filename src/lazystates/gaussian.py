@@ -346,8 +346,9 @@ def squeezed_thermal_parameters(form: GaussianStandardForm) -> tuple[float, floa
 
     Solves n = a cosh^2(r) + b sinh^2(r), m = a sinh^2(r) + b cosh^2(r),
     c = (a + b) cosh(r) sinh(r).  Raises ValueError only outside the
-    subfamily.  Near a pure state b cancels and can come back more than
-    PHYSICALITY_TOL below 1; `fock_truncate` reads it as the vacuum.
+    subfamily.  Near a pure state the exact b of the rounded form can lie
+    below 1, and b can come back more than PHYSICALITY_TOL below 1;
+    `fock_truncate` reads it as the vacuum.
     """
     n, m, c, cp = form.n, form.m, form.c, form.c_prime
     if abs(c + cp) > 1e-9 * max(1.0, abs(c)):
@@ -431,8 +432,12 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     block, in the order 0, 1, -1, 2, -2, ..., O(cutoff^3) numbers in all.
     Each block is formed as M M^T with M = L W^(1/2) evaluated in
     logarithms, so it is exactly symmetric, and one product serves the
-    mirror sectors d and -d.  The dense
-    (cutoff + 1)^2 matrix is assembled only when `.data` is read.
+    mirror sectors d and -d.  The row and column log terms of every M are
+    rows of two (cutoff + 1)^2 tables built once and freed before the
+    mirror sectors are allocated, the trace of M M^T is ||M||_F^2, and the
+    sectors are scaled by two weight vectors computed once, so a shift
+    costs a handful of numpy calls.  The dense (cutoff + 1)^2 matrix is
+    assembled only when `.data` is read.
     """
     cutoff = _check_count(cutoff, "cutoff", 4)
     a, b, r = squeezed_thermal_parameters(form)
@@ -450,14 +455,19 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     lag = n[:, None] - n[None, :]
     log_toeplitz = np.where(lag >= 0, (log_power - log_fact)[np.abs(lag)], -np.inf)
     log_qq = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(qq)))
+    # row d of each table serves sector d on its first keep - d entries:
+    # sqrt(C(k, j) C(k + d, j + d)) (k - j)! = exp(half[d, k] - half[d, j])
+    # with half[d, k] = (log k! + log (k + d)!) / 2 (clamped past the kept
+    # levels, where no sector reads it), and col[d, j] = log W[d, j] / 2 -
+    # half[d, j] with log W[d, j] = j log(q_a q_b) - (2j + d + 1) log D
+    half = 0.5 * (log_fact + log_fact[np.minimum(n[:, None] + n, cutoff)])
+    col = 0.5 * log_qq - (n + 0.5 * (n[:, None] + 1)) * math.log(denom) - half
     products = []
+    # tr(M M^T) = ||M||_F^2 per shift
+    norms = np.empty(keep)
     for shift in range(keep):
         size = keep - shift
-        k = n[:size]
-        # sqrt(C(k, j) C(k + d, j + d)) (k - j)! = exp(half[k] - half[j])
-        half = 0.5 * (log_fact[:size] + log_fact[shift:])
-        log_w = log_qq[:size] - (2 * k + shift + 1) * math.log(denom)
-        m = np.add.outer(half, 0.5 * log_w - half)
+        m = np.add.outer(half[shift, :size], col[shift, :size])
         m += log_toeplitz[:size, :size]
         np.exp(m, out=m)
         if alpha < 0.0:
@@ -465,25 +475,31 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
             # cancel in M M^T
             m[1::2] *= -1.0
         products.append(m @ m.T)
+        norms[shift] = np.vdot(m, m)
+    # free the tables before the mirror sectors raise the allocation peak
+    del lag, log_toeplitz, half, col
     scale = (1.0 - q_a) * (1.0 - q_b)
-    tr = scale * sum(
-        (q_a**shift + (q_b**shift if shift else 0.0)) * np.trace(prod)
-        for shift, prod in enumerate(products)
-    )
+    pow_a = q_a**n
+    # the mirror sector -d has q_b^d; there is no mirror of sector 0
+    pow_b = q_b**n
+    pow_b[0] = 0.0
+    tr = scale * float(norms @ (pow_a + pow_b))
     deficit = 1.0 - tr
     if deficit > MAX_TRACE_DEFICIT:
         raise TruncationError(
             f"truncation trace deficit {deficit:.3e} exceeds {MAX_TRACE_DEFICIT:g}; "
             "increase the cutoff"
         )
+    weight_a = scale * pow_a / tr
+    weight_b = scale * pow_b / tr
     sectors = {}
     for shift, prod in enumerate(products):
         sectors[shift] = prod
         if shift:
             # the mirror sector -shift, on |k, k + shift>, before the
             # sector +shift is scaled in place
-            sectors[-shift] = prod * (scale * q_b**shift / tr)
-        prod *= scale * q_a**shift / tr
+            sectors[-shift] = prod * weight_b[shift]
+        prod *= weight_a[shift]
     return SectorDensityMatrix(keep, keep, sectors)
 
 

@@ -39,9 +39,11 @@ rho_kl (p(a_l) - p(a_k)) inside each sector and zeros elsewhere, and
 
     || [rho, rho_A (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
 
-summed over the sectors without the d x d matrix, one slice of p per
-sector (side B reads the B levels max(-s, 0) + k and the B marginal).  The
-criterion matrix is a scatter-add over the nonzero structure constants.
+summed over the sectors without the d x d matrix.  p is the marginal
+diagonal the state keeps, so the sum is one pass over the sectors, each
+sector one product with a slice of p and one `vdot` (side B reads the B
+levels max(-s, 0) + k and the B marginal).  The criterion matrix is a
+scatter-add over the nonzero structure constants.
 """
 
 from __future__ import annotations
@@ -114,17 +116,17 @@ def _commutator(rho: DensityMatrix, x: np.ndarray, side: Side) -> np.ndarray:
 
 def commutator_residual(rho: DensityMatrix, side: Side) -> float:
     """Frobenius norm of [rho, rho_side (x) I]; zero iff lazy on that side."""
-    red = _marginal(rho, side)
     if isinstance(rho, SectorDensityMatrix):
         # rho_side = diag(p), so the commutator has the entries
         # rho_kl (p_l - p_k) of each sector and zeros elsewhere
-        p = red.diagonal()
+        p = rho._diagonal(side)
         total = 0.0
         for lo, block in _sector_blocks(rho, side):
             ps = p[lo : lo + len(block)]
-            total += float(np.sum(np.square(block * (ps[None, :] - ps[:, None]))))
+            y = block * (ps - ps[:, None])
+            total += np.vdot(y, y)
         return math.sqrt(total)
-    return float(np.linalg.norm(_commutator(rho, red, side)))
+    return float(np.linalg.norm(_commutator(rho, _marginal(rho, side), side)))
 
 
 def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:

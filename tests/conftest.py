@@ -62,8 +62,10 @@ def marginal_asymmetric_state(side):
     return lz.DensityMatrix(4, 2, data)
 
 
-#: a physical c' = -c standard form, nu_minus = 1.0000000375 at r = 3.99,
-#: whose thermal parameter b = (root - (n - m)) / 2 cancels to 0.99999999896
+#: a physical c' = -c standard form at r = 3.99 whose exact nu_minus, by
+#: 50-digit mpmath, is 0.999999999054612: its thermal parameter
+#: b = (root - (n - m)) / 2 = 0.99999999896 is within 9.5e-11 of it, while
+#: the form's own nu_minus = 1.0000000375 is off by 3.8e-8
 NEAR_PURE_FORM = (
     2163.828176286357, 2162.857215813163, 2163.342186039997, -2163.342186039997
 )

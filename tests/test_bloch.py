@@ -279,6 +279,20 @@ class TestSectorDensityMatrix:
         with pytest.raises(lz.InvalidStateError, match="trace deviation 1.000e-09"):
             lz.SectorDensityMatrix(2, 3, self.sectors(block=block))
 
+    @pytest.mark.parametrize(
+        "shift,block",
+        [(1, np.array([[0.5]])), (-1, np.array([[0.25, 0.05], [0.05, 0.25]]))],
+    )
+    def test_rejects_trace_off_by_1e_9_on_a_shifted_sector(self, shift, block):
+        # the trace is the sum of the A marginal, into which sector s adds
+        # its diagonal from level max(s, 0) on
+        sectors = {0: np.array([[0.3, 0.1], [0.1, 0.2]]), shift: block}
+        lz.SectorDensityMatrix(2, 3, sectors)
+        sectors[shift] = block.copy()
+        sectors[shift][0, 0] += 1e-9
+        with pytest.raises(lz.InvalidStateError, match="trace deviation 1.000e-09"):
+            lz.SectorDensityMatrix(2, 3, sectors)
+
     def test_rejects_mismatched_sector_shapes(self):
         with pytest.raises(lz.DimensionMismatchError, match="sector 0 needs a 2 x 2 block"):
             lz.SectorDensityMatrix(2, 3, self.sectors(block=np.array([[0.5]])))

@@ -278,9 +278,10 @@ class TestGaussian:
         assert "uncertainty relation: nu_minus = 0.878981" in err
 
     def test_near_pure_squeezed_thermal_form_reaches_the_fock_check(self, capsys):
-        # physical (nu_minus = 1.0000000375), but its recovered thermal
-        # parameter b cancels to 0.99999999896; the Fock check must run,
-        # and at r = 3.99 cutoff 40 holds too little of the trace
+        # physical (the form's nu_minus reads 1.0000000375, the exact one
+        # 0.999999999054612), and its thermal parameter b = 0.99999999896
+        # is just below 1 - PHYSICALITY_TOL; the Fock check must run, and at
+        # r = 3.99 cutoff 40 holds too little of the trace
         form = ",".join(map(repr, NEAR_PURE_FORM))
         code, out, _ = run(capsys, ["gaussian", "--form", form])
         assert code == 1

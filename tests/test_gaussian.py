@@ -521,8 +521,9 @@ class TestSqueezedThermal:
             lz.squeezed_thermal_parameters(lz.GaussianStandardForm(2.0, 2.0, 0.5, -0.4))
 
     def test_near_pure_form_gets_its_parameters(self):
-        # the form is physical by construction; the cancellation in b leaves
-        # it further below 1 than PHYSICALITY_TOL, and nothing re-checks it
+        # the form is physical by construction; its exact nu_minus = b lies
+        # 9.5e-10 below 1, and b's own rounding error (9.5e-11) leaves it
+        # just past 1 - PHYSICALITY_TOL, where nothing re-checks it
         form = lz.GaussianStandardForm(*NEAR_PURE_FORM)
         assert form.nu_minus > 1.0
         a, b, r = lz.squeezed_thermal_parameters(form)
@@ -530,6 +531,15 @@ class TestSqueezedThermal:
         assert a == pytest.approx(form.nu_plus, rel=0, abs=1e-6)
         assert b == pytest.approx(form.nu_minus, rel=0, abs=1e-6)
         assert r == pytest.approx(3.9884094, rel=0, abs=1e-6)
+
+    def test_near_pure_parameters_match_mpmath(self):
+        # (root +- (n - m)) / 2 keeps b to 9.5e-11 of the exact nu_minus,
+        # 0.999999999054612; the form's own nu_minus, 1.0000000375, is the
+        # value that is off, by 3.8e-8
+        nu_minus, nu_plus = mp_symplectic_eigenvalues(*NEAR_PURE_FORM)
+        a, b, _ = lz.squeezed_thermal_parameters(lz.GaussianStandardForm(*NEAR_PURE_FORM))
+        assert a == pytest.approx(nu_plus, rel=0, abs=2e-10)
+        assert b == pytest.approx(nu_minus, rel=0, abs=2e-10)
 
     def test_every_accepted_near_pure_form_gets_its_parameters(self):
         # one thermal parameter at or just above vacuum, the other within
@@ -632,8 +642,8 @@ class TestFockTruncation:
     def test_trace_deficit_rejected(self):
         with pytest.raises(lz.TruncationError, match="deficit"):
             lz.fock_truncate(lz.squeezed_thermal_form(3.0, 3.0, 0.5), cutoff=4)
-        # b of this near-pure form cancels below 1 - PHYSICALITY_TOL and is
-        # read as the vacuum; at r = 3.99 cutoff 40 leaves 96% of the trace
+        # b of this near-pure form rounds just past 1 - PHYSICALITY_TOL and
+        # is read as the vacuum; at r = 3.99 cutoff 40 leaves 96% of the trace
         with pytest.raises(lz.TruncationError, match="deficit 9.6"):
             lz.fock_truncate(lz.GaussianStandardForm(*NEAR_PURE_FORM), 40)
 

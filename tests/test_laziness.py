@@ -269,6 +269,44 @@ class TestSharedExpansion:
             assert report.commutator_residual == lz.commutator_residual(rho, side)
 
 
+class TestKeptMarginals:
+    """A sector state keeps the diagonals of its marginals, so a residual
+    walks the sectors once."""
+
+    @staticmethod
+    def fock_state():
+        return lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.4), 10)
+
+    def test_residual_walks_the_sectors_once(self, monkeypatch):
+        calls = []
+        original = lz.bloch._sector_blocks
+
+        def counting(rho, side):
+            calls.append(side)
+            return original(rho, side)
+
+        # laziness imports the walk by name, so both names are counted
+        monkeypatch.setattr(lz.bloch, "_sector_blocks", counting)
+        monkeypatch.setattr(lz.laziness, "_sector_blocks", counting)
+        rho = self.fock_state()
+        lz.commutator_residual(rho, "A")
+        assert calls == ["A"]
+        # the B diagonal is accumulated on its first read, then kept
+        lz.commutator_residual(rho, "B")
+        assert calls == ["A", "B", "B"]
+        lz.commutator_residual(rho, "B")
+        assert calls == ["A", "B", "B", "B"]
+
+    def test_kept_marginals_are_read_only(self):
+        rho = self.fock_state()
+        for side in ("A", "B"):
+            diagonal = rho._diagonal(side)
+            assert diagonal is rho._diagonal(side)
+            assert np.array_equal(np.diag(diagonal), lz.reduced_state(rho, side).data)
+            with pytest.raises(ValueError, match="read-only"):
+                diagonal[0] = 1.0
+
+
 class TestDiagonalCorrelationFamily:
     def test_all_zero_is_maximally_mixed(self):
         rho = lz.diagonal_correlation_state(np.zeros(8), np.zeros(8), np.zeros(8))
