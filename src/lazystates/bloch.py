@@ -48,9 +48,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 #: eigenvalues above this (slightly negative) floor count as nonnegative
 POSITIVITY_TOL = -1e-10
-#: side of the square tiles over which the hermiticity of a larger matrix is
-#: scanned; a tile and its mirror stay in cache while they are compared
-HERMITICITY_TILE = 256
 
 
 def _check_side(side: str) -> str:
@@ -74,40 +71,27 @@ def _require_finite(arr: np.ndarray, label: str) -> None:
         raise InvalidStateError(f"non-finite entry in {label} at {pos}")
 
 
-def _max_asymmetry(data: np.ndarray) -> float:
-    """max |data - data^dagger| over the tile pairs (I, J >= I); NaN propagates.
+@np.errstate(invalid="ignore", over="ignore")
+def _check_hermitian(matrices: dict) -> None:
+    """Reject the first of `matrices` that is non-finite or not Hermitian to HERMITICITY_TOL.
 
-    Each entry pair meets once, in the tile pair that holds it above the
-    diagonal, and both tiles are read row by row, unlike the full transpose.
+    Keys are the text that follows an entry position in a message, e.g.
+    " of sector 3".  One scan, max |data - data^dagger|, decides both: a
+    NaN or Inf entry leaves a NaN or Inf there and at its mirror.  numpy's
+    warnings on `inf - inf` and on overflow are off once per call, not per
+    matrix: that costs about as much as scanning a 4 x 4 matrix, and a Fock
+    state has up to 2 cutoff + 1 sector blocks.
     """
-    t = HERMITICITY_TILE
-    tiles = [slice(i, i + t) for i in range(0, data.shape[0], t)]
-    maxima = [
-        np.abs(data[rows, cols] - data[cols, rows].conj().T).max()
-        for k, rows in enumerate(tiles)
-        for cols in tiles[k:]
-    ]
-    return float(np.max(maxima))
-
-
-def _check_hermitian(data: np.ndarray, where: str = "") -> None:
-    """Reject a square matrix that is non-finite or not Hermitian to HERMITICITY_TOL.
-
-    `where` follows the entry position in a message, e.g. " of sector 3".
-    """
-    d = data.shape[0]
-    if d <= HERMITICITY_TILE:
+    for where, data in matrices.items():
         asym = np.abs(data - data.conj().T)
         max_asym = float(asym.max())
-    else:
-        max_asym = _max_asymmetry(data)
-    if not max_asym <= HERMITICITY_TOL:
-        # a rejection is rare: only then locate it on the full matrix
-        if d > HERMITICITY_TILE:
-            asym = np.abs(data - data.conj().T)
-        if not math.isfinite(max_asym):
-            # a NaN or Inf entry leaves a non-finite asymmetry at its position
-            i, j = np.argwhere(~np.isfinite(asym))[0]
+        if max_asym <= HERMITICITY_TOL:
+            continue
+        # a rejection is rare: only then tell a non-finite entry from a large asymmetry
+        finite = np.isfinite(data)
+        if not finite.all():
+            # the first position in row order that holds a NaN or Inf or mirrors one
+            i, j = np.argwhere(~(finite & finite.T))[0]
             raise InvalidStateError(f"non-finite entry at ({i}, {j}){where}")
         i, j = np.unravel_index(int(asym.argmax()), asym.shape)
         raise InvalidStateError(
@@ -175,8 +159,8 @@ class DensityMatrix:
                 f"matrix shape {data.shape} does not match dimensions "
                 f"({dim_a}, {dim_b}) -> ({d}, {d})"
             )
-        _check_hermitian(data)
-        _check_trace(np.trace(data))
+        _check_hermitian({"": data})
+        _check_trace(data.trace())
         data.setflags(write=False)
         self.dim_a = dim_a
         self.dim_b = dim_b
@@ -228,24 +212,25 @@ class SectorDensityMatrix(DensityMatrix):
 
     Within a sector each level of either subsystem occurs once, so both
     marginals are diagonal, each sector diagonal adding into a run of
-    levels.  The constructor accumulates the diagonal of rho_A in its
-    checking loop and keeps it read-only; the diagonal of rho_B is
+    levels.  The constructor accumulates the diagonal of rho_A once the
+    blocks are checked and keeps it read-only; the diagonal of rho_B is
     accumulated on its first read and kept too.  `reduced_state`,
     `commutator_residual` and the spectrum read the sectors and these
     diagonals directly.  `data` assembles the dense matrix on first access
     only.
 
-    A shift must be an integer with a nonempty sector, every block is
-    checked as `DensityMatrix` checks its matrix (finite, symmetric to
-    HERMITICITY_TOL), and the trace, the sum of the rho_A diagonal, must
-    be 1 within TRACE_TOL.  `sectors` is a read-only mapping in the given
-    order; float64 blocks are kept without a copy and made read-only.
+    A shift must be an integer with a nonempty sector and every block a
+    real square of its sector's size.  The blocks then pass one
+    `_check_hermitian` call, the scan `DensityMatrix` runs on its matrix
+    (finite, symmetric to HERMITICITY_TOL), and the trace, the sum of the
+    rho_A diagonal, must be 1 within TRACE_TOL.  `sectors` is a read-only
+    mapping in the given order; float64 blocks are kept without a copy and
+    made read-only.
     """
 
     def __init__(self, dim_a: int, dim_b: int, sectors):
         dim_a, dim_b = _check_dims(dim_a, dim_b)
         checked = {}
-        diag_a = np.zeros(dim_a)
         for shift, block in sectors.items():
             shift = _check_integer(shift, "sector shift")
             size = min(dim_a - max(shift, 0), dim_b - max(-shift, 0))
@@ -260,12 +245,13 @@ class SectorDensityMatrix(DensityMatrix):
                 )
             if block.dtype.kind == "c":
                 raise InvalidStateError(f"sector {shift} is complex; sector blocks are real")
-            block = block.astype(float, copy=False)
-            _check_hermitian(block, f" of sector {shift}")
+            checked[shift] = block.astype(float, copy=False)
+        _check_hermitian({f" of sector {shift}": block for shift, block in checked.items()})
+        diag_a = np.zeros(dim_a)
+        for shift, block in checked.items():
             block.setflags(write=False)
-            checked[shift] = block
             lo = max(shift, 0)
-            diag_a[lo : lo + size] += block.diagonal()
+            diag_a[lo : lo + len(block)] += block.diagonal()
         _check_trace(diag_a.sum())
         diag_a.setflags(write=False)
         self.dim_a = dim_a

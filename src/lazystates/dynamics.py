@@ -99,7 +99,7 @@ class Coupling:
         h = np.array(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatchError(f"coupling must be square, got {h.shape}")
-        _check_hermitian(h, " of the coupling")
+        _check_hermitian({" of the coupling": h})
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import DensityMatrix, _check_integer, random_density_matrix
+from .bloch import DensityMatrix, _check_integer, _require_finite, random_density_matrix
 from .laziness import diagonal_correlation_state
 
 __all__ = [
@@ -39,12 +39,17 @@ def product_state(marginal_a, marginal_b) -> DensityMatrix:
         raise ValueError(
             f"marginals must be square matrices, got shapes {a.shape} and {b.shape}"
         )
+    # before np.kron, whose inf * 0 would warn
+    _require_finite(a, "marginal a")
+    _require_finite(b, "marginal b")
     return DensityMatrix(a.shape[0], b.shape[0], np.kron(a, b))
 
 
 def werner(p: float) -> DensityMatrix:
     """Two-qubit mixture p |singlet><singlet| + (1 - p) I/4."""
     p = float(p)
+    if not np.isfinite(p):
+        raise ValueError(f"parameter p must be a finite number, got {p}")
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1.0 / np.sqrt(2.0)
     singlet[2] = -1.0 / np.sqrt(2.0)

@@ -196,9 +196,8 @@ class CovarianceState:
         V = np.array(V, dtype=float)
         if V.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got {V.shape}")
-        # before the hermiticity check, whose inf - inf would warn
-        _require_finite(V, "covariance matrix V")
-        _check_hermitian(V, " of covariance matrix V")
+        # the one scan rejects a NaN or Inf as well as an asymmetry
+        _check_hermitian({" of covariance matrix V": V})
         if d is None:
             d = np.zeros(4)
         else:

@@ -42,12 +42,13 @@ def complex_matrix_to_pairs(matrix: np.ndarray) -> list:
 
 def pairs_to_complex_matrix(obj) -> np.ndarray:
     """Inverse of `complex_matrix_to_pairs`, with shape validation."""
-    arr = np.asarray(obj, dtype=float)
+    arr = np.array(obj, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidStateError(
             f"matrix must be square with [re, im] entries, got shape {arr.shape}"
         )
-    return arr[..., 0] + 1j * arr[..., 1]
+    # each [re, im] pair read as one complex, not as re + 1j * im: 1j * inf warns
+    return arr.view(complex)[..., 0]
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
@@ -103,7 +104,12 @@ def _locate(obj, where: str = "$"):
 
 
 def _load_json(path):
-    """Parse a JSON file, rejecting the non-standard NaN/Infinity tokens."""
+    """Parse a JSON file, rejecting the non-standard NaN/Infinity tokens.
+
+    A number with a fraction or exponent beyond the float range, such as
+    1e999, parses to inf without a token; it is left to the matrix checks,
+    which name its entry.
+    """
     text = Path(path).read_text()
     tokens: list[str] = []
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from conftest import einsum_reconstruct, naive_decompose, naive_partial_trace
 DIM_PAIRS = [(2, 2), (2, 3), (3, 3), (3, 4)]
 
 
-def untiled_rejection(data):
-    """The rejection message of the one-pass hermiticity scan, or None."""
+def reference_rejection(data):
+    """The rejection message of a plain full-matrix hermiticity scan, or None."""
     asym = np.abs(data - data.conj().T)
     if not np.isfinite(asym).all():
         i, j = np.argwhere(~np.isfinite(asym))[0]
@@ -93,9 +94,9 @@ class TestDensityMatrix:
             ("inf", "non-finite entry at (3, {penult})"),
         ],
     )
-    def test_tiled_scan_matches_the_full_scan(self, dims, dtype, defect, message):
+    def test_large_scan_matches_the_reference_scan(self, dims, dtype, defect, message):
         d = dims[0] * dims[1]
-        assert d > bloch.HERMITICITY_TILE
+        assert d > 256
         g = np.random.default_rng(d).standard_normal((d, 8))
         data = (g @ g.T).astype(dtype)
         data /= np.trace(data)
@@ -107,7 +108,7 @@ class TestDensityMatrix:
         else:
             data[d - 2, 3] = np.inf
         expected = message.format(last=d - 1, penult=d - 2)
-        assert untiled_rejection(data) == expected
+        assert reference_rejection(data) == expected
         with pytest.raises(lz.InvalidStateError) as info:
             lz.DensityMatrix(*dims, data)
         assert str(info.value) == expected
@@ -130,6 +131,69 @@ class TestDensityMatrix:
         for seed in (-1, True, 0.5):
             with pytest.raises(ValueError, match="seed must be an integer >= 0"):
                 lz.random_density_matrix(2, 2, seed)
+
+
+def quiet_rejection(build):
+    """The InvalidStateError message of `build()`; numpy must warn nothing on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(lz.InvalidStateError) as info:
+            build()
+    assert [str(w.message) for w in caught] == []
+    return str(info.value)
+
+
+def plant_inf(data, defect):
+    """Put an Inf on the diagonal or a symmetric +-Inf pair into `data`; its position."""
+    last = len(data) - 1
+    if defect == "diagonal":
+        data[last, last] = np.inf
+        return last, last
+    data[0, last] = data[last, 0] = np.inf if defect == "pair" else -np.inf
+    return 0, last
+
+
+INF_DEFECTS = ["diagonal", "pair", "negative pair"]
+
+
+@pytest.mark.parametrize("defect", INF_DEFECTS)
+class TestInfEntries:
+    """An Inf is named by the hermiticity scan itself: inf - inf stays quiet."""
+
+    @pytest.mark.parametrize("d", [4, 64, 300])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_density_matrix(self, defect, d, dtype):
+        data = np.eye(d, dtype=dtype) / d
+        i, j = plant_inf(data, defect)
+        message = quiet_rejection(lambda: lz.DensityMatrix(d, 1, data))
+        assert message == f"non-finite entry at ({i}, {j})"
+
+    def test_sector_block(self, defect):
+        block = np.array([[0.3, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.1]])
+        i, j = plant_inf(block, defect)
+        sectors = {0: block, 1: np.array([[0.2, 0.0], [0.0, 0.2]])}
+        message = quiet_rejection(lambda: lz.SectorDensityMatrix(3, 3, sectors))
+        assert message == f"non-finite entry at ({i}, {j}) of sector 0"
+
+    def test_coupling(self, defect):
+        h = np.eye(4, dtype=complex)
+        i, j = plant_inf(h, defect)
+        message = quiet_rejection(lambda: lz.Coupling(hamiltonian=h, seed=0))
+        assert message == f"non-finite entry at ({i}, {j}) of the coupling"
+
+    def test_covariance(self, defect):
+        v = np.eye(4)
+        i, j = plant_inf(v, defect)
+        message = quiet_rejection(lambda: lz.CovarianceState(v))
+        assert message == f"non-finite entry at ({i}, {j}) of covariance matrix V"
+
+
+def test_sector_diagonals_are_summed_after_the_scan():
+    # level 1 of A lies in sectors 0 and 1: summing their diagonals first
+    # would compute inf - inf
+    sectors = {0: np.array([[0.3, 0.0], [0.0, np.inf]]), 1: np.array([[-np.inf]])}
+    message = quiet_rejection(lambda: lz.SectorDensityMatrix(2, 3, sectors))
+    assert message == "non-finite entry at (1, 1) of sector 0"
 
 
 class TestDecompose:

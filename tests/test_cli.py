@@ -161,6 +161,39 @@ def test_marginal_asymmetry_within_tolerance_is_decided(capsys, tmp_path, side):
     assert code == 0, err
 
 
+def write_with_overflow(path, doc):
+    """Write `doc` as JSON, each "OVERFLOW" string as the literal 1e999; `path` as str."""
+    path.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e999"))
+    return str(path)
+
+
+def overflowing_state_file(tmp_path, positions, part=0):
+    """A 2 x 2 maximally mixed state file with the literal 1e999 at `positions`."""
+    matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    for i, j in positions:
+        matrix[i][j][part] = "OVERFLOW"
+    return write_with_overflow(tmp_path / "overflow.json", {"dimA": 2, "dimB": 2, "matrix": matrix})
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "dynamics"])
+@pytest.mark.parametrize(
+    "positions,part,entry",
+    [
+        ([(2, 2)], 0, "(2, 2)"),
+        ([(0, 3), (3, 0)], 0, "(0, 3)"),
+        ([(1, 2), (2, 1)], 1, "(1, 2)"),
+    ],
+    ids=["diagonal", "pair", "imaginary-pair"],
+)
+def test_overflowing_literal_exits_two(capsys, tmp_path, command, positions, part, entry):
+    # json reads 1e999 as inf without a NaN/Infinity token; the matrix check names it
+    path = overflowing_state_file(tmp_path, positions, part)
+    code, out, err = run(capsys, [command, "--state", path])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: non-finite entry at {entry}\n"
+
+
 class TestDecompose:
     def test_bell_form(self, capsys, bell_file):
         code, out, _ = run(capsys, ["decompose", "--state", bell_file])
@@ -331,6 +364,20 @@ class TestGaussian:
         assert out == ""
         assert "non-finite number NaN at $.V[0][0]" in err
 
+    @pytest.mark.parametrize(
+        "positions,entry", [([(0, 0)], "(0, 0)"), ([(0, 3), (3, 0)], "(0, 3)")],
+        ids=["diagonal", "pair"],
+    )
+    def test_overflowing_covariance_exits_two(self, capsys, tmp_path, positions, entry):
+        v = np.eye(4).tolist()
+        for i, j in positions:
+            v[i][j] = "OVERFLOW"
+        path = write_with_overflow(tmp_path / "cov.json", {"V": v})
+        code, out, err = run(capsys, ["gaussian", "--cov", path])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: non-finite entry at {entry} of covariance matrix V\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tolerance_that_is_not_positive_and_finite_exits_two(self, capsys, tol):
         code, out, err = run(capsys, ["gaussian", "--form", "5,2,0,0", "--tol", tol])
@@ -399,6 +446,22 @@ class TestExample:
         assert code == 2
         assert out == ""
         assert "seed must be an integer >= 0, got -1" in err
+
+    @pytest.mark.parametrize(
+        "name,param,message",
+        [
+            ("werner", "p=inf", "parameter p must be a finite number, got inf"),
+            ("werner", "p=1e999", "parameter p must be a finite number, got inf"),
+            ("werner", "p=-inf", "parameter p must be a finite number, got -inf"),
+            ("product", "a=inf,0.5", "non-finite entry in marginal a at (0, 0)"),
+            ("product", "b=0.5,-1e999", "non-finite entry in marginal b at (1, 1)"),
+        ],
+    )
+    def test_non_finite_parameters_exit_two(self, capsys, name, param, message):
+        code, out, err = run(capsys, ["example", "--name", name, "--param", param])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_unphysical_parameters_exit_two(self, capsys):
         code, _, err = run(

@@ -410,6 +410,25 @@ class TestDynamicsAudit:
             for side in ("A", "B"):
                 assert lz.dynamics_audit(rho, side, trials=4, seed=2).rate_bound < 1e-12
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("r", [0.0, 0.3])
+    def test_sector_state_matches_its_dense_copy(self, r, side):
+        sector = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, r), 8)
+        assert isinstance(sector, lz.SectorDensityMatrix)
+        dense = lz.DensityMatrix(sector.dim_a, sector.dim_b, sector.data)
+        got = lz.dynamics_audit(sector, side, trials=20, seed=3)
+        want = lz.dynamics_audit(dense, side, trials=20, seed=3)
+        assert got.consistent_with_laziness == want.consistent_with_laziness
+        assert got.rate_bound == pytest.approx(want.rate_bound, rel=1e-12, abs=0)
+        # the two routes sum the marginal in different orders, so the rates
+        # may differ in their last digits (they do on side B)
+        np.testing.assert_allclose(got.per_trial_rates, want.per_trial_rates, rtol=0, atol=1e-12)
+        if r == 0.0:
+            # without squeezing the witness is a product of thermal states
+            assert got.rate_bound == 0.0
+        else:
+            assert got.rate_bound > 0.5
+
     def test_rank_deficient_lazy_state_is_consistent(self):
         rng = np.random.default_rng(12)
         rho = lz.product_state(pure_density(rng, 3), random_marginal(rng, 4))

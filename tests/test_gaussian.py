@@ -332,11 +332,11 @@ class TestStandardFormExtraction:
     def test_rejects_non_finite_covariance(self):
         v = np.eye(4)
         v[0, 0] = np.nan
-        with pytest.raises(ValueError, match=r"non-finite entry in covariance matrix V at \(0, 0\)"):
+        with pytest.raises(ValueError, match=r"non-finite entry at \(0, 0\) of covariance matrix V"):
             lz.CovarianceState(v)
         v = np.eye(4)
         v[1, 2] = v[2, 1] = np.inf
-        with pytest.raises(ValueError, match=r"V at \(1, 2\)"):
+        with pytest.raises(ValueError, match=r"at \(1, 2\) of covariance matrix V"):
             lz.CovarianceState(v)
         with pytest.raises(ValueError, match=r"displacement d at \(3,\)"):
             lz.CovarianceState(np.eye(4), d=[0.0, 0.0, 0.0, np.nan])
