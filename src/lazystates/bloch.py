@@ -14,6 +14,11 @@ coefficients are recovered as
     y_j  = (n_B / 2)       tr(rho (I (x) t_j))
     T_ij = (n_A n_B / 4)   tr(rho (s_i (x) t_j))
 
+This is one change of basis.  Each side's basis keeps S = [vec I; vec g_i]
+(S = [[1]] on a trivial side), with S S^dagger = diag(n, 2, ..., 2).  The
+traces above are the entries of C = S_A m S_B^T over the realigned state
+m[(c,a), (d,b)] = rho[(a,b), (c,d)]; `reconstruct` is the transposed product.
+
 Subsystem A indexes the outer (slow) Kronecker factor throughout the
 package.
 """
@@ -102,7 +107,8 @@ def _check_hermitian(matrices: dict) -> None:
 
 def _check_trace(trace: complex) -> None:
     trace_dev = abs(complex(trace) - 1.0)
-    if trace_dev > TRACE_TOL:
+    # `not <=` also rejects a NaN, from opposite overflowed sums
+    if not trace_dev <= TRACE_TOL:
         raise InvalidStateError(f"trace deviation {trace_dev:.3e}")
 
 
@@ -160,7 +166,8 @@ class DensityMatrix:
                 f"({dim_a}, {dim_b}) -> ({d}, {d})"
             )
         _check_hermitian({"": data})
-        _check_trace(data.trace())
+        # a sum of Python numbers overflows to inf without a numpy warning
+        _check_trace(sum(data.diagonal().tolist()))
         data.setflags(write=False)
         self.dim_a = dim_a
         self.dim_b = dim_b
@@ -248,11 +255,15 @@ class SectorDensityMatrix(DensityMatrix):
             checked[shift] = block.astype(float, copy=False)
         _check_hermitian({f" of sector {shift}": block for shift, block in checked.items()})
         diag_a = np.zeros(dim_a)
-        for shift, block in checked.items():
-            block.setflags(write=False)
-            lo = max(shift, 0)
-            diag_a[lo : lo + len(block)] += block.diagonal()
-        _check_trace(diag_a.sum())
+        # finite diagonals can still sum beyond the float range: the trace
+        # check names that, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for shift, block in checked.items():
+                block.setflags(write=False)
+                lo = max(shift, 0)
+                diag_a[lo : lo + len(block)] += block.diagonal()
+            trace = diag_a.sum()
+        _check_trace(trace)
         diag_a.setflags(write=False)
         self.dim_a = dim_a
         self.dim_b = dim_b
@@ -334,17 +345,23 @@ class BlochForm:
             )
 
 
-def _generators_for(dim: int, basis: SuBasis | None) -> np.ndarray:
-    """Generator stack for one side; empty stack for a trivial dimension."""
+def _change_of_basis(dim: int, basis: SuBasis | None) -> np.ndarray:
+    """`S` of one side, its basis built on demand; [[1]] for a trivial side."""
     if dim == 1:
-        return np.zeros((0, 1, 1), dtype=complex)
+        return np.ones((1, 1))
     if basis is None:
         basis = build_su_basis(dim)
     if basis.dim != dim:
         raise DimensionMismatchError(
             f"basis dimension {basis.dim} does not match subsystem dimension {dim}"
         )
-    return basis.generators
+    return basis.S
+
+
+def _realign(data: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """m[(c,a), (d,b)] = data[(a,b), (c,d)], so tr(data (A (x) B)) = vec(A)^T m vec(B)."""
+    r = data.reshape(dim_a, dim_b, dim_a, dim_b)
+    return r.transpose(2, 0, 3, 1).reshape(dim_a * dim_a, dim_b * dim_b)
 
 
 def decompose(
@@ -352,26 +369,17 @@ def decompose(
     basis_a: SuBasis | None = None,
     basis_b: SuBasis | None = None,
 ) -> BlochForm:
-    """Expand a state over the generator basis.
+    """Expand a state over the generator basis by one change of basis.
 
+    x, y and T are the first column, first row and body of C = S_A m S_B^T.
     Bases are built on demand when omitted.  A trivial (dimension-1) side
     contributes empty coherence/correlation blocks, so reduced states pass
     through unchanged.
     """
     na, nb = rho.dim_a, rho.dim_b
-    # s[i, c*n + a] = g_i[c, a]: the generator stack flattened, no copy
-    sa = _generators_for(na, basis_a).reshape(-1, na * na)
-    sb = _generators_for(nb, basis_b).reshape(-1, nb * nb)
-    # m[(c,a), (d,b)] = r[a,b,c,d], so T = S_A M S_B^T up to the prefactor
-    r = rho.data.reshape(na, nb, na, nb)
-    m = r.transpose(2, 0, 3, 1).reshape(na * na, nb * nb)
-    # the (b,b) columns of m sum to vec(rho_A), the (a,a) rows to vec(rho_B)
-    vec_a = m[:, :: nb + 1].sum(axis=1)
-    vec_b = m[:: na + 1].sum(axis=0)
-    x = (na / 2.0) * (sa @ vec_a).real
-    y = (nb / 2.0) * (sb @ vec_b).real
-    t = (na * nb / 4.0) * (sa @ m @ sb.T).real
-    return BlochForm(x=x, y=y, T=t)
+    sa, sb = _change_of_basis(na, basis_a), _change_of_basis(nb, basis_b)
+    c = (sa @ _realign(rho.data, na, nb) @ sb.T).real
+    return BlochForm(x=na / 2.0 * c[1:, 0], y=nb / 2.0 * c[0, 1:], T=na * nb / 4.0 * c[1:, 1:])
 
 
 def reconstruct(
@@ -381,11 +389,12 @@ def reconstruct(
 ) -> DensityMatrix:
     """Assemble the density matrix of a Bloch form.
 
-    The mirror image of `decompose`: the subsystem dimensions follow from
-    the sizes of x and y, bases are built on demand when omitted, and a
-    trivial (dimension-1) side has empty coherence/correlation blocks.  The
-    result is Hermitian with unit trace by construction.  Positivity is not
-    guaranteed; inspect `is_physical` on the returned state.
+    The mirror image of `decompose`, the transposed product S_A^T C S_B on
+    C = [[1, y], [x, T]]: the subsystem dimensions follow from the sizes of
+    x and y, bases are built on demand when omitted, and a trivial side has
+    empty coherence/correlation blocks.  The result is Hermitian with unit
+    trace by construction.  Positivity is not guaranteed; inspect
+    `is_physical` on the returned state.
     """
     na, nb = math.isqrt(form.x.size + 1), math.isqrt(form.y.size + 1)
     if na * na != form.x.size + 1 or nb * nb != form.y.size + 1:
@@ -393,14 +402,10 @@ def reconstruct(
             f"Bloch form sized ({form.x.size}, {form.y.size}) is not "
             "(n_A^2 - 1, n_B^2 - 1)"
         )
-    # the identity joins each generator stack as element 0, so that
-    # rho = (1/(n_A n_B)) sum_ij C_ij s_i (x) t_j with C = [[1, y], [x, T]]
-    # is the single GEMM S_A^T C S_B over the flattened stacks
-    sa = np.concatenate((np.eye(na)[None], _generators_for(na, basis_a)))
-    sb = np.concatenate((np.eye(nb)[None], _generators_for(nb, basis_b)))
+    sa, sb = _change_of_basis(na, basis_a), _change_of_basis(nb, basis_b)
     coeffs = np.block([[np.ones((1, 1)), form.y[None]], [form.x[:, None], form.T]])
     # m[(a,c), (b,d)] = rho[(a,b), (c,d)] up to the prefactor
-    m = sa.reshape(-1, na * na).T @ coeffs @ sb.reshape(-1, nb * nb)
+    m = sa.T @ coeffs @ sb
     d = na * nb
     data = m.reshape(na, na, nb, nb).transpose(0, 2, 1, 3).reshape(d, d) / d
     return DensityMatrix(na, nb, data)

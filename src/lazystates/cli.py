@@ -18,12 +18,7 @@ import numpy as np
 from . import __version__
 from .bloch import decompose
 from .dynamics import dynamics_audit
-from .errors import (
-    DimensionMismatchError,
-    InvalidStateError,
-    TruncationError,
-    UnphysicalFormError,
-)
+from .errors import TruncationError
 from .examples import EXAMPLE_NAMES, generate_example
 from .gaussian import (
     QUADRATIC_IDENTITY_TOL,
@@ -206,7 +201,10 @@ def _parse_param(text: str):
     values = []
     for piece in raw.split(","):
         try:
-            values.append(int(piece))
+            value = int(piece)
+            # an integer beyond the float range reads as +-inf, which the
+            # generators' finiteness checks name
+            values.append(value if abs(value) <= sys.float_info.max else float(piece))
         except ValueError:
             try:
                 values.append(float(piece))
@@ -310,8 +308,7 @@ def main(argv=None) -> int:
     except (TruncationError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    except (InvalidStateError, DimensionMismatchError, UnphysicalFormError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     print(text)

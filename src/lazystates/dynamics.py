@@ -54,6 +54,7 @@ from .bloch import (
     _check_hermitian,
     _check_side,
     _marginal,
+    _realign,
     reduced_state,
 )
 from .errors import DimensionMismatchError
@@ -286,9 +287,9 @@ def dynamics_audit(
     a, b = product_couplings(na, nb, trials, seed)
     lazy = commutator_residual(rho, side) < DEFAULT_TOL
     k = _rate_operator(rho, side)
-    # tr(K (A (x) B)) = vec(A)^T M vec(B) with M[(a, c), (b, d)] = K[(c, d), (a, b)];
-    # its real part reads only the Hermitian part of K, as `entropy_rate` does
-    m = k.reshape(na, nb, na, nb).transpose(2, 0, 3, 1).reshape(na * na, nb * nb)
+    # tr(K (A (x) B)) = vec(A)^T m vec(B); its real part reads only the
+    # Hermitian part of K, as `entropy_rate` does
+    m = _realign(k, na, nb)
     rates = np.einsum("ij,ij->i", a.reshape(trials, -1) @ m, b.reshape(trials, -1)).real
     max_rate = float(np.abs(rates).max())
     consistent = max_rate < LAZY_RATE_TOL if lazy else max_rate > NONLAZY_RATE_FLOOR

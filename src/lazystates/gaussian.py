@@ -185,6 +185,17 @@ class GaussianStandardForm:
         return inverse
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """`value` as a float64 array; an entry that does not cast raises ValueError naming `name`.
+
+    JSON keeps an integer literal as an int, which can lie beyond the float range.
+    """
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {name}: {exc}") from exc
+
+
 class CovarianceState:
     """General two-mode covariance matrix with displacement vector.
 
@@ -193,7 +204,7 @@ class CovarianceState:
     """
 
     def __init__(self, V, d=None):
-        V = np.array(V, dtype=float)
+        V = _float_array(V, "covariance matrix V")
         if V.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got {V.shape}")
         # the one scan rejects a NaN or Inf as well as an asymmetry
@@ -201,7 +212,7 @@ class CovarianceState:
         if d is None:
             d = np.zeros(4)
         else:
-            d = np.array(d, dtype=float)
+            d = _float_array(d, "displacement d")
             if d.shape != (4,):
                 raise ValueError(f"displacement must have 4 entries, got shape {d.shape}")
             _require_finite(d, "displacement d")

@@ -76,7 +76,8 @@ def state_from_dict(obj) -> DensityMatrix:
         raise InvalidStateError(f"dimensions must be positive integers, got ({dim_a!r}, {dim_b!r})")
     try:
         matrix = pairs_to_complex_matrix(obj["matrix"])
-    except (TypeError, ValueError) as exc:
+    # OverflowError: JSON keeps an integer literal beyond the float range as an int
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidStateError(f"malformed matrix entries: {exc}") from exc
     rho = DensityMatrix(dim_a, dim_b, matrix)
     return rho.require_physical()

@@ -154,11 +154,19 @@ class StructureConstants:
 
 @dataclass(frozen=True)
 class SuBasis:
-    """Ordered su(n) generator basis together with its structure constants."""
+    """Ordered su(n) generator basis together with its structure constants.
+
+    The change of basis S = [vec I; vec g_i] (row-major vec) has
+    S S^dagger = diag(n, 2, ..., 2); `generators` is a view of S[1:].
+    """
 
     dim: int
-    generators: np.ndarray  # (n**2 - 1, n, n) complex, read-only
+    S: np.ndarray  # (n**2, n**2) complex, read-only
     f: StructureConstants
+
+    @property
+    def generators(self) -> np.ndarray:  # (n**2 - 1, n, n), read-only
+        return self.S[1:].reshape(-1, self.dim, self.dim)
 
 
 def _gell_mann_constants(n: int) -> StructureConstants:
@@ -206,23 +214,25 @@ def build_su_basis(n: int) -> SuBasis:
     """Construct the su(n) generator basis in canonical order.
 
     The order is: symmetric block, antisymmetric block (each lexicographic
-    in (j, k)), then the diagonal generators.  The structure constants come
-    from their closed forms.  Results are cached; the returned arrays are
-    read-only and safe to share.
+    in (j, k)), then the diagonal generators; the identity precedes them in
+    `S`.  The structure constants come from their closed forms.  Results
+    are cached; the returned arrays are read-only and safe to share.
     """
     if n < 2:
         raise ValueError(f"su(n) basis requires n >= 2, got {n}")
     pairs = n * (n - 1) // 2
     row, col = np.triu_indices(n, 1)
-    generators = np.zeros((n * n - 1, n, n), dtype=complex)
-    p = np.arange(pairs)
-    generators[p, row, col] = generators[p, col, row] = 1.0
-    generators[pairs + p, row, col] = 1.0j
-    generators[pairs + p, col, row] = -1.0j
+    stack = np.zeros((n * n, n, n), dtype=complex)
+    stack[0] = np.eye(n)
+    p = 1 + np.arange(pairs)
+    stack[p, row, col] = stack[p, col, row] = 1.0
+    stack[pairs + p, row, col] = 1.0j
+    stack[pairs + p, col, row] = -1.0j
     for l in range(1, n):
-        g = generators[2 * pairs + l - 1]
+        g = stack[2 * pairs + l]
         g[np.arange(l), np.arange(l)] = 1.0
         g[l, l] = -float(l)
         g *= -np.sqrt(2.0 / (l * (l + 1)))
-    generators.setflags(write=False)
-    return SuBasis(dim=n, generators=generators, f=_gell_mann_constants(n))
+    S = stack.reshape(n * n, n * n)
+    S.setflags(write=False)
+    return SuBasis(dim=n, S=S, f=_gell_mann_constants(n))

@@ -196,6 +196,28 @@ def test_sector_diagonals_are_summed_after_the_scan():
     assert message == "non-finite entry at (1, 1) of sector 0"
 
 
+class TestOverflowingTrace:
+    """Finite diagonals that sum beyond the float range: the trace check names it, numpy is quiet."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_density_matrix(self, dtype):
+        data = np.diag([1e308, 1e308]).astype(dtype)
+        assert quiet_rejection(lambda: lz.DensityMatrix(2, 1, data)) == "trace deviation inf"
+
+    def test_sector_trace(self):
+        sectors = {0: np.diag([1e308, 1e308])}
+        assert quiet_rejection(lambda: lz.SectorDensityMatrix(2, 2, sectors)) == "trace deviation inf"
+
+    def test_sector_accumulation(self):
+        # on a 2 x 2 box, level 0 of A lies in sectors 0 and -1, level 1 in 0 and 1:
+        # each level's sum overflows, one to +inf, one to -inf, and their total is NaN
+        big = 1e308
+        sectors = {0: np.diag([-big, big]), 1: np.array([[big]]), -1: np.array([[-big]])}
+        assert quiet_rejection(lambda: lz.SectorDensityMatrix(2, 2, sectors)) == "trace deviation nan"
+        del sectors[-1]
+        assert quiet_rejection(lambda: lz.SectorDensityMatrix(2, 2, sectors)) == "trace deviation inf"
+
+
 class TestDecompose:
     def test_maximally_mixed_is_origin(self):
         rho = lz.DensityMatrix(2, 3, np.eye(6) / 6.0)
@@ -436,7 +458,7 @@ class TestReconstruct:
             back = lz.reconstruct(lz.decompose(rho, ba, bb), ba, bb)
             assert np.abs(back.data - rho.data).max() < 1e-12
 
-    @pytest.mark.parametrize("na,nb", [(2, 5), (5, 2), (3, 4), (1, 3)])
+    @pytest.mark.parametrize("na,nb", [(2, 5), (5, 2), (3, 4), (1, 3), (3, 1), (1, 1)])
     def test_rectangular_splits_match_einsum_oracle(self, na, nb):
         def gens(n):
             return lz.build_su_basis(n).generators if n > 1 else np.zeros((0, 1, 1))

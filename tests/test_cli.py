@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,18 +162,23 @@ def test_marginal_asymmetry_within_tolerance_is_decided(capsys, tmp_path, side):
     assert code == 0, err
 
 
-def write_with_overflow(path, doc):
-    """Write `doc` as JSON, each "OVERFLOW" string as the literal 1e999; `path` as str."""
-    path.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e999"))
+#: an integer literal beyond the float range; `json` keeps it a Python int
+HUGE_INT = "1" * 401
+
+
+def write_with_overflow(path, doc, literal="1e999"):
+    """Write `doc` as JSON, each "OVERFLOW" string as `literal`; `path` as str."""
+    path.write_text(json.dumps(doc).replace('"OVERFLOW"', literal))
     return str(path)
 
 
-def overflowing_state_file(tmp_path, positions, part=0):
-    """A 2 x 2 maximally mixed state file with the literal 1e999 at `positions`."""
+def overflowing_state_file(tmp_path, positions, part=0, literal="1e999"):
+    """A 2 x 2 maximally mixed state file with `literal` at `positions`."""
     matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
     for i, j in positions:
         matrix[i][j][part] = "OVERFLOW"
-    return write_with_overflow(tmp_path / "overflow.json", {"dimA": 2, "dimB": 2, "matrix": matrix})
+    doc = {"dimA": 2, "dimB": 2, "matrix": matrix}
+    return write_with_overflow(tmp_path / "overflow.json", doc, literal)
 
 
 @pytest.mark.parametrize("command", ["check", "decompose", "dynamics"])
@@ -192,6 +198,27 @@ def test_overflowing_literal_exits_two(capsys, tmp_path, command, positions, par
     assert code == 2
     assert out == ""
     assert err == f"error: non-finite entry at {entry}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "dynamics"])
+def test_integer_beyond_float_range_exits_two(capsys, tmp_path, command):
+    path = overflowing_state_file(tmp_path, [(2, 2)], literal=HUGE_INT)
+    code, out, err = run(capsys, [command, "--state", path])
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed matrix entries: int too large to convert to float\n"
+
+
+def test_overflowing_trace_exits_two(capsys, tmp_path):
+    # a finite Hermitian matrix whose diagonal sums beyond the float range
+    matrix = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"dimA": 2, "dimB": 1, "matrix": matrix}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["check", "--state", str(path)])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out, err) == (2, "", "error: trace deviation inf\n")
 
 
 class TestDecompose:
@@ -378,6 +405,26 @@ class TestGaussian:
         assert out == ""
         assert err == f"error: non-finite entry at {entry} of covariance matrix V\n"
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"V": [["OVERFLOW", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+             "malformed covariance matrix V: int too large to convert to float"),
+            ({"V": np.eye(4).tolist(), "d": [0, "OVERFLOW", 0, 0]},
+             "malformed displacement d: int too large to convert to float"),
+            ({"V": [[{}, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+             "malformed covariance matrix V: float() argument must be a string or a "
+             "real number, not 'dict'"),
+        ],
+        ids=["V", "d", "object-entry"],
+    )
+    def test_uncastable_covariance_entry_exits_two(self, capsys, tmp_path, doc, message):
+        path = write_with_overflow(tmp_path / "cov.json", doc, HUGE_INT)
+        code, out, err = run(capsys, ["gaussian", "--cov", path])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tolerance_that_is_not_positive_and_finite_exits_two(self, capsys, tol):
         code, out, err = run(capsys, ["gaussian", "--form", "5,2,0,0", "--tol", tol])
@@ -458,6 +505,23 @@ class TestExample:
         ],
     )
     def test_non_finite_parameters_exit_two(self, capsys, name, param, message):
+        code, out, err = run(capsys, ["example", "--name", name, "--param", param])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name,param,message",
+        [
+            ("werner", f"p={HUGE_INT}", "parameter p must be a finite number, got inf"),
+            ("werner", f"p=-{HUGE_INT}", "parameter p must be a finite number, got -inf"),
+            ("product", f"a={HUGE_INT},0.5", "non-finite entry in marginal a at (0, 0)"),
+            ("maximally_entangled", f"d={HUGE_INT}", "parameter d must be an integer, got inf"),
+        ],
+        ids=["werner", "werner-negative", "product", "maximally-entangled"],
+    )
+    def test_integer_parameters_beyond_float_range_exit_two(self, capsys, name, param, message):
+        # read as +-inf, so the generators' own finiteness checks name the parameter
         code, out, err = run(capsys, ["example", "--name", name, "--param", param])
         assert code == 2
         assert out == ""

@@ -51,6 +51,30 @@ def test_defining_relations(n):
     assert np.abs(gram - 2.0 * np.eye(count)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_change_of_basis_is_identity_then_generators(n):
+    basis = build_su_basis(n)
+    s = basis.S
+    assert s.shape == (n * n, n * n)
+    assert np.array_equal(s[0], np.eye(n).ravel())
+    # I and the generators are orthogonal, with tr(I I) = n and tr(g_i g_i) = 2
+    gram = s @ s.conj().T
+    assert np.abs(gram - np.diag([n] + [2] * (n * n - 1))).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_generators_are_a_read_only_view_of_the_change_of_basis(n):
+    basis = build_su_basis(n)
+    g = basis.generators
+    assert g.shape == (n * n - 1, n, n)
+    assert np.shares_memory(g, basis.S)
+    assert np.array_equal(g.reshape(n * n - 1, -1), basis.S[1:])
+    for arr in (g, basis.S):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_commutator_reconstruction(n):
     basis = build_su_basis(n)
