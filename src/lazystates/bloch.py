@@ -53,6 +53,8 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 #: eigenvalues above this (slightly negative) floor count as nonnegative
 POSITIVITY_TOL = -1e-10
+#: numpy's size limit for one array, in bytes
+MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
 
 
 def _check_side(side: str) -> str:
@@ -128,6 +130,20 @@ def _check_count(value, what: str, minimum: int = 0) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
         return int(value)
     raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_dense_size(dim: int, what: str) -> None:
+    """ValueError naming `what` when a dense dim x dim complex matrix is too big.
+
+    Checked before allocating, so numpy's own message (which names neither
+    the parameter nor the limit) is never reached.
+    """
+    nbytes = 16 * dim * dim
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"{what}: a dense {dim} x {dim} complex matrix would take "
+            f"{nbytes:.3g} bytes, over numpy's limit of {MAX_ARRAY_BYTES} bytes per array"
+        )
 
 
 def _check_dims(dim_a, dim_b) -> tuple[int, int]:
@@ -272,10 +288,22 @@ class SectorDensityMatrix(DensityMatrix):
 
     @cached_property
     def _diagonal_b(self) -> np.ndarray:
-        """Read-only diagonal of rho_B, accumulated on first read."""
+        """Read-only diagonal of rho_B, accumulated on first read.
+
+        The trace check bounds the sum of the levels, not each B level:
+        finite blocks can still sum beyond the float range there, which
+        raises InvalidStateError naming the level, with no numpy warning.
+        """
         diag_b = np.zeros(self.dim_b)
-        for lo, block in _sector_blocks(self, "B"):
-            diag_b[lo : lo + len(block)] += block.diagonal()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, block in _sector_blocks(self, "B"):
+                diag_b[lo : lo + len(block)] += block.diagonal()
+        finite = np.isfinite(diag_b)
+        if not finite.all():
+            level = int(finite.argmin())
+            raise InvalidStateError(
+                f"rho_B level {level} sums beyond the float range: {diag_b[level]}"
+            )
         diag_b.setflags(write=False)
         return diag_b
 
@@ -447,8 +475,9 @@ def reduced_state(rho: DensityMatrix, side: Side) -> DensityMatrix:
 def random_density_matrix(dim_a: int, dim_b: int, seed) -> DensityMatrix:
     """Full-rank random state rho = G G^dag / tr(G G^dag), G complex Gaussian."""
     dim_a, dim_b = _check_dims(dim_a, dim_b)
-    rng = np.random.default_rng(_check_count(seed, "seed"))
     d = dim_a * dim_b
+    _check_dense_size(d, f"dimensions dimA x dimB = {dim_a} x {dim_b} are too large")
+    rng = np.random.default_rng(_check_count(seed, "seed"))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     w = g @ g.conj().T
     w = (w + w.conj().T) / 2.0

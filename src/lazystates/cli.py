@@ -33,8 +33,8 @@ from .gaussian import (
 )
 from .laziness import DEFAULT_TOL, commutator_residual, is_lazy
 from .stateio import (
+    _pairs_array,
     canonical_json,
-    complex_matrix_to_pairs,
     load_covariance,
     load_state,
     state_to_dict,
@@ -62,10 +62,7 @@ def _report_dict(report) -> dict:
 
 def _handle_basis(args):
     basis = build_su_basis(args.dim)
-    results = {
-        "dim": basis.dim,
-        "generators": [complex_matrix_to_pairs(g) for g in basis.generators],
-    }
+    results = {"dim": basis.dim, "generators": _pairs_array(basis.generators)}
     if args.emit_f:
         results["f"] = [
             {"ijk": [i, j, k], "value": v} for i, j, k, v in basis.f.triples()
@@ -78,11 +75,7 @@ def _handle_basis(args):
 def _handle_decompose(args):
     rho = load_state(args.state)
     form = decompose(rho)
-    results = {
-        "x": form.x.tolist(),
-        "y": form.y.tolist(),
-        "T": form.T.tolist(),
-    }
+    results = {"x": form.x, "y": form.y, "T": form.T}
     params = {"state": args.state}
     summary = (
         f"decomposed ({rho.dim_a} x {rho.dim_b}) state: "

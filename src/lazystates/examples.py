@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import DensityMatrix, _check_integer, _require_finite, random_density_matrix
+from .bloch import (
+    DensityMatrix,
+    _check_dense_size,
+    _check_integer,
+    _require_finite,
+    random_density_matrix,
+)
 from .laziness import diagonal_correlation_state
 
 __all__ = [
@@ -26,6 +32,7 @@ def maximally_entangled(dim: int) -> DensityMatrix:
     dim = _check_integer(dim, "maximally entangled dimension")
     if dim < 2:
         raise ValueError(f"maximally entangled state needs dim >= 2, got {dim}")
+    _check_dense_size(dim * dim, f"maximally entangled dimension d = {dim} is too large")
     vec = np.zeros(dim * dim, dtype=complex)
     vec[:: dim + 1] = 1.0 / np.sqrt(dim)
     return DensityMatrix(dim, dim, np.outer(vec, vec.conj()))

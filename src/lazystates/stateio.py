@@ -7,13 +7,18 @@ State files carry complex entries as [re, im] pairs:
 Covariance files are {"V": [[...]], "d": [...]} with a real 4x4 matrix and
 an optional displacement.  All JSON emitted by this package goes through
 `canonical_json`, which sorts keys and prints floats with 17 significant
-digits so that identical inputs reproduce byte-identical output.
+digits so that identical inputs reproduce byte-identical output.  It
+formats each numeric block (a float array, or a rectangular nesting of
+float lists such as a state's matrix) in one pass, with the same bytes as
+formatting its floats one by one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +41,13 @@ __all__ = [
 
 def complex_matrix_to_pairs(matrix: np.ndarray) -> list:
     """Complex matrix as nested lists of [re, im] pairs."""
-    m = np.asarray(matrix, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return _pairs_array(matrix).tolist()
+
+
+def _pairs_array(values) -> np.ndarray:
+    """[re, im] pairs of a complex array, as a float array with a last axis of 2."""
+    m = np.asarray(values, dtype=complex)
+    return np.stack((m.real, m.imag), axis=-1)
 
 
 def pairs_to_complex_matrix(obj) -> np.ndarray:
@@ -147,16 +157,44 @@ def load_covariance(path) -> CovarianceState:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    A numeric block, a float ndarray or a rectangular list/tuple nesting
+    whose every leaf is a Python float, is formatted in one pass: one
+    finiteness check, one `%` over a "%.17g" template built with one join
+    per nesting level.  The bytes are those of formatting each float on its
+    own.  A non-finite value raises ValueError naming the first one in
+    row-major order; complex values, other types and non-string keys raise
+    TypeError.
+    """
     out: list[str] = []
     _write_json(obj, out)
     return "".join(out)
 
 
 def _write_json(obj, out: list[str]) -> None:
+    kind = type(obj)
+    if kind is float:
+        out.append(_format_float(obj))
+    elif kind is list or kind is tuple:
+        _write_sequence(obj, out)
+    elif kind is dict:
+        _write_object(obj, out)
+    else:
+        _write_other(obj, out)
+
+
+def _write_other(obj, out: list[str]) -> None:
+    """Numpy scalars and arrays, subclasses of the JSON types, and the rest."""
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, np.ndarray):
+        # float16/32/64 of any layout; a longdouble's items are not Python
+        # floats, and a subclass such as a masked array keeps its own tolist
+        float_block = obj.dtype.kind == "f" and obj.dtype.itemsize <= 8
+        if float_block and type(obj) is np.ndarray and obj.ndim and obj.size:
+            out.append(_format_block(obj.shape, obj.ravel().tolist()))
+            return
         obj = obj.tolist()
     if obj is None:
         out.append("null")
@@ -165,29 +203,85 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite value {obj!r} is not representable in JSON")
-        # + 0.0 turns -0.0 into 0.0, which prints as the integer 0 reads back
-        out.append(format(obj + 0.0, ".17g"))
+        out.append(_format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for pos, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if pos:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _write_json(obj[key], out)
-        out.append("}")
+        _write_object(obj, out)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for pos, item in enumerate(obj):
-            if pos:
-                out.append(",")
-            _write_json(item, out)
-        out.append("]")
+        _write_sequence(obj, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _write_object(obj: dict, out: list[str]) -> None:
+    out.append("{")
+    for pos, key in enumerate(sorted(obj)):
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        if pos:
+            out.append(",")
+        out.append(_key_text(key))
+        _write_json(obj[key], out)
+    out.append("}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _key_text(key: str) -> str:
+    return json.dumps(key) + ":"
+
+
+def _write_sequence(seq, out: list[str]) -> None:
+    block = _float_leaves(seq)
+    if block is not None:
+        out.append(_format_block(*block))
+        return
+    out.append("[")
+    for pos, item in enumerate(seq):
+        if pos:
+            out.append(",")
+        _write_json(item, out)
+    out.append("]")
+
+
+def _float_leaves(seq):
+    """(shape, row-major leaves) of a rectangular nesting of Python floats.
+
+    None when `seq` is empty or ragged, or holds anything but lists and
+    tuples above its leaves and `float`s (not ints, bools or None) as them.
+    """
+    shape = [len(seq)]
+    level = seq
+    while True:
+        kinds = set(map(type, level))
+        if kinds == {float}:
+            return shape, level
+        if not kinds or not kinds <= {list, tuple}:
+            return None
+        sizes = set(map(len, level))
+        if len(sizes) != 1:
+            return None
+        shape.append(sizes.pop())
+        level = list(chain.from_iterable(level))
+
+
+def _format_block(shape, values) -> str:
+    """JSON text of the nesting of `shape` over the row-major Python floats."""
+    if not all(map(math.isfinite, values)):
+        raise _non_finite(next(v for v in values if not math.isfinite(v)))
+    template = "%.17g"
+    for size in reversed(shape):
+        template = "[" + ",".join([template] * size) + "]"
+    # + 0.0 turns -0.0 into 0.0, which prints as the integer 0 reads back
+    return template % tuple([v + 0.0 for v in values])
+
+
+def _format_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise _non_finite(value)
+    # + 0.0 turns -0.0 into 0.0, which prints as the integer 0 reads back
+    return format(value + 0.0, ".17g")
+
+
+def _non_finite(value: float) -> ValueError:
+    return ValueError(f"non-finite value {value!r} is not representable in JSON")

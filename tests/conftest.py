@@ -4,6 +4,9 @@ The oracle helpers recompute quantities through deliberately naive index
 loops so that tests never compare an implementation against itself.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -286,6 +289,57 @@ def finite_difference_rate(rho, hamiltonian, side, step=1e-5):
         return float(-(vals * np.log2(vals)).sum())
 
     return (evolved_entropy(step) - evolved_entropy(-step)) / (2.0 * step)
+
+
+def reference_canonical_json(obj) -> str:
+    """The element-by-element writer that `canonical_json` replaced.
+
+    Every float is formatted on its own after a finiteness check; its bytes
+    are the ones `canonical_json` must reproduce.
+    """
+    out: list[str] = []
+    _reference_write_json(obj, out)
+    return "".join(out)
+
+
+def _reference_write_json(obj, out: list[str]) -> None:
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj!r} is not representable in JSON")
+        # + 0.0 turns -0.0 into 0.0, which prints as the integer 0 reads back
+        out.append(format(obj + 0.0, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for pos, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            if pos:
+                out.append(",")
+            out.append(json.dumps(key))
+            out.append(":")
+            _reference_write_json(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for pos, item in enumerate(obj):
+            if pos:
+                out.append(",")
+            _reference_write_json(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def golden_su3_contraction(x):

@@ -217,6 +217,21 @@ class TestOverflowingTrace:
         del sectors[-1]
         assert quiet_rejection(lambda: lz.SectorDensityMatrix(2, 2, sectors)) == "trace deviation inf"
 
+    def test_sector_b_level(self):
+        # trace 1 on A's levels, but B level 0 sums 1e308 + 1e308 + 1: the
+        # constructor accepts the state, and the first B read names the level
+        big = 1e308
+        sectors = {
+            0: np.diag([big, -big, 0.0]),
+            1: np.diag([big, 0.0]),
+            2: np.array([[1.0]]),
+            -1: np.diag([-big, 0.0]),
+        }
+        state = lz.SectorDensityMatrix(3, 3, sectors)
+        message = "rho_B level 0 sums beyond the float range: inf"
+        for read in (lz.commutator_residual, lz.is_lazy, lz.reduced_state):
+            assert quiet_rejection(lambda read=read: read(state, "B")) == message
+
 
 class TestDecompose:
     def test_maximally_mixed_is_origin(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -69,6 +70,23 @@ class TestBasis:
         assert code == 0
         assert lz.canonical_json(json.loads(out)) + "\n" == out
         assert "-0," not in out and "-0]" not in out
+
+    @pytest.mark.parametrize(
+        "dim,digest",
+        [
+            (2, "5dce4b0655a076d9639ba07b459d1a236404beea4c021c785134cad4604f13f2"),
+            (3, "21380c9bca6630b4c4843588ae38633766034048dbaea1607ca5d72c74f7786c"),
+            (4, "862aaac96758afeda98bde34bbc1aacff3a77b595b6ccab486025b91bffa0d15"),
+        ],
+    )
+    def test_results_keep_their_bytes(self, capsys, dim, digest):
+        # sha256 of the "results" text as the element-by-element writer printed
+        # it; generators and constants come from closed forms, so the bytes do
+        # not depend on the platform, and the rest of the manifest is left out
+        code, out, _ = run(capsys, ["basis", "--dim", str(dim), "--emit-f"])
+        assert code == 0
+        results = out[out.index('"results":') + len('"results":') : out.rindex(',"seed":')]
+        assert hashlib.sha256(results.encode()).hexdigest() == digest
 
     def test_constants_opt_in(self, capsys):
         code, out, _ = run(capsys, ["basis", "--dim", "3"])
@@ -526,6 +544,41 @@ class TestExample:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name,params,message",
+        [
+            (
+                "maximally_entangled",
+                ["d=1000000000000"],
+                "maximally entangled dimension d = 1000000000000 is too large: a dense "
+                f"{10**24} x {10**24} complex matrix would take 1.6e+49 bytes",
+            ),
+            (
+                "random",
+                ["dimA=100000000000"],
+                "dimensions dimA x dimB = 100000000000 x 2 are too large: a dense "
+                f"{2 * 10**11} x {2 * 10**11} complex matrix would take 6.4e+23 bytes",
+            ),
+            (
+                "random",
+                ["dimA=3", "dimB=1000000000"],
+                "dimensions dimA x dimB = 3 x 1000000000 are too large: a dense "
+                f"{3 * 10**9} x {3 * 10**9} complex matrix would take 1.44e+20 bytes",
+            ),
+        ],
+        ids=["maximally-entangled", "random-dimA", "random-dimB"],
+    )
+    def test_oversized_parameters_exit_two_before_allocating(self, capsys, name, params, message):
+        # every size here is beyond numpy's array limit, so nothing is allocated
+        argv = ["example", "--name", name]
+        for param in params:
+            argv += ["--param", param]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        limit = np.iinfo(np.intp).max
+        assert err == f"error: {message}, over numpy's limit of {limit} bytes per array\n"
 
     def test_unphysical_parameters_exit_two(self, capsys):
         code, _, err = run(

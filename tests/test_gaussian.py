@@ -574,6 +574,11 @@ class TestSqueezedThermal:
 
 
 class TestFockTruncation:
+    def test_side_a_witness_never_accumulates_the_b_diagonal(self):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), cutoff=20)
+        assert lz.commutator_residual(rho, "A") > 0.0
+        assert "_diagonal_b" not in vars(rho)
+
     def test_zero_squeezing_is_vacuum_product(self):
         rho = lz.fock_truncate(lz.squeezed_thermal_form(1.0, 1.0, 0.0), cutoff=6)
         assert rho.data[0, 0] == pytest.approx(1.0, abs=1e-14)

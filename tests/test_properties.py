@@ -5,15 +5,17 @@ every run.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import lazystates as lz  # noqa: E402
-from conftest import haar_unitary  # noqa: E402
+from conftest import haar_unitary, reference_canonical_json  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -215,3 +217,117 @@ def test_canonical_json_round_trip_and_byte_determinism(doc):
     assert lz.canonical_json(reversed_keys(doc)) == text
     # the text is a fixed point: parsed and re-serialized, it keeps its bytes
     assert lz.canonical_json(json.loads(text)) == text
+
+
+#: floats whose formatting is easy to get wrong: signed zeros, subnormals,
+#: the ends of the float range, 0.1 and integral values (which print bare)
+edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300, -1e300,
+     1.7976931348623157e308, 0.1, 1.0, -3.0, 2.0**53, 1e16, 1e-5]
+)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
+non_finite_floats = st.sampled_from([math.nan, math.inf, -math.inf])
+#: ints that a float list must keep as ints, some beyond 2**53
+wide_ints = st.integers(-(2**64), 2**64) | st.sampled_from([2**53 + 1, -(2**60) - 1])
+
+
+@st.composite
+def float_nestings(draw):
+    """A rectangular list/tuple nesting of Python floats, at times with one non-finite leaf."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    size = math.prod(shape)
+    leaves = draw(st.lists(finite_floats, min_size=size, max_size=size))
+    if draw(st.integers(0, 3)) == 0:
+        leaves[draw(st.integers(0, size - 1))] = draw(non_finite_floats)
+    for width in reversed(shape):
+        leaves = [
+            draw(st.sampled_from([list, tuple]))(leaves[pos : pos + width])
+            for pos in range(0, len(leaves), width)
+        ]
+    return leaves[0]
+
+
+#: lists that are not one numeric block: floats mixed with other leaves, or ragged
+mixed_lists = st.lists(
+    st.one_of(finite_floats, wide_ints, st.booleans(), st.none(), st.lists(finite_floats, max_size=3)),
+    max_size=6,
+)
+ragged_lists = st.lists(st.lists(finite_floats, min_size=1, max_size=3), min_size=2, max_size=4)
+
+#: views that keep the values but change the memory layout
+layouts = st.sampled_from(
+    [
+        lambda a: a,
+        np.asfortranarray,
+        lambda a: a.T,
+        lambda a: a[::-1] if a.ndim else a,
+        lambda a: np.repeat(a, 2, axis=-1)[..., ::2] if a.ndim else a,
+    ]
+)
+arrays = st.builds(
+    lambda a, layout: layout(a),
+    # every element drawn on its own, so a layout change shows in the bytes
+    hnp.arrays(
+        st.sampled_from([np.float64, np.float32, np.int64, np.bool_, np.complex128]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        fill=st.nothing(),
+    ),
+    layouts,
+)
+numpy_scalars = st.one_of(
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+)
+writer_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    wide_ints,
+    finite_floats,
+    non_finite_floats,
+    st.text(max_size=3),
+    float_nestings(),
+    mixed_lists,
+    ragged_lists,
+    arrays,
+    numpy_scalars,
+)
+writer_documents = st.recursive(
+    writer_leaves,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def written(writer, doc):
+    """The text `writer` makes of `doc`, or its exception's type and message."""
+    try:
+        return writer(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(DETERMINISTIC, max_examples=600)
+@given(doc=writer_documents)
+@example(doc={"b": [[1.0, -0.0], [2.5, 1e300]], "a": (0.5, [1, 2.0])})
+@example(doc=[[0.5, 1.0], [2.0, math.nan], [math.inf, 0.0]])
+@example(doc=np.array([[0.25, 1.0], [-np.inf, np.nan]], dtype=np.float32))
+@example(doc=[0.5, 2**53 + 1, True, None])
+@example(doc={"z": 1.0, 2: 0.5})
+@example(doc={1: 0.5})
+@example(doc=[np.float64(0.5), 1j])
+@example(doc=[[0.5, 1.0], [2.0]])
+@example(doc=np.asfortranarray(np.arange(6.0).reshape(2, 3) / 7.0))
+@example(doc=np.zeros((2, 0, 3)))
+@example(doc=np.array(-0.0))
+@example(doc=np.array([0.1, -0.0], dtype=np.float16))
+@example(doc=np.array([0.5, 1.5], dtype=np.longdouble))
+@example(doc=np.ma.masked_array([0.5, 1.5], mask=[False, True]))
+def test_canonical_json_matches_the_element_by_element_writer(doc):
+    assert written(lz.canonical_json, doc) == written(reference_canonical_json, doc)
