@@ -78,6 +78,29 @@ def _require_finite(arr: np.ndarray, label: str) -> None:
         raise InvalidStateError(f"non-finite entry in {label} at {pos}")
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """`value` as a new float64 array; an entry that is not a number raises
+    InvalidStateError naming `name`.
+
+    numpy would parse a string such as "1" or "nan" as a float.  The dtype
+    it infers shows one at no cost on numeric input: a string dtype, or an
+    object one when an int lies beyond int64.  Only a dtype that is not
+    bool, integer or float has its entries scanned; the rest then goes
+    through numpy's own float conversion, which raises on an object and on
+    an integer literal beyond the float range (JSON keeps one as an int).
+    A bool still reads as 0 or 1.
+    """
+    try:
+        arr = np.array(value)
+        if arr.dtype.kind not in "biuf":
+            if any(isinstance(x, str) for x in arr.flat):
+                raise TypeError("a string where a number belongs")
+            arr = np.array(value, dtype=float)
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidStateError(f"malformed {name}: {exc}") from exc
+
+
 @np.errstate(invalid="ignore", over="ignore")
 def _check_hermitian(matrices: dict) -> None:
     """Reject the first of `matrices` that is non-finite or not Hermitian to HERMITICITY_TOL.

@@ -34,10 +34,10 @@ from .gaussian import (
 from .laziness import DEFAULT_TOL, commutator_residual, is_lazy
 from .stateio import (
     _pairs_array,
+    _state_document,
     canonical_json,
     load_covariance,
     load_state,
-    state_to_dict,
 )
 from .su_algebra import build_su_basis
 
@@ -111,7 +111,7 @@ def _handle_dynamics(args):
         "trials": audit.trials,
         "maxRate": audit.max_rate,
         "rateBound": audit.rate_bound,
-        "perTrialRates": list(audit.per_trial_rates),
+        "perTrialRates": np.array(audit.per_trial_rates),
         "consistentWithLaziness": audit.consistent_with_laziness,
     }
     params = {
@@ -209,7 +209,7 @@ def _parse_param(text: str):
 def _handle_example(args):
     params_map = dict(_parse_param(p) for p in args.param or [])
     state = generate_example(args.name, params_map)
-    doc = state_to_dict(state)
+    doc = _state_document(state)
     if args.save:
         Path(args.save).write_text(canonical_json(doc) + "\n")
     results = {"name": args.name, "state": doc}

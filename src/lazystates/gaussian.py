@@ -68,6 +68,7 @@ from .bloch import (
     _check_count,
     _check_hermitian,
     _check_tolerance,
+    _float_array,
     _require_finite,
 )
 from .errors import TruncationError, UnphysicalFormError
@@ -183,17 +184,6 @@ class GaussianStandardForm:
         inverse = np.linalg.inv(self._kernels.plus)
         inverse.setflags(write=False)
         return inverse
-
-
-def _float_array(value, name: str) -> np.ndarray:
-    """`value` as a float64 array; an entry that does not cast raises ValueError naming `name`.
-
-    JSON keeps an integer literal as an int, which can lie beyond the float range.
-    """
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed {name}: {exc}") from exc
 
 
 class CovarianceState:

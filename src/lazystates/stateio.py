@@ -7,10 +7,11 @@ State files carry complex entries as [re, im] pairs:
 Covariance files are {"V": [[...]], "d": [...]} with a real 4x4 matrix and
 an optional displacement.  All JSON emitted by this package goes through
 `canonical_json`, which sorts keys and prints floats with 17 significant
-digits so that identical inputs reproduce byte-identical output.  It
-formats each numeric block (a float array, or a rectangular nesting of
-float lists such as a state's matrix) in one pass, with the same bytes as
-formatting its floats one by one.
+digits so that identical inputs reproduce byte-identical output.  The
+producers hand it numeric blocks as float arrays, such as a state's
+matrix as its (d, d, 2) array of [re, im] pairs, and it formats each
+array in one pass, with the same bytes as formatting its floats one by
+one.  Lists are written item by item.
 """
 
 from __future__ import annotations
@@ -18,17 +19,15 @@ from __future__ import annotations
 import functools
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .bloch import DensityMatrix
+from .bloch import DensityMatrix, _float_array
 from .errors import InvalidStateError
 from .gaussian import CovarianceState
 
 __all__ = [
-    "complex_matrix_to_pairs",
     "pairs_to_complex_matrix",
     "state_to_dict",
     "state_from_dict",
@@ -39,11 +38,6 @@ __all__ = [
 ]
 
 
-def complex_matrix_to_pairs(matrix: np.ndarray) -> list:
-    """Complex matrix as nested lists of [re, im] pairs."""
-    return _pairs_array(matrix).tolist()
-
-
 def _pairs_array(values) -> np.ndarray:
     """[re, im] pairs of a complex array, as a float array with a last axis of 2."""
     m = np.asarray(values, dtype=complex)
@@ -51,8 +45,11 @@ def _pairs_array(values) -> np.ndarray:
 
 
 def pairs_to_complex_matrix(obj) -> np.ndarray:
-    """Inverse of `complex_matrix_to_pairs`, with shape validation."""
-    arr = np.array(obj, dtype=float)
+    """Complex matrix of a nesting of [re, im] pairs, with entry and shape validation.
+
+    An entry that is not a number raises InvalidStateError naming the matrix.
+    """
+    arr = _float_array(obj, "matrix entries")
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidStateError(
             f"matrix must be square with [re, im] entries, got shape {arr.shape}"
@@ -61,12 +58,16 @@ def pairs_to_complex_matrix(obj) -> np.ndarray:
     return arr.view(complex)[..., 0]
 
 
+def _state_document(rho: DensityMatrix) -> dict:
+    """The state file's document, its matrix the float array of [re, im] pairs."""
+    return {"dimA": rho.dim_a, "dimB": rho.dim_b, "matrix": _pairs_array(rho.data)}
+
+
 def state_to_dict(rho: DensityMatrix) -> dict:
-    return {
-        "dimA": rho.dim_a,
-        "dimB": rho.dim_b,
-        "matrix": complex_matrix_to_pairs(rho.data),
-    }
+    """The state file's document in plain lists, as `json.dumps` takes it."""
+    doc = _state_document(rho)
+    doc["matrix"] = doc["matrix"].tolist()
+    return doc
 
 
 def state_from_dict(obj) -> DensityMatrix:
@@ -84,12 +85,7 @@ def state_from_dict(obj) -> DensityMatrix:
     # `type(x) is int`: JSON true/false load as bool, a subclass of int
     if not all(type(x) is int and x >= 1 for x in (dim_a, dim_b)):
         raise InvalidStateError(f"dimensions must be positive integers, got ({dim_a!r}, {dim_b!r})")
-    try:
-        matrix = pairs_to_complex_matrix(obj["matrix"])
-    # OverflowError: JSON keeps an integer literal beyond the float range as an int
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidStateError(f"malformed matrix entries: {exc}") from exc
-    rho = DensityMatrix(dim_a, dim_b, matrix)
+    rho = DensityMatrix(dim_a, dim_b, pairs_to_complex_matrix(obj["matrix"]))
     return rho.require_physical()
 
 
@@ -145,7 +141,7 @@ def load_state(path) -> DensityMatrix:
 
 
 def save_state(rho: DensityMatrix, path) -> None:
-    Path(path).write_text(canonical_json(state_to_dict(rho)) + "\n")
+    Path(path).write_text(canonical_json(_state_document(rho)) + "\n")
 
 
 def load_covariance(path) -> CovarianceState:
@@ -159,13 +155,12 @@ def load_covariance(path) -> CovarianceState:
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
-    A numeric block, a float ndarray or a rectangular list/tuple nesting
-    whose every leaf is a Python float, is formatted in one pass: one
-    finiteness check, one `%` over a "%.17g" template built with one join
-    per nesting level.  The bytes are those of formatting each float on its
-    own.  A non-finite value raises ValueError naming the first one in
-    row-major order; complex values, other types and non-string keys raise
-    TypeError.
+    A float ndarray is formatted in one pass: one finiteness check, one `%`
+    over a "%.17g" template built with one join per axis.  Lists and tuples
+    are written item by item.  Either way the bytes are those of formatting
+    each float on its own.  A non-finite value raises ValueError naming the
+    first one in row-major order; complex values, other types and
+    non-string keys raise TypeError.
     """
     out: list[str] = []
     _write_json(obj, out)
@@ -193,7 +188,7 @@ def _write_other(obj, out: list[str]) -> None:
         # floats, and a subclass such as a masked array keeps its own tolist
         float_block = obj.dtype.kind == "f" and obj.dtype.itemsize <= 8
         if float_block and type(obj) is np.ndarray and obj.ndim and obj.size:
-            out.append(_format_block(obj.shape, obj.ravel().tolist()))
+            out.append(_format_block(obj))
             return
         obj = obj.tolist()
     if obj is None:
@@ -232,10 +227,6 @@ def _key_text(key: str) -> str:
 
 
 def _write_sequence(seq, out: list[str]) -> None:
-    block = _float_leaves(seq)
-    if block is not None:
-        out.append(_format_block(*block))
-        return
     out.append("[")
     for pos, item in enumerate(seq):
         if pos:
@@ -244,33 +235,13 @@ def _write_sequence(seq, out: list[str]) -> None:
     out.append("]")
 
 
-def _float_leaves(seq):
-    """(shape, row-major leaves) of a rectangular nesting of Python floats.
-
-    None when `seq` is empty or ragged, or holds anything but lists and
-    tuples above its leaves and `float`s (not ints, bools or None) as them.
-    """
-    shape = [len(seq)]
-    level = seq
-    while True:
-        kinds = set(map(type, level))
-        if kinds == {float}:
-            return shape, level
-        if not kinds or not kinds <= {list, tuple}:
-            return None
-        sizes = set(map(len, level))
-        if len(sizes) != 1:
-            return None
-        shape.append(sizes.pop())
-        level = list(chain.from_iterable(level))
-
-
-def _format_block(shape, values) -> str:
-    """JSON text of the nesting of `shape` over the row-major Python floats."""
+def _format_block(arr: np.ndarray) -> str:
+    """JSON text of a float array with at least one axis and one entry."""
+    values = arr.ravel().tolist()
     if not all(map(math.isfinite, values)):
         raise _non_finite(next(v for v in values if not math.isfinite(v)))
     template = "%.17g"
-    for size in reversed(shape):
+    for size in reversed(arr.shape):
         template = "[" + ",".join([template] * size) + "]"
     # + 0.0 turns -0.0 into 0.0, which prints as the integer 0 reads back
     return template % tuple([v + 0.0 for v in values])

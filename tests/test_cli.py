@@ -10,10 +10,15 @@ import numpy as np
 import pytest
 
 import lazystates as lz
-from conftest import NEAR_PURE_FORM, make_witness, marginal_asymmetric_state
+from conftest import (
+    NEAR_PURE_FORM,
+    make_witness,
+    marginal_asymmetric_state,
+    reference_canonical_json,
+)
 from lazystates import cli
 from lazystates.cli import main
-from lazystates.stateio import save_state
+from lazystates.stateio import save_state, state_to_dict
 
 
 @pytest.fixture()
@@ -182,6 +187,12 @@ def test_marginal_asymmetry_within_tolerance_is_decided(capsys, tmp_path, side):
 
 #: an integer literal beyond the float range; `json` keeps it a Python int
 HUGE_INT = "1" * 401
+#: numpy's message for a nesting whose rows differ in length
+RAGGED_AFTER_ONE_AXIS = (
+    "setting an array element with a sequence. The requested array has an "
+    "inhomogeneous shape after 1 dimensions. The detected shape was (4,) + "
+    "inhomogeneous part."
+)
 
 
 def write_with_overflow(path, doc, literal="1e999"):
@@ -216,6 +227,21 @@ def test_overflowing_literal_exits_two(capsys, tmp_path, command, positions, par
     assert code == 2
     assert out == ""
     assert err == f"error: non-finite entry at {entry}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "dynamics"])
+@pytest.mark.parametrize(
+    "matrix",
+    [[[["1", "0"]]], [[["nan", 0]]], [[["1", "OVERFLOW"]]]],
+    ids=["quoted-number", "quoted-nan", "quoted-number-beside-huge-int"],
+)
+def test_string_entry_exits_two(capsys, tmp_path, command, matrix):
+    # numpy would parse each string as a float
+    doc = {"dimA": 1, "dimB": 1, "matrix": matrix}
+    path = write_with_overflow(tmp_path / "string.json", doc, HUGE_INT)
+    code, out, err = run(capsys, [command, "--state", path])
+    assert (code, out) == (2, "")
+    assert err == "error: malformed matrix entries: a string where a number belongs\n"
 
 
 @pytest.mark.parametrize("command", ["check", "decompose", "dynamics"])
@@ -433,8 +459,22 @@ class TestGaussian:
             ({"V": [[{}, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
              "malformed covariance matrix V: float() argument must be a string or a "
              "real number, not 'dict'"),
+            ({"V": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+             "malformed covariance matrix V: " + RAGGED_AFTER_ONE_AXIS),
+            ({"V": np.eye(4).tolist(), "d": [0, [0], 0, 0]},
+             "malformed displacement d: " + RAGGED_AFTER_ONE_AXIS),
+            ({"V": [["abc", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+             "malformed covariance matrix V: a string where a number belongs"),
+            ({"V": [["1", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+             "malformed covariance matrix V: a string where a number belongs"),
+            # an int beyond int64 makes numpy infer an object array
+            ({"V": [["1", 2**70, 0, 0], [2**70, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+             "malformed covariance matrix V: a string where a number belongs"),
+            ({"V": np.eye(4).tolist(), "d": ["0", 0, 0, 0]},
+             "malformed displacement d: a string where a number belongs"),
         ],
-        ids=["V", "d", "object-entry"],
+        ids=["V", "d", "object-entry", "ragged-V", "ragged-d", "string-V", "quoted-number-V",
+             "quoted-number-beside-wide-int-V", "quoted-number-d"],
     )
     def test_uncastable_covariance_entry_exits_two(self, capsys, tmp_path, doc, message):
         path = write_with_overflow(tmp_path / "cov.json", doc, HUGE_INT)
@@ -588,6 +628,44 @@ class TestExample:
         )
         assert code == 2
         assert "positivity" in err
+
+
+class TestProducerBytes:
+    """The CLI hands the writer arrays; the bytes are those of their list forms."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("werner", {"p": 0.5}),
+            ("random", {"dimA": 2, "dimB": 3, "seed": 4}),
+            ("random", {"dimA": 1, "dimB": 3, "seed": 5}),
+            ("random", {"dimA": 3, "dimB": 1, "seed": 6}),
+        ],
+        ids=["real-valued", "complex", "1xn", "nx1"],
+    )
+    def test_example_save_and_manifest(self, capsys, tmp_path, name, params):
+        target = tmp_path / "state.json"
+        argv = ["example", "--name", name, "--save", str(target)]
+        for key, value in params.items():
+            argv += ["--param", f"{key}={value}"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        state = state_to_dict(lz.generate_example(name, params))
+        assert target.read_text() == reference_canonical_json(state) + "\n"
+        manifest = json.loads(out)
+        manifest["results"]["state"] = state
+        assert out == reference_canonical_json(manifest) + "\n"
+
+    @pytest.mark.parametrize("trials", [1, 100])
+    def test_dynamics_rates(self, capsys, witness_file, trials):
+        argv = ["dynamics", "--state", witness_file, "--trials", str(trials), "--seed", "3"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        audit = lz.dynamics_audit(lz.load_state(witness_file), "A", trials, 3)
+        manifest = json.loads(out)
+        manifest["results"]["perTrialRates"] = list(audit.per_trial_rates)
+        assert len(audit.per_trial_rates) == trials
+        assert out == reference_canonical_json(manifest) + "\n"
 
 
 class TestManifest:

@@ -233,7 +233,7 @@ wide_ints = st.integers(-(2**64), 2**64) | st.sampled_from([2**53 + 1, -(2**60) 
 
 @st.composite
 def float_nestings(draw):
-    """A rectangular list/tuple nesting of Python floats, at times with one non-finite leaf."""
+    """The list/tuple form of a float array, at times with one non-finite leaf."""
     shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     size = math.prod(shape)
     leaves = draw(st.lists(finite_floats, min_size=size, max_size=size))
@@ -247,7 +247,7 @@ def float_nestings(draw):
     return leaves[0]
 
 
-#: lists that are not one numeric block: floats mixed with other leaves, or ragged
+#: lists of floats mixed with other leaves, and ragged lists of floats
 mixed_lists = st.lists(
     st.one_of(finite_floats, wide_ints, st.booleans(), st.none(), st.lists(finite_floats, max_size=3)),
     max_size=6,

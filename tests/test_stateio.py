@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lazystates as lz
+from conftest import reference_canonical_json
 from lazystates.stateio import canonical_json, load_state, save_state, state_to_dict
 
 
@@ -62,6 +63,20 @@ class TestStateFiles:
         save_state(rho, first)
         save_state(load_state(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("dims", [(2, 3), (1, 4), (4, 1), (1, 1)])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_saved_bytes_match_the_element_by_element_writer(self, tmp_path, dims, real):
+        # the conjugate, the transpose of a state, has -0.0 imaginary parts on its diagonal
+        data = lz.random_density_matrix(*dims, 7).data.conj()
+        if real:
+            # the real part of a density matrix is one too
+            data = data.real.copy()
+        rho = lz.DensityMatrix(*dims, data)
+        assert rho.data.dtype == (np.float64 if real else np.complex128)
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        assert path.read_text() == reference_canonical_json(state_to_dict(rho)) + "\n"
 
     def test_rejects_bad_trace(self, tmp_path):
         doc = state_to_dict(lz.random_density_matrix(2, 2, 0))
