@@ -16,8 +16,11 @@ coefficients are recovered as
 
 This is one change of basis.  Each side's basis keeps S = [vec I; vec g_i]
 (S = [[1]] on a trivial side), with S S^dagger = diag(n, 2, ..., 2).  The
-traces above are the entries of C = S_A m S_B^T over the realigned state
-m[(c,a), (d,b)] = rho[(a,b), (c,d)]; `reconstruct` is the transposed product.
+traces above are the entries of S_A m S_B^T over the realigned state
+m[(c,a), (d,b)] = rho[(a,b), (c,d)].  A `BlochForm` is the one coefficient
+matrix C = [[1, y], [x, T]], and x, y and T are read-only views of it:
+`decompose` is the product C = S_A m S_B^T with its first row and column
+rescaled, and `reconstruct` the transposed product m = S_A^T C S_B.
 
 Subsystem A indexes the outer (slow) Kronecker factor throughout the
 package.
@@ -26,8 +29,7 @@ package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Literal
 
@@ -88,7 +90,8 @@ def _float_array(value, name: str) -> np.ndarray:
     bool, integer or float has its entries scanned; the rest then goes
     through numpy's own float conversion, which raises on an object and on
     an integer literal beyond the float range (JSON keeps one as an int).
-    A bool still reads as 0 or 1.
+    A bool still reads as 0 or 1: state and covariance files reject one,
+    and a null, by its JSON path before they get here.
     """
     try:
         arr = np.array(value)
@@ -372,28 +375,68 @@ class SectorDensityMatrix(DensityMatrix):
         )
 
 
-@dataclass(frozen=True)
 class BlochForm:
-    """Coherence vectors x, y and correlation matrix T of a bipartite state."""
+    """Coherence vectors x, y and correlation matrix T of a bipartite state.
 
-    x: np.ndarray
-    y: np.ndarray
-    T: np.ndarray
+    The form is its coefficient matrix C = [[1, y], [x, T]], float64 and
+    read-only; x, y and T are read-only views of it.  `BlochForm(x=..., y=...,
+    T=...)` checks the shapes and copies the parts into a fresh C, while
+    `decompose` hands over the C of its own product.  Either way one scan
+    rejects a NaN or Inf, naming the part and the entry.  Attributes cannot
+    be set.
+    """
 
-    def __post_init__(self):
-        for name in ("x", "y", "T"):
-            arr = np.array(getattr(self, name), dtype=float)
-            _require_finite(arr, name)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.x.ndim != 1 or self.y.ndim != 1 or self.T.shape != (
-            self.x.size,
-            self.y.size,
-        ):
+    __slots__ = ("C",)
+
+    def __init__(self, x, y, T):
+        x, y, T = (np.asarray(part, dtype=float) for part in (x, y, T))
+        if x.ndim != 1 or y.ndim != 1 or T.shape != (x.size, y.size):
             raise DimensionMismatchError(
-                f"inconsistent Bloch shapes x{self.x.shape}, y{self.y.shape}, "
-                f"T{self.T.shape}"
+                f"inconsistent Bloch shapes x{x.shape}, y{y.shape}, T{T.shape}"
             )
+        C = np.empty((x.size + 1, y.size + 1))
+        C[0, 0] = 1.0
+        C[1:, 0], C[0, 1:], C[1:, 1:] = x, y, T
+        self._hold(C)
+
+    @classmethod
+    def _of(cls, C: np.ndarray) -> "BlochForm":
+        """The form whose coefficient matrix is `C`, a fresh float64 array
+        that it keeps without a copy."""
+        form = object.__new__(cls)
+        form._hold(C)
+        return form
+
+    def _hold(self, C: np.ndarray) -> None:
+        C.setflags(write=False)
+        object.__setattr__(self, "C", C)
+        if not np.isfinite(C).all():
+            for name in ("x", "y", "T"):
+                _require_finite(getattr(self, name), name)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.C[1:, 0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.C[0, 1:]
+
+    @property
+    def T(self) -> np.ndarray:
+        return self.C[1:, 1:]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a BlochForm is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a BlochForm is read-only")
+
+    def __reduce__(self):
+        return (BlochForm, (self.x, self.y, self.T))
+
+    def __repr__(self) -> str:
+        return f"BlochForm(x={self.x!r}, y={self.y!r}, T={self.T!r})"
 
 
 def _change_of_basis(dim: int, basis: SuBasis | None) -> np.ndarray:
@@ -422,15 +465,32 @@ def decompose(
 ) -> BlochForm:
     """Expand a state over the generator basis by one change of basis.
 
-    x, y and T are the first column, first row and body of C = S_A m S_B^T.
-    Bases are built on demand when omitted.  A trivial (dimension-1) side
-    contributes empty coherence/correlation blocks, so reduced states pass
-    through unchanged.
+    The form's C is the real part of S_A m S_B^T, its first column (x)
+    scaled by n_A / 2, its first row (y) by n_B / 2, its body (T) by
+    n_A n_B / 4, and its corner set to 1.  Bases are built on demand when
+    omitted.  A trivial (dimension-1) side contributes empty
+    coherence/correlation blocks, so reduced states pass through unchanged.
     """
     na, nb = rho.dim_a, rho.dim_b
     sa, sb = _change_of_basis(na, basis_a), _change_of_basis(nb, basis_b)
-    c = (sa @ _realign(rho.data, na, nb) @ sb.T).real
-    return BlochForm(x=na / 2.0 * c[1:, 0], y=nb / 2.0 * c[0, 1:], T=na * nb / 4.0 * c[1:, 1:])
+    c = (sa @ _realign(rho.data, na, nb) @ sb.T).real * _coefficient_scale(na, nb)
+    c[0, 0] = 1.0
+    return BlochForm._of(c)
+
+
+@lru_cache(maxsize=None)
+def _coefficient_scale(dim_a: int, dim_b: int) -> np.ndarray:
+    """outer([1, n_A/2, ...], [1, n_B/2, ...]), read-only; cached.
+
+    (n_A / 2)(n_B / 2) is exactly n_A n_B / 4, so every coefficient is one
+    rounded product.
+    """
+    scale = np.outer(
+        np.r_[1.0, np.full(dim_a * dim_a - 1, dim_a / 2.0)],
+        np.r_[1.0, np.full(dim_b * dim_b - 1, dim_b / 2.0)],
+    )
+    scale.setflags(write=False)
+    return scale
 
 
 def reconstruct(
@@ -441,10 +501,10 @@ def reconstruct(
     """Assemble the density matrix of a Bloch form.
 
     The mirror image of `decompose`, the transposed product S_A^T C S_B on
-    C = [[1, y], [x, T]]: the subsystem dimensions follow from the sizes of
-    x and y, bases are built on demand when omitted, and a trivial side has
-    empty coherence/correlation blocks.  The result is Hermitian with unit
-    trace by construction.  Positivity is not guaranteed; inspect
+    the form's C = [[1, y], [x, T]]: the subsystem dimensions follow from the
+    sizes of x and y, bases are built on demand when omitted, and a trivial
+    side has empty coherence/correlation blocks.  The result is Hermitian
+    with unit trace by construction.  Positivity is not guaranteed; inspect
     `is_physical` on the returned state.
     """
     na, nb = math.isqrt(form.x.size + 1), math.isqrt(form.y.size + 1)
@@ -454,9 +514,8 @@ def reconstruct(
             "(n_A^2 - 1, n_B^2 - 1)"
         )
     sa, sb = _change_of_basis(na, basis_a), _change_of_basis(nb, basis_b)
-    coeffs = np.block([[np.ones((1, 1)), form.y[None]], [form.x[:, None], form.T]])
     # m[(a,c), (b,d)] = rho[(a,b), (c,d)] up to the prefactor
-    m = sa.T @ coeffs @ sb
+    m = sa.T @ form.C @ sb
     d = na * nb
     data = m.reshape(na, na, nb, nb).transpose(0, 2, 1, 3).reshape(d, d) / d
     return DensityMatrix(na, nb, data)

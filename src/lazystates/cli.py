@@ -33,6 +33,7 @@ from .gaussian import (
 )
 from .laziness import DEFAULT_TOL, commutator_residual, is_lazy
 from .stateio import (
+    _Fragment,
     _pairs_array,
     _state_document,
     canonical_json,
@@ -209,10 +210,11 @@ def _parse_param(text: str):
 def _handle_example(args):
     params_map = dict(_parse_param(p) for p in args.param or [])
     state = generate_example(args.name, params_map)
-    doc = _state_document(state)
+    # formatted once, for both the saved file and the manifest
+    text = _Fragment(canonical_json(_state_document(state)))
     if args.save:
-        Path(args.save).write_text(canonical_json(doc) + "\n")
-    results = {"name": args.name, "state": doc}
+        Path(args.save).write_text(text + "\n")
+    results = {"name": args.name, "state": text}
     params = {"name": args.name, "param": sorted(args.param or []), "save": args.save}
     seed = params_map.get("seed", 0)
     summary = f"generated {args.name} state of shape ({state.dim_a} x {state.dim_b})"

@@ -147,8 +147,8 @@ def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:
             f"su({basis.dim}) with {count} generators"
         )
     # F[i, k] = sum_j coeffs[j] f[i, j, k] over the signed permutations
-    i, j, k, v = basis.f.permuted
-    flat = np.bincount(i * count + k, weights=v * coeffs[j], minlength=count * count)
+    _, j, _, v = basis.f.permuted
+    flat = np.bincount(basis.f.scatter_index, weights=v * coeffs[j], minlength=count * count)
     return flat.reshape(count, count)
 
 

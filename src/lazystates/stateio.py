@@ -93,10 +93,11 @@ def state_from_dict(obj) -> DensityMatrix:
 _NON_FINITE = object()
 
 
-def _locate(obj, where: str = "$"):
-    """JSONPath-style location of the first `_NON_FINITE` in `obj`, or None."""
-    if obj is _NON_FINITE:
-        return where
+def _locate(obj, found, where: str = "$"):
+    """JSONPath-style location and value of the first item of `obj` that
+    `found` holds for, in document order, or None."""
+    if found(obj):
+        return where, obj
     if isinstance(obj, dict):
         children = ((f"{where}.{key}", value) for key, value in obj.items())
     elif isinstance(obj, list):
@@ -104,18 +105,24 @@ def _locate(obj, where: str = "$"):
     else:
         return None
     for sub, value in children:
-        hit = _locate(value, sub)
+        hit = _locate(value, found, sub)
         if hit is not None:
             return hit
     return None
 
 
-def _load_json(path):
-    """Parse a JSON file, rejecting the non-standard NaN/Infinity tokens.
+def _load_json(path, numeric: tuple[str, ...]):
+    """Parse a JSON file, rejecting the non-standard NaN/Infinity tokens, and
+    a boolean or null among the numbers under the top-level keys `numeric`.
 
-    A number with a fraction or exponent beyond the float range, such as
-    1e999, parses to inf without a token; it is left to the matrix checks,
-    which name its entry.
+    numpy would read true and false as 1 and 0, and null as NaN.  Each of
+    the three words holds a "u" or an "l" and no number does, so two
+    single-character scans pass a plain numeric document; only then is the
+    text searched for the words, and the numbers are walked only on a hit,
+    which may lie elsewhere, such as inside a string.  A key whose whole
+    value is null counts as absent.  A number with a fraction or exponent
+    beyond the float range, such as 1e999, parses to inf without a token;
+    it is left to the matrix checks, which name its entry.
     """
     text = Path(path).read_text()
     tokens: list[str] = []
@@ -129,15 +136,25 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         raise InvalidStateError(f"parse error in {path}: {exc}") from exc
     if tokens:
-        raise InvalidStateError(
-            f"non-finite number {tokens[0]} at {_locate(obj)} in {path}"
-        )
+        where, _ = _locate(obj, lambda value: value is _NON_FINITE)
+        raise InvalidStateError(f"non-finite number {tokens[0]} at {where} in {path}")
+    if (
+        isinstance(obj, dict)
+        and ("u" in text or "l" in text)
+        and any(word in text for word in ("true", "false", "null"))
+    ):
+        numbers = {key: obj[key] for key in numeric if obj.get(key) is not None}
+        hit = _locate(numbers, lambda value: value is None or type(value) is bool)
+        if hit is not None:
+            where, value = hit
+            kind = "null" if value is None else f"boolean {json.dumps(value)}"
+            raise InvalidStateError(f"{kind} at {where} in {path}")
     return obj
 
 
 def load_state(path) -> DensityMatrix:
     """Load and validate a state file."""
-    return state_from_dict(_load_json(path))
+    return state_from_dict(_load_json(path, ("matrix",)))
 
 
 def save_state(rho: DensityMatrix, path) -> None:
@@ -146,10 +163,15 @@ def save_state(rho: DensityMatrix, path) -> None:
 
 def load_covariance(path) -> CovarianceState:
     """Load a covariance file into a CovarianceState."""
-    obj = _load_json(path)
+    obj = _load_json(path, ("V", "d"))
     if not isinstance(obj, dict) or "V" not in obj:
         raise InvalidStateError("covariance document must be an object with a 'V' key")
     return CovarianceState(V=obj["V"], d=obj.get("d"))
+
+
+class _Fragment(str):
+    """JSON text that `canonical_json` writes verbatim, such as a document
+    it has formatted before."""
 
 
 def canonical_json(obj) -> str:
@@ -158,9 +180,9 @@ def canonical_json(obj) -> str:
     A float ndarray is formatted in one pass: one finiteness check, one `%`
     over a "%.17g" template built with one join per axis.  Lists and tuples
     are written item by item.  Either way the bytes are those of formatting
-    each float on its own.  A non-finite value raises ValueError naming the
-    first one in row-major order; complex values, other types and
-    non-string keys raise TypeError.
+    each float on its own.  A `_Fragment` is written as it is.  A non-finite
+    value raises ValueError naming the first one in row-major order; complex
+    values, other types and non-string keys raise TypeError.
     """
     out: list[str] = []
     _write_json(obj, out)
@@ -175,6 +197,8 @@ def _write_json(obj, out: list[str]) -> None:
         _write_sequence(obj, out)
     elif kind is dict:
         _write_object(obj, out)
+    elif kind is _Fragment:
+        out.append(obj)
     else:
         _write_other(obj, out)
 

@@ -77,7 +77,8 @@ class StructureConstants:
     their values.  Every other index order is recovered from the
     permutation sign, and repeated indices give zero.  The public accessors
     `value` and `triples` use 1-based indices; `permuted` lists every
-    nonzero entry in all six index orders, the form the contractions consume.
+    nonzero entry in all six index orders, the form the contractions consume,
+    and `scatter_index` where each of them lands.
     """
 
     def __init__(self, size: int, index, data):
@@ -138,6 +139,15 @@ class StructureConstants:
         for arr in out:
             arr.setflags(write=False)
         return out
+
+    @cached_property
+    def scatter_index(self) -> np.ndarray:
+        """i * size + k for every entry of `permuted`: the flat position in a
+        (size, size) matrix that a contraction over j scatters it to; cached."""
+        i, _, k, _ = self.permuted
+        flat = i * self.size + k
+        flat.setflags(write=False)
+        return flat
 
     def __len__(self) -> int:
         return len(self.data)

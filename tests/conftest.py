@@ -12,6 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 import lazystates as lz
+from lazystates import bloch
 from lazystates.su_algebra import ZERO_CUTOFF, StructureConstants
 
 
@@ -168,6 +169,28 @@ def naive_decompose(rho, gens_a, gens_b):
         for s in gens_a
     ]
     return np.array(x), np.array(y), np.array(t).reshape(len(gens_a), len(gens_b))
+
+
+def product_decompose(rho):
+    """(x, y, T) as three scalings of the real product S_A m S_B^T, cut apart.
+
+    `decompose` scales the whole product at once into one matrix C; the
+    bits must be those of these three products.
+    """
+    na, nb = rho.dim_a, rho.dim_b
+    sa, sb = bloch._change_of_basis(na, None), bloch._change_of_basis(nb, None)
+    c = (sa @ bloch._realign(rho.data, na, nb) @ sb.T).real
+    return na / 2.0 * c[1:, 0], nb / 2.0 * c[0, 1:], na * nb / 4.0 * c[1:, 1:]
+
+
+def block_reconstruct(x, y, t):
+    """Dense matrix of (x, y, T), with [[1, y], [x, T]] reassembled by np.block."""
+    na, nb = math.isqrt(len(x) + 1), math.isqrt(len(y) + 1)
+    sa, sb = bloch._change_of_basis(na, None), bloch._change_of_basis(nb, None)
+    coeffs = np.block([[np.ones((1, 1)), y[None]], [x[:, None], t]])
+    m = sa.T @ coeffs @ sb
+    d = na * nb
+    return m.reshape(na, na, nb, nb).transpose(0, 2, 1, 3).reshape(d, d) / d
 
 
 def einsum_reconstruct(form, gens_a, gens_b):

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -7,7 +8,13 @@ from numpy.testing import assert_allclose
 
 import lazystates as lz
 from lazystates import bloch
-from conftest import einsum_reconstruct, naive_decompose, naive_partial_trace
+from conftest import (
+    block_reconstruct,
+    einsum_reconstruct,
+    naive_decompose,
+    naive_partial_trace,
+    product_decompose,
+)
 
 DIM_PAIRS = [(2, 2), (2, 3), (3, 3), (3, 4)]
 
@@ -457,6 +464,98 @@ class TestBlochForm:
         parts[name].flat[1] = np.inf if name == "T" else np.nan
         with pytest.raises(lz.InvalidStateError, match=f"non-finite entry in {name}"):
             lz.BlochForm(**parts)
+
+    def test_names_the_part_and_position_of_a_non_finite_entry(self):
+        parts = {"x": np.zeros(3), "y": np.zeros(8), "T": np.zeros((3, 8))}
+        parts["x"][1] = np.nan
+        parts["T"][2, 5] = np.inf
+        with pytest.raises(lz.InvalidStateError, match=r"^non-finite entry in x at \(1,\)$"):
+            lz.BlochForm(**parts)
+        parts["x"][1] = 0.0
+        with pytest.raises(lz.InvalidStateError, match=r"^non-finite entry in T at \(2, 5\)$"):
+            lz.BlochForm(**parts)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((3,), (8,), (8, 3)), ((3, 1), (8,), (3, 8)), ((3,), (8, 1), (3, 8)), ((3,), (8,), (3,))],
+    )
+    def test_shape_mismatch_raises(self, shapes):
+        # checked before the parts are copied or scanned
+        parts = dict(zip("xyT", (np.full(shape, np.nan) for shape in shapes)))
+        with pytest.raises(lz.DimensionMismatchError, match="inconsistent Bloch shapes"):
+            lz.BlochForm(**parts)
+
+    def test_copies_its_parts_into_one_read_only_matrix(self):
+        rng = np.random.default_rng(3)
+        x, y, t = rng.normal(size=3), rng.normal(size=8), rng.normal(size=(3, 8))
+        form = lz.BlochForm(x=x, y=y, T=t)
+        assert form.C.shape == (4, 9) and form.C.dtype == np.float64
+        assert form.C[0, 0] == 1.0
+        assert np.array_equal(form.C, np.block([[np.ones((1, 1)), y[None]], [x[:, None], t]]))
+        for part in (x, y, t):
+            assert not np.shares_memory(form.C, part)
+        x[0] = y[0] = t[0, 0] = 7.0
+        assert 7.0 not in form.C
+
+    @pytest.mark.parametrize("name", ["x", "y", "T", "C", "other"])
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        form = lz.BlochForm(x=np.zeros(3), y=np.zeros(3), T=np.zeros((3, 3)))
+        with pytest.raises(AttributeError):
+            setattr(form, name, np.ones(3))
+        with pytest.raises(AttributeError):
+            delattr(form, name)
+        origin = np.zeros((4, 4))
+        origin[0, 0] = 1.0
+        assert np.array_equal(form.C, origin)
+
+    def test_survives_a_deep_copy(self):
+        form = lz.decompose(lz.random_density_matrix(2, 3, 4))
+        clone = copy.deepcopy(form)
+        assert np.array_equal(clone.C, form.C) and not clone.C.flags.writeable
+
+
+class TestCoefficientMatrix:
+    """decompose and reconstruct keep the bits of the three-part formulas."""
+
+    SPLITS = [(1, 1), (1, 4), (4, 1), (2, 2), (2, 5), (5, 2), (3, 4), (4, 3)]
+
+    @staticmethod
+    def states(na, nb):
+        rho = lz.random_density_matrix(na, nb, 7 * na + nb)
+        g = np.random.default_rng(na + 7 * nb).normal(size=(na * nb,) * 2)
+        w = g @ g.T
+        return {"complex": rho, "real": lz.DensityMatrix(na, nb, w / np.trace(w))}
+
+    @pytest.mark.parametrize("na,nb", SPLITS)
+    def test_decompose_matches_three_scaled_products(self, na, nb):
+        for kind, rho in self.states(na, nb).items():
+            form = lz.decompose(rho)
+            for part, expected in zip((form.x, form.y, form.T), product_decompose(rho)):
+                assert np.array_equal(part, expected), kind
+
+    @pytest.mark.parametrize("na,nb", SPLITS)
+    def test_reconstruct_matches_block_reassembly(self, na, nb):
+        for kind, rho in self.states(na, nb).items():
+            form = lz.decompose(rho)
+            expected = block_reconstruct(form.x, form.y, form.T)
+            assert np.array_equal(lz.reconstruct(form).data, expected), kind
+        rng = np.random.default_rng(na * nb)
+        ka, kb = na * na - 1, nb * nb - 1
+        x, y, t = rng.normal(size=ka), rng.normal(size=kb), rng.normal(size=(ka, kb))
+        assert np.array_equal(lz.reconstruct(lz.BlochForm(x=x, y=y, T=t)).data, block_reconstruct(x, y, t))
+
+    @pytest.mark.parametrize("na,nb", SPLITS)
+    def test_parts_are_read_only_views_of_one_matrix(self, na, nb):
+        form = lz.decompose(lz.random_density_matrix(na, nb, 1))
+        assert form.C.shape == (na * na, nb * nb) and form.C.dtype == np.float64
+        assert form.C[0, 0] == 1.0
+        assert not form.C.flags.writeable
+        for part in (form.x, form.y, form.T):
+            assert part.base is form.C
+            assert np.shares_memory(part, form.C) or part.size == 0
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[...] = 0.0
 
 
 class TestReconstruct:

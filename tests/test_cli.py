@@ -16,7 +16,7 @@ from conftest import (
     marginal_asymmetric_state,
     reference_canonical_json,
 )
-from lazystates import cli
+from lazystates import cli, stateio
 from lazystates.cli import main
 from lazystates.stateio import save_state, state_to_dict
 
@@ -242,6 +242,56 @@ def test_string_entry_exits_two(capsys, tmp_path, command, matrix):
     code, out, err = run(capsys, [command, "--state", path])
     assert (code, out) == (2, "")
     assert err == "error: malformed matrix entries: a string where a number belongs\n"
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "dynamics"])
+@pytest.mark.parametrize(
+    "matrix,message",
+    [
+        ("[[[true, false]]]", "boolean true at $.matrix[0][0][0]"),
+        ("[[[1, false]]]", "boolean false at $.matrix[0][0][1]"),
+        ("[[[0.5, 0], [0, 0]], [[0, 0], [true, 0]]]", "boolean true at $.matrix[1][1][0]"),
+        ("[[[1, null]]]", "null at $.matrix[0][0][1]"),
+    ],
+    ids=["all-boolean", "boolean-beside-a-number", "boolean-in-a-2x2", "null"],
+)
+def test_boolean_or_null_entry_exits_two(capsys, tmp_path, command, matrix, message):
+    # numpy would read true as 1, false as 0 and null as NaN
+    dims = '"dimA": 2, "dimB": 1' if matrix.count("[[") > 1 else '"dimA": 1, "dimB": 1'
+    path = tmp_path / "state.json"
+    path.write_text("{" + dims + ', "matrix": ' + matrix + "}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, [command, "--state", str(path)])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out, err) == (2, "", f"error: {message} in {path}\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"V": [[true, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+         "boolean true at $.V[0][0]"),
+        ('{"V": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "d": [0, null, 0, 0]}',
+         "null at $.d[1]"),
+    ],
+    ids=["boolean-in-V", "null-in-d"],
+)
+def test_boolean_or_null_covariance_entry_exits_two(capsys, tmp_path, text, message):
+    path = tmp_path / "cov.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["gaussian", "--cov", str(path)])
+    assert (code, out, err) == (2, "", f"error: {message} in {path}\n")
+
+
+def test_booleans_and_nulls_outside_the_numbers_are_accepted(capsys, tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text('{"dimA": 1, "dimB": 1, "flag": true, "note": "null or false", "matrix": [[[1, 0]]]}')
+    assert run(capsys, ["check", "--state", str(state)])[0] == 0
+    # a whole null displacement is an absent one
+    cov = tmp_path / "cov.json"
+    cov.write_text('{"V": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "d": null}')
+    assert run(capsys, ["gaussian", "--cov", str(cov)])[0] == 0
 
 
 @pytest.mark.parametrize("command", ["check", "decompose", "dynamics"])
@@ -655,6 +705,17 @@ class TestProducerBytes:
         manifest = json.loads(out)
         manifest["results"]["state"] = state
         assert out == reference_canonical_json(manifest) + "\n"
+
+    def test_example_save_formats_the_state_once(self, capsys, tmp_path, monkeypatch):
+        blocks = []
+        format_block = stateio._format_block
+        monkeypatch.setattr(stateio, "_format_block", lambda arr: blocks.append(arr.shape) or format_block(arr))
+        target = tmp_path / "state.json"
+        argv = ["example", "--name", "random", "--param", "dimA=2", "--param", "dimB=3", "--save", str(target)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert blocks == [(6, 6, 2)]
+        assert json.loads(out)["results"]["state"] == json.loads(target.read_text())
 
     @pytest.mark.parametrize("trials", [1, 100])
     def test_dynamics_rates(self, capsys, witness_file, trials):

@@ -5,7 +5,7 @@ import pytest
 
 import lazystates as lz
 from conftest import reference_canonical_json
-from lazystates.stateio import canonical_json, load_state, save_state, state_to_dict
+from lazystates.stateio import _Fragment, canonical_json, load_state, save_state, state_to_dict
 
 
 class TestCanonicalJson:
@@ -43,6 +43,12 @@ class TestCanonicalJson:
     def test_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="non-finite value"):
             canonical_json(value)
+
+    def test_fragment_is_written_verbatim(self):
+        inner = canonical_json({"b": [0.1, -0.0], "a": True})
+        doc = {"z": _Fragment(inner), "y": [_Fragment("1.5"), "1.5"]}
+        assert canonical_json(doc) == '{"y":[1.5,"1.5"],"z":' + inner + "}"
+        assert canonical_json(doc) == canonical_json({"z": json.loads(inner), "y": [1.5, "1.5"]})
 
     def test_negative_zero_in_a_list_prints_as_zero(self):
         assert canonical_json([-0.0, 1.5, [-0.0]]) == "[0,1.5,[0]]"
@@ -120,6 +126,17 @@ class TestStateFiles:
         path = tmp_path / "nan.json"
         path.write_text('{"dimA": 1, "dimB": 1, "matrix": [[[1.0, NaN]]]}')
         with pytest.raises(lz.InvalidStateError, match=r"NaN at \$\.matrix\[0\]\[0\]\[1\]"):
+            load_state(path)
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [("[[[true, false]]]", r"boolean true at \$\.matrix\[0\]\[0\]\[0\]"),
+         ("[[[1.0, null]]]", r"null at \$\.matrix\[0\]\[0\]\[1\]")],
+    )
+    def test_rejects_boolean_and_null_entries(self, tmp_path, entries, message):
+        path = tmp_path / "flag.json"
+        path.write_text('{"dimA": 1, "dimB": 1, "matrix": ' + entries + "}")
+        with pytest.raises(lz.InvalidStateError, match=message + " in "):
             load_state(path)
 
     def test_rejects_missing_keys(self, tmp_path):

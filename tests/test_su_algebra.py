@@ -140,6 +140,15 @@ def test_dense_tensor_antisymmetry(su3):
         assert f[a, b, c] == su3.f.value(a + 1, b + 1, c + 1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_scatter_index_is_the_flat_position_of_each_permuted_entry(n):
+    f = build_su_basis(n).f
+    i, _, k, _ = f.permuted
+    assert np.array_equal(f.scatter_index, i * f.size + k)
+    assert f.scatter_index is f.scatter_index
+    assert not f.scatter_index.flags.writeable
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_closed_form_matches_trace_oracle(n):
     basis = build_su_basis(n)
