@@ -2,8 +2,8 @@
 
 Every invocation prints a JSON run manifest on stdout and a one-line human
 summary on stderr (suppressed by --quiet).  Exit codes: 0 success (and lazy,
-where a verdict applies), 1 success but not lazy, 2 invalid input,
-3 internal numerical failure.
+where a verdict applies), 1 success but not lazy, 2 invalid input (also a
+size beyond the machine's memory), 3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -305,6 +305,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL_FAILURE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     print(text)
     if not args.quiet:

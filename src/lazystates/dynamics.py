@@ -32,10 +32,16 @@ over the Frobenius-orthonormal basis {E_kk, (E_kl + E_lk)/sqrt2,
 i (E_kl - E_lk)/sqrt2 : k < l}: the law of the GUE factor (G + G^dag)/2
 from n^2 normals instead of 2 n^2.  Row i of the draw holds A_i's
 diagonal, then sqrt2 Re A_kl and sqrt2 Im A_kl for each k < l in
-`np.triu_indices` order, then the same for B_i.  Products span every
-coupling and keep the GUE entry covariance, so each rate has second moment
-||K||_F^2.  With K realigned as M[(a, c), (b, d)] = K[(c, d), (a, b)],
-rate_i = Re vec(A_i)^T M vec(B_i): one matrix product serves all trials.
+`np.triu_indices` order, then the same for B_i.  One gather over the whole
+row builds both factors, so A_i and B_i are views of one complex array.
+Products span every coupling and keep the GUE entry covariance, so each
+rate has second moment ||K||_F^2.
+
+An audit does each piece of work once.  It forms the raw marginal of its
+side once, for both the verdict residual and log2(rho_side).  It never
+forms K itself: with c = [rho, log2(rho_side) (x) I] = -i K realigned as
+M[(a, c), (b, d)] = c[(c, d), (a, b)], rate_i = -Im vec(A_i)^T M vec(B_i),
+one matrix product for all trials, and rate_bound = ||K||_F = ||c||_F.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ import numpy as np
 
 from .bloch import (
     DensityMatrix,
+    SectorDensityMatrix,
     Side,
     _check_count,
     _check_dims,
@@ -58,7 +65,7 @@ from .bloch import (
     reduced_state,
 )
 from .errors import DimensionMismatchError
-from .laziness import DEFAULT_TOL, _commutator, commutator_residual
+from .laziness import DEFAULT_TOL, _commutator, _dense_residual, commutator_residual
 
 __all__ = [
     "Coupling",
@@ -141,18 +148,23 @@ def evolve(rho: DensityMatrix, hamiltonian: np.ndarray, t: float) -> DensityMatr
     return DensityMatrix(rho.dim_a, rho.dim_b, data)
 
 
-def _rate_operator(rho: DensityMatrix, side: Side) -> np.ndarray:
-    """K = i [rho, log2(rho_side) (x) I] with dS_side/dt = tr(H K) for every H.
+def _rate_commutator(rho: DensityMatrix, red: np.ndarray, side: Side) -> np.ndarray:
+    """c = [rho, log2(red) (x) I], red = `_marginal(rho, side)`; the rate kernel is K = i c.
 
     log2 acts on the support of the raw marginal only: eigenvalues <= 0 are
     dropped, matching the 0 log 0 = 0 convention of `entropy`.  The
     commutator is the kernel of `commutator_residual`, with log2(rho_side)
     in place of rho_side.
     """
-    w, q = np.linalg.eigh(_marginal(rho, side))
+    w, q = np.linalg.eigh(red)
     keep = w > 0.0
-    log2_red = (q[:, keep] * np.log2(w[keep])) @ q[:, keep].conj().T
-    return 1j * _commutator(rho, log2_red, side)
+    q = q[:, keep]
+    return _commutator(rho, (q * np.log2(w[keep])) @ q.conj().T, side)
+
+
+def _rate_operator(rho: DensityMatrix, side: Side) -> np.ndarray:
+    """K = i [rho, log2(rho_side) (x) I] with dS_side/dt = tr(H K) for every H."""
+    return 1j * _rate_commutator(rho, _marginal(rho, side), side)
 
 
 def entropy_rate(
@@ -215,12 +227,32 @@ def _hermitian_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     return index.ravel(), scale.ravel()
 
 
-def _hermitian_stack(coords: np.ndarray, n: int) -> np.ndarray:
-    """(count, n, n) stack of A_i = sum_p coords[i, p] h_p, coords (count, n^2)."""
-    index, scale = _hermitian_gather(n)
+@lru_cache(maxsize=None)
+def _pair_gather(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_hermitian_gather` of A, then of B, over one draw row of `product_couplings`.
+
+    B's coordinates follow A's n_A^2 in the row, so its indices are shifted
+    by n_A^2.
+    """
+    index_a, scale_a = _hermitian_gather(dim_a)
+    index_b, scale_b = _hermitian_gather(dim_b)
+    index = np.concatenate([index_a, index_b + dim_a * dim_a])
+    scale = np.concatenate([scale_a, scale_b])
+    index.setflags(write=False)
+    scale.setflags(write=False)
+    return index, scale
+
+
+def _gather(coords: np.ndarray, index: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Complex rows whose float slots are coords[i, index] * scale: one take, one multiply."""
     flat = np.take(coords, index, axis=1)
     flat *= scale
-    return flat.view(complex).reshape(-1, n, n)
+    return flat.view(complex)
+
+
+def _hermitian_stack(coords: np.ndarray, n: int) -> np.ndarray:
+    """(count, n, n) stack of A_i = sum_p coords[i, p] h_p, coords (count, n^2)."""
+    return _gather(coords, *_hermitian_gather(n)).reshape(-1, n, n)
 
 
 def product_couplings(
@@ -233,12 +265,19 @@ def product_couplings(
     diagonal, then sqrt2 Re A_kl and sqrt2 Im A_kl for each k < l in
     `np.triu_indices` order.  Each factor has the law of (G + G^dag)/2, and
     the first k couplings do not depend on `count`.
+
+    Both factors come from one gather over the whole row, so `a` and `b`
+    are views of one complex array: row i holds vec(a[i]), then vec(b[i]).
     """
     count = _check_count(count, "count", 1)
     dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
     draws = rng.standard_normal((count, dim_a**2 + dim_b**2))
+    pairs = _gather(draws, *_pair_gather(dim_a, dim_b))
     split = dim_a**2
-    return _hermitian_stack(draws[:, :split], dim_a), _hermitian_stack(draws[:, split:], dim_b)
+    return (
+        pairs[:, :split].reshape(-1, dim_a, dim_a),
+        pairs[:, split:].reshape(-1, dim_b, dim_b),
+    )
 
 
 def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
@@ -285,12 +324,23 @@ def dynamics_audit(
     trials = _check_count(trials, "trials", 1)
     na, nb = rho.dim_a, rho.dim_b
     a, b = product_couplings(na, nb, trials, seed)
-    lazy = commutator_residual(rho, side) < DEFAULT_TOL
-    k = _rate_operator(rho, side)
-    # tr(K (A (x) B)) = vec(A)^T m vec(B); its real part reads only the
-    # Hermitian part of K, as `entropy_rate` does
-    m = _realign(k, na, nb)
-    rates = np.einsum("ij,ij->i", a.reshape(trials, -1) @ m, b.reshape(trials, -1)).real
+    # one raw marginal serves the verdict and the rates; a sector state
+    # sums its residual over the sectors
+    red = _marginal(rho, side)
+    if isinstance(rho, SectorDensityMatrix):
+        residual = commutator_residual(rho, side)
+    else:
+        residual = _dense_residual(rho, red, side)
+    lazy = residual < DEFAULT_TOL
+    # a real state has a real c, which the product with the complex factors
+    # would cast anyway: casting it first casts it once
+    c = np.asarray(_rate_commutator(rho, red, side), dtype=complex)
+    # tr(K (A (x) B)) = i vec(A)^T m vec(B) with m realigned from c = -i K;
+    # the rate, its real part, is -Im of that product and reads only the
+    # Hermitian part of K, as `entropy_rate` does.  0 - Im, not -Im, keeps
+    # an exactly zero rate +0.0.
+    m = _realign(c, na, nb)
+    rates = 0.0 - np.einsum("ij,ij->i", a.reshape(trials, -1) @ m, b.reshape(trials, -1)).imag
     max_rate = float(np.abs(rates).max())
     consistent = max_rate < LAZY_RATE_TOL if lazy else max_rate > NONLAZY_RATE_FLOOR
     return DynamicsAudit(
@@ -298,5 +348,5 @@ def dynamics_audit(
         trials=trials,
         per_trial_rates=tuple(rates.tolist()),
         consistent_with_laziness=consistent,
-        rate_bound=float(np.linalg.norm(k)),
+        rate_bound=float(np.linalg.norm(c)),
     )

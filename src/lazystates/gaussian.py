@@ -119,12 +119,14 @@ class GaussianStandardForm:
     nu_plus: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("n", "m", "c", "c_prime"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite standard-form parameter {name} = {value}")
-            object.__setattr__(self, name, value)
-        n, m, c, cp = self.n, self.m, self.c, self.c_prime
+        n, m, c, cp = float(self.n), float(self.m), float(self.c), float(self.c_prime)
+        if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(c) and math.isfinite(cp)):
+            name, value = next(
+                (name, value)
+                for name, value in zip(("n", "m", "c", "c_prime"), (n, m, c, cp))
+                if not math.isfinite(value)
+            )
+            raise ValueError(f"non-finite standard-form parameter {name} = {value}")
         if n < 1.0 - PHYSICALITY_TOL or m < 1.0 - PHYSICALITY_TOL:
             raise UnphysicalFormError(f"local variances must be >= 1, got n={n}, m={m}")
         if not (n * m > c * c and n * m > cp * cp):
@@ -144,8 +146,11 @@ class GaussianStandardForm:
                 f"standard form violates the uncertainty relation: "
                 f"nu_minus = {nu_minus:.6g}"
             )
-        object.__setattr__(self, "nu_minus", nu_minus)
-        object.__setattr__(self, "nu_plus", math.sqrt((delta + root) / 2.0))
+        # frozen: the converted parameters and the eigenvalues go in at once
+        self.__dict__.update(
+            n=n, m=m, c=c, c_prime=cp,
+            nu_minus=nu_minus, nu_plus=math.sqrt((delta + root) / 2.0),
+        )
 
     def matrix(self) -> np.ndarray:
         """The 4x4 standard-form covariance matrix."""

@@ -126,7 +126,16 @@ def commutator_residual(rho: DensityMatrix, side: Side) -> float:
             y = block * (ps - ps[:, None])
             total += np.vdot(y, y)
         return math.sqrt(total)
-    return float(np.linalg.norm(_commutator(rho, _marginal(rho, side), side)))
+    return _dense_residual(rho, _marginal(rho, side), side)
+
+
+def _dense_residual(rho: DensityMatrix, red: np.ndarray, side: Side) -> float:
+    """`commutator_residual` of a dense state, given red = `_marginal(rho, side)`.
+
+    A caller that needs the raw marginal as well forms it once and hands it
+    here, as `dynamics_audit` does.
+    """
+    return float(np.linalg.norm(_commutator(rho, red, side)))
 
 
 def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:

@@ -227,6 +227,59 @@ def kron_rate_operator(rho, side):
     return 1j * (rho.data @ big - big @ rho.data)
 
 
+def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
+    """`dynamics_audit` as it was before one gather, one marginal and no x i pass.
+
+    Each factor stack is its own gather of its half of the draw rows,
+    `commutator_residual` and the rate operator each form their own raw
+    marginal, and the rates are the real part of the product with the
+    realigned K = i c.  The outputs must match `dynamics_audit` bit for bit.
+    """
+    from lazystates.bloch import _check_count, _check_side, _marginal, _realign
+    from lazystates.dynamics import (
+        LAZY_RATE_TOL,
+        NONLAZY_RATE_FLOOR,
+        DynamicsAudit,
+        _coupling_rng,
+        _hermitian_stack,
+    )
+    from lazystates.laziness import DEFAULT_TOL, _commutator, commutator_residual
+
+    def product_couplings(dim_a, dim_b, count, seed):
+        count = _check_count(count, "count", 1)
+        dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
+        draws = rng.standard_normal((count, dim_a**2 + dim_b**2))
+        split = dim_a**2
+        return (
+            _hermitian_stack(draws[:, :split], dim_a),
+            _hermitian_stack(draws[:, split:], dim_b),
+        )
+
+    def rate_operator(rho, side):
+        w, q = np.linalg.eigh(_marginal(rho, side))
+        keep = w > 0.0
+        log2_red = (q[:, keep] * np.log2(w[keep])) @ q[:, keep].conj().T
+        return 1j * _commutator(rho, log2_red, side)
+
+    side = _check_side(side)
+    trials = _check_count(trials, "trials", 1)
+    na, nb = rho.dim_a, rho.dim_b
+    a, b = product_couplings(na, nb, trials, seed)
+    lazy = commutator_residual(rho, side) < DEFAULT_TOL
+    k = rate_operator(rho, side)
+    m = _realign(k, na, nb)
+    rates = np.einsum("ij,ij->i", a.reshape(trials, -1) @ m, b.reshape(trials, -1)).real
+    max_rate = float(np.abs(rates).max())
+    consistent = max_rate < LAZY_RATE_TOL if lazy else max_rate > NONLAZY_RATE_FLOOR
+    return DynamicsAudit(
+        max_rate=max_rate,
+        trials=trials,
+        per_trial_rates=tuple(rates.tolist()),
+        consistent_with_laziness=consistent,
+        rate_bound=float(np.linalg.norm(k)),
+    )
+
+
 #: padded levels per mode of `dense_fock_reference`
 FOCK_ORACLE_PAD = 12
 

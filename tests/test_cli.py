@@ -670,6 +670,35 @@ class TestExample:
         limit = np.iinfo(np.intp).max
         assert err == f"error: {message}, over numpy's limit of {limit} bytes per array\n"
 
+    @pytest.mark.parametrize(
+        "target,argv,message",
+        [
+            (
+                "build_su_basis",
+                ["basis", "--dim", "3000"],
+                "Unable to allocate 1.15 PiB for an array with shape "
+                "(9000000, 3000, 3000) and data type complex128",
+            ),
+            (
+                "generate_example",
+                ["example", "--name", "random", "--param", "dimA=3000", "--param", "dimB=3000"],
+                "",
+            ),
+        ],
+        ids=["basis-numpy-message", "example-bare"],
+    )
+    def test_memory_error_exits_two_with_one_line(self, capsys, monkeypatch, target, argv, message):
+        # the handler raises as an allocation beyond the machine's memory
+        # would, so nothing is allocated here
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, target, out_of_memory)
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message or 'out of memory'}\n"
+
     def test_unphysical_parameters_exit_two(self, capsys):
         code, _, err = run(
             capsys,

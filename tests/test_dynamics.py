@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import lazystates as lz
-from conftest import finite_difference_rate, kron_rate_operator
-from lazystates import dynamics
+from conftest import finite_difference_rate, kron_rate_operator, reference_dynamics_audit
+from lazystates import bloch, dynamics, laziness
 from lazystates.dynamics import _rate_operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -216,6 +216,16 @@ class TestProductCouplings:
         a, b = lz.product_couplings(3, 2, 37, 11)
         short_a, short_b = lz.product_couplings(3, 2, 9, 11)
         assert np.array_equal(short_a, a[:9]) and np.array_equal(short_b, b[:9])
+
+    @pytest.mark.parametrize("na,nb", [(2, 6), (6, 2), (3, 4)])
+    def test_one_gather_gives_views_with_the_per_factor_bytes(self, na, nb):
+        a, b = lz.product_couplings(na, nb, 23, 7)
+        assert a.base is not None and a.base is b.base
+        normals = np.random.default_rng(7).standard_normal((23, na * na + nb * nb))
+        want_a = dynamics._hermitian_stack(normals[:, : na * na], na)
+        want_b = dynamics._hermitian_stack(normals[:, na * na:], nb)
+        assert a.shape == want_a.shape and b.shape == want_b.shape
+        assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
 
     @pytest.mark.parametrize("count", [0, True, 2.0])
     def test_rejects_invalid_count(self, count):
@@ -455,6 +465,41 @@ class TestDynamicsAudit:
     def test_rejects_invalid_trials_and_seed(self, bell, kwargs, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             lz.dynamics_audit(bell, "A", **{"trials": 4, "seed": 0, **kwargs})
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_matches_the_reference_audit_bit_for_bit(self, side):
+        rng = np.random.default_rng(31)
+        real = lz.random_density_matrix(3, 3, 9).data.real
+        states = {
+            "complex": lz.random_density_matrix(3, 4, 5),
+            "real": lz.DensityMatrix(3, 3, real),
+            "pure_a": lz.product_state(pure_density(rng, 3), random_marginal(rng, 4)),
+            "2x6": lz.random_density_matrix(2, 6, 3),
+            "6x2": lz.random_density_matrix(6, 2, 4),
+            "fock8": lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), 8),
+            # exactly zero rates: the reference reads +0.0 there
+            "werner": lz.werner(0.3),
+        }
+        for name, rho in states.items():
+            for trials, seed in ((1, 0), (37, 5), (100, 11)):
+                got = lz.dynamics_audit(rho, side, trials, seed)
+                want = reference_dynamics_audit(rho, side, trials, seed)
+                assert got == want, name
+                # repr tells -0.0 from 0.0, which == does not
+                assert repr(got) == repr(want), name
+        assert set(lz.dynamics_audit(states["werner"], side, 5, 0).per_trial_rates) == {0.0}
+
+    def test_forms_the_dense_marginal_once(self, monkeypatch):
+        calls = []
+
+        def counted(rho, side):
+            calls.append(side)
+            return bloch._marginal(rho, side)
+
+        monkeypatch.setattr(dynamics, "_marginal", counted)
+        monkeypatch.setattr(laziness, "_marginal", counted)
+        lz.dynamics_audit(lz.random_density_matrix(3, 4, 2), "B", trials=10, seed=1)
+        assert calls == ["B"]
 
     def test_checks_side_before_drawing(self, bell, monkeypatch):
         def no_draw(*args):

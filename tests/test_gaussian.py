@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -109,6 +110,17 @@ class TestStandardForm:
             lz.GaussianStandardForm(np.nan, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="non-finite standard-form parameter c_prime"):
             lz.GaussianStandardForm(2.0, 2.0, 0.5, -np.inf)
+        # several non-finite parameters: the first in field order is named
+        with pytest.raises(ValueError, match=r"parameter m = inf$"):
+            lz.GaussianStandardForm(2.0, np.inf, np.nan, -np.inf)
+
+    def test_keeps_converted_parameters_and_eigenvalues(self):
+        form = lz.GaussianStandardForm(np.float32(2.0), 3, "0.5", np.float64(-0.2))
+        params = (form.n, form.m, form.c, form.c_prime, form.nu_minus, form.nu_plus)
+        assert all(type(value) is float for value in params)
+        assert (form.n, form.m, form.c, form.c_prime) == (2.0, 3.0, 0.5, -0.2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            form.n = 1.0
 
 
 class TestUncertainty:
