@@ -8,7 +8,9 @@ some coupling witnesses non-laziness.  The rate is linear in the coupling,
 
 (mirrored for B), with log2 taken on the support of the reduced state.
 K is the commutator kernel of `laziness.commutator_residual` applied to
-log2(rho_A) in place of rho_A, read off the same raw marginal.
+log2(rho_A) in place of rho_A, read off the same raw marginal.  K is
+notation only: the code forms c = [rho, log2(rho_A) (x) I] = -i K and
+reads every rate off c, tr(H K) = Re vdot(K, H) = Im vdot(c, H).
 This is exact for rank-deficient marginals too: rho >= 0 makes the kernel
 block of d(rho_A)/dt vanish, so the kernel eigenvalues move only at O(t^2).
 A central finite difference of the entropy along the exact unitary
@@ -38,14 +40,15 @@ Products span every coupling and keep the GUE entry covariance, so each
 rate has second moment ||K||_F^2.
 
 An audit does each piece of work once.  It forms the raw marginal of its
-side once, for both the verdict residual and log2(rho_side).  It never
-forms K itself: with c = [rho, log2(rho_side) (x) I] = -i K realigned as
-M[(a, c), (b, d)] = c[(c, d), (a, b)], rate_i = -Im vec(A_i)^T M vec(B_i),
-one matrix product for all trials, and rate_bound = ||K||_F = ||c||_F.
+side once, for both the verdict residual and log2(rho_side).  With c
+realigned as M[(a, c), (b, d)] = c[(c, d), (a, b)],
+rate_i = -Im vec(A_i)^T M vec(B_i), one matrix product for all trials,
+and rate_bound = ||K||_F = ||c||_F.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -135,7 +138,17 @@ def entropy(rho: DensityMatrix) -> float:
 
 
 def evolve(rho: DensityMatrix, hamiltonian: np.ndarray, t: float) -> DensityMatrix:
-    """Exact unitary evolution exp(-iHt) rho exp(iHt) by eigendecomposition."""
+    """Exact unitary evolution exp(-iHt) rho exp(iHt) by eigendecomposition.
+
+    A `t` that is not a finite real number (a str, a bool, NaN or +-Inf)
+    raises ValueError naming `t`, before numpy can warn or blame the state.
+    """
+    if (
+        not isinstance(t, (int, float, np.integer, np.floating))
+        or isinstance(t, bool)
+        or not math.isfinite(t)
+    ):
+        raise ValueError(f"t must be a finite real number, got {t!r}")
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != rho.data.shape:
         raise DimensionMismatchError(
@@ -149,7 +162,7 @@ def evolve(rho: DensityMatrix, hamiltonian: np.ndarray, t: float) -> DensityMatr
 
 
 def _rate_commutator(rho: DensityMatrix, red: np.ndarray, side: Side) -> np.ndarray:
-    """c = [rho, log2(red) (x) I], red = `_marginal(rho, side)`; the rate kernel is K = i c.
+    """c = [rho, log2(red) (x) I] = -i K, red = `_marginal(rho, side)`; rates are read off c.
 
     log2 acts on the support of the raw marginal only: eigenvalues <= 0 are
     dropped, matching the 0 log 0 = 0 convention of `entropy`.  The
@@ -162,11 +175,6 @@ def _rate_commutator(rho: DensityMatrix, red: np.ndarray, side: Side) -> np.ndar
     return _commutator(rho, (q * np.log2(w[keep])) @ q.conj().T, side)
 
 
-def _rate_operator(rho: DensityMatrix, side: Side) -> np.ndarray:
-    """K = i [rho, log2(rho_side) (x) I] with dS_side/dt = tr(H K) for every H."""
-    return 1j * _rate_commutator(rho, _marginal(rho, side), side)
-
-
 def entropy_rate(
     rho: DensityMatrix,
     coupling: Coupling,
@@ -175,9 +183,11 @@ def entropy_rate(
 ) -> float:
     """dS/dt of one subsystem at t = 0 under the given coupling.
 
-    `method="analytic"` evaluates the exact linear form tr(H K);
-    `"fd"` is the independent central finite difference of the entropy
-    along the exact evolution, kept as a cross-check.
+    `method="analytic"` evaluates the exact linear form tr(H K) as
+    Im vdot(c, H), reading it off c = [rho, log2(rho_side) (x) I] = -i K
+    as the audit reads its rates; `"fd"` is the independent central finite
+    difference of the entropy along the exact evolution, kept as a
+    cross-check.
     """
     if method not in ("analytic", "fd"):
         raise ValueError(f"unknown rate method {method!r}")
@@ -187,7 +197,8 @@ def entropy_rate(
             f"coupling shape {h.shape} does not match state shape {rho.data.shape}"
         )
     if method == "analytic":
-        return float(np.vdot(_rate_operator(rho, side), h).real)
+        c = _rate_commutator(rho, _marginal(rho, side), side)
+        return float(np.vdot(c, h).imag)
     s_plus = entropy(reduced_state(evolve(rho, h, FD_STEP), side))
     s_minus = entropy(reduced_state(evolve(rho, h, -FD_STEP), side))
     return float((s_plus - s_minus) / (2.0 * FD_STEP))

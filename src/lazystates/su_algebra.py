@@ -228,8 +228,9 @@ def build_su_basis(n: int) -> SuBasis:
     `S`.  The structure constants come from their closed forms.  Results
     are cached; the returned arrays are read-only and safe to share.
     """
-    if n < 2:
-        raise ValueError(f"su(n) basis requires n >= 2, got {n}")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
+        raise ValueError(f"su(n) basis requires an integer n >= 2, got {n!r}")
+    n = int(n)
     pairs = n * (n - 1) // 2
     row, col = np.triu_indices(n, 1)
     stack = np.zeros((n * n, n, n), dtype=complex)

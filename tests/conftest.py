@@ -227,6 +227,15 @@ def kron_rate_operator(rho, side):
     return 1j * (rho.data @ big - big @ rho.data)
 
 
+def reference_entropy_rate(rho, coupling, side):
+    """`entropy_rate` as it was with K = i c formed: Re vdot(K, H)."""
+    from lazystates.bloch import _marginal
+    from lazystates.dynamics import _rate_commutator
+
+    c = _rate_commutator(rho, _marginal(rho, side), side)
+    return float(np.vdot(1j * c, coupling.hamiltonian).real)
+
+
 def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
     """`dynamics_audit` as it was before one gather, one marginal and no x i pass.
 

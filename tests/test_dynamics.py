@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import lazystates as lz
-from conftest import finite_difference_rate, kron_rate_operator, reference_dynamics_audit
+from conftest import (
+    finite_difference_rate,
+    kron_rate_operator,
+    reference_dynamics_audit,
+    reference_entropy_rate,
+)
 from lazystates import bloch, dynamics, laziness
-from lazystates.dynamics import _rate_operator
+from lazystates.dynamics import _rate_commutator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -330,8 +335,34 @@ class TestEntropyRate:
         pure_a = lz.product_state(pure_density(rng, na), random_marginal(rng, nb))
         for rho in (full, pure_a):
             for side in ("A", "B"):
-                k = _rate_operator(rho, side)
+                k = 1j * _rate_commutator(rho, bloch._marginal(rho, side), side)
                 assert np.abs(k - kron_rate_operator(rho, side)).max() < 1e-14
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_matches_the_rate_operator_route_bit_for_bit(self, side):
+        # Im vdot(c, H) against Re vdot(i c, H): == and the sign bit, also
+        # on the exactly zero rates of lazy states and local couplings
+        rng = np.random.default_rng(44)
+        states = [
+            lz.random_density_matrix(3, 4, 5),
+            lz.random_density_matrix(2, 6, 6),
+            lz.DensityMatrix(3, 3, lz.random_density_matrix(3, 3, 9).data.real),
+            lz.product_state(pure_density(rng, 3), random_marginal(rng, 4)),
+            lz.werner(0.3),
+            lz.maximally_entangled(3),
+            lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.0), 8),
+            lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), 8),
+        ]
+        for rho in states:
+            na, nb = rho.dim_a, rho.dim_b
+            couplings = [lz.random_coupling(na, nb, seed) for seed in range(4)]
+            local = np.kron(np.diag(np.arange(na, dtype=float)), np.eye(nb))
+            couplings.append(lz.Coupling(hamiltonian=local, seed=0))
+            for coupling in couplings:
+                got = lz.entropy_rate(rho, coupling, side)
+                want = reference_entropy_rate(rho, coupling, side)
+                assert got == want
+                assert np.signbit(got) == np.signbit(want)
 
     def test_rejects_shape_mismatch(self, bell):
         with pytest.raises(lz.DimensionMismatchError):
@@ -357,6 +388,12 @@ class TestEvolve:
     def test_shape_mismatch(self, bell):
         with pytest.raises(lz.DimensionMismatchError):
             lz.evolve(bell, np.eye(6), 0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, "0.1", True])
+    def test_rejects_a_time_that_is_not_a_finite_real(self, bell, t):
+        h = lz.random_coupling(2, 2, 1).hamiltonian
+        with pytest.raises(ValueError, match="t must be a finite real number"):
+            lz.evolve(bell, h, t)
 
 
 class TestDynamicsAudit:
@@ -398,7 +435,7 @@ class TestDynamicsAudit:
         norms = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
         for side in ("A", "B"):
             audit = lz.dynamics_audit(rho, side, trials=20, seed=8)
-            k = _rate_operator(rho, side)
+            k = kron_rate_operator(rho, side)
             worst = lz.Coupling(hamiltonian=k / np.linalg.norm(k), seed=0)
             rate = lz.entropy_rate(rho, worst, side)
             assert rate == pytest.approx(audit.rate_bound, rel=1e-12, abs=0)
