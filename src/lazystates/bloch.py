@@ -195,6 +195,19 @@ class DensityMatrix:
     The matrix is read-only, so two derived quantities are computed on
     first read and kept: `eigenvalues` and `bloch_form`, the expansion over
     the canonical bases that both sides' laziness verdicts read.
+
+    The state also owns the two pieces that both laziness characterizations
+    read: its raw marginal `_marginal(side)` and the kernel
+    `_commutator(X, side)`, [rho, X (x) I] or [rho, I (x) X] for any local
+    X: X = rho_A for the verdict, X = log2(rho_A) for the entropy rate.
+    The kernel never forms X (x) I: with rho viewed as the tensor
+    r[a, b, c, d] (A indices a, c slow, B indices b, d fast), left
+    multiplication by X (x) I contracts X with the row index a alone, right
+    multiplication with the column index c alone, and I (x) X does the same
+    on b and d.  Each product is one GEMM over a reshaped view of rho,
+    O(d^2 n) work instead of the O(d^3) of a dense d x d product.  A real
+    state has a real marginal, so both GEMMs then run in real arithmetic.
+    `_commutator_norm(X, side)` is its Frobenius norm.
     """
 
     def __init__(self, dim_a: int, dim_b: int, data):
@@ -246,6 +259,33 @@ class DensityMatrix:
             )
         return self
 
+    def _marginal(self, side: Side) -> np.ndarray:
+        """Reduced state of `side` as a plain array, not Hermitized or re-validated."""
+        _check_side(side)
+        r = self.data.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+        return np.einsum("abcb->ac" if side == "A" else "abad->bd", r)
+
+    def _commutator(self, x: np.ndarray, side: Side) -> np.ndarray:
+        """[rho, X (x) I] (side A) or [rho, I (x) X] (side B) as a d x d array.
+
+        Both products are formed: rho is Hermitian only to within the
+        tolerance `DensityMatrix` accepts.
+        """
+        na, nb = self.dim_a, self.dim_b
+        r = self.data
+        if side == "A":
+            x_rho = x @ r.reshape(na, -1)
+            rho_x = x.T @ r.reshape(-1, na, nb)
+        else:
+            x_rho = x @ r.reshape(na, nb, -1)
+            rho_x = r.reshape(-1, nb) @ x
+        d = na * nb
+        return rho_x.reshape(d, d) - x_rho.reshape(d, d)
+
+    def _commutator_norm(self, x: np.ndarray, side: Side) -> float:
+        """Frobenius norm of `_commutator(x, side)`."""
+        return float(np.linalg.norm(self._commutator(x, side)))
+
     def __repr__(self) -> str:
         return f"DensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b})"
 
@@ -263,10 +303,21 @@ class SectorDensityMatrix(DensityMatrix):
     marginals are diagonal, each sector diagonal adding into a run of
     levels.  The constructor accumulates the diagonal of rho_A once the
     blocks are checked and keeps it read-only; the diagonal of rho_B is
-    accumulated on its first read and kept too.  `reduced_state`,
-    `commutator_residual` and the spectrum read the sectors and these
-    diagonals directly.  `data` assembles the dense matrix on first access
-    only.
+    accumulated on its first read and kept too.  `_marginal` is the
+    diagonal matrix of the kept diagonal, and `_commutator_norm` and the
+    spectrum read the sectors directly.  `data` assembles the dense matrix
+    on first access only, e.g. for `_commutator`.
+
+    For a diagonal X = diag(p), such as the marginal, the k-th state of
+    sector s has the A level a_k = max(s, 0) + k, so [rho, X (x) I] has the
+    entries rho_kl (p(a_l) - p(a_k)) inside each sector and zeros
+    elsewhere, and
+
+        || [rho, X (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
+
+    summed without the d x d matrix: one pass over the sectors, each sector
+    one product with a slice of p and one `vdot` (side B reads the B levels
+    max(-s, 0) + k).
 
     A shift must be an integer with a nonempty sector and every block a
     real square of its sector's size.  The blocks then pass one
@@ -322,7 +373,7 @@ class SectorDensityMatrix(DensityMatrix):
         """
         diag_b = np.zeros(self.dim_b)
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, block in _sector_blocks(self, "B"):
+            for lo, block in self._blocks("B"):
                 diag_b[lo : lo + len(block)] += block.diagonal()
         finite = np.isfinite(diag_b)
         if not finite.all():
@@ -333,10 +384,34 @@ class SectorDensityMatrix(DensityMatrix):
         diag_b.setflags(write=False)
         return diag_b
 
+    def _blocks(self, side: Side) -> list:
+        """(first level of `side`, block) per sector: max(s, 0) on A, max(-s, 0) on B."""
+        sign = 1 if side == "A" else -1
+        return [(max(sign * shift, 0), block) for shift, block in self.sectors.items()]
+
     def _diagonal(self, side: Side) -> np.ndarray:
         """Read-only diagonal of the marginal of `side`, kept on the state."""
         _check_side(side)
         return self._diagonal_a if side == "A" else self._diagonal_b
+
+    def _marginal(self, side: Side) -> np.ndarray:
+        """Reduced state of `side`, the diagonal matrix of the kept diagonal."""
+        return np.diag(self._diagonal(side))
+
+    def _commutator_norm(self, x: np.ndarray, side: Side) -> float:
+        """Frobenius norm of [rho, X (x) I] for a diagonal X, summed over the sectors.
+
+        Only `x.diagonal()` is read.
+        """
+        # X = diag(p), so the commutator has the entries
+        # rho_kl (p_l - p_k) of each sector and zeros elsewhere
+        p = x.diagonal()
+        total = 0.0
+        for lo, block in self._blocks(side):
+            ps = p[lo : lo + len(block)]
+            y = block * (ps - ps[:, None])
+            total += np.vdot(y, y)
+        return math.sqrt(total)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -521,33 +596,13 @@ def reconstruct(
     return DensityMatrix(na, nb, data)
 
 
-def _sector_blocks(rho: SectorDensityMatrix, side: Side) -> list:
-    """(first level of `side`, block) per sector: max(s, 0) on A, max(-s, 0) on B."""
-    sign = 1 if side == "A" else -1
-    return [(max(sign * shift, 0), block) for shift, block in rho.sectors.items()]
-
-
-def _marginal(rho: DensityMatrix, side: Side) -> np.ndarray:
-    """Reduced state of `side` as a plain array, not Hermitized or re-validated.
-
-    For a `SectorDensityMatrix` it is diagonal: the diagonal the state keeps,
-    each sector diagonal summed into the run of the kept side's levels that
-    the sector holds.
-    """
-    if isinstance(rho, SectorDensityMatrix):
-        return np.diag(rho._diagonal(side))
-    _check_side(side)
-    r = rho.data.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    return np.einsum("abcb->ac" if side == "A" else "abad->bd", r)
-
-
 def reduced_state(rho: DensityMatrix, side: Side) -> DensityMatrix:
     """Reduced state of one subsystem (the other one is traced out).
 
     Hermitized as (m + m^dagger)/2: the partial trace sums entries that are
     each Hermitian only to within the tolerance `DensityMatrix` accepts.
     """
-    red = _marginal(rho, side)
+    red = rho._marginal(side)
     red = (red + red.conj().T) / 2.0
     if side == "A":
         return DensityMatrix(rho.dim_a, 1, red)

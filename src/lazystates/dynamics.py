@@ -7,8 +7,9 @@ some coupling witnesses non-laziness.  The rate is linear in the coupling,
     dS_A/dt = tr(H K),    K = i [rho, log2(rho_A) (x) I]
 
 (mirrored for B), with log2 taken on the support of the reduced state.
-K is the commutator kernel of `laziness.commutator_residual` applied to
-log2(rho_A) in place of rho_A, read off the same raw marginal.  K is
+K is the state's commutator kernel, `rho._commutator`, applied to
+log2(rho_A) in place of rho_A, with rho_A the raw marginal
+`rho._marginal(side)` that `laziness.commutator_residual` reads.  K is
 notation only: the code forms c = [rho, log2(rho_A) (x) I] = -i K and
 reads every rate off c, tr(H K) = Re vdot(K, H) = Im vdot(c, H).
 This is exact for rank-deficient marginals too: rho >= 0 makes the kernel
@@ -39,9 +40,9 @@ row builds both factors, so A_i and B_i are views of one complex array.
 Products span every coupling and keep the GUE entry covariance, so each
 rate has second moment ||K||_F^2.
 
-An audit does each piece of work once.  It forms the raw marginal of its
-side once, for both the verdict residual and log2(rho_side).  With c
-realigned as M[(a, c), (b, d)] = c[(c, d), (a, b)],
+An audit does each piece of work once.  It forms the raw marginal
+`rho._marginal(side)` once, for both the verdict residual and
+log2(rho_side).  With c realigned as M[(a, c), (b, d)] = c[(c, d), (a, b)],
 rate_i = -Im vec(A_i)^T M vec(B_i), one matrix product for all trials,
 and rate_bound = ||K||_F = ||c||_F.
 """
@@ -57,18 +58,16 @@ import numpy as np
 
 from .bloch import (
     DensityMatrix,
-    SectorDensityMatrix,
     Side,
     _check_count,
     _check_dims,
     _check_hermitian,
     _check_side,
-    _marginal,
     _realign,
     reduced_state,
 )
 from .errors import DimensionMismatchError
-from .laziness import DEFAULT_TOL, _commutator, _dense_residual, commutator_residual
+from .laziness import DEFAULT_TOL
 
 __all__ = [
     "Coupling",
@@ -162,17 +161,17 @@ def evolve(rho: DensityMatrix, hamiltonian: np.ndarray, t: float) -> DensityMatr
 
 
 def _rate_commutator(rho: DensityMatrix, red: np.ndarray, side: Side) -> np.ndarray:
-    """c = [rho, log2(red) (x) I] = -i K, red = `_marginal(rho, side)`; rates are read off c.
+    """c = [rho, log2(red) (x) I] = -i K, red = `rho._marginal(side)`; rates are read off c.
 
     log2 acts on the support of the raw marginal only: eigenvalues <= 0 are
     dropped, matching the 0 log 0 = 0 convention of `entropy`.  The
-    commutator is the kernel of `commutator_residual`, with log2(rho_side)
-    in place of rho_side.
+    commutator is `rho._commutator`, the kernel of `commutator_residual`,
+    with log2(rho_side) in place of rho_side.
     """
     w, q = np.linalg.eigh(red)
     keep = w > 0.0
     q = q[:, keep]
-    return _commutator(rho, (q * np.log2(w[keep])) @ q.conj().T, side)
+    return rho._commutator((q * np.log2(w[keep])) @ q.conj().T, side)
 
 
 def entropy_rate(
@@ -184,10 +183,10 @@ def entropy_rate(
     """dS/dt of one subsystem at t = 0 under the given coupling.
 
     `method="analytic"` evaluates the exact linear form tr(H K) as
-    Im vdot(c, H), reading it off c = [rho, log2(rho_side) (x) I] = -i K
-    as the audit reads its rates; `"fd"` is the independent central finite
-    difference of the entropy along the exact evolution, kept as a
-    cross-check.
+    Im vdot(c, H), reading it off c = [rho, log2(rho_side) (x) I] = -i K,
+    rho_side = `rho._marginal(side)`, as the audit reads its rates; `"fd"`
+    is the independent central finite difference of the entropy along the
+    exact evolution, kept as a cross-check.
     """
     if method not in ("analytic", "fd"):
         raise ValueError(f"unknown rate method {method!r}")
@@ -197,7 +196,7 @@ def entropy_rate(
             f"coupling shape {h.shape} does not match state shape {rho.data.shape}"
         )
     if method == "analytic":
-        c = _rate_commutator(rho, _marginal(rho, side), side)
+        c = _rate_commutator(rho, rho._marginal(side), side)
         return float(np.vdot(c, h).imag)
     s_plus = entropy(reduced_state(evolve(rho, h, FD_STEP), side))
     s_minus = entropy(reduced_state(evolve(rho, h, -FD_STEP), side))
@@ -214,7 +213,6 @@ def _coupling_rng(dim_a, dim_b, seed):
     return dim_a, dim_b, np.random.default_rng(_check_count(seed, "seed"))
 
 
-@lru_cache(maxsize=None)
 def _hermitian_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     """For each float slot of vec(A), A n x n Hermitian: its coordinate and scale.
 
@@ -222,6 +220,9 @@ def _hermitian_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     coordinates are A's diagonal, then sqrt2 Re A_kl and sqrt2 Im A_kl for
     each k < l in `np.triu_indices` order; the imaginary diagonal reads
     coordinate 0 with scale 0.
+
+    Not cached: the table has 2 n^2 entries, with n = dim_a dim_b for
+    `random_coupling`.  `_pair_gather` caches its per-split tables.
     """
     d = np.arange(n)
     k, l = np.triu_indices(n, 1)
@@ -233,8 +234,6 @@ def _hermitian_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     for rows, cols, sign in ((k, l, 1.0), (l, k, -1.0)):
         index[rows, cols, 0], scale[rows, cols, 0] = pair, half
         index[rows, cols, 1], scale[rows, cols, 1] = pair + 1, sign * half
-    index.setflags(write=False)
-    scale.setflags(write=False)
     return index.ravel(), scale.ravel()
 
 
@@ -243,7 +242,7 @@ def _pair_gather(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
     """`_hermitian_gather` of A, then of B, over one draw row of `product_couplings`.
 
     B's coordinates follow A's n_A^2 in the row, so its indices are shifted
-    by n_A^2.
+    by n_A^2.  Cached per split: 2 (n_A^2 + n_B^2) entries each.
     """
     index_a, scale_a = _hermitian_gather(dim_a)
     index_b, scale_b = _hermitian_gather(dim_b)
@@ -335,14 +334,9 @@ def dynamics_audit(
     trials = _check_count(trials, "trials", 1)
     na, nb = rho.dim_a, rho.dim_b
     a, b = product_couplings(na, nb, trials, seed)
-    # one raw marginal serves the verdict and the rates; a sector state
-    # sums its residual over the sectors
-    red = _marginal(rho, side)
-    if isinstance(rho, SectorDensityMatrix):
-        residual = commutator_residual(rho, side)
-    else:
-        residual = _dense_residual(rho, red, side)
-    lazy = residual < DEFAULT_TOL
+    # one raw marginal serves the verdict and the rates
+    red = rho._marginal(side)
+    lazy = rho._commutator_norm(red, side) < DEFAULT_TOL
     # a real state has a real c, which the product with the complex factors
     # would cast anyway: casting it first casts it once
     c = np.asarray(_rate_commutator(rho, red, side), dtype=complex)

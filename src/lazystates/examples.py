@@ -49,11 +49,11 @@ def product_state(marginal_a, marginal_b) -> DensityMatrix:
     # before np.kron, whose inf * 0 would warn
     _require_finite(a, "marginal a")
     _require_finite(b, "marginal b")
-    return DensityMatrix(a.shape[0], b.shape[0], np.kron(a, b))
+    return DensityMatrix(a.shape[0], b.shape[0], np.kron(a, b)).require_physical()
 
 
 def werner(p: float) -> DensityMatrix:
-    """Two-qubit mixture p |singlet><singlet| + (1 - p) I/4."""
+    """Two-qubit mixture p |singlet><singlet| + (1 - p) I/4, physical for -1/3 <= p <= 1."""
     p = float(p)
     if not np.isfinite(p):
         raise ValueError(f"parameter p must be a finite number, got {p}")
@@ -61,7 +61,7 @@ def werner(p: float) -> DensityMatrix:
     singlet[1] = 1.0 / np.sqrt(2.0)
     singlet[2] = -1.0 / np.sqrt(2.0)
     data = p * np.outer(singlet, singlet.conj()) + (1.0 - p) * np.eye(4) / 4.0
-    return DensityMatrix(2, 2, data)
+    return DensityMatrix(2, 2, data).require_physical()
 
 
 def _diag_marginal(probs) -> np.ndarray:

@@ -20,35 +20,16 @@ The two are tied together by the exact identity
 (and its mirror with n_A n_B^2 for side B), which follows from expanding
 the commutator over the generator products and using their orthogonality.
 
-One kernel, `_commutator`, forms [rho, X (x) I] and [rho, I (x) X] for any
-local X: X = rho_A here, and X = log2(rho_A) for the entropy rate in
-`dynamics`.  It never forms X (x) I: with rho viewed as the tensor
-r[a, b, c, d] (A indices a, c slow, B indices b, d fast), left
-multiplication by X (x) I contracts X with the row index a alone, right
-multiplication with the column index c alone, and I (x) X does the same on
-b and d.  Each product is one GEMM over a reshaped view of rho, O(d^2 n)
-work instead of the O(d^3) of a dense d x d product.  A real state has a
-real reduced state, so both GEMMs then run in real arithmetic.  The
-marginal enters raw, neither Hermitized nor re-checked.
-
-A `SectorDensityMatrix` (such as a truncated Fock state) is a direct sum
-of real blocks rho^(s), one per shift s = n_A - n_B, whose marginals are
-diagonal, rho_A = diag(p).  The k-th state of sector s has the A level
-a_k = max(s, 0) + k, so the commutator has the entries
-rho_kl (p(a_l) - p(a_k)) inside each sector and zeros elsewhere, and
-
-    || [rho, rho_A (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
-
-summed over the sectors without the d x d matrix.  p is the marginal
-diagonal the state keeps, so the sum is one pass over the sectors, each
-sector one product with a slice of p and one `vdot` (side B reads the B
-levels max(-s, 0) + k and the B marginal).  The criterion matrix is a
-scatter-add over the nonzero structure constants.
+The state owns the commutator and its marginal: `commutator_residual` is
+`rho._commutator_norm` at X = rho_side, the raw marginal
+`rho._marginal(side)`, neither Hermitized nor re-checked.  A
+`SectorDensityMatrix` (such as a truncated Fock state) sums that norm over
+its sectors without the d x d matrix; `bloch` describes both routes.  The
+criterion matrix is a scatter-add over the nonzero structure constants.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +37,9 @@ import numpy as np
 from .bloch import (
     BlochForm,
     DensityMatrix,
-    SectorDensityMatrix,
     Side,
     _check_side,
     _check_tolerance,
-    _marginal,
-    _sector_blocks,
     reconstruct,
 )
 from .errors import DimensionMismatchError
@@ -96,46 +74,9 @@ class LazinessReport:
     is_lazy: bool
 
 
-def _commutator(rho: DensityMatrix, x: np.ndarray, side: Side) -> np.ndarray:
-    """[rho, X (x) I] (side A) or [rho, I (x) X] (side B) as a d x d array.
-
-    Both products are formed: rho is Hermitian only to within the tolerance
-    `DensityMatrix` accepts.
-    """
-    na, nb = rho.dim_a, rho.dim_b
-    r = rho.data
-    if side == "A":
-        x_rho = x @ r.reshape(na, -1)
-        rho_x = x.T @ r.reshape(-1, na, nb)
-    else:
-        x_rho = x @ r.reshape(na, nb, -1)
-        rho_x = r.reshape(-1, nb) @ x
-    d = na * nb
-    return rho_x.reshape(d, d) - x_rho.reshape(d, d)
-
-
 def commutator_residual(rho: DensityMatrix, side: Side) -> float:
     """Frobenius norm of [rho, rho_side (x) I]; zero iff lazy on that side."""
-    if isinstance(rho, SectorDensityMatrix):
-        # rho_side = diag(p), so the commutator has the entries
-        # rho_kl (p_l - p_k) of each sector and zeros elsewhere
-        p = rho._diagonal(side)
-        total = 0.0
-        for lo, block in _sector_blocks(rho, side):
-            ps = p[lo : lo + len(block)]
-            y = block * (ps - ps[:, None])
-            total += np.vdot(y, y)
-        return math.sqrt(total)
-    return _dense_residual(rho, _marginal(rho, side), side)
-
-
-def _dense_residual(rho: DensityMatrix, red: np.ndarray, side: Side) -> float:
-    """`commutator_residual` of a dense state, given red = `_marginal(rho, side)`.
-
-    A caller that needs the raw marginal as well forms it once and hands it
-    here, as `dynamics_audit` does.
-    """
-    return float(np.linalg.norm(_commutator(rho, red, side)))
+    return rho._commutator_norm(rho._marginal(side), side)
 
 
 def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:

@@ -229,10 +229,9 @@ def kron_rate_operator(rho, side):
 
 def reference_entropy_rate(rho, coupling, side):
     """`entropy_rate` as it was with K = i c formed: Re vdot(K, H)."""
-    from lazystates.bloch import _marginal
     from lazystates.dynamics import _rate_commutator
 
-    c = _rate_commutator(rho, _marginal(rho, side), side)
+    c = _rate_commutator(rho, rho._marginal(side), side)
     return float(np.vdot(1j * c, coupling.hamiltonian).real)
 
 
@@ -244,7 +243,7 @@ def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
     marginal, and the rates are the real part of the product with the
     realigned K = i c.  The outputs must match `dynamics_audit` bit for bit.
     """
-    from lazystates.bloch import _check_count, _check_side, _marginal, _realign
+    from lazystates.bloch import _check_count, _check_side, _realign
     from lazystates.dynamics import (
         LAZY_RATE_TOL,
         NONLAZY_RATE_FLOOR,
@@ -252,7 +251,7 @@ def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
         _coupling_rng,
         _hermitian_stack,
     )
-    from lazystates.laziness import DEFAULT_TOL, _commutator, commutator_residual
+    from lazystates.laziness import DEFAULT_TOL, commutator_residual
 
     def product_couplings(dim_a, dim_b, count, seed):
         count = _check_count(count, "count", 1)
@@ -265,10 +264,10 @@ def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
         )
 
     def rate_operator(rho, side):
-        w, q = np.linalg.eigh(_marginal(rho, side))
+        w, q = np.linalg.eigh(rho._marginal(side))
         keep = w > 0.0
         log2_red = (q[:, keep] * np.log2(w[keep])) @ q[:, keep].conj().T
-        return 1j * _commutator(rho, log2_red, side)
+        return 1j * rho._commutator(log2_red, side)
 
     side = _check_side(side)
     trials = _check_count(trials, "trials", 1)

@@ -10,7 +10,7 @@ from conftest import (
     reference_dynamics_audit,
     reference_entropy_rate,
 )
-from lazystates import bloch, dynamics, laziness
+from lazystates import dynamics
 from lazystates.dynamics import _rate_commutator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -93,6 +93,19 @@ class TestRandomCoupling:
             coords = np.random.default_rng(seed).standard_normal(d * d)
             expected = hermitian_from_coordinates(coords, d)
             assert np.array_equal(lz.random_coupling(na, nb, seed).hamiltonian, expected)
+
+    def test_keeps_nothing_once_deleted(self):
+        # a gather table cached per size held 2 x 256^2 entries, 2.10 MB, here;
+        # a first small call does the lazy imports of the random generator
+        lz.random_coupling(2, 2, 0)
+        tracemalloc.start()
+        try:
+            coupling = lz.random_coupling(16, 16, 0)
+            del coupling
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 256e3
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5])
     def test_rejects_invalid_seed(self, seed):
@@ -335,7 +348,7 @@ class TestEntropyRate:
         pure_a = lz.product_state(pure_density(rng, na), random_marginal(rng, nb))
         for rho in (full, pure_a):
             for side in ("A", "B"):
-                k = 1j * _rate_commutator(rho, bloch._marginal(rho, side), side)
+                k = 1j * _rate_commutator(rho, rho._marginal(side), side)
                 assert np.abs(k - kron_rate_operator(rho, side)).max() < 1e-14
 
     @pytest.mark.parametrize("side", ["A", "B"])
@@ -528,13 +541,13 @@ class TestDynamicsAudit:
 
     def test_forms_the_dense_marginal_once(self, monkeypatch):
         calls = []
+        original = lz.DensityMatrix._marginal
 
         def counted(rho, side):
             calls.append(side)
-            return bloch._marginal(rho, side)
+            return original(rho, side)
 
-        monkeypatch.setattr(dynamics, "_marginal", counted)
-        monkeypatch.setattr(laziness, "_marginal", counted)
+        monkeypatch.setattr(lz.DensityMatrix, "_marginal", counted)
         lz.dynamics_audit(lz.random_density_matrix(3, 4, 2), "B", trials=10, seed=1)
         assert calls == ["B"]
 

@@ -279,15 +279,13 @@ class TestKeptMarginals:
 
     def test_residual_walks_the_sectors_once(self, monkeypatch):
         calls = []
-        original = lz.bloch._sector_blocks
+        original = lz.SectorDensityMatrix._blocks
 
         def counting(rho, side):
             calls.append(side)
             return original(rho, side)
 
-        # laziness imports the walk by name, so both names are counted
-        monkeypatch.setattr(lz.bloch, "_sector_blocks", counting)
-        monkeypatch.setattr(lz.laziness, "_sector_blocks", counting)
+        monkeypatch.setattr(lz.SectorDensityMatrix, "_blocks", counting)
         rho = self.fock_state()
         lz.commutator_residual(rho, "A")
         assert calls == ["A"]
