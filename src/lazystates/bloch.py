@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Literal
 
@@ -57,6 +58,9 @@ TRACE_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
 #: numpy's size limit for one array, in bytes
 MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
+#: entries (64 KiB of float64) that one group of consecutive sectors may
+#: hold in a temporary; a larger sector is a group of its own
+_GROUP_ENTRIES = 8192
 
 
 def _check_side(side: str) -> str:
@@ -90,8 +94,8 @@ def _float_array(value, name: str) -> np.ndarray:
     bool, integer or float has its entries scanned; the rest then goes
     through numpy's own float conversion, which raises on an object and on
     an integer literal beyond the float range (JSON keeps one as an int).
-    A bool still reads as 0 or 1: state and covariance files reject one,
-    and a null, by its JSON path before they get here.
+    A bool still reads as 0 or 1 here: state and covariance input reject
+    one, and a null, by its position first (`_reject_boolean_or_null`).
     """
     try:
         arr = np.array(value)
@@ -102,6 +106,44 @@ def _float_array(value, name: str) -> np.ndarray:
         return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidStateError(f"malformed {name}: {exc}") from exc
+
+
+def _locate(obj, found, where: str = "$"):
+    """JSONPath-style location and value of the first item of `obj` that
+    `found` holds for, in document order, or None."""
+    if found(obj):
+        return where, obj
+    if isinstance(obj, dict):
+        children = ((f"{where}.{key}", value) for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        children = ((f"{where}[{pos}]", value) for pos, value in enumerate(obj))
+    else:
+        return None
+    for sub, value in children:
+        hit = _locate(value, found, sub)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _reject_boolean_or_null(value, where: str, suffix: str = "") -> None:
+    """Raise InvalidStateError naming the first boolean or null in `value`
+    by its JSONPath-style position, `where` for `value` itself.
+
+    numpy would read true and false as 1 and 0, and null as NaN.  `value`
+    is a number, a nesting of lists, tuples and dicts, or an array; a
+    numeric array holds neither and is not walked.  `suffix` follows the
+    position in the message, e.g. " in state.json".
+    """
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iufc":
+            return
+        value = value.tolist()
+    hit = _locate(value, lambda item: item is None or isinstance(item, (bool, np.bool_)), where)
+    if hit is not None:
+        at, item = hit
+        kind = "null" if item is None else f"boolean {'true' if item else 'false'}"
+        raise InvalidStateError(f"{kind} at {at}{suffix}")
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -131,6 +173,73 @@ def _check_hermitian(matrices: dict) -> None:
             f"hermiticity violation: max asymmetry {max_asym:.3e} "
             f"at entry ({i}, {j}){where}"
         )
+
+
+def _sector_groups(pairs: list):
+    """`pairs`, (first level, block) per sector, cut into runs of consecutive sectors.
+
+    Yields each run as (its pairs, its lowest level, one past its highest
+    level).  A run's entries, and the square of the span of its levels,
+    stay within _GROUP_ENTRIES, unless it is one sector.
+    """
+    start, entries, low, high = 0, 0, math.inf, 0
+    for pos, (lo, block) in enumerate(pairs):
+        size = len(block)
+        end = lo + size
+        new_low = lo if lo < low else low
+        new_high = end if end > high else high
+        if pos > start and (
+            entries + size * size > _GROUP_ENTRIES
+            or (new_high - new_low) ** 2 > _GROUP_ENTRIES
+        ):
+            yield pairs[start:pos], low, high
+            start, entries, new_low, new_high = pos, 0, lo, end
+        entries += size * size
+        low, high = new_low, new_high
+    if pairs:
+        yield pairs[start:], low, high
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _check_sectors(shifts: list, pairs: list) -> None:
+    """`_check_hermitian` on the sector blocks, one run of `_sector_groups` at a time.
+
+    A run is scanned at once: its blocks and their transposes joined, one
+    subtract, abs and max.  Only a run that fails goes back through
+    `_check_hermitian` block by block, so the message names the first bad
+    sector in mapping order and the entry the scan of that block alone
+    names.
+    """
+    pos = 0
+    for group, _, _ in _sector_groups(pairs):
+        if len(group) == 1:
+            block = group[0][1]
+            asym = block - block.T
+        else:
+            asym = np.concatenate([block for _, block in group], axis=None)
+            asym -= np.concatenate([block.T for _, block in group], axis=None)
+        if not float(np.abs(asym, out=asym).max()) <= HERMITICITY_TOL:
+            _check_hermitian(
+                {f" of sector {shift}": block for shift, (_, block) in zip(shifts[pos:], group)}
+            )
+        pos += len(group)
+
+
+def _level_sums(pairs: list, dim: int) -> np.ndarray:
+    """The diagonals of the blocks of `pairs`, (first level, block) per
+    sector, summed over `dim` levels, each into the run from its first level.
+
+    One `bincount` adds them in mapping order, as a loop over the sectors
+    would, so each level is the same rounded sum.
+    """
+    if not pairs:
+        return np.zeros(dim)
+    sizes = [len(block) for _, block in pairs]
+    # the k-th diagonal entry of a block lies at its start + k and on level lo + k
+    offsets = [lo - start for (lo, _), start in zip(pairs, accumulate(sizes, initial=0))]
+    levels = np.arange(sum(sizes)) + np.repeat(offsets, sizes)
+    diagonals = np.concatenate([block.diagonal() for _, block in pairs])
+    return np.bincount(levels, diagonals, minlength=dim)
 
 
 def _check_trace(trace: complex) -> None:
@@ -303,7 +412,8 @@ class SectorDensityMatrix(DensityMatrix):
     marginals are diagonal, each sector diagonal adding into a run of
     levels.  The constructor accumulates the diagonal of rho_A once the
     blocks are checked and keeps it read-only; the diagonal of rho_B is
-    accumulated on its first read and kept too.  `_marginal` is the
+    accumulated on its first read and kept too.  Either is one `bincount`
+    over the joined block diagonals, in mapping order.  `_marginal` is the
     diagonal matrix of the kept diagonal, and `_commutator_norm` and the
     spectrum read the sectors directly.  `data` assembles the dense matrix
     on first access only, e.g. for `_commutator`.
@@ -315,17 +425,27 @@ class SectorDensityMatrix(DensityMatrix):
 
         || [rho, X (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
 
-    summed without the d x d matrix: one pass over the sectors, each sector
-    one product with a slice of p and one `vdot` (side B reads the B levels
+    summed without the d x d matrix (side B reads the B levels
     max(-s, 0) + k).
 
+    Both the scan below and that sum walk the sectors in groups of
+    consecutive ones, whose entries, and the square of whose level span,
+    stay within about 8192 (64 KiB of float64); a larger sector is a group
+    of its own.  A group makes its numpy calls once, whatever its number
+    of sectors: the sum multiplies the joined blocks by the joined
+    squares diff[lo:lo+s, lo:lo+s] of diff = p_j - p_i over the group's
+    levels and takes one `vdot`.
+
     A shift must be an integer with a nonempty sector and every block a
-    real square of its sector's size.  The blocks then pass one
-    `_check_hermitian` call, the scan `DensityMatrix` runs on its matrix
-    (finite, symmetric to HERMITICITY_TOL), and the trace, the sum of the
-    rho_A diagonal, must be 1 within TRACE_TOL.  `sectors` is a read-only
-    mapping in the given order; float64 blocks are kept without a copy and
-    made read-only.
+    real square of its sector's size.  Every block is then scanned as
+    `DensityMatrix` scans its matrix (finite, symmetric to
+    HERMITICITY_TOL), a group at a time: one subtract, abs and max over the
+    joined blocks and their joined transposes.  A group that fails goes
+    back through `_check_hermitian` block by block, so the error names the
+    first bad sector in mapping order and the entry the scan of that block
+    alone names.  The trace, the sum of the rho_A diagonal, must be 1
+    within TRACE_TOL.  `sectors` is a read-only mapping in the given order;
+    float64 blocks are kept without a copy and made read-only.
     """
 
     def __init__(self, dim_a: int, dim_b: int, sectors):
@@ -346,15 +466,14 @@ class SectorDensityMatrix(DensityMatrix):
             if block.dtype.kind == "c":
                 raise InvalidStateError(f"sector {shift} is complex; sector blocks are real")
             checked[shift] = block.astype(float, copy=False)
-        _check_hermitian({f" of sector {shift}": block for shift, block in checked.items()})
-        diag_a = np.zeros(dim_a)
+        pairs = [(max(shift, 0), block) for shift, block in checked.items()]
+        _check_sectors(list(checked), pairs)
+        for block in checked.values():
+            block.setflags(write=False)
         # finite diagonals can still sum beyond the float range: the trace
         # check names that, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            for shift, block in checked.items():
-                block.setflags(write=False)
-                lo = max(shift, 0)
-                diag_a[lo : lo + len(block)] += block.diagonal()
+            diag_a = _level_sums(pairs, dim_a)
             trace = diag_a.sum()
         _check_trace(trace)
         diag_a.setflags(write=False)
@@ -371,10 +490,7 @@ class SectorDensityMatrix(DensityMatrix):
         finite blocks can still sum beyond the float range there, which
         raises InvalidStateError naming the level, with no numpy warning.
         """
-        diag_b = np.zeros(self.dim_b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo, block in self._blocks("B"):
-                diag_b[lo : lo + len(block)] += block.diagonal()
+        diag_b = _level_sums(self._blocks("B"), self.dim_b)
         finite = np.isfinite(diag_b)
         if not finite.all():
             level = int(finite.argmin())
@@ -407,9 +523,20 @@ class SectorDensityMatrix(DensityMatrix):
         # rho_kl (p_l - p_k) of each sector and zeros elsewhere
         p = x.diagonal()
         total = 0.0
-        for lo, block in self._blocks(side):
-            ps = p[lo : lo + len(block)]
-            y = block * (ps - ps[:, None])
+        for group, low, high in _sector_groups(self._blocks(side)):
+            # diff[i, j] = p_j - p_i over the levels of the group
+            ps = p[low:high]
+            diff = ps - ps[:, None]
+            if len(group) == 1:
+                y = group[0][1] * diff
+            else:
+                y = np.concatenate([block for _, block in group], axis=None)
+                y *= np.concatenate(
+                    [diff[lo - low :, lo - low :][: len(b), : len(b)] for lo, b in group],
+                    axis=None,
+                )
+            # free diff before the next group forms its own
+            del diff
             total += np.vdot(y, y)
         return math.sqrt(total)
 

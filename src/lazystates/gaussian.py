@@ -64,11 +64,13 @@ from functools import cached_property
 import numpy as np
 
 from .bloch import (
+    _GROUP_ENTRIES,
     SectorDensityMatrix,
     _check_count,
     _check_hermitian,
     _check_tolerance,
     _float_array,
+    _reject_boolean_or_null,
     _require_finite,
 )
 from .errors import TruncationError, UnphysicalFormError
@@ -199,6 +201,8 @@ class CovarianceState:
     """
 
     def __init__(self, V, d=None):
+        # 20 numbers: walking them costs little, and a float array is not walked
+        _reject_boolean_or_null(V, "$.V")
         V = _float_array(V, "covariance matrix V")
         if V.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got {V.shape}")
@@ -207,6 +211,7 @@ class CovarianceState:
         if d is None:
             d = np.zeros(4)
         else:
+            _reject_boolean_or_null(d, "$.d")
             d = _float_array(d, "displacement d")
             if d.shape != (4,):
                 raise ValueError(f"displacement must have 4 entries, got shape {d.shape}")
@@ -439,9 +444,14 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     logarithms, so it is exactly symmetric, and one product serves the
     mirror sectors d and -d.  The row and column log terms of every M are
     rows of two (cutoff + 1)^2 tables built once and freed before the
-    mirror sectors are allocated, the trace of M M^T is ||M||_F^2, and the
-    sectors are scaled by two weight vectors computed once, so a shift
-    costs a handful of numpy calls.  The dense (cutoff + 1)^2 matrix is
+    mirror sectors are allocated.  Consecutive shifts are formed a group at
+    a time: the M of a group are one stack padded to the size of its first
+    shift, with as many shifts as keep it within about 8192 entries (a
+    larger shift is a group of its own), and the log rows past each
+    shift's kept levels are -inf, so exp pads with exact zeros.  A group
+    costs one exp, one batched M M^T, one trace and one weight multiply per
+    side of the mirror, whatever its number of shifts, and the sectors are
+    views of the weighted stacks.  The dense (cutoff + 1)^2 matrix is
     assembled only when `.data` is read.
     """
     cutoff = _check_count(cutoff, "cutoff", 4)
@@ -462,27 +472,35 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     log_qq = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(qq)))
     # row d of each table serves sector d on its first keep - d entries:
     # sqrt(C(k, j) C(k + d, j + d)) (k - j)! = exp(half[d, k] - half[d, j])
-    # with half[d, k] = (log k! + log (k + d)!) / 2 (clamped past the kept
-    # levels, where no sector reads it), and col[d, j] = log W[d, j] / 2 -
-    # half[d, j] with log W[d, j] = j log(q_a q_b) - (2j + d + 1) log D
+    # with half[d, k] = (log k! + log (k + d)!) / 2, and col[d, j] =
+    # log W[d, j] / 2 - half[d, j] with log W[d, j] = j log(q_a q_b) -
+    # (2j + d + 1) log D.  Past the kept levels col stays finite (half is
+    # clamped there), and every M entry it reaches lies above the diagonal
+    # or in a padded row; half is -inf in the padded rows
     half = 0.5 * (log_fact + log_fact[np.minimum(n[:, None] + n, cutoff)])
     col = 0.5 * log_qq - (n + 0.5 * (n[:, None] + 1)) * math.log(denom) - half
-    products = []
-    # tr(M M^T) = ||M||_F^2 per shift
+    half[n[:, None] + n > cutoff] = -np.inf
+    stacks = []
+    # tr(M M^T) per shift
     norms = np.empty(keep)
-    for shift in range(keep):
-        size = keep - shift
-        m = np.add.outer(half[shift, :size], col[shift, :size])
+    first = 0
+    while first < keep:
+        # shifts first, first + 1, ..., padded to the size of the first
+        size = keep - first
+        stop = min(keep, first + max(1, _GROUP_ENTRIES // (size * size)))
+        m = half[first:stop, :size, None] + col[first:stop, None, :size]
         m += log_toeplitz[:size, :size]
         np.exp(m, out=m)
         if alpha < 0.0:
             # alpha^(k-j) = (-1)^k (-1)^j |alpha|^(k-j); the column signs
             # cancel in M M^T
-            m[1::2] *= -1.0
-        products.append(m @ m.T)
-        norms[shift] = np.vdot(m, m)
+            m[:, 1::2] *= -1.0
+        prod = np.matmul(m, m.transpose(0, 2, 1))
+        stacks.append((first, prod))
+        norms[first:stop] = prod.trace(axis1=1, axis2=2)
+        first = stop
     # free the tables before the mirror sectors raise the allocation peak
-    del lag, log_toeplitz, half, col
+    del lag, log_toeplitz, half, col, m
     scale = (1.0 - q_a) * (1.0 - q_b)
     pow_a = q_a**n
     # the mirror sector -d has q_b^d; there is no mirror of sector 0
@@ -498,13 +516,18 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     weight_a = scale * pow_a / tr
     weight_b = scale * pow_b / tr
     sectors = {}
-    for shift, prod in enumerate(products):
-        sectors[shift] = prod
-        if shift:
-            # the mirror sector -shift, on |k, k + shift>, before the
-            # sector +shift is scaled in place
-            sectors[-shift] = prod * weight_b[shift]
-        prod *= weight_a[shift]
+    for first, prod in stacks:
+        stop = first + len(prod)
+        # the mirror sectors -d, on |k, k + d>, before the sectors +d are
+        # scaled in place; sector 0 has no mirror
+        mirrored = max(first, 1)
+        mirror = prod[mirrored - first :] * weight_b[mirrored:stop, None, None]
+        prod *= weight_a[first:stop, None, None]
+        for shift in range(first, stop):
+            size = keep - shift
+            sectors[shift] = prod[shift - first, :size, :size]
+            if shift:
+                sectors[-shift] = mirror[shift - mirrored, :size, :size]
     return SectorDensityMatrix(keep, keep, sectors)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bloch import DensityMatrix, _float_array
+from .bloch import DensityMatrix, _float_array, _locate, _reject_boolean_or_null
 from .errors import InvalidStateError
 from .gaussian import CovarianceState
 
@@ -74,8 +74,17 @@ def state_from_dict(obj) -> DensityMatrix:
     """Validated DensityMatrix from its JSON dictionary.
 
     Violations surface as InvalidStateError naming the failed invariant
-    and its magnitude.
+    and its magnitude; a boolean or null in the matrix is named by its
+    JSON path, e.g. "boolean true at $.matrix[0][0][0]".
     """
+    if isinstance(obj, dict) and "matrix" in obj:
+        _reject_boolean_or_null(obj["matrix"], "$.matrix")
+    return _state_from_document(obj)
+
+
+def _state_from_document(obj) -> DensityMatrix:
+    """`state_from_dict` once the matrix holds no boolean or null: a state
+    file's text has been scanned for them, so its lists are not walked."""
     if not isinstance(obj, dict):
         raise InvalidStateError(f"state document must be an object, got {type(obj).__name__}")
     missing = {"dimA", "dimB", "matrix"} - obj.keys()
@@ -91,24 +100,6 @@ def state_from_dict(obj) -> DensityMatrix:
 
 #: stands in for a NaN/Infinity token while a document is parsed
 _NON_FINITE = object()
-
-
-def _locate(obj, found, where: str = "$"):
-    """JSONPath-style location and value of the first item of `obj` that
-    `found` holds for, in document order, or None."""
-    if found(obj):
-        return where, obj
-    if isinstance(obj, dict):
-        children = ((f"{where}.{key}", value) for key, value in obj.items())
-    elif isinstance(obj, list):
-        children = ((f"{where}[{pos}]", value) for pos, value in enumerate(obj))
-    else:
-        return None
-    for sub, value in children:
-        hit = _locate(value, found, sub)
-        if hit is not None:
-            return hit
-    return None
 
 
 def _load_json(path, numeric: tuple[str, ...]):
@@ -144,17 +135,13 @@ def _load_json(path, numeric: tuple[str, ...]):
         and any(word in text for word in ("true", "false", "null"))
     ):
         numbers = {key: obj[key] for key in numeric if obj.get(key) is not None}
-        hit = _locate(numbers, lambda value: value is None or type(value) is bool)
-        if hit is not None:
-            where, value = hit
-            kind = "null" if value is None else f"boolean {json.dumps(value)}"
-            raise InvalidStateError(f"{kind} at {where} in {path}")
+        _reject_boolean_or_null(numbers, "$", f" in {path}")
     return obj
 
 
 def load_state(path) -> DensityMatrix:
     """Load and validate a state file."""
-    return state_from_dict(_load_json(path, ("matrix",)))
+    return _state_from_document(_load_json(path, ("matrix",)))
 
 
 def save_state(rho: DensityMatrix, path) -> None:

@@ -151,6 +151,22 @@ def naive_commutator_residual(rho, side="A"):
     return float(np.sqrt((np.abs(comm) ** 2).sum()))
 
 
+def reference_sector_residual(rho, side="A"):
+    """Commutator norm of a sector state, one sector at a time.
+
+    Each sector block times its own outer difference of the marginal
+    diagonal, summed by one `vdot` per sector, with no grouping.
+    """
+    p = np.diag(rho._marginal(side))
+    total = 0.0
+    for shift, block in rho.sectors.items():
+        lo = max(shift, 0) if side == "A" else max(-shift, 0)
+        ps = p[lo : lo + len(block)]
+        y = block * (ps - ps[:, None])
+        total += np.vdot(y, y)
+    return math.sqrt(total)
+
+
 def kron_commutator_residual(rho, side="A"):
     """Frobenius norm of [rho, rho_side (x) I] with the operator built by kron."""
     na, nb = rho.dim_a, rho.dim_b

@@ -1,6 +1,7 @@
 import copy
 import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     naive_decompose,
     naive_partial_trace,
     product_decompose,
+    reference_sector_residual,
 )
 
 DIM_PAIRS = [(2, 2), (2, 3), (3, 3), (3, 4)]
@@ -401,6 +403,11 @@ class TestSectorDensityMatrix:
         with pytest.raises(lz.InvalidStateError, match="trace deviation 1.000e-09"):
             lz.SectorDensityMatrix(2, 3, sectors)
 
+    def test_no_sectors_fail_the_trace_check(self):
+        assert quiet_rejection(lambda: lz.SectorDensityMatrix(2, 3, {})) == (
+            "trace deviation 1.000e+00"
+        )
+
     def test_rejects_mismatched_sector_shapes(self):
         with pytest.raises(lz.DimensionMismatchError, match="sector 0 needs a 2 x 2 block"):
             lz.SectorDensityMatrix(2, 3, self.sectors(block=np.array([[0.5]])))
@@ -454,6 +461,96 @@ class TestSectorDensityMatrix:
         with pytest.raises(lz.InvalidStateError, match="positivity"):
             rho.require_physical()
         assert "data" not in vars(rho)
+
+
+def fock_sectors(cutoff):
+    """Writable copies of the sector blocks of a truncated squeezed-thermal state."""
+    rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), cutoff)
+    return {shift: block.copy() for shift, block in rho.sectors.items()}
+
+
+def plant_defect(block, defect):
+    """Put a 1e-9 asymmetry, a NaN or a symmetric +-Inf pair into `block`."""
+    last = len(block) - 1
+    if defect == "asymmetry":
+        block[0, last] += 1e-9
+    elif defect == "nan":
+        block[last, 0] = np.nan
+    else:
+        block[0, last] = block[last, 0] = np.inf if defect == "inf pair" else -np.inf
+
+
+class TestSectorGroups:
+    """The constructor scans and the residual sums a group of consecutive sectors at a time."""
+
+    @pytest.mark.parametrize("cutoff", [20, 40])
+    @pytest.mark.parametrize("place", ["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "first_defect,later_defect",
+        [("asymmetry", "nan"), ("asymmetry", "inf pair"), ("nan", "asymmetry"),
+         ("negative inf pair", "asymmetry")],
+    )
+    @pytest.mark.parametrize("later", ["next sector", "last sector"])
+    def test_rejection_names_the_first_bad_sector(
+        self, cutoff, place, first_defect, later_defect, later
+    ):
+        sectors = fock_sectors(cutoff)
+        shifts = list(sectors)
+        pairs = [(max(shift, 0), block) for shift, block in sectors.items()]
+        starts = list(accumulate(len(group) for group, _, _ in bloch._sector_groups(pairs)))
+        starts = [0] + starts[:-1]
+        assert len(starts) == (1 if cutoff == 20 else 6)
+        pos = starts[{"first": 0, "middle": len(starts) // 2, "last": -1}[place]]
+        # the last sector of size 2 is -(cutoff - 1)
+        later_pos = pos + 1 if later == "next sector" else len(shifts) - 3
+        bad, worse = sectors[shifts[pos]], sectors[shifts[later_pos]]
+        assert min(len(bad), len(worse)) >= 2
+        plant_defect(worse, later_defect)
+        plant_defect(bad, first_defect)
+        alone = quiet_rejection(
+            lambda: bloch._check_hermitian({f" of sector {shifts[pos]}": bad})
+        )
+        assert alone.endswith(f" of sector {shifts[pos]}")
+        keep = cutoff + 1
+        assert quiet_rejection(lambda: lz.SectorDensityMatrix(keep, keep, sectors)) == alone
+
+    @pytest.mark.parametrize(
+        "dims,seed",
+        [((3, 4), 0), ((5, 2), 1), ((2, 7), 2), ((12, 9), 3), ((100, 97), 4), ((97, 100), 5)],
+    )
+    def test_residual_matches_the_per_sector_sum_on_hand_built_states(self, dims, seed):
+        # random subsets of the shifts in random order; at 100 x 97 the
+        # largest blocks exceed one group, the smallest share one
+        rho = sector_state(*dims, seed)
+        assert len(rho.sectors) < dims[0] + dims[1] - 1
+        for side in ("A", "B"):
+            assert lz.commutator_residual(rho, side) == pytest.approx(
+                reference_sector_residual(rho, side), rel=1e-13, abs=0
+            )
+
+    @pytest.mark.parametrize("cutoff", [4, 20, 40, 100])
+    @pytest.mark.parametrize("a,b,r", [(1.05, 1.02, 0.1), (1.0, 1.0, -0.05), (1.1, 1.02, 0.0)])
+    def test_residual_matches_the_per_sector_sum_on_fock_states(self, cutoff, a, b, r):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff)
+        for side in ("A", "B"):
+            assert lz.commutator_residual(rho, side) == pytest.approx(
+                reference_sector_residual(rho, side), rel=1e-13, abs=0
+            )
+
+    def test_a_block_larger_than_a_group_is_a_group_of_its_own(self):
+        rho = sector_state(100, 97, 4)
+        for side in ("A", "B"):
+            groups = list(bloch._sector_groups(rho._blocks(side)))
+            assert [pair for group, _, _ in groups for pair in group] == rho._blocks(side)
+            for group, low, high in groups:
+                entries = sum(len(block) ** 2 for _, block in group)
+                if len(group) > 1:
+                    assert entries <= bloch._GROUP_ENTRIES
+                    assert (high - low) ** 2 <= bloch._GROUP_ENTRIES
+                assert low == min(lo for lo, _ in group)
+                assert high == max(lo + len(block) for lo, block in group)
+            sizes = [len(group[0][1]) for group, _, _ in groups if len(group) == 1]
+            assert max(sizes) ** 2 > bloch._GROUP_ENTRIES
 
 
 class TestBlochForm:

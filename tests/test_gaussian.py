@@ -341,6 +341,23 @@ class TestStandardFormExtraction:
         ):
             lz.CovarianceState(v)
 
+    @pytest.mark.parametrize(
+        "v,d,message",
+        [
+            ([[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], None,
+             r"boolean true at \$\.V\[0\]\[0\]"),
+            (np.eye(4, dtype=bool), None, r"boolean true at \$\.V\[0\]\[0\]"),
+            ((np.eye(4)[0], np.eye(4)[1], (0, 0, False, 0), np.eye(4)[3]), None,
+             r"boolean false at \$\.V\[2\]\[2\]"),
+            (np.eye(4), [0.0, np.True_, 0.0, 0.0], r"boolean true at \$\.d\[1\]"),
+            (np.eye(4), [0.0, 0.0, None, 0.0], r"null at \$\.d\[2\]"),
+        ],
+        ids=["list", "bool array", "tuple", "numpy bool in d", "null in d"],
+    )
+    def test_rejects_booleans_and_nulls_by_position(self, v, d, message):
+        with pytest.raises(lz.InvalidStateError, match=f"^{message}$"):
+            lz.CovarianceState(v, d)
+
     def test_rejects_non_finite_covariance(self):
         v = np.eye(4)
         v[0, 0] = np.nan
@@ -752,6 +769,29 @@ class TestSectorFockState:
         assert all(res > 1e-3 for res in residuals)
         assert peak < 50e6
         assert peak - sum(block.nbytes for block in rho.sectors.values()) < 2e6
+
+    def test_witness_memory_stays_within_a_few_groups(self):
+        # the temporaries of one group of sectors stay near 64 KiB, so
+        # what is allocated beside the blocks stays small at cutoff 40 too
+        form = lz.squeezed_thermal_form(2.4, 2.0, 0.5)
+        tracemalloc.start()
+        try:
+            rho = lz.fock_truncate(form, 40)
+            residuals = [lz.commutator_residual(rho, side) for side in ("A", "B")]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(res > 1e-3 for res in residuals)
+        assert peak - sum(block.nbytes for block in rho.sectors.values()) < 512 * 1024
+
+    @pytest.mark.parametrize("r", [0.3, -0.3])
+    def test_every_block_is_exactly_symmetric(self, r):
+        form = lz.squeezed_thermal_form(1.2, 1.1, r)
+        for cutoff in range(8, 101):
+            sectors = lz.fock_truncate(form, cutoff).sectors
+            assert len(sectors) == 2 * cutoff + 1
+            for block in sectors.values():
+                assert np.array_equal(block, block.T)
 
     @pytest.mark.parametrize("cutoff", [10, 20])
     @pytest.mark.parametrize("a,b,r", SECTOR_FORMS)

@@ -5,7 +5,15 @@ import pytest
 
 import lazystates as lz
 from conftest import reference_canonical_json
-from lazystates.stateio import _Fragment, canonical_json, load_state, save_state, state_to_dict
+from lazystates import stateio
+from lazystates.stateio import (
+    _Fragment,
+    canonical_json,
+    load_state,
+    save_state,
+    state_from_dict,
+    state_to_dict,
+)
 
 
 class TestCanonicalJson:
@@ -138,6 +146,41 @@ class TestStateFiles:
         path.write_text('{"dimA": 1, "dimB": 1, "matrix": ' + entries + "}")
         with pytest.raises(lz.InvalidStateError, match=message + " in "):
             load_state(path)
+
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [([[[True, False]]], r"boolean true at \$\.matrix\[0\]\[0\]\[0\]"),
+         ([[[1.0, None]]], r"null at \$\.matrix\[0\]\[0\]\[1\]"),
+         (np.array([[[True, False]]]), r"boolean true at \$\.matrix\[0\]\[0\]\[0\]"),
+         ([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, np.False_]]],
+          r"boolean false at \$\.matrix\[1\]\[1\]\[1\]")],
+        ids=["booleans", "null", "bool array", "numpy bool"],
+    )
+    def test_dict_rejects_boolean_and_null_entries(self, matrix, message):
+        dims = {"dimA": len(matrix), "dimB": 1}
+        with pytest.raises(lz.InvalidStateError, match=f"^{message}$"):
+            state_from_dict({**dims, "matrix": matrix})
+
+    def test_load_walks_the_matrix_only_on_a_word_in_the_text(self, tmp_path, monkeypatch):
+        # the text scan already rules booleans and nulls out of a plain
+        # numeric file, so its lists are not walked again
+        calls = []
+        original = stateio._reject_boolean_or_null
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(stateio, "_reject_boolean_or_null", counting)
+        path = tmp_path / "plain.json"
+        path.write_text('{"dimA": 1, "dimB": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
+        load_state(path)
+        assert calls == []
+        path.write_text('{"dimA": 1, "dimB": 1, "note": "true", "matrix": [[[1, 0]]]}')
+        load_state(path)
+        assert calls == ["$"]
+        state_from_dict({"dimA": 1, "dimB": 1, "matrix": [[[1, 0]]]})
+        assert calls == ["$", "$.matrix"]
 
     def test_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "short.json"
