@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from types import MappingProxyType
 from typing import Literal
 
@@ -58,9 +57,6 @@ TRACE_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
 #: numpy's size limit for one array, in bytes
 MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
-#: entries (64 KiB of float64) that one group of consecutive sectors may
-#: hold in a temporary; a larger sector is a group of its own
-_GROUP_ENTRIES = 8192
 
 
 def _check_side(side: str) -> str:
@@ -84,26 +80,38 @@ def _require_finite(arr: np.ndarray, label: str) -> None:
         raise InvalidStateError(f"non-finite entry in {label} at {pos}")
 
 
+def _check_numeric(arr: np.ndarray, name: str) -> None:
+    """Raise InvalidStateError naming `name` when `arr` has a str, bytes or
+    bool dtype, or is an object array holding a str or bytes: numpy would
+    read "1" and True as 1.0.  A numeric dtype is not scanned."""
+    kind = arr.dtype.kind
+    if kind in "iufc":
+        return
+    if kind in "SU" or (kind == "O" and any(isinstance(x, (str, bytes)) for x in arr.flat)):
+        raise InvalidStateError(f"malformed {name}: a string where a number belongs")
+    if kind == "b":
+        raise InvalidStateError(f"malformed {name}: a boolean where a number belongs")
+
+
 def _float_array(value, name: str) -> np.ndarray:
     """`value` as a new float64 array; an entry that is not a number raises
     InvalidStateError naming `name`.
 
-    numpy would parse a string such as "1" or "nan" as a float.  The dtype
-    it infers shows one at no cost on numeric input: a string dtype, or an
-    object one when an int lies beyond int64.  Only a dtype that is not
-    bool, integer or float has its entries scanned; the rest then goes
-    through numpy's own float conversion, which raises on an object and on
-    an integer literal beyond the float range (JSON keeps one as an int).
-    A bool still reads as 0 or 1 here: state and covariance input reject
-    one, and a null, by its position first (`_reject_boolean_or_null`).
+    `_check_numeric` rejects a string or boolean dtype; any other dtype that
+    is not integer or float then goes through numpy's own float
+    conversion, which raises on an object and on an integer literal beyond
+    the float range (JSON keeps one as an int).  A boolean or null among
+    numbers is no dtype of its own: state and covariance input reject one
+    by its position first (`_reject_boolean_or_null`).
     """
     try:
         arr = np.array(value)
-        if arr.dtype.kind not in "biuf":
-            if any(isinstance(x, str) for x in arr.flat):
-                raise TypeError("a string where a number belongs")
+        _check_numeric(arr, name)
+        if arr.dtype.kind not in "iuf":
             arr = np.array(value, dtype=float)
         return arr.astype(float, copy=False)
+    except InvalidStateError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidStateError(f"malformed {name}: {exc}") from exc
 
@@ -173,73 +181,6 @@ def _check_hermitian(matrices: dict) -> None:
             f"hermiticity violation: max asymmetry {max_asym:.3e} "
             f"at entry ({i}, {j}){where}"
         )
-
-
-def _sector_groups(pairs: list):
-    """`pairs`, (first level, block) per sector, cut into runs of consecutive sectors.
-
-    Yields each run as (its pairs, its lowest level, one past its highest
-    level).  A run's entries, and the square of the span of its levels,
-    stay within _GROUP_ENTRIES, unless it is one sector.
-    """
-    start, entries, low, high = 0, 0, math.inf, 0
-    for pos, (lo, block) in enumerate(pairs):
-        size = len(block)
-        end = lo + size
-        new_low = lo if lo < low else low
-        new_high = end if end > high else high
-        if pos > start and (
-            entries + size * size > _GROUP_ENTRIES
-            or (new_high - new_low) ** 2 > _GROUP_ENTRIES
-        ):
-            yield pairs[start:pos], low, high
-            start, entries, new_low, new_high = pos, 0, lo, end
-        entries += size * size
-        low, high = new_low, new_high
-    if pairs:
-        yield pairs[start:], low, high
-
-
-@np.errstate(invalid="ignore", over="ignore")
-def _check_sectors(shifts: list, pairs: list) -> None:
-    """`_check_hermitian` on the sector blocks, one run of `_sector_groups` at a time.
-
-    A run is scanned at once: its blocks and their transposes joined, one
-    subtract, abs and max.  Only a run that fails goes back through
-    `_check_hermitian` block by block, so the message names the first bad
-    sector in mapping order and the entry the scan of that block alone
-    names.
-    """
-    pos = 0
-    for group, _, _ in _sector_groups(pairs):
-        if len(group) == 1:
-            block = group[0][1]
-            asym = block - block.T
-        else:
-            asym = np.concatenate([block for _, block in group], axis=None)
-            asym -= np.concatenate([block.T for _, block in group], axis=None)
-        if not float(np.abs(asym, out=asym).max()) <= HERMITICITY_TOL:
-            _check_hermitian(
-                {f" of sector {shift}": block for shift, (_, block) in zip(shifts[pos:], group)}
-            )
-        pos += len(group)
-
-
-def _level_sums(pairs: list, dim: int) -> np.ndarray:
-    """The diagonals of the blocks of `pairs`, (first level, block) per
-    sector, summed over `dim` levels, each into the run from its first level.
-
-    One `bincount` adds them in mapping order, as a loop over the sectors
-    would, so each level is the same rounded sum.
-    """
-    if not pairs:
-        return np.zeros(dim)
-    sizes = [len(block) for _, block in pairs]
-    # the k-th diagonal entry of a block lies at its start + k and on level lo + k
-    offsets = [lo - start for (lo, _), start in zip(pairs, accumulate(sizes, initial=0))]
-    levels = np.arange(sum(sizes)) + np.repeat(offsets, sizes)
-    diagonals = np.concatenate([block.diagonal() for _, block in pairs])
-    return np.bincount(levels, diagonals, minlength=dim)
 
 
 def _check_trace(trace: complex) -> None:
@@ -322,6 +263,7 @@ class DensityMatrix:
     def __init__(self, dim_a: int, dim_b: int, data):
         dim_a, dim_b = _check_dims(dim_a, dim_b)
         data = np.asarray(data)
+        _check_numeric(data, "matrix")
         data = np.array(data, dtype=complex if data.dtype.kind == "c" else float)
         d = dim_a * dim_b
         if data.shape != (d, d):
@@ -399,6 +341,11 @@ class DensityMatrix:
         return f"DensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b})"
 
 
+def _sector_size(dim_a: int, dim_b: int, shift: int) -> int:
+    """Number of states of sector `shift` in the (dim_a, dim_b) box; < 1 if none."""
+    return min(dim_a - max(shift, 0), dim_b - max(-shift, 0))
+
+
 class SectorDensityMatrix(DensityMatrix):
     """Real state that is a direct sum of symmetric blocks over sectors.
 
@@ -408,44 +355,44 @@ class SectorDensityMatrix(DensityMatrix):
     box, so the levels are implied by s.  Entries between two sectors, and
     on the sectors of shifts not given, are zero.
 
-    Within a sector each level of either subsystem occurs once, so both
-    marginals are diagonal, each sector diagonal adding into a run of
-    levels.  The constructor accumulates the diagonal of rho_A once the
-    blocks are checked and keeps it read-only; the diagonal of rho_B is
-    accumulated on its first read and kept too.  Either is one `bincount`
-    over the joined block diagonals, in mapping order.  `_marginal` is the
-    diagonal matrix of the kept diagonal, and `_commutator_norm` and the
-    spectrum read the sectors directly.  `data` assembles the dense matrix
-    on first access only, e.g. for `_commutator`.
+    The state keeps its sectors as stacks, (shifts, stack) pairs: layer k
+    of a read-only float64 (g, s, s) stack holds sector shifts[k] in its
+    leading corner and exact zeros elsewhere.  The constructor keeps each
+    given block as a stack of one layer; `fock_truncate` hands over stacks
+    of many sectors through `_of`.  Each step below makes its numpy calls
+    once per stack, and the padding adds nothing to it.
 
-    For a diagonal X = diag(p), such as the marginal, the k-th state of
-    sector s has the A level a_k = max(s, 0) + k, so [rho, X (x) I] has the
-    entries rho_kl (p(a_l) - p(a_k)) inside each sector and zeros
+    Within a sector each level of either subsystem occurs once, so both
+    marginals are diagonal: entry k of sector s lies on the A level
+    max(s, 0) + k and the B level max(-s, 0) + k.  One gather of these
+    levels per stack (the padding clamped to the last level) serves the
+    level sums and the residual.  The constructor sums the diagonal of
+    rho_A, one `bincount` over the stack diagonals, and keeps it read-only;
+    the diagonal of rho_B is summed on its first read and kept too.
+    `_marginal` is the diagonal matrix of the kept diagonal, and
+    `_commutator_norm` and the spectrum read the sectors directly.  `data`
+    assembles the dense matrix on first access only, e.g. for `_commutator`.
+
+    For a diagonal X = diag(p), such as the marginal, [rho, X (x) I] has
+    the entries rho_kl (p(a_l) - p(a_k)) inside each sector and zeros
     elsewhere, and
 
         || [rho, X (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
 
-    summed without the d x d matrix (side B reads the B levels
-    max(-s, 0) + k).
-
-    Both the scan below and that sum walk the sectors in groups of
-    consecutive ones, whose entries, and the square of whose level span,
-    stay within about 8192 (64 KiB of float64); a larger sector is a group
-    of its own.  A group makes its numpy calls once, whatever its number
-    of sectors: the sum multiplies the joined blocks by the joined
-    squares diff[lo:lo+s, lo:lo+s] of diff = p_j - p_i over the group's
-    levels and takes one `vdot`.
+    summed without the d x d matrix: each stack times its gathered
+    differences of p, and one `vdot` (side B reads the B levels).
 
     A shift must be an integer with a nonempty sector and every block a
-    real square of its sector's size.  Every block is then scanned as
-    `DensityMatrix` scans its matrix (finite, symmetric to
-    HERMITICITY_TOL), a group at a time: one subtract, abs and max over the
-    joined blocks and their joined transposes.  A group that fails goes
-    back through `_check_hermitian` block by block, so the error names the
-    first bad sector in mapping order and the entry the scan of that block
-    alone names.  The trace, the sum of the rho_A diagonal, must be 1
-    within TRACE_TOL.  `sectors` is a read-only mapping in the given order;
-    float64 blocks are kept without a copy and made read-only.
+    real square of its sector's size, of no string or boolean dtype.  Each
+    stack is then scanned as `DensityMatrix` scans its matrix (finite,
+    symmetric to HERMITICITY_TOL): one subtract, abs and max.  A stack that
+    fails goes back through `_check_hermitian` sector by sector in mapping
+    order, so the error names the first bad sector and the entry the scan
+    of that block alone names.  The trace, the sum of the rho_A diagonal,
+    must be 1 within TRACE_TOL.  `sectors` is a read-only mapping: the
+    given blocks in the given order, float64 ones kept without a copy and
+    made read-only, or, for a state made by `_of`, corner views of its
+    stacks in the order 0, 1, -1, 2, -2, ....
     """
 
     def __init__(self, dim_a: int, dim_b: int, sectors):
@@ -453,7 +400,7 @@ class SectorDensityMatrix(DensityMatrix):
         checked = {}
         for shift, block in sectors.items():
             shift = _check_integer(shift, "sector shift")
-            size = min(dim_a - max(shift, 0), dim_b - max(-shift, 0))
+            size = _sector_size(dim_a, dim_b, shift)
             if size < 1:
                 raise DimensionMismatchError(
                     f"sector {shift} is empty: shifts run from {1 - dim_b} to {dim_a - 1}"
@@ -465,22 +412,72 @@ class SectorDensityMatrix(DensityMatrix):
                 )
             if block.dtype.kind == "c":
                 raise InvalidStateError(f"sector {shift} is complex; sector blocks are real")
+            _check_numeric(block, f"sector {shift}")
             checked[shift] = block.astype(float, copy=False)
-        pairs = [(max(shift, 0), block) for shift, block in checked.items()]
-        _check_sectors(list(checked), pairs)
+        self.sectors = MappingProxyType(checked)
+        stacks = [(np.array([shift]), block[None]) for shift, block in checked.items()]
+        self._hold(dim_a, dim_b, stacks)
         for block in checked.values():
             block.setflags(write=False)
+
+    @classmethod
+    def _of(cls, dim_a: int, dim_b: int, stacks: list) -> "SectorDensityMatrix":
+        """The state of `stacks`, (shifts, stack) pairs kept without a copy:
+        the caller guarantees what the constructor checks of a mapping, and
+        each stack float64 and exactly zero outside its layers' corners."""
+        state = object.__new__(cls)
+        state._hold(dim_a, dim_b, stacks)
+        return state
+
+    @np.errstate(invalid="ignore", over="ignore")
+    def _hold(self, dim_a: int, dim_b: int, stacks: list) -> None:
+        """Check `stacks` as the state's sectors and keep them, with the rho_A diagonal."""
+        self.dim_a, self.dim_b = dim_a, dim_b
+        self._stacks = stacks
+        for shifts, stack in stacks:
+            asym = stack - stack.transpose(0, 2, 1)
+            if not float(np.abs(asym, out=asym).max()) <= HERMITICITY_TOL:
+                bad = set(shifts.tolist())
+                _check_hermitian(
+                    {f" of sector {shift}": b for shift, b in self.sectors.items() if shift in bad}
+                )
+            stack.setflags(write=False)
         # finite diagonals can still sum beyond the float range: the trace
         # check names that, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag_a = _level_sums(pairs, dim_a)
-            trace = diag_a.sum()
-        _check_trace(trace)
+        diag_a = self._level_sums("A")
+        _check_trace(diag_a.sum())
         diag_a.setflags(write=False)
-        self.dim_a = dim_a
-        self.dim_b = dim_b
-        self.sectors = MappingProxyType(checked)
         self._diagonal_a = diag_a
+
+    @cached_property
+    def sectors(self) -> MappingProxyType:
+        """Read-only mapping of shift to block, built on first read."""
+        layers = [pair for shifts, stack in self._stacks for pair in zip(shifts.tolist(), stack)]
+        layers.sort(key=lambda pair: (abs(pair[0]), pair[0] < 0))
+        sizes = [_sector_size(self.dim_a, self.dim_b, shift) for shift, _ in layers]
+        return MappingProxyType(
+            {shift: layer[:size, :size] for (shift, layer), size in zip(layers, sizes)}
+        )
+
+    def _levels(self, side: Side) -> list:
+        """Per stack, the (g, s) levels of `side` of its layers' diagonals, padding clamped."""
+        sign, dim = (1, self.dim_a) if side == "A" else (-1, self.dim_b)
+        return [
+            np.minimum(np.maximum(sign * shifts, 0)[:, None] + np.arange(stack.shape[1]), dim - 1)
+            for shifts, stack in self._stacks
+        ]
+
+    def _level_sums(self, side: Side) -> np.ndarray:
+        """The stack diagonals summed over the levels of `side`: one `bincount`, stack order."""
+        dim = self.dim_a if side == "A" else self.dim_b
+        if not self._stacks:
+            return np.zeros(dim)
+        diagonals = [stack.diagonal(0, 1, 2) for _, stack in self._stacks]
+        return np.bincount(
+            np.concatenate(self._levels(side), axis=None),
+            np.concatenate(diagonals, axis=None),
+            minlength=dim,
+        )
 
     @cached_property
     def _diagonal_b(self) -> np.ndarray:
@@ -490,7 +487,7 @@ class SectorDensityMatrix(DensityMatrix):
         finite blocks can still sum beyond the float range there, which
         raises InvalidStateError naming the level, with no numpy warning.
         """
-        diag_b = _level_sums(self._blocks("B"), self.dim_b)
+        diag_b = self._level_sums("B")
         finite = np.isfinite(diag_b)
         if not finite.all():
             level = int(finite.argmin())
@@ -499,11 +496,6 @@ class SectorDensityMatrix(DensityMatrix):
             )
         diag_b.setflags(write=False)
         return diag_b
-
-    def _blocks(self, side: Side) -> list:
-        """(first level of `side`, block) per sector: max(s, 0) on A, max(-s, 0) on B."""
-        sign = 1 if side == "A" else -1
-        return [(max(sign * shift, 0), block) for shift, block in self.sectors.items()]
 
     def _diagonal(self, side: Side) -> np.ndarray:
         """Read-only diagonal of the marginal of `side`, kept on the state."""
@@ -515,28 +507,16 @@ class SectorDensityMatrix(DensityMatrix):
         return np.diag(self._diagonal(side))
 
     def _commutator_norm(self, x: np.ndarray, side: Side) -> float:
-        """Frobenius norm of [rho, X (x) I] for a diagonal X, summed over the sectors.
-
-        Only `x.diagonal()` is read.
-        """
-        # X = diag(p), so the commutator has the entries
-        # rho_kl (p_l - p_k) of each sector and zeros elsewhere
+        """Frobenius norm of [rho, X (x) I] for a diagonal X, of which only
+        `x.diagonal()` is read, summed over the stacks."""
         p = x.diagonal()
         total = 0.0
-        for group, low, high in _sector_groups(self._blocks(side)):
-            # diff[i, j] = p_j - p_i over the levels of the group
-            ps = p[low:high]
-            diff = ps - ps[:, None]
-            if len(group) == 1:
-                y = group[0][1] * diff
-            else:
-                y = np.concatenate([block for _, block in group], axis=None)
-                y *= np.concatenate(
-                    [diff[lo - low :, lo - low :][: len(b), : len(b)] for lo, b in group],
-                    axis=None,
-                )
-            # free diff before the next group forms its own
-            del diff
+        for (_, stack), levels in zip(self._stacks, self._levels(side)):
+            ps = p[levels]
+            # X = diag(p): layer k of the commutator has the entries
+            # rho_ij (p_j - p_i) on its levels, zeros in the padding
+            y = ps[:, None, :] - ps[:, :, None]
+            y *= stack
             total += np.vdot(y, y)
         return math.sqrt(total)
 

@@ -64,7 +64,6 @@ from functools import cached_property
 import numpy as np
 
 from .bloch import (
-    _GROUP_ENTRIES,
     SectorDensityMatrix,
     _check_count,
     _check_hermitian,
@@ -100,6 +99,10 @@ QUADRATIC_IDENTITY_TOL = 1e-9
 
 #: maximum trace allowed outside the requested Fock block
 MAX_TRACE_DEFICIT = 1e-6
+
+#: entries (64 KiB of float64) of one stack of Fock sectors, mirror
+#: sectors included; a larger sector is a stack of its own
+_GROUP_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -443,15 +446,15 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     Each block is formed as M M^T with M = L W^(1/2) evaluated in
     logarithms, so it is exactly symmetric, and one product serves the
     mirror sectors d and -d.  The row and column log terms of every M are
-    rows of two (cutoff + 1)^2 tables built once and freed before the
-    mirror sectors are allocated.  Consecutive shifts are formed a group at
-    a time: the M of a group are one stack padded to the size of its first
-    shift, with as many shifts as keep it within about 8192 entries (a
-    larger shift is a group of its own), and the log rows past each
-    shift's kept levels are -inf, so exp pads with exact zeros.  A group
-    costs one exp, one batched M M^T, one trace and one weight multiply per
-    side of the mirror, whatever its number of shifts, and the sectors are
-    views of the weighted stacks.  The dense (cutoff + 1)^2 matrix is
+    rows of two (cutoff + 1)^2 tables built once.  Consecutive shifts are
+    formed a group at a time, padded to the size of the first: the log
+    rows past each shift's kept levels are -inf, so exp pads with exact
+    zeros, and M M^T is written into one stack with room for the mirror
+    sectors, weighted in once the trace is known.  A stack holds at most
+    _GROUP_ENTRIES entries unless it is one sector, and goes to
+    `SectorDensityMatrix._of` as it is.  A group costs one exp, one batched
+    M M^T, one trace and one weight multiply per side of the mirror,
+    whatever its number of shifts.  The dense (cutoff + 1)^2 matrix is
     assembled only when `.data` is read.
     """
     cutoff = _check_count(cutoff, "cutoff", 4)
@@ -469,6 +472,7 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     log_power = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(abs(alpha))))
     lag = n[:, None] - n[None, :]
     log_toeplitz = np.where(lag >= 0, (log_power - log_fact)[np.abs(lag)], -np.inf)
+    del lag
     log_qq = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(qq)))
     # row d of each table serves sector d on its first keep - d entries:
     # sqrt(C(k, j) C(k + d, j + d)) (k - j)! = exp(half[d, k] - half[d, j])
@@ -480,14 +484,16 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     half = 0.5 * (log_fact + log_fact[np.minimum(n[:, None] + n, cutoff)])
     col = 0.5 * log_qq - (n + 0.5 * (n[:, None] + 1)) * math.log(denom) - half
     half[n[:, None] + n > cutoff] = -np.inf
-    stacks = []
+    groups = []
     # tr(M M^T) per shift
     norms = np.empty(keep)
     first = 0
     while first < keep:
-        # shifts first, first + 1, ..., padded to the size of the first
+        # shifts first, first + 1, ..., padded to the size of the first,
+        # with room for their mirrors; sector 0 has none
         size = keep - first
-        stop = min(keep, first + max(1, _GROUP_ENTRIES // (size * size)))
+        count = max(1, (_GROUP_ENTRIES // (size * size) + (first == 0)) // 2)
+        stop = min(keep, first + count)
         m = half[first:stop, :size, None] + col[first:stop, None, :size]
         m += log_toeplitz[:size, :size]
         np.exp(m, out=m)
@@ -495,12 +501,14 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
             # alpha^(k-j) = (-1)^k (-1)^j |alpha|^(k-j); the column signs
             # cancel in M M^T
             m[:, 1::2] *= -1.0
-        prod = np.matmul(m, m.transpose(0, 2, 1))
-        stacks.append((first, prod))
-        norms[first:stop] = prod.trace(axis1=1, axis2=2)
+        stack = np.empty((2 * (stop - first) - (first == 0), size, size))
+        plus = stack[: stop - first]
+        np.matmul(m, m.transpose(0, 2, 1), out=plus)
+        norms[first:stop] = plus.trace(axis1=1, axis2=2)
+        groups.append((first, stop, stack))
         first = stop
-    # free the tables before the mirror sectors raise the allocation peak
-    del lag, log_toeplitz, half, col, m
+    # free the tables before the state is checked
+    del log_toeplitz, half, col, m
     scale = (1.0 - q_a) * (1.0 - q_b)
     pow_a = q_a**n
     # the mirror sector -d has q_b^d; there is no mirror of sector 0
@@ -515,20 +523,24 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
         )
     weight_a = scale * pow_a / tr
     weight_b = scale * pow_b / tr
-    sectors = {}
-    for first, prod in stacks:
-        stop = first + len(prod)
-        # the mirror sectors -d, on |k, k + d>, before the sectors +d are
-        # scaled in place; sector 0 has no mirror
+    stacks = []
+    for first, stop, stack in groups:
+        count = stop - first
         mirrored = max(first, 1)
-        mirror = prod[mirrored - first :] * weight_b[mirrored:stop, None, None]
-        prod *= weight_a[first:stop, None, None]
-        for shift in range(first, stop):
-            size = keep - shift
-            sectors[shift] = prod[shift - first, :size, :size]
-            if shift:
-                sectors[-shift] = mirror[shift - mirrored, :size, :size]
-    return SectorDensityMatrix(keep, keep, sectors)
+        # the mirror sectors -d, on |k, k + d>, before the sectors +d are
+        # scaled in place
+        np.multiply(
+            stack[mirrored - first : count], weight_b[mirrored:stop, None, None],
+            out=stack[count:],
+        )
+        stack[:count] *= weight_a[first:stop, None, None]
+        shifts = np.concatenate((np.arange(first, stop), -np.arange(mirrored, stop)))
+        if stack.size > _GROUP_ENTRIES and len(stack) > 1:
+            # one shift whose two layers exceed the budget: a stack each
+            stacks += [(shifts[:1], stack[:1]), (shifts[1:], stack[1:])]
+        else:
+            stacks.append((shifts, stack))
+    return SectorDensityMatrix._of(keep, keep, stacks)
 
 
 def random_standard_form(

@@ -47,8 +47,15 @@ def _pairs_array(values) -> np.ndarray:
 def pairs_to_complex_matrix(obj) -> np.ndarray:
     """Complex matrix of a nesting of [re, im] pairs, with entry and shape validation.
 
-    An entry that is not a number raises InvalidStateError naming the matrix.
+    An entry that is not a number raises InvalidStateError naming the
+    matrix, a boolean or null one naming its path, e.g. "null at $[0][0][1]".
     """
+    _reject_boolean_or_null(obj, "$")
+    return _complex_matrix(obj)
+
+
+def _complex_matrix(obj) -> np.ndarray:
+    """`pairs_to_complex_matrix` once `obj` holds no boolean or null."""
     arr = _float_array(obj, "matrix entries")
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidStateError(
@@ -94,7 +101,7 @@ def _state_from_document(obj) -> DensityMatrix:
     # `type(x) is int`: JSON true/false load as bool, a subclass of int
     if not all(type(x) is int and x >= 1 for x in (dim_a, dim_b)):
         raise InvalidStateError(f"dimensions must be positive integers, got ({dim_a!r}, {dim_b!r})")
-    rho = DensityMatrix(dim_a, dim_b, pairs_to_complex_matrix(obj["matrix"]))
+    rho = DensityMatrix(dim_a, dim_b, _complex_matrix(obj["matrix"]))
     return rho.require_physical()
 
 

@@ -1,7 +1,6 @@
 import copy
 import math
 import warnings
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -33,7 +32,25 @@ def reference_rejection(data):
     return None
 
 
+NOT_NUMBERS = [
+    ([["1"]], "string"),
+    (np.array([["1"]]), "string"),
+    (np.array([[b"1"]]), "string"),
+    (np.array([["1"]], dtype=object), "string"),
+    ([[True]], "boolean"),
+    (np.array([[True]]), "boolean"),
+]
+NOT_NUMBER_IDS = ["str list", "str array", "bytes array", "object array", "bool list", "bool array"]
+
+
 class TestDensityMatrix:
+    @pytest.mark.parametrize("data,kind", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+    def test_rejects_strings_and_booleans(self, data, kind):
+        # numpy would read each as [[1.0]], a valid 1 x 1 state
+        with pytest.raises(lz.InvalidStateError) as info:
+            lz.DensityMatrix(1, 1, data)
+        assert str(info.value) == f"malformed matrix: a {kind} where a number belongs"
+
     def test_rejects_non_hermitian(self):
         data = np.eye(4, dtype=complex) / 4.0
         data[0, 1] = 0.1
@@ -408,6 +425,12 @@ class TestSectorDensityMatrix:
             "trace deviation 1.000e+00"
         )
 
+    @pytest.mark.parametrize("block,kind", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+    def test_rejects_string_and_boolean_sectors(self, block, kind):
+        with pytest.raises(lz.InvalidStateError) as info:
+            lz.SectorDensityMatrix(1, 1, {0: block})
+        assert str(info.value) == f"malformed sector 0: a {kind} where a number belongs"
+
     def test_rejects_mismatched_sector_shapes(self):
         with pytest.raises(lz.DimensionMismatchError, match="sector 0 needs a 2 x 2 block"):
             lz.SectorDensityMatrix(2, 3, self.sectors(block=np.array([[0.5]])))
@@ -463,10 +486,26 @@ class TestSectorDensityMatrix:
         assert "data" not in vars(rho)
 
 
-def fock_sectors(cutoff):
-    """Writable copies of the sector blocks of a truncated squeezed-thermal state."""
+def fock_stacks(cutoff):
+    """Writable copies of the stacks of a truncated squeezed-thermal state."""
     rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), cutoff)
-    return {shift: block.copy() for shift, block in rho.sectors.items()}
+    return [(shifts, stack.copy()) for shifts, stack in rho._stacks]
+
+
+def mapping_order(shift):
+    """Sort key of the order 0, 1, -1, 2, -2, ..."""
+    return abs(shift), shift < 0
+
+
+def stack_sectors(stacks, keep):
+    """The sectors of `stacks` on a (keep, keep) box, views of their layers'
+    corners, in the order 0, 1, -1, 2, -2, ..."""
+    sectors = {}
+    for shifts, stack in stacks:
+        for shift, layer in zip(shifts.tolist(), stack):
+            size = keep - abs(shift)
+            sectors[shift] = layer[:size, :size]
+    return {shift: sectors[shift] for shift in sorted(sectors, key=mapping_order)}
 
 
 def plant_defect(block, defect):
@@ -480,8 +519,8 @@ def plant_defect(block, defect):
         block[0, last] = block[last, 0] = np.inf if defect == "inf pair" else -np.inf
 
 
-class TestSectorGroups:
-    """The constructor scans and the residual sums a group of consecutive sectors at a time."""
+class TestSectorStacks:
+    """The constructor scans and the residual sums a stack of sectors at a time."""
 
     @pytest.mark.parametrize("cutoff", [20, 40])
     @pytest.mark.parametrize("place", ["first", "middle", "last"])
@@ -494,12 +533,13 @@ class TestSectorGroups:
     def test_rejection_names_the_first_bad_sector(
         self, cutoff, place, first_defect, later_defect, later
     ):
-        sectors = fock_sectors(cutoff)
+        keep = cutoff + 1
+        stacks = fock_stacks(cutoff)
+        assert len(stacks) == (2 if cutoff == 20 else 8)
+        sectors = stack_sectors(stacks, keep)
         shifts = list(sectors)
-        pairs = [(max(shift, 0), block) for shift, block in sectors.items()]
-        starts = list(accumulate(len(group) for group, _, _ in bloch._sector_groups(pairs)))
-        starts = [0] + starts[:-1]
-        assert len(starts) == (1 if cutoff == 20 else 6)
+        # the first sector of each stack in mapping order
+        starts = sorted(min(map(shifts.index, layers.tolist())) for layers, _ in stacks)
         pos = starts[{"first": 0, "middle": len(starts) // 2, "last": -1}[place]]
         # the last sector of size 2 is -(cutoff - 1)
         later_pos = pos + 1 if later == "next sector" else len(shifts) - 3
@@ -511,7 +551,9 @@ class TestSectorGroups:
             lambda: bloch._check_hermitian({f" of sector {shifts[pos]}": bad})
         )
         assert alone.endswith(f" of sector {shifts[pos]}")
-        keep = cutoff + 1
+        # the stacks as `fock_truncate` hands them over, and their corners
+        # through the mapping constructor, each a stack of its own
+        assert quiet_rejection(lambda: lz.SectorDensityMatrix._of(keep, keep, stacks)) == alone
         assert quiet_rejection(lambda: lz.SectorDensityMatrix(keep, keep, sectors)) == alone
 
     @pytest.mark.parametrize(
@@ -519,8 +561,8 @@ class TestSectorGroups:
         [((3, 4), 0), ((5, 2), 1), ((2, 7), 2), ((12, 9), 3), ((100, 97), 4), ((97, 100), 5)],
     )
     def test_residual_matches_the_per_sector_sum_on_hand_built_states(self, dims, seed):
-        # random subsets of the shifts in random order; at 100 x 97 the
-        # largest blocks exceed one group, the smallest share one
+        # random subsets of the shifts in random order, each block a stack
+        # of its own
         rho = sector_state(*dims, seed)
         assert len(rho.sectors) < dims[0] + dims[1] - 1
         for side in ("A", "B"):
@@ -531,26 +573,44 @@ class TestSectorGroups:
     @pytest.mark.parametrize("cutoff", [4, 20, 40, 100])
     @pytest.mark.parametrize("a,b,r", [(1.05, 1.02, 0.1), (1.0, 1.0, -0.05), (1.1, 1.02, 0.0)])
     def test_residual_matches_the_per_sector_sum_on_fock_states(self, cutoff, a, b, r):
+        # the stacks of fock_truncate, and copies of their blocks through
+        # the mapping constructor
         rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff)
+        copies = lz.SectorDensityMatrix(
+            rho.dim_a, rho.dim_b, {shift: block.copy() for shift, block in rho.sectors.items()}
+        )
+        assert len(copies._stacks) == 2 * cutoff + 1
         for side in ("A", "B"):
-            assert lz.commutator_residual(rho, side) == pytest.approx(
-                reference_sector_residual(rho, side), rel=1e-13, abs=0
-            )
+            reference = reference_sector_residual(rho, side)
+            for state in (rho, copies):
+                assert lz.commutator_residual(state, side) == pytest.approx(
+                    reference, rel=1e-13, abs=0
+                )
 
-    def test_a_block_larger_than_a_group_is_a_group_of_its_own(self):
-        rho = sector_state(100, 97, 4)
-        for side in ("A", "B"):
-            groups = list(bloch._sector_groups(rho._blocks(side)))
-            assert [pair for group, _, _ in groups for pair in group] == rho._blocks(side)
-            for group, low, high in groups:
-                entries = sum(len(block) ** 2 for _, block in group)
-                if len(group) > 1:
-                    assert entries <= bloch._GROUP_ENTRIES
-                    assert (high - low) ** 2 <= bloch._GROUP_ENTRIES
-                assert low == min(lo for lo, _ in group)
-                assert high == max(lo + len(block) for lo, block in group)
-            sizes = [len(group[0][1]) for group, _, _ in groups if len(group) == 1]
-            assert max(sizes) ** 2 > bloch._GROUP_ENTRIES
+    @pytest.mark.parametrize("cutoff", [20, 40, 200])
+    def test_a_block_larger_than_a_group_is_a_group_of_its_own(self, cutoff):
+        # a stack holds at most _GROUP_ENTRIES entries unless it is one
+        # layer; at cutoff 200 the large sectors are stacks of one layer,
+        # and the small ones share stacks
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.5), cutoff)
+        budget = lz.gaussian._GROUP_ENTRIES
+        # consecutive stacks hold consecutive runs of the mapping order
+        order = [
+            shift for shifts, _ in rho._stacks for shift in sorted(shifts.tolist(), key=mapping_order)
+        ]
+        assert order == list(rho.sectors) == [0] + [
+            d for k in range(1, cutoff + 1) for d in (k, -k)
+        ]
+        for shifts, stack in rho._stacks:
+            # padded to the size of its largest sector
+            size = cutoff + 1 - int(np.abs(shifts).min())
+            assert stack.shape == (len(shifts), size, size)
+            if len(stack) > 1:
+                assert stack.size <= budget
+            if 2 * size * size <= budget and shifts.any():
+                assert len(stack) > 1
+        largest = max(stack.size for _, stack in rho._stacks)
+        assert (largest > budget) == (cutoff == 200)
 
 
 class TestBlochForm:

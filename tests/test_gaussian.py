@@ -793,6 +793,24 @@ class TestSectorFockState:
             for block in sectors.values():
                 assert np.array_equal(block, block.T)
 
+    @pytest.mark.parametrize("r", [0.3, -0.3])
+    def test_stacks_are_zero_outside_their_corners(self, r):
+        # SectorDensityMatrix._of reads whole stacks: its scan and sums
+        # take the padding for the zeros it must be
+        # below cutoff 7 the truncation of this form leaves out too much
+        # trace; a fainter one stands in there
+        form = lz.squeezed_thermal_form(1.2, 1.1, r)
+        faint = lz.squeezed_thermal_form(1.05, 1.02, r / 3.0)
+        for cutoff in range(4, 101):
+            rho = lz.fock_truncate(form if cutoff >= 7 else faint, cutoff)
+            for shifts, stack in rho._stacks:
+                assert stack.dtype == np.float64
+                assert not stack.flags.writeable
+                for shift, layer in zip(shifts.tolist(), stack):
+                    size = cutoff + 1 - abs(shift)
+                    assert not layer[size:].any()
+                    assert not layer[:, size:].any()
+
     @pytest.mark.parametrize("cutoff", [10, 20])
     @pytest.mark.parametrize("a,b,r", SECTOR_FORMS)
     def test_spectrum_matches_dense_eigvalsh(self, a, b, r, cutoff):

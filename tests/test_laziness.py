@@ -278,22 +278,25 @@ class TestKeptMarginals:
         return lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.4), 10)
 
     def test_residual_walks_the_sectors_once(self, monkeypatch):
+        # each walk over the stacks gathers the levels of its side once
         calls = []
-        original = lz.SectorDensityMatrix._blocks
+        original = lz.SectorDensityMatrix._levels
 
         def counting(rho, side):
             calls.append(side)
             return original(rho, side)
 
-        monkeypatch.setattr(lz.SectorDensityMatrix, "_blocks", counting)
+        monkeypatch.setattr(lz.SectorDensityMatrix, "_levels", counting)
         rho = self.fock_state()
-        lz.commutator_residual(rho, "A")
+        # the constructor sums the A diagonal
         assert calls == ["A"]
+        lz.commutator_residual(rho, "A")
+        assert calls == ["A", "A"]
         # the B diagonal is accumulated on its first read, then kept
         lz.commutator_residual(rho, "B")
-        assert calls == ["A", "B", "B"]
+        assert calls == ["A", "A", "B", "B"]
         lz.commutator_residual(rho, "B")
-        assert calls == ["A", "B", "B", "B"]
+        assert calls == ["A", "A", "B", "B", "B"]
 
     def test_kept_marginals_are_read_only(self):
         rho = self.fock_state()
