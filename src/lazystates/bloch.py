@@ -346,6 +346,21 @@ def _sector_size(dim_a: int, dim_b: int, shift: int) -> int:
     return min(dim_a - max(shift, 0), dim_b - max(-shift, 0))
 
 
+def _sector_levels(shifts: np.ndarray, size: int, dim_a: int, dim_b: int) -> np.ndarray:
+    """Read-only (2, g, size) levels of the diagonals of sectors `shifts`,
+    padded to `size`: row 0 the A levels max(s, 0) + k, row 1 the B levels
+    max(-s, 0) + k, each padding clamped to its subsystem's last level."""
+    levels = np.maximum(np.multiply.outer((1, -1), shifts), 0)[:, :, None] + np.arange(size)
+    np.minimum(levels, np.array([dim_a - 1, dim_b - 1])[:, None, None], out=levels)
+    levels.setflags(write=False)
+    return levels
+
+
+#: the weight of a block given to the constructor
+_UNIT_WEIGHT = np.ones(1)
+_UNIT_WEIGHT.setflags(write=False)
+
+
 class SectorDensityMatrix(DensityMatrix):
     """Real state that is a direct sum of symmetric blocks over sectors.
 
@@ -355,23 +370,28 @@ class SectorDensityMatrix(DensityMatrix):
     box, so the levels are implied by s.  Entries between two sectors, and
     on the sectors of shifts not given, are zero.
 
-    The state keeps its sectors as stacks, (shifts, stack) pairs: layer k
-    of a read-only float64 (g, s, s) stack holds sector shifts[k] in its
-    leading corner and exact zeros elsewhere.  The constructor keeps each
-    given block as a stack of one layer; `fock_truncate` hands over stacks
-    of many sectors through `_of`.  Each step below makes its numpy calls
-    once per stack, and the padding adds nothing to it.
+    The state keeps its sectors as stacks of products and weighted
+    readings of them, a list of (S, readings) pairs.  S is a read-only
+    float64 (g, s, s) stack, each layer exactly zero outside a leading
+    corner.  A reading is (shifts, weights, levels) over the last
+    len(shifts) layers of S: through it, layer k is the sector shifts[k]
+    with the block weights[k] * S[k] in its leading corner, and levels is
+    the `_sector_levels` table of its shifts.  The constructor keeps each
+    given block as a stack of one layer with one reading of weight 1;
+    `fock_truncate` hands over, through `_of`, stacks of many products
+    M_d M_d^T, each read as the sectors d and -d.  Each step below makes
+    its numpy calls once per stack or reading, and the padding adds
+    nothing to it.
 
     Within a sector each level of either subsystem occurs once, so both
     marginals are diagonal: entry k of sector s lies on the A level
-    max(s, 0) + k and the B level max(-s, 0) + k.  One gather of these
-    levels per stack (the padding clamped to the last level) serves the
-    level sums and the residual.  The constructor sums the diagonal of
-    rho_A, one `bincount` over the stack diagonals, and keeps it read-only;
-    the diagonal of rho_B is summed on its first read and kept too.
-    `_marginal` is the diagonal matrix of the kept diagonal, and
-    `_commutator_norm` and the spectrum read the sectors directly.  `data`
-    assembles the dense matrix on first access only, e.g. for `_commutator`.
+    max(s, 0) + k and the B level max(-s, 0) + k.  The constructor sums
+    the diagonal of rho_A, one `bincount` over weights times the stack
+    diagonals, and keeps it read-only; the diagonal of rho_B is summed on
+    its first read and kept too.  `_marginal` is the diagonal matrix of
+    the kept diagonal, and `_commutator_norm` reads the stacks directly.
+    `sectors`, and through it the spectrum and `data`, is formed on first
+    read only.
 
     For a diagonal X = diag(p), such as the marginal, [rho, X (x) I] has
     the entries rho_kl (p(a_l) - p(a_k)) inside each sector and zeros
@@ -379,20 +399,24 @@ class SectorDensityMatrix(DensityMatrix):
 
         || [rho, X (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
 
-    summed without the d x d matrix: each stack times its gathered
-    differences of p, and one `vdot` (side B reads the B levels).
+    summed without the d x d matrix: per reading, the stack times the
+    differences of ps = p(levels) * weights, and one `vdot` (side B reads
+    the B levels).
 
     A shift must be an integer with a nonempty sector and every block a
     real square of its sector's size, of no string or boolean dtype.  Each
-    stack is then scanned as `DensityMatrix` scans its matrix (finite,
-    symmetric to HERMITICITY_TOL): one subtract, abs and max.  A stack that
-    fails goes back through `_check_hermitian` sector by sector in mapping
-    order, so the error names the first bad sector and the entry the scan
-    of that block alone names.  The trace, the sum of the rho_A diagonal,
-    must be 1 within TRACE_TOL.  `sectors` is a read-only mapping: the
-    given blocks in the given order, float64 ones kept without a copy and
-    made read-only, or, for a state made by `_of`, corner views of its
-    stacks in the order 0, 1, -1, 2, -2, ....
+    sector w S[k] is then checked as `DensityMatrix` checks its matrix
+    (finite, symmetric to HERMITICITY_TOL): each stack is scanned once for
+    its largest asymmetry per layer, which |w| scales for each reading; a
+    NaN or Inf in S or in a weight leaves a NaN or Inf there.  A stack
+    that fails goes back through `_check_hermitian` on its scaled blocks
+    in mapping order, so the error names the first bad sector and the
+    entry the scan of that block alone names.  The trace, the sum of the
+    rho_A diagonal, must be 1 within TRACE_TOL.  `sectors` is a read-only
+    mapping: the given blocks in the given order, float64 ones kept
+    without a copy and made read-only, or, for a state made by `_of`, the
+    corners of the read-only blocks w S[k] in the order 0, 1, -1, 2, -2,
+    ...
     """
 
     def __init__(self, dim_a: int, dim_b: int, sectors):
@@ -415,16 +439,25 @@ class SectorDensityMatrix(DensityMatrix):
             _check_numeric(block, f"sector {shift}")
             checked[shift] = block.astype(float, copy=False)
         self.sectors = MappingProxyType(checked)
-        stacks = [(np.array([shift]), block[None]) for shift, block in checked.items()]
+        stacks = []
+        for shift, block in checked.items():
+            shifts = np.array([shift])
+            levels = _sector_levels(shifts, len(block), dim_a, dim_b)
+            stacks.append((block[None], ((shifts, _UNIT_WEIGHT, levels),)))
         self._hold(dim_a, dim_b, stacks)
         for block in checked.values():
             block.setflags(write=False)
 
     @classmethod
     def _of(cls, dim_a: int, dim_b: int, stacks: list) -> "SectorDensityMatrix":
-        """The state of `stacks`, (shifts, stack) pairs kept without a copy:
-        the caller guarantees what the constructor checks of a mapping, and
-        each stack float64 and exactly zero outside its layers' corners."""
+        """The state of `stacks`, (S, readings) pairs kept without a copy.
+
+        The caller guarantees what the constructor checks of a mapping:
+        each S float64 and exactly zero outside its layers' corners (the
+        scan and the sums read the padding as the zeros it must be), each
+        reading's shifts distinct sectors of the box, padded to S's size,
+        its weights float64 and its levels their `_sector_levels`.
+        """
         state = object.__new__(cls)
         state._hold(dim_a, dim_b, stacks)
         return state
@@ -434,13 +467,20 @@ class SectorDensityMatrix(DensityMatrix):
         """Check `stacks` as the state's sectors and keep them, with the rho_A diagonal."""
         self.dim_a, self.dim_b = dim_a, dim_b
         self._stacks = stacks
-        for shifts, stack in stacks:
+        for stack, readings in stacks:
             asym = stack - stack.transpose(0, 2, 1)
-            if not float(np.abs(asym, out=asym).max()) <= HERMITICITY_TOL:
-                bad = set(shifts.tolist())
-                _check_hermitian(
-                    {f" of sector {shift}": b for shift, b in self.sectors.items() if shift in bad}
-                )
+            layer_max = np.abs(asym, out=asym).max(axis=(1, 2))
+            for shifts, weights, _ in readings:
+                # the sum bounds each |w_k| times the asymmetry of S[k]; a
+                # NaN or Inf in S or w leaves a NaN or Inf, which `not <=` fails
+                bound = float(np.abs(weights) @ layer_max[len(stack) - len(shifts):])
+                if not bound <= HERMITICITY_TOL:
+                    bad = {shift for reading in readings for shift in reading[0].tolist()}
+                    _check_hermitian(
+                        {f" of sector {shift}": b for shift, b in self.sectors.items() if shift in bad}
+                    )
+                    # every sector of the stack passed on its own
+                    break
             stack.setflags(write=False)
         # finite diagonals can still sum beyond the float range: the trace
         # check names that, so numpy need not warn
@@ -449,33 +489,42 @@ class SectorDensityMatrix(DensityMatrix):
         diag_a.setflags(write=False)
         self._diagonal_a = diag_a
 
+    def _readings(self) -> list:
+        """(shifts, layers, weights, levels) of every reading, layers the
+        part of its stack that it reads; stack order."""
+        return [
+            (shifts, stack[len(stack) - len(shifts):], weights, levels)
+            for stack, readings in self._stacks
+            for shifts, weights, levels in readings
+        ]
+
     @cached_property
     def sectors(self) -> MappingProxyType:
-        """Read-only mapping of shift to block, built on first read."""
-        layers = [pair for shifts, stack in self._stacks for pair in zip(shifts.tolist(), stack)]
+        """Read-only mapping of shift to block, formed on first read."""
+        layers = []
+        for shifts, stack, weights, _ in self._readings():
+            blocks = weights[:, None, None] * stack
+            blocks.setflags(write=False)
+            layers += zip(shifts.tolist(), blocks)
         layers.sort(key=lambda pair: (abs(pair[0]), pair[0] < 0))
         sizes = [_sector_size(self.dim_a, self.dim_b, shift) for shift, _ in layers]
         return MappingProxyType(
             {shift: layer[:size, :size] for (shift, layer), size in zip(layers, sizes)}
         )
 
-    def _levels(self, side: Side) -> list:
-        """Per stack, the (g, s) levels of `side` of its layers' diagonals, padding clamped."""
-        sign, dim = (1, self.dim_a) if side == "A" else (-1, self.dim_b)
-        return [
-            np.minimum(np.maximum(sign * shifts, 0)[:, None] + np.arange(stack.shape[1]), dim - 1)
-            for shifts, stack in self._stacks
-        ]
-
     def _level_sums(self, side: Side) -> np.ndarray:
-        """The stack diagonals summed over the levels of `side`: one `bincount`, stack order."""
-        dim = self.dim_a if side == "A" else self.dim_b
-        if not self._stacks:
+        """Weights times the stack diagonals, summed over the levels of
+        `side`: one `bincount`, stack order."""
+        row, dim = (0, self.dim_a) if side == "A" else (1, self.dim_b)
+        readings = self._readings()
+        if not readings:
             return np.zeros(dim)
-        diagonals = [stack.diagonal(0, 1, 2) for _, stack in self._stacks]
         return np.bincount(
-            np.concatenate(self._levels(side), axis=None),
-            np.concatenate(diagonals, axis=None),
+            np.concatenate([levels[row] for *_, levels in readings], axis=None),
+            np.concatenate(
+                [weights[:, None] * layers.diagonal(0, 1, 2) for _, layers, weights, _ in readings],
+                axis=None,
+            ),
             minlength=dim,
         )
 
@@ -508,15 +557,16 @@ class SectorDensityMatrix(DensityMatrix):
 
     def _commutator_norm(self, x: np.ndarray, side: Side) -> float:
         """Frobenius norm of [rho, X (x) I] for a diagonal X, of which only
-        `x.diagonal()` is read, summed over the stacks."""
+        `x.diagonal()` is read, summed over the readings."""
         p = x.diagonal()
+        row = 0 if side == "A" else 1
         total = 0.0
-        for (_, stack), levels in zip(self._stacks, self._levels(side)):
-            ps = p[levels]
+        for _, layers, weights, levels in self._readings():
             # X = diag(p): layer k of the commutator has the entries
-            # rho_ij (p_j - p_i) on its levels, zeros in the padding
+            # w_k S_ij (p_j - p_i) on its levels, zeros in the padding
+            ps = p[levels[row]] * weights[:, None]
             y = ps[:, None, :] - ps[:, :, None]
-            y *= stack
+            y *= layers
             total += np.vdot(y, y)
         return math.sqrt(total)
 
@@ -551,10 +601,8 @@ class SectorDensityMatrix(DensityMatrix):
         return data
 
     def __repr__(self) -> str:
-        return (
-            f"SectorDensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b}, "
-            f"sectors={len(self.sectors)})"
-        )
+        count = sum(len(shifts) for shifts, *_ in self._readings())
+        return f"SectorDensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b}, sectors={count})"
 
 
 class BlochForm:

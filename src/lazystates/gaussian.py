@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from .bloch import (
     _float_array,
     _reject_boolean_or_null,
     _require_finite,
+    _sector_levels,
 )
 from .errors import TruncationError, UnphysicalFormError
 from .laziness import DEFAULT_TOL
@@ -100,9 +101,24 @@ QUADRATIC_IDENTITY_TOL = 1e-9
 #: maximum trace allowed outside the requested Fock block
 MAX_TRACE_DEFICIT = 1e-6
 
-#: entries (64 KiB of float64) of one stack of Fock sectors, mirror
-#: sectors included; a larger sector is a stack of its own
+#: entries (64 KiB of float64) of the sectors one stack of Fock products
+#: M_d M_d^T is read as, mirror sectors included; a product whose sectors
+#: take more is a stack of its own
 _GROUP_ENTRIES = 8192
+
+
+#: the entries of `GaussianStandardForm._kernels`' plus that no form sets
+_PLUS_TEMPLATE = np.array(
+    [
+        [0, 0, 0, 0, 1, 2j],
+        [0, 0, 0, 0, -2j, 1],
+        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0],
+        [1, -2j, 0, 0, 1, 0],
+        [2j, 1, 0, 0, 0, 1],
+    ]
+)
+_PLUS_TEMPLATE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -172,18 +188,11 @@ class GaussianStandardForm:
     @cached_property
     def _kernels(self) -> KernelPair:
         n, m, c, cp = self.n, self.m, self.c, self.c_prime
-        two_i = 2.0j
-        plus = np.array(
-            [
-                [2 * n + 1, 0, c, 0, 1, two_i],
-                [0, 2 * n + 1, 0, cp, -two_i, 1],
-                [c, 0, m + 1, 0, 0, 0],
-                [0, cp, 0, m + 1, 0, 0],
-                [1, -two_i, 0, 0, 1, 0],
-                [two_i, 1, 0, 0, 0, 1],
-            ],
-            dtype=complex,
-        )
+        plus = _PLUS_TEMPLATE.copy()
+        plus[0, 0] = plus[1, 1] = 2 * n + 1
+        plus[0, 2] = plus[2, 0] = c
+        plus[1, 3] = plus[3, 1] = cp
+        plus[2, 2] = plus[3, 3] = m + 1
         minus = plus.conj()
         plus.setflags(write=False)
         minus.setflags(write=False)
@@ -412,6 +421,45 @@ def _log_or_minus_inf(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+@lru_cache(maxsize=4)
+def _fock_tables(cutoff: int) -> tuple:
+    """The tables of `fock_truncate` at `cutoff` that no form changes; cached.
+
+    Returns (n, log_fact, half, clamped, plan), the arrays read-only: n =
+    0, ..., cutoff and log_fact its log n!; the half tables clamped[d, k]
+    = (log k! + log min(k + d, cutoff)!) / 2 and half, the same with -inf
+    where k + d > cutoff; and the plan, one (first, stop, sides) per group
+    of shifts first, ..., stop - 1, padded to the size keep - first of the
+    first.  sides holds (shifts, lo, levels) for the shifts d and, unless
+    the group is shift 0 alone, for their mirrors -d, lo = max(first, 1)
+    <= d < stop, which read the last stop - lo layers of the group's
+    stack; levels is `_sector_levels` of the shifts.  The tables take
+    about 1.1 MB at cutoff 200, 2.4 MB at 300, so a few cutoffs are kept.
+    """
+    keep = cutoff + 1
+    n = np.arange(keep)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(keep)])
+    clamped = 0.5 * (log_fact + log_fact[np.minimum(n[:, None] + n, cutoff)])
+    half = np.where(n[:, None] + n > cutoff, -np.inf, clamped)
+    plan = []
+    first = 0
+    while first < keep:
+        size = keep - first
+        stop = min(keep, first + max(1, (_GROUP_ENTRIES // (size * size) + (first == 0)) // 2))
+        shifts = n[first:stop]
+        levels = _sector_levels(shifts, size, keep, keep)
+        sides = [(shifts, first, levels)]
+        mirrored = max(first, 1)
+        if mirrored < stop:
+            # on the square box the levels of -d are those of d, A and B swapped
+            sides.append((-n[mirrored:stop], mirrored, levels[::-1, mirrored - first :]))
+        plan.append((first, stop, tuple(sides)))
+        first = stop
+    for table in (n, log_fact, clamped, half):
+        table.setflags(write=False)
+    return n, log_fact, half, clamped, tuple(plan)
+
+
 def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatrix:
     """Truncated number-basis representation of a squeezed-thermal form.
 
@@ -443,19 +491,24 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
 
     The result is a `SectorDensityMatrix` that maps each shift d to its real
     block, in the order 0, 1, -1, 2, -2, ..., O(cutoff^3) numbers in all.
-    Each block is formed as M M^T with M = L W^(1/2) evaluated in
-    logarithms, so it is exactly symmetric, and one product serves the
-    mirror sectors d and -d.  The row and column log terms of every M are
-    rows of two (cutoff + 1)^2 tables built once.  Consecutive shifts are
-    formed a group at a time, padded to the size of the first: the log
-    rows past each shift's kept levels are -inf, so exp pads with exact
-    zeros, and M M^T is written into one stack with room for the mirror
-    sectors, weighted in once the trace is known.  A stack holds at most
-    _GROUP_ENTRIES entries unless it is one sector, and goes to
-    `SectorDensityMatrix._of` as it is.  A group costs one exp, one batched
-    M M^T, one trace and one weight multiply per side of the mirror,
-    whatever its number of shifts.  The dense (cutoff + 1)^2 matrix is
-    assembled only when `.data` is read.
+    Each block is w_d M M^T with M = L W^(1/2) evaluated in logarithms, so
+    M M^T is exactly symmetric, and the state holds it once for the two
+    mirror sectors: w_d = scale q_a^d / tr for d and scale q_b^d / tr for
+    -d, scale = (1 - q_a)(1 - q_b) and tr the truncated trace.  The
+    tables no form changes come from `_fock_tables`, built once per
+    cutoff; the row and column log terms of every M are rows of its half
+    table and of one (cutoff + 1)^2 column table per form.  Consecutive
+    shifts d >= 0 are formed a group at a time, padded to the size of the
+    first: the log rows past each shift's kept levels are -inf, so exp
+    pads with exact zeros, as `SectorDensityMatrix._of` requires.  A group
+    is one (g, s, s) stack of the unweighted M M^T, whose sectors take at
+    most _GROUP_ENTRIES padded entries unless it is one shift.  It goes to
+    `_of` as it is, read through two weight vectors, w_d for the sectors d
+    and w_-d for their mirrors; a vacuum mode (q = 0) zeroes one of them,
+    so the weights stay off the stack.  A group costs one exp, one batched
+    M M^T and one trace, whatever its number of shifts.  The blocks w_d M
+    M^T are formed only when `.sectors` is read, and the dense (cutoff +
+    1)^2 matrix only when `.data` is read.
     """
     cutoff = _check_count(cutoff, "cutoff", 4)
     a, b, r = squeezed_thermal_parameters(form)
@@ -465,35 +518,35 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     denom = ch * ch - sh * sh * qq
     alpha = ch * sh * (1.0 - qq) / denom
     keep = cutoff + 1
-    n = np.arange(keep)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(keep)])
-    # log of alpha^(k-j) / (k-j)! at k >= j, -inf above the diagonal; the
+    n, log_fact, half, clamped, plan = _fock_tables(cutoff)
+    # log of alpha^(k-j) / (k-j)! at k >= j, -inf above the diagonal, as a
+    # Toeplitz view of one run: entry (k, j) is lags[cutoff - k + j]; the
     # power is taken from n = 1 on, so alpha = 0 leaves 0 on the diagonal
     log_power = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(abs(alpha))))
-    lag = n[:, None] - n[None, :]
-    log_toeplitz = np.where(lag >= 0, (log_power - log_fact)[np.abs(lag)], -np.inf)
-    del lag
+    lags = np.full(2 * keep - 1, -np.inf)
+    lags[cutoff::-1] = log_power - log_fact
+    step = lags.itemsize
+    log_toeplitz = np.ndarray(
+        (keep, keep), lags.dtype, lags, offset=cutoff * step, strides=(-step, step)
+    )
     log_qq = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(qq)))
     # row d of each table serves sector d on its first keep - d entries:
     # sqrt(C(k, j) C(k + d, j + d)) (k - j)! = exp(half[d, k] - half[d, j])
     # with half[d, k] = (log k! + log (k + d)!) / 2, and col[d, j] =
     # log W[d, j] / 2 - half[d, j] with log W[d, j] = j log(q_a q_b) -
-    # (2j + d + 1) log D.  Past the kept levels col stays finite (half is
-    # clamped there), and every M entry it reaches lies above the diagonal
-    # or in a padded row; half is -inf in the padded rows
-    half = 0.5 * (log_fact + log_fact[np.minimum(n[:, None] + n, cutoff)])
-    col = 0.5 * log_qq - (n + 0.5 * (n[:, None] + 1)) * math.log(denom) - half
-    half[n[:, None] + n > cutoff] = -np.inf
-    groups = []
+    # (2j + d + 1) log D.  Past the kept levels col stays finite (it takes
+    # the clamped half), and every M entry it reaches lies above the
+    # diagonal or in a padded row; half is -inf in the padded rows
+    # col = log_qq / 2 - (j + (d + 1) / 2) log D - clamped, in place
+    col = n + 0.5 * (n[:, None] + 1)
+    col *= math.log(denom)
+    np.subtract(0.5 * log_qq, col, out=col)
+    col -= clamped
+    stacks = []
     # tr(M M^T) per shift
     norms = np.empty(keep)
-    first = 0
-    while first < keep:
-        # shifts first, first + 1, ..., padded to the size of the first,
-        # with room for their mirrors; sector 0 has none
+    for first, stop, _ in plan:
         size = keep - first
-        count = max(1, (_GROUP_ENTRIES // (size * size) + (first == 0)) // 2)
-        stop = min(keep, first + count)
         m = half[first:stop, :size, None] + col[first:stop, None, :size]
         m += log_toeplitz[:size, :size]
         np.exp(m, out=m)
@@ -501,14 +554,11 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
             # alpha^(k-j) = (-1)^k (-1)^j |alpha|^(k-j); the column signs
             # cancel in M M^T
             m[:, 1::2] *= -1.0
-        stack = np.empty((2 * (stop - first) - (first == 0), size, size))
-        plus = stack[: stop - first]
-        np.matmul(m, m.transpose(0, 2, 1), out=plus)
-        norms[first:stop] = plus.trace(axis1=1, axis2=2)
-        groups.append((first, stop, stack))
-        first = stop
-    # free the tables before the state is checked
-    del log_toeplitz, half, col, m
+        stack = np.matmul(m, m.transpose(0, 2, 1))
+        norms[first:stop] = stack.trace(axis1=1, axis2=2)
+        stacks.append(stack)
+    # free the per-form tables before the state is checked
+    del lags, log_toeplitz, col, m
     scale = (1.0 - q_a) * (1.0 - q_b)
     pow_a = q_a**n
     # the mirror sector -d has q_b^d; there is no mirror of sector 0
@@ -521,25 +571,15 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
             f"truncation trace deficit {deficit:.3e} exceeds {MAX_TRACE_DEFICIT:g}; "
             "increase the cutoff"
         )
-    weight_a = scale * pow_a / tr
-    weight_b = scale * pow_b / tr
-    stacks = []
-    for first, stop, stack in groups:
-        count = stop - first
-        mirrored = max(first, 1)
-        # the mirror sectors -d, on |k, k + d>, before the sectors +d are
-        # scaled in place
-        np.multiply(
-            stack[mirrored - first : count], weight_b[mirrored:stop, None, None],
-            out=stack[count:],
-        )
-        stack[:count] *= weight_a[first:stop, None, None]
-        shifts = np.concatenate((np.arange(first, stop), -np.arange(mirrored, stop)))
-        if stack.size > _GROUP_ENTRIES and len(stack) > 1:
-            # one shift whose two layers exceed the budget: a stack each
-            stacks += [(shifts[:1], stack[:1]), (shifts[1:], stack[1:])]
-        else:
-            stacks.append((shifts, stack))
+    weights = (scale * pow_a / tr, scale * pow_b / tr)
+    for side in weights:
+        side.setflags(write=False)
+    stacks = [
+        (stack, tuple(
+            (shifts, side[lo:stop], levels) for (shifts, lo, levels), side in zip(sides, weights)
+        ))
+        for stack, (_, stop, sides) in zip(stacks, plan)
+    ]
     return SectorDensityMatrix._of(keep, keep, stacks)
 
 

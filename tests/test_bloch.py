@@ -487,9 +487,10 @@ class TestSectorDensityMatrix:
 
 
 def fock_stacks(cutoff):
-    """Writable copies of the stacks of a truncated squeezed-thermal state."""
+    """Writable copies of the stacks of a truncated squeezed-thermal state,
+    with their readings."""
     rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), cutoff)
-    return [(shifts, stack.copy()) for shifts, stack in rho._stacks]
+    return [(stack.copy(), readings) for stack, readings in rho._stacks]
 
 
 def mapping_order(shift):
@@ -497,22 +498,35 @@ def mapping_order(shift):
     return abs(shift), shift < 0
 
 
+def read_layers(stacks):
+    """(shift, weight, stack, layer index) of every sector of `stacks`: a
+    reading reads the last len(weights) layers of its stack."""
+    return [
+        (shift, weight, stack, k)
+        for stack, readings in stacks
+        for shifts, weights, _ in readings
+        for k, shift, weight in zip(
+            range(len(stack) - len(weights), len(stack)), shifts.tolist(), weights
+        )
+    ]
+
+
 def stack_sectors(stacks, keep):
-    """The sectors of `stacks` on a (keep, keep) box, views of their layers'
-    corners, in the order 0, 1, -1, 2, -2, ..."""
+    """The sectors of `stacks` on a (keep, keep) box, the corners of their
+    scaled layers w * S[k], in the order 0, 1, -1, 2, -2, ..."""
     sectors = {}
-    for shifts, stack in stacks:
-        for shift, layer in zip(shifts.tolist(), stack):
+    with np.errstate(invalid="ignore"):
+        for shift, weight, stack, k in read_layers(stacks):
             size = keep - abs(shift)
-            sectors[shift] = layer[:size, :size]
+            sectors[shift] = (weight * stack[k])[:size, :size]
     return {shift: sectors[shift] for shift in sorted(sectors, key=mapping_order)}
 
 
-def plant_defect(block, defect):
-    """Put a 1e-9 asymmetry, a NaN or a symmetric +-Inf pair into `block`."""
+def plant_defect(block, defect, scale=1.0):
+    """Put a scale * 1e-9 asymmetry, a NaN or a symmetric +-Inf pair into `block`."""
     last = len(block) - 1
     if defect == "asymmetry":
-        block[0, last] += 1e-9
+        block[0, last] += scale * 1e-9
     elif defect == "nan":
         block[last, 0] = np.nan
     else:
@@ -536,25 +550,70 @@ class TestSectorStacks:
         keep = cutoff + 1
         stacks = fock_stacks(cutoff)
         assert len(stacks) == (2 if cutoff == 20 else 8)
-        sectors = stack_sectors(stacks, keep)
-        shifts = list(sectors)
+        # the defects go into the products S: the product of sector d >= 0
+        # is also read as its mirror -d, so both sectors carry the defect,
+        # and +d comes first in mapping order
+        layers = {shift: (weight, stack[k]) for shift, weight, stack, k in read_layers(stacks)}
         # the first sector of each stack in mapping order
-        starts = sorted(min(map(shifts.index, layers.tolist())) for layers, _ in stacks)
-        pos = starts[{"first": 0, "middle": len(starts) // 2, "last": -1}[place]]
-        # the last sector of size 2 is -(cutoff - 1)
-        later_pos = pos + 1 if later == "next sector" else len(shifts) - 3
-        bad, worse = sectors[shifts[pos]], sectors[shifts[later_pos]]
-        assert min(len(bad), len(worse)) >= 2
-        plant_defect(worse, later_defect)
-        plant_defect(bad, first_defect)
+        starts = [int(readings[0][0][0]) for _, readings in stacks]
+        shift = starts[{"first": 0, "middle": len(starts) // 2, "last": -1}[place]]
+        # the last product of size 2 is that of cutoff - 1
+        later_shift = shift + 1 if later == "next sector" else cutoff - 1
+        for d, defect in ((later_shift, later_defect), (shift, first_defect)):
+            weight, product = layers[d]
+            size = keep - d
+            assert size >= 2
+            # an asymmetry of 1e-9 in the block w S
+            plant_defect(product[:size, :size], defect, scale=1.0 / weight)
+        sectors = stack_sectors(stacks, keep)
+        if shift and first_defect != "asymmetry":
+            assert quiet_rejection(lambda: bloch._check_hermitian({"": sectors[-shift]}))
         alone = quiet_rejection(
-            lambda: bloch._check_hermitian({f" of sector {shifts[pos]}": bad})
+            lambda: bloch._check_hermitian({f" of sector {shift}": sectors[shift]})
         )
-        assert alone.endswith(f" of sector {shifts[pos]}")
-        # the stacks as `fock_truncate` hands them over, and their corners
-        # through the mapping constructor, each a stack of its own
+        assert alone.endswith(f" of sector {shift}")
+        # the stacks as `fock_truncate` hands them over, and their scaled
+        # corners through the mapping constructor, each a stack of its own
         assert quiet_rejection(lambda: lz.SectorDensityMatrix._of(keep, keep, stacks)) == alone
         assert quiet_rejection(lambda: lz.SectorDensityMatrix(keep, keep, sectors)) == alone
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("reading", [0, 1])
+    def test_a_non_finite_weight_is_named_by_its_sector(self, value, reading):
+        keep = 21
+        stacks = fock_stacks(20)
+        stack, readings = stacks[1]
+        shifts, weights, levels = readings[reading]
+        weights = weights.copy()
+        weights[2] = value
+        readings = list(readings)
+        readings[reading] = (shifts, weights, levels)
+        stacks[1] = (stack, tuple(readings))
+        shift = int(shifts[2])
+        sectors = stack_sectors(stacks, keep)
+        alone = quiet_rejection(
+            lambda: bloch._check_hermitian({f" of sector {shift}": sectors[shift]})
+        )
+        assert alone.startswith("non-finite entry")
+        assert quiet_rejection(lambda: lz.SectorDensityMatrix._of(keep, keep, stacks)) == alone
+        assert quiet_rejection(lambda: lz.SectorDensityMatrix(keep, keep, sectors)) == alone
+
+    @pytest.mark.parametrize("cutoff", [20, 40, 200])
+    def test_mirror_sectors_read_one_stack(self, cutoff):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.5), cutoff)
+        holder = {shift: stack for shift, _, stack, _ in read_layers(rho._stacks)}
+        assert sorted(holder) == list(range(-cutoff, cutoff + 1))
+        for d in range(1, cutoff + 1):
+            assert holder[d] is holder[-d]
+        # each product M_d M_d^T is held once
+        assert sum(len(stack) for stack, _ in rho._stacks) == cutoff + 1
+        for stack, readings in rho._stacks:
+            for shifts, weights, levels in readings:
+                assert levels.shape == (2, len(shifts), stack.shape[1])
+                assert np.array_equal(
+                    levels, bloch._sector_levels(shifts, stack.shape[1], cutoff + 1, cutoff + 1)
+                )
+                assert not weights.flags.writeable
 
     @pytest.mark.parametrize(
         "dims,seed",
@@ -571,7 +630,11 @@ class TestSectorStacks:
             )
 
     @pytest.mark.parametrize("cutoff", [4, 20, 40, 100])
-    @pytest.mark.parametrize("a,b,r", [(1.05, 1.02, 0.1), (1.0, 1.0, -0.05), (1.1, 1.02, 0.0)])
+    @pytest.mark.parametrize(
+        "a,b,r",
+        # the last two have a vacuum mode, whose q = 0 zeroes one weight vector
+        [(1.05, 1.02, 0.1), (1.0, 1.0, -0.05), (1.1, 1.02, 0.0), (1.0, 1.05, 0.1), (1.05, 1.0, -0.1)],
+    )
     def test_residual_matches_the_per_sector_sum_on_fock_states(self, cutoff, a, b, r):
         # the stacks of fock_truncate, and copies of their blocks through
         # the mapping constructor
@@ -589,27 +652,39 @@ class TestSectorStacks:
 
     @pytest.mark.parametrize("cutoff", [20, 40, 200])
     def test_a_block_larger_than_a_group_is_a_group_of_its_own(self, cutoff):
-        # a stack holds at most _GROUP_ENTRIES entries unless it is one
-        # layer; at cutoff 200 the large sectors are stacks of one layer,
-        # and the small ones share stacks
+        # a stack's readings hold at most _GROUP_ENTRIES padded entries
+        # unless it is one product; at cutoff 200 the large products are
+        # stacks of one layer, and the small ones share stacks
         rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.5), cutoff)
         budget = lz.gaussian._GROUP_ENTRIES
         # consecutive stacks hold consecutive runs of the mapping order
         order = [
-            shift for shifts, _ in rho._stacks for shift in sorted(shifts.tolist(), key=mapping_order)
+            shift
+            for _, readings in rho._stacks
+            for shift in sorted(
+                (shift for shifts, _, _ in readings for shift in shifts.tolist()), key=mapping_order
+            )
         ]
         assert order == list(rho.sectors) == [0] + [
             d for k in range(1, cutoff + 1) for d in (k, -k)
         ]
-        for shifts, stack in rho._stacks:
-            # padded to the size of its largest sector
-            size = cutoff + 1 - int(np.abs(shifts).min())
-            assert stack.shape == (len(shifts), size, size)
+        largest = 0
+        for pos, (stack, readings) in enumerate(rho._stacks):
+            # the products d = first, first + 1, ..., padded to the size of the first
+            first = int(readings[0][0][0])
+            size = cutoff + 1 - first
+            assert readings[0][0].tolist() == list(range(first, first + len(stack)))
+            assert stack.shape == (len(stack), size, size)
+            # and their mirrors -d, d >= 1, read from the last layers
+            mirrors = [-d for shifts, _, _ in readings[1:] for d in shifts.tolist()]
+            assert mirrors == list(range(max(first, 1), first + len(stack)))
+            entries = sum(len(shifts) for shifts, _, _ in readings) * size * size
             if len(stack) > 1:
-                assert stack.size <= budget
-            if 2 * size * size <= budget and shifts.any():
-                assert len(stack) > 1
-        largest = max(stack.size for _, stack in rho._stacks)
+                assert entries <= budget
+            if pos + 1 < len(rho._stacks):
+                # one more product and its mirror would not fit
+                assert entries + 2 * size * size > budget
+            largest = max(largest, entries)
         assert (largest > budget) == (cutoff == 200)
 
 

@@ -470,6 +470,30 @@ class TestSharedKernels:
         assert lz.commutator_kernels(twin) is not pair
         assert np.array_equal(lz.commutator_kernels(twin).plus, pair.plus)
 
+    def test_kernels_match_the_nested_list_construction(self):
+        # `plus` is a copy of a fixed template with the form's 8 entries set;
+        # the reference parses the whole matrix from a nested list
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            form = lz.random_standard_form(rng)
+            n, m, c, cp = form.n, form.m, form.c, form.c_prime
+            two_i = 2.0j
+            plus = np.array(
+                [
+                    [2 * n + 1, 0, c, 0, 1, two_i],
+                    [0, 2 * n + 1, 0, cp, -two_i, 1],
+                    [c, 0, m + 1, 0, 0, 0],
+                    [0, cp, 0, m + 1, 0, 0],
+                    [1, -two_i, 0, 0, 1, 0],
+                    [two_i, 1, 0, 0, 0, 1],
+                ],
+                dtype=complex,
+            )
+            pair = lz.commutator_kernels(form)
+            assert pair.plus.dtype == pair.minus.dtype == np.complex128
+            assert pair.plus.tobytes() == plus.tobytes()
+            assert pair.minus.tobytes() == plus.conj().tobytes()
+
     def test_probes_share_one_inverse(self, monkeypatch):
         calls = []
         original = np.linalg.inv
@@ -753,12 +777,12 @@ class TestSectorFockState:
             lz.reduced_state(rho, "A").data, rel=1e-12, abs=0
         )
 
-    @pytest.mark.parametrize("cutoff", [100, 200])
-    def test_witness_memory_stays_off_the_dense_block(self, cutoff):
-        # the dense (cutoff + 1)^2 block would be 832 MB at cutoff 100 and
-        # 13 GB at 200; the sector blocks alone are 43 MB at 200, and what
-        # is allocated on top of them stays a small fraction
-        form = lz.squeezed_thermal_form(1.2, 1.1, 0.5)
+    @staticmethod
+    def witness_peak(form, cutoff):
+        """The state, its two residuals and the tracemalloc peak of forming
+        them, with the cutoff's tables already built: `_fock_tables` keeps
+        them, and its own test bounds what it keeps."""
+        lz.gaussian._fock_tables(cutoff)
         tracemalloc.start()
         try:
             rho = lz.fock_truncate(form, cutoff)
@@ -766,23 +790,47 @@ class TestSectorFockState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return rho, residuals, peak
+
+    @pytest.mark.parametrize("cutoff", [100, 200])
+    def test_witness_memory_stays_off_the_dense_block(self, cutoff):
+        # the dense (cutoff + 1)^2 block would be 832 MB at cutoff 100 and
+        # 13 GB at 200; the sector blocks would be 43 MB at 200, the stacks
+        # hold each product M M^T once for two mirror sectors, and what is
+        # allocated on top of them stays a small fraction
+        rho, residuals, peak = self.witness_peak(lz.squeezed_thermal_form(1.2, 1.1, 0.5), cutoff)
         assert all(res > 1e-3 for res in residuals)
         assert peak < 50e6
-        assert peak - sum(block.nbytes for block in rho.sectors.values()) < 2e6
+        stack_bytes = sum(stack.nbytes for stack, _ in rho._stacks)
+        sector_bytes = 8 * sum((cutoff + 1 - abs(d)) ** 2 for d in range(-cutoff, cutoff + 1))
+        assert stack_bytes <= (0.55 if cutoff == 200 else 0.6) * sector_bytes
+        assert peak - stack_bytes < 2e6
+        assert "sectors" not in vars(rho)
 
     def test_witness_memory_stays_within_a_few_groups(self):
         # the temporaries of one group of sectors stay near 64 KiB, so
-        # what is allocated beside the blocks stays small at cutoff 40 too
-        form = lz.squeezed_thermal_form(2.4, 2.0, 0.5)
+        # what is allocated beside the stacks stays small at cutoff 40 too
+        rho, residuals, peak = self.witness_peak(lz.squeezed_thermal_form(2.4, 2.0, 0.5), 40)
+        assert all(res > 1e-3 for res in residuals)
+        assert peak - sum(stack.nbytes for stack, _ in rho._stacks) < 512 * 1024
+
+    def test_cutoff_tables_are_kept_for_a_few_cutoffs(self):
+        # a sweep of cutoffs keeps the tables of the last few, about
+        # 2.4 MB each at cutoff 300, not of every cutoff swept (about
+        # 250 MB from 4 to 300)
+        tables = lz.gaussian._fock_tables
+        tables.cache_clear()
         tracemalloc.start()
         try:
-            rho = lz.fock_truncate(form, 40)
-            residuals = [lz.commutator_residual(rho, side) for side in ("A", "B")]
-            peak = tracemalloc.get_traced_memory()[1]
+            for cutoff in range(4, 301):
+                tables(cutoff)
+            retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert all(res > 1e-3 for res in residuals)
-        assert peak - sum(block.nbytes for block in rho.sectors.values()) < 512 * 1024
+        assert retained < 12e6
+        assert tables(300) is tables(300)
+        for table in tables(300)[:4]:
+            assert not table.flags.writeable
 
     @pytest.mark.parametrize("r", [0.3, -0.3])
     def test_every_block_is_exactly_symmetric(self, r):
@@ -803,13 +851,16 @@ class TestSectorFockState:
         faint = lz.squeezed_thermal_form(1.05, 1.02, r / 3.0)
         for cutoff in range(4, 101):
             rho = lz.fock_truncate(form if cutoff >= 7 else faint, cutoff)
-            for shifts, stack in rho._stacks:
+            for stack, readings in rho._stacks:
                 assert stack.dtype == np.float64
                 assert not stack.flags.writeable
-                for shift, layer in zip(shifts.tolist(), stack):
-                    size = cutoff + 1 - abs(shift)
-                    assert not layer[size:].any()
-                    assert not layer[:, size:].any()
+                # a reading reads the last len(shifts) layers
+                for shifts, weights, _ in readings:
+                    assert weights.dtype == np.float64
+                    for shift, layer in zip(shifts.tolist(), stack[len(stack) - len(shifts):]):
+                        size = cutoff + 1 - abs(shift)
+                        assert not layer[size:].any()
+                        assert not layer[:, size:].any()
 
     @pytest.mark.parametrize("cutoff", [10, 20])
     @pytest.mark.parametrize("a,b,r", SECTOR_FORMS)

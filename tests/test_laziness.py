@@ -278,25 +278,30 @@ class TestKeptMarginals:
         return lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.4), 10)
 
     def test_residual_walks_the_sectors_once(self, monkeypatch):
-        # each walk over the stacks gathers the levels of its side once
+        # each level sum and each residual walks the stacks' readings once
         calls = []
-        original = lz.SectorDensityMatrix._levels
+        sums, walk = lz.SectorDensityMatrix._level_sums, lz.SectorDensityMatrix._readings
 
-        def counting(rho, side):
+        def counting_sums(rho, side):
             calls.append(side)
-            return original(rho, side)
+            return sums(rho, side)
 
-        monkeypatch.setattr(lz.SectorDensityMatrix, "_levels", counting)
+        def counting_walk(rho):
+            calls.append("walk")
+            return walk(rho)
+
+        monkeypatch.setattr(lz.SectorDensityMatrix, "_level_sums", counting_sums)
+        monkeypatch.setattr(lz.SectorDensityMatrix, "_readings", counting_walk)
         rho = self.fock_state()
         # the constructor sums the A diagonal
-        assert calls == ["A"]
+        assert calls == ["A", "walk"]
         lz.commutator_residual(rho, "A")
-        assert calls == ["A", "A"]
+        assert calls == ["A", "walk", "walk"]
         # the B diagonal is accumulated on its first read, then kept
         lz.commutator_residual(rho, "B")
-        assert calls == ["A", "A", "B", "B"]
+        assert calls == ["A", "walk", "walk", "B", "walk", "walk"]
         lz.commutator_residual(rho, "B")
-        assert calls == ["A", "A", "B", "B", "B"]
+        assert calls == ["A", "walk", "walk", "B", "walk", "walk", "walk"]
 
     def test_kept_marginals_are_read_only(self):
         rho = self.fock_state()
