@@ -346,19 +346,19 @@ def _sector_size(dim_a: int, dim_b: int, shift: int) -> int:
     return min(dim_a - max(shift, 0), dim_b - max(-shift, 0))
 
 
-def _sector_levels(shifts: np.ndarray, size: int, dim_a: int, dim_b: int) -> np.ndarray:
-    """Read-only (2, g, size) levels of the diagonals of sectors `shifts`,
-    padded to `size`: row 0 the A levels max(s, 0) + k, row 1 the B levels
-    max(-s, 0) + k, each padding clamped to its subsystem's last level."""
-    levels = np.maximum(np.multiply.outer((1, -1), shifts), 0)[:, :, None] + np.arange(size)
-    np.minimum(levels, np.array([dim_a - 1, dim_b - 1])[:, None, None], out=levels)
-    levels.setflags(write=False)
-    return levels
+def _levels(shifts: np.ndarray, size: int, side: Side) -> np.ndarray:
+    """(2, g, size) levels on `side` of the entries of layers read as the
+    sectors +shifts (row 0) and -shifts (row 1); padding and a row that is
+    no sector can point past the box."""
+    lift = (1, 0) if side == "A" else (0, 1)
+    return np.multiply.outer(lift, shifts)[:, :, None] + np.arange(size)
 
 
-#: the weight of a block given to the constructor
-_UNIT_WEIGHT = np.ones(1)
-_UNIT_WEIGHT.setflags(write=False)
+#: the weights of a block given to the constructor, read as sector +d or
+#: as sector -d; the other row is no sector and weighs 0
+_PLUS = np.array([[1.0], [0.0]])
+_PLUS.setflags(write=False)
+_MINUS = _PLUS[::-1]
 
 
 class SectorDensityMatrix(DensityMatrix):
@@ -370,28 +370,29 @@ class SectorDensityMatrix(DensityMatrix):
     box, so the levels are implied by s.  Entries between two sectors, and
     on the sectors of shifts not given, are zero.
 
-    The state keeps its sectors as stacks of products and weighted
-    readings of them, a list of (S, readings) pairs.  S is a read-only
-    float64 (g, s, s) stack, each layer exactly zero outside a leading
-    corner.  A reading is (shifts, weights, levels) over the last
-    len(shifts) layers of S: through it, layer k is the sector shifts[k]
-    with the block weights[k] * S[k] in its leading corner, and levels is
-    the `_sector_levels` table of its shifts.  The constructor keeps each
-    given block as a stack of one layer with one reading of weight 1;
-    `fock_truncate` hands over, through `_of`, stacks of many products
-    M_d M_d^T, each read as the sectors d and -d.  Each step below makes
-    its numpy calls once per stack or reading, and the padding adds
-    nothing to it.
+    The state keeps its sectors as stacks of products, each read as the
+    sectors +d and -d: a list of (S, shifts, weights) triples.  S is a
+    read-only float64 (g, s, s) stack, each layer exactly zero outside a
+    leading corner; shifts holds the magnitudes d >= 0 of its layers, and
+    weights is one read-only float64 (2, g) table.  Row 0 reads layer k as
+    sector +shifts[k] with the block weights[0, k] * S[k] in its leading
+    corner, row 1 as sector -shifts[k] with weights[1, k] * S[k].  A row
+    that is no sector weighs 0.  The constructor keeps each given block as
+    a stack of one layer, weighted 1 on the row of its sector (`_PLUS`,
+    `_MINUS`); `fock_truncate` hands over, through `_of`, stacks of many
+    products M_d M_d^T, each read as the sectors d and -d, and the mirror
+    of sector 0 is no sector.  No levels are kept: entry k of row 0 lies
+    on the A level d + k and the B level k, entry k of row 1 on the A
+    level k and the B level d + k.  Each step below walks a stack once,
+    both rows together, and the padding adds nothing to it.
 
     Within a sector each level of either subsystem occurs once, so both
-    marginals are diagonal: entry k of sector s lies on the A level
-    max(s, 0) + k and the B level max(-s, 0) + k.  The constructor sums
-    the diagonal of rho_A, one `bincount` over weights times the stack
-    diagonals, and keeps it read-only; the diagonal of rho_B is summed on
-    its first read and kept too.  `_marginal` is the diagonal matrix of
-    the kept diagonal, and `_commutator_norm` reads the stacks directly.
-    `sectors`, and through it the spectrum and `data`, is formed on first
-    read only.
+    marginals are diagonal.  The constructor sums the diagonal of rho_A,
+    one `bincount` over weights times the stack diagonals, and keeps it
+    read-only; the diagonal of rho_B is summed on its first read and kept
+    too.  `_marginal` is the diagonal matrix of the kept diagonal, and
+    `_commutator_norm` reads the stacks directly.  `sectors`, and through
+    it the spectrum and `data`, is formed on first read only.
 
     For a diagonal X = diag(p), such as the marginal, [rho, X (x) I] has
     the entries rho_kl (p(a_l) - p(a_k)) inside each sector and zeros
@@ -399,20 +400,22 @@ class SectorDensityMatrix(DensityMatrix):
 
         || [rho, X (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
 
-    summed without the d x d matrix: per reading, the stack times the
-    differences of ps = p(levels) * weights, and one `vdot` (side B reads
-    the B levels).
+    summed without the d x d matrix: per stack, S times the differences of
+    ps = p(levels) * weights over both rows, and one `vdot` (side B reads
+    the B levels).  p is read padded with dim_a + dim_b zeros, so the
+    levels an unused row or the padding points to past the box read 0.
 
     A shift must be an integer with a nonempty sector and every block a
     real square of its sector's size, of no string or boolean dtype.  Each
     sector w S[k] is then checked as `DensityMatrix` checks its matrix
     (finite, symmetric to HERMITICITY_TOL): each stack is scanned once for
-    its largest asymmetry per layer, which |w| scales for each reading; a
-    NaN or Inf in S or in a weight leaves a NaN or Inf there.  A stack
-    that fails goes back through `_check_hermitian` on its scaled blocks
-    in mapping order, so the error names the first bad sector and the
-    entry the scan of that block alone names.  The trace, the sum of the
-    rho_A diagonal, must be 1 within TRACE_TOL.  `sectors` is a read-only
+    its largest asymmetry per layer, which |weights| scales and sums per
+    row; a NaN or Inf in S or in a weight, of a sector or not, leaves a
+    NaN or Inf there.  A stack that fails goes back through
+    `_check_hermitian` on the scaled blocks of its shifts +d and -d in
+    mapping order, so the error names the first bad sector and the entry
+    the scan of that block alone names.  The trace, the sum of the rho_A
+    diagonal, must be 1 within TRACE_TOL.  `sectors` is a read-only
     mapping: the given blocks in the given order, float64 ones kept
     without a copy and made read-only, or, for a state made by `_of`, the
     corners of the read-only blocks w S[k] in the order 0, 1, -1, 2, -2,
@@ -439,24 +442,23 @@ class SectorDensityMatrix(DensityMatrix):
             _check_numeric(block, f"sector {shift}")
             checked[shift] = block.astype(float, copy=False)
         self.sectors = MappingProxyType(checked)
-        stacks = []
-        for shift, block in checked.items():
-            shifts = np.array([shift])
-            levels = _sector_levels(shifts, len(block), dim_a, dim_b)
-            stacks.append((block[None], ((shifts, _UNIT_WEIGHT, levels),)))
-        self._hold(dim_a, dim_b, stacks)
+        self._hold(dim_a, dim_b, [
+            (block[None], np.array([abs(shift)]), _PLUS if shift >= 0 else _MINUS)
+            for shift, block in checked.items()
+        ])
         for block in checked.values():
             block.setflags(write=False)
 
     @classmethod
     def _of(cls, dim_a: int, dim_b: int, stacks: list) -> "SectorDensityMatrix":
-        """The state of `stacks`, (S, readings) pairs kept without a copy.
+        """The state of `stacks`, (S, shifts, weights) triples kept without a copy.
 
         The caller guarantees what the constructor checks of a mapping:
         each S float64 and exactly zero outside its layers' corners (the
-        scan and the sums read the padding as the zeros it must be), each
-        reading's shifts distinct sectors of the box, padded to S's size,
-        its weights float64 and its levels their `_sector_levels`.
+        scan and the sums read the padding as the zeros it must be), its
+        shifts the distinct magnitudes d >= 0 of the sectors +d and -d of
+        the box, padded to S's size, and its weights float64.  Every row
+        is a sector but the mirror of sector 0, which weighs 0.
         """
         state = object.__new__(cls)
         state._hold(dim_a, dim_b, stacks)
@@ -467,20 +469,17 @@ class SectorDensityMatrix(DensityMatrix):
         """Check `stacks` as the state's sectors and keep them, with the rho_A diagonal."""
         self.dim_a, self.dim_b = dim_a, dim_b
         self._stacks = stacks
-        for stack, readings in stacks:
+        for stack, shifts, weights in stacks:
             asym = stack - stack.transpose(0, 2, 1)
             layer_max = np.abs(asym, out=asym).max(axis=(1, 2))
-            for shifts, weights, _ in readings:
-                # the sum bounds each |w_k| times the asymmetry of S[k]; a
-                # NaN or Inf in S or w leaves a NaN or Inf, which `not <=` fails
-                bound = float(np.abs(weights) @ layer_max[len(stack) - len(shifts):])
-                if not bound <= HERMITICITY_TOL:
-                    bad = {shift for reading in readings for shift in reading[0].tolist()}
-                    _check_hermitian(
-                        {f" of sector {shift}": b for shift, b in self.sectors.items() if shift in bad}
-                    )
-                    # every sector of the stack passed on its own
-                    break
+            # each row's sum bounds every |w_k| times the asymmetry of S[k];
+            # a NaN or Inf in S or w leaves a NaN or Inf, which `not <=` fails
+            if not (np.abs(weights) @ layer_max <= HERMITICITY_TOL).all():
+                bad = set(shifts.tolist())
+                _check_hermitian(
+                    {f" of sector {shift}": b for shift, b in self.sectors.items() if abs(shift) in bad}
+                )
+                # every sector of the stack passed on its own
             stack.setflags(write=False)
         # finite diagonals can still sum beyond the float range: the trace
         # check names that, so numpy need not warn
@@ -489,23 +488,15 @@ class SectorDensityMatrix(DensityMatrix):
         diag_a.setflags(write=False)
         self._diagonal_a = diag_a
 
-    def _readings(self) -> list:
-        """(shifts, layers, weights, levels) of every reading, layers the
-        part of its stack that it reads; stack order."""
-        return [
-            (shifts, stack[len(stack) - len(shifts):], weights, levels)
-            for stack, readings in self._stacks
-            for shifts, weights, levels in readings
-        ]
-
     @cached_property
     def sectors(self) -> MappingProxyType:
         """Read-only mapping of shift to block, formed on first read."""
         layers = []
-        for shifts, stack, weights, _ in self._readings():
-            blocks = weights[:, None, None] * stack
+        for stack, shifts, weights in self._stacks:
+            blocks = weights[:, :, None, None] * stack
             blocks.setflags(write=False)
-            layers += zip(shifts.tolist(), blocks)
+            layers += zip(shifts.tolist(), blocks[0])
+            layers += ((-d, block) for d, block in zip(shifts.tolist(), blocks[1]) if d)
         layers.sort(key=lambda pair: (abs(pair[0]), pair[0] < 0))
         sizes = [_sector_size(self.dim_a, self.dim_b, shift) for shift, _ in layers]
         return MappingProxyType(
@@ -515,18 +506,22 @@ class SectorDensityMatrix(DensityMatrix):
     def _level_sums(self, side: Side) -> np.ndarray:
         """Weights times the stack diagonals, summed over the levels of
         `side`: one `bincount`, stack order."""
-        row, dim = (0, self.dim_a) if side == "A" else (1, self.dim_b)
-        readings = self._readings()
-        if not readings:
+        dim = self.dim_a if side == "A" else self.dim_b
+        if not self._stacks:
             return np.zeros(dim)
+        # the levels past the box add the zeros of the padding and of rows
+        # that are no sector
         return np.bincount(
-            np.concatenate([levels[row] for *_, levels in readings], axis=None),
             np.concatenate(
-                [weights[:, None] * layers.diagonal(0, 1, 2) for _, layers, weights, _ in readings],
+                [_levels(shifts, stack.shape[1], side) for stack, shifts, _ in self._stacks],
+                axis=None,
+            ),
+            np.concatenate(
+                [weights[:, :, None] * stack.diagonal(0, 1, 2) for stack, _, weights in self._stacks],
                 axis=None,
             ),
             minlength=dim,
-        )
+        )[:dim]
 
     @cached_property
     def _diagonal_b(self) -> np.ndarray:
@@ -557,16 +552,15 @@ class SectorDensityMatrix(DensityMatrix):
 
     def _commutator_norm(self, x: np.ndarray, side: Side) -> float:
         """Frobenius norm of [rho, X (x) I] for a diagonal X, of which only
-        `x.diagonal()` is read, summed over the readings."""
-        p = x.diagonal()
-        row = 0 if side == "A" else 1
+        `x.diagonal()` is read, summed over the stacks."""
+        p = np.concatenate((x.diagonal(), np.zeros(self.dim_a + self.dim_b)))
         total = 0.0
-        for _, layers, weights, levels in self._readings():
-            # X = diag(p): layer k of the commutator has the entries
-            # w_k S_ij (p_j - p_i) on its levels, zeros in the padding
-            ps = p[levels[row]] * weights[:, None]
-            y = ps[:, None, :] - ps[:, :, None]
-            y *= layers
+        for stack, shifts, weights in self._stacks:
+            # X = diag(p): layer k of the commutator read through row r has
+            # the entries w_rk S_ij (p_j - p_i) on its levels, zeros in the padding
+            ps = p[_levels(shifts, stack.shape[1], side)] * weights[:, :, None]
+            y = ps[:, :, None, :] - ps[:, :, :, None]
+            y *= stack
             total += np.vdot(y, y)
         return math.sqrt(total)
 
@@ -601,7 +595,11 @@ class SectorDensityMatrix(DensityMatrix):
         return data
 
     def __repr__(self) -> str:
-        count = sum(len(shifts) for shifts, *_ in self._readings())
+        if "sectors" in vars(self):
+            count = len(self.sectors)
+        else:
+            # a state made by `_of` reads each layer as d and, unless d = 0, as -d
+            count = sum(2 * len(shifts) - (0 in shifts) for _, shifts, _ in self._stacks)
         return f"SectorDensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b}, sectors={count})"
 
 

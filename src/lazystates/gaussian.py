@@ -49,10 +49,12 @@ two independent ways:
   shift n1 - n2, so it is stored and validated as a `SectorDensityMatrix`
   that maps each shift to its real symmetric sector block, and the
   commutator test reads the sectors without the dense (cutoff + 1)^2-square
-  matrix.  Each sector block comes from the normal-ordered su(1,1) closed
-  form of the squeezed thermal state (see `fock_truncate`), which is exact
-  on the kept levels, so no padded levels and no matrix exponential are
-  needed.
+  matrix.  Sectors d and -d share one product M_d M_d^T, so the state holds
+  stacks of those products with their shifts d >= 0 and one weight per
+  product and sign; where each sector lies follows from d alone.  Each
+  product comes from the normal-ordered su(1,1) closed form of the
+  squeezed thermal state (see `fock_truncate`), which is exact on the kept
+  levels, so no padded levels and no matrix exponential are needed.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .bloch import (
     _float_array,
     _reject_boolean_or_null,
     _require_finite,
-    _sector_levels,
 )
 from .errors import TruncationError, UnphysicalFormError
 from .laziness import DEFAULT_TOL
@@ -102,7 +103,7 @@ QUADRATIC_IDENTITY_TOL = 1e-9
 MAX_TRACE_DEFICIT = 1e-6
 
 #: entries (64 KiB of float64) of the sectors one stack of Fock products
-#: M_d M_d^T is read as, mirror sectors included; a product whose sectors
+#: M_d M_d^T is read as, sectors +d and -d alike; a product whose sectors
 #: take more is a stack of its own
 _GROUP_ENTRIES = 8192
 
@@ -428,13 +429,10 @@ def _fock_tables(cutoff: int) -> tuple:
     Returns (n, log_fact, half, clamped, plan), the arrays read-only: n =
     0, ..., cutoff and log_fact its log n!; the half tables clamped[d, k]
     = (log k! + log min(k + d, cutoff)!) / 2 and half, the same with -inf
-    where k + d > cutoff; and the plan, one (first, stop, sides) per group
-    of shifts first, ..., stop - 1, padded to the size keep - first of the
-    first.  sides holds (shifts, lo, levels) for the shifts d and, unless
-    the group is shift 0 alone, for their mirrors -d, lo = max(first, 1)
-    <= d < stop, which read the last stop - lo layers of the group's
-    stack; levels is `_sector_levels` of the shifts.  The tables take
-    about 1.1 MB at cutoff 200, 2.4 MB at 300, so a few cutoffs are kept.
+    where k + d > cutoff; and the plan, one (first, stop) per group of
+    shifts first, ..., stop - 1, padded to the size keep - first of the
+    first.  The tables take about 1.1 MB at cutoff 200, 2.4 MB at 300, so
+    a few cutoffs are kept.
     """
     keep = cutoff + 1
     n = np.arange(keep)
@@ -446,14 +444,7 @@ def _fock_tables(cutoff: int) -> tuple:
     while first < keep:
         size = keep - first
         stop = min(keep, first + max(1, (_GROUP_ENTRIES // (size * size) + (first == 0)) // 2))
-        shifts = n[first:stop]
-        levels = _sector_levels(shifts, size, keep, keep)
-        sides = [(shifts, first, levels)]
-        mirrored = max(first, 1)
-        if mirrored < stop:
-            # on the square box the levels of -d are those of d, A and B swapped
-            sides.append((-n[mirrored:stop], mirrored, levels[::-1, mirrored - first :]))
-        plan.append((first, stop, tuple(sides)))
+        plan.append((first, stop))
         first = stop
     for table in (n, log_fact, clamped, half):
         table.setflags(write=False)
@@ -503,10 +494,12 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     pads with exact zeros, as `SectorDensityMatrix._of` requires.  A group
     is one (g, s, s) stack of the unweighted M M^T, whose sectors take at
     most _GROUP_ENTRIES padded entries unless it is one shift.  It goes to
-    `_of` as it is, read through two weight vectors, w_d for the sectors d
-    and w_-d for their mirrors; a vacuum mode (q = 0) zeroes one of them,
-    so the weights stay off the stack.  A group costs one exp, one batched
-    M M^T and one trace, whatever its number of shifts.  The blocks w_d M
+    `_of` as it is, with views of its shifts d and of the columns d of one
+    (2, cutoff + 1) weight table: row 0 holds w_d for the sectors d, row 1
+    w_-d for their mirrors, and the mirror of sector 0, which is no
+    sector, weighs 0.  A vacuum mode (q = 0) zeroes a row but for sector
+    0, so the weights stay off the stack.  A group costs one exp, one
+    batched M M^T and one trace, whatever its number of shifts.  The blocks w_d M
     M^T are formed only when `.sectors` is read, and the dense (cutoff +
     1)^2 matrix only when `.data` is read.
     """
@@ -545,7 +538,7 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     stacks = []
     # tr(M M^T) per shift
     norms = np.empty(keep)
-    for first, stop, _ in plan:
+    for first, stop in plan:
         size = keep - first
         m = half[first:stop, :size, None] + col[first:stop, None, :size]
         m += log_toeplitz[:size, :size]
@@ -560,25 +553,21 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     # free the per-form tables before the state is checked
     del lags, log_toeplitz, col, m
     scale = (1.0 - q_a) * (1.0 - q_b)
-    pow_a = q_a**n
-    # the mirror sector -d has q_b^d; there is no mirror of sector 0
-    pow_b = q_b**n
-    pow_b[0] = 0.0
-    tr = scale * float(norms @ (pow_a + pow_b))
+    # row 0 weighs sector d by q_a^d, row 1 its mirror -d by q_b^d; the
+    # mirror of sector 0 is no sector
+    powers = np.array([[q_a], [q_b]]) ** n
+    powers[1, 0] = 0.0
+    tr = scale * float(norms @ powers.sum(axis=0))
     deficit = 1.0 - tr
     if deficit > MAX_TRACE_DEFICIT:
         raise TruncationError(
             f"truncation trace deficit {deficit:.3e} exceeds {MAX_TRACE_DEFICIT:g}; "
             "increase the cutoff"
         )
-    weights = (scale * pow_a / tr, scale * pow_b / tr)
-    for side in weights:
-        side.setflags(write=False)
+    weights = powers * scale / tr
+    weights.setflags(write=False)
     stacks = [
-        (stack, tuple(
-            (shifts, side[lo:stop], levels) for (shifts, lo, levels), side in zip(sides, weights)
-        ))
-        for stack, (_, stop, sides) in zip(stacks, plan)
+        (stack, n[first:stop], weights[:, first:stop]) for stack, (first, stop) in zip(stacks, plan)
     ]
     return SectorDensityMatrix._of(keep, keep, stacks)
 

@@ -440,7 +440,9 @@ class TestSectorDensityMatrix:
         with pytest.raises(lz.InvalidStateError, match="complex"):
             lz.SectorDensityMatrix(2, 3, self.sectors(block=block))
 
-    @pytest.mark.parametrize("na,nb", [(3, 4), (5, 2), (4, 4)])
+    # in the (1, 5) and (6, 1) boxes the unused row of every block, the
+    # sector of the opposite shift, lies wholly outside the box
+    @pytest.mark.parametrize("na,nb", [(3, 4), (5, 2), (4, 4), (1, 5), (6, 1)])
     def test_sector_readers_match_dense_oracle(self, na, nb):
         for seed in range(5):
             rho = sector_state(na, nb, seed)
@@ -454,6 +456,17 @@ class TestSectorDensityMatrix:
                 assert lz.commutator_residual(rho, side) == pytest.approx(
                     lz.commutator_residual(dense, side), rel=1e-12, abs=0
                 )
+
+    def test_repr_counts_the_given_blocks(self):
+        rho = lz.SectorDensityMatrix(2, 3, self.sectors())
+        assert repr(rho) == "SectorDensityMatrix(dim_a=2, dim_b=3, sectors=2)"
+        # one row of each block's stack is no sector, in or outside the box
+        for na, nb in [(5, 2), (1, 5), (6, 1)]:
+            for seed in range(3):
+                rho = sector_state(na, nb, seed)
+                count = len(rho.sectors)
+                assert count == len(rho._stacks)
+                assert repr(rho) == f"SectorDensityMatrix(dim_a={na}, dim_b={nb}, sectors={count})"
 
     @pytest.mark.parametrize("na,nb", [(3, 4), (5, 2), (4, 4)])
     def test_spectrum_is_the_union_of_sector_spectra(self, na, nb):
@@ -488,9 +501,9 @@ class TestSectorDensityMatrix:
 
 def fock_stacks(cutoff):
     """Writable copies of the stacks of a truncated squeezed-thermal state,
-    with their readings."""
+    with their shifts and weights."""
     rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), cutoff)
-    return [(stack.copy(), readings) for stack, readings in rho._stacks]
+    return [(stack.copy(), shifts, weights) for stack, shifts, weights in rho._stacks]
 
 
 def mapping_order(shift):
@@ -499,15 +512,15 @@ def mapping_order(shift):
 
 
 def read_layers(stacks):
-    """(shift, weight, stack, layer index) of every sector of `stacks`: a
-    reading reads the last len(weights) layers of its stack."""
+    """(shift, weight, stack, layer index) of every sector of Fock `stacks`:
+    row 0 of the weights reads layer k as sector d, row 1 as sector -d
+    unless d = 0."""
     return [
-        (shift, weight, stack, k)
-        for stack, readings in stacks
-        for shifts, weights, _ in readings
-        for k, shift, weight in zip(
-            range(len(stack) - len(weights), len(stack)), shifts.tolist(), weights
-        )
+        (sign * d, weight, stack, k)
+        for stack, shifts, weights in stacks
+        for sign, row in ((1, weights[0]), (-1, weights[1]))
+        for k, (d, weight) in enumerate(zip(shifts.tolist(), row))
+        if sign > 0 or d
     ]
 
 
@@ -555,7 +568,7 @@ class TestSectorStacks:
         # and +d comes first in mapping order
         layers = {shift: (weight, stack[k]) for shift, weight, stack, k in read_layers(stacks)}
         # the first sector of each stack in mapping order
-        starts = [int(readings[0][0][0]) for _, readings in stacks]
+        starts = [int(shifts[0]) for _, shifts, _ in stacks]
         shift = starts[{"first": 0, "middle": len(starts) // 2, "last": -1}[place]]
         # the last product of size 2 is that of cutoff - 1
         later_shift = shift + 1 if later == "next sector" else cutoff - 1
@@ -578,18 +591,16 @@ class TestSectorStacks:
         assert quiet_rejection(lambda: lz.SectorDensityMatrix(keep, keep, sectors)) == alone
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("reading", [0, 1])
-    def test_a_non_finite_weight_is_named_by_its_sector(self, value, reading):
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_a_non_finite_weight_is_named_by_its_sector(self, value, row):
         keep = 21
         stacks = fock_stacks(20)
-        stack, readings = stacks[1]
-        shifts, weights, levels = readings[reading]
+        stack, shifts, weights = stacks[1]
         weights = weights.copy()
-        weights[2] = value
-        readings = list(readings)
-        readings[reading] = (shifts, weights, levels)
-        stacks[1] = (stack, tuple(readings))
-        shift = int(shifts[2])
+        weights[row, 2] = value
+        stacks[1] = (stack, shifts, weights)
+        # row 0 reads the layer as sector d, row 1 as -d
+        shift = int(shifts[2]) * (1, -1)[row]
         sectors = stack_sectors(stacks, keep)
         alone = quiet_rejection(
             lambda: bloch._check_hermitian({f" of sector {shift}": sectors[shift]})
@@ -605,15 +616,16 @@ class TestSectorStacks:
         assert sorted(holder) == list(range(-cutoff, cutoff + 1))
         for d in range(1, cutoff + 1):
             assert holder[d] is holder[-d]
-        # each product M_d M_d^T is held once
-        assert sum(len(stack) for stack, _ in rho._stacks) == cutoff + 1
-        for stack, readings in rho._stacks:
-            for shifts, weights, levels in readings:
-                assert levels.shape == (2, len(shifts), stack.shape[1])
-                assert np.array_equal(
-                    levels, bloch._sector_levels(shifts, stack.shape[1], cutoff + 1, cutoff + 1)
-                )
-                assert not weights.flags.writeable
+        # each product M_d M_d^T is held once, with one weight per row
+        assert sum(len(stack) for stack, _, _ in rho._stacks) == cutoff + 1
+        for stack, shifts, weights in rho._stacks:
+            assert shifts.shape == (len(stack),)
+            assert weights.shape == (2, len(stack))
+            assert not shifts.flags.writeable
+            assert not weights.flags.writeable
+        # the mirror of sector 0 is no sector and weighs 0
+        assert rho._stacks[0][1][0] == 0
+        assert rho._stacks[0][2][1, 0] == 0.0
 
     @pytest.mark.parametrize(
         "dims,seed",
@@ -652,7 +664,7 @@ class TestSectorStacks:
 
     @pytest.mark.parametrize("cutoff", [20, 40, 200])
     def test_a_block_larger_than_a_group_is_a_group_of_its_own(self, cutoff):
-        # a stack's readings hold at most _GROUP_ENTRIES padded entries
+        # the sectors a stack is read as take at most _GROUP_ENTRIES padded entries
         # unless it is one product; at cutoff 200 the large products are
         # stacks of one layer, and the small ones share stacks
         rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.5), cutoff)
@@ -660,25 +672,23 @@ class TestSectorStacks:
         # consecutive stacks hold consecutive runs of the mapping order
         order = [
             shift
-            for _, readings in rho._stacks
-            for shift in sorted(
-                (shift for shifts, _, _ in readings for shift in shifts.tolist()), key=mapping_order
-            )
+            for triple in rho._stacks
+            for shift in sorted((shift for shift, *_ in read_layers([triple])), key=mapping_order)
         ]
         assert order == list(rho.sectors) == [0] + [
             d for k in range(1, cutoff + 1) for d in (k, -k)
         ]
         largest = 0
-        for pos, (stack, readings) in enumerate(rho._stacks):
+        for pos, (stack, shifts, weights) in enumerate(rho._stacks):
             # the products d = first, first + 1, ..., padded to the size of the first
-            first = int(readings[0][0][0])
+            first = int(shifts[0])
             size = cutoff + 1 - first
-            assert readings[0][0].tolist() == list(range(first, first + len(stack)))
+            assert shifts.tolist() == list(range(first, first + len(stack)))
             assert stack.shape == (len(stack), size, size)
-            # and their mirrors -d, d >= 1, read from the last layers
-            mirrors = [-d for shifts, _, _ in readings[1:] for d in shifts.tolist()]
-            assert mirrors == list(range(max(first, 1), first + len(stack)))
-            entries = sum(len(shifts) for shifts, _, _ in readings) * size * size
+            # and read as their mirrors -d, d >= 1
+            read = [shift for shift, *_ in read_layers([(stack, shifts, weights)])]
+            assert [-d for d in read if d < 0] == list(range(max(first, 1), first + len(stack)))
+            entries = len(read) * size * size
             if len(stack) > 1:
                 assert entries <= budget
             if pos + 1 < len(rho._stacks):
@@ -686,6 +696,26 @@ class TestSectorStacks:
                 assert entries + 2 * size * size > budget
             largest = max(largest, entries)
         assert (largest > budget) == (cutoff == 200)
+
+    @pytest.mark.parametrize("cutoff", [20, 40, 60])
+    @pytest.mark.parametrize(
+        "a,b,r",
+        # the last two have a vacuum mode: every weight of row 1 (b = 1),
+        # or of row 0 but sector 0's (a = 1), is 0, and its rows are still sectors
+        [(1.2, 1.1, 0.5), (1.3, 1.0, 0.3), (1.0, 1.3, -0.3)],
+    )
+    def test_repr_counts_the_sectors_without_forming_them(self, cutoff, a, b, r):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff)
+        if b == 1.0:
+            assert not any(weights[1].any() for _, _, weights in rho._stacks)
+        expected = (
+            f"SectorDensityMatrix(dim_a={cutoff + 1}, dim_b={cutoff + 1}, "
+            f"sectors={2 * cutoff + 1})"
+        )
+        assert repr(rho) == expected
+        assert "sectors" not in vars(rho)
+        assert len(rho.sectors) == 2 * cutoff + 1
+        assert repr(rho) == expected
 
 
 class TestBlochForm:

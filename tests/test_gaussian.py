@@ -801,7 +801,7 @@ class TestSectorFockState:
         rho, residuals, peak = self.witness_peak(lz.squeezed_thermal_form(1.2, 1.1, 0.5), cutoff)
         assert all(res > 1e-3 for res in residuals)
         assert peak < 50e6
-        stack_bytes = sum(stack.nbytes for stack, _ in rho._stacks)
+        stack_bytes = sum(stack.nbytes for stack, *_ in rho._stacks)
         sector_bytes = 8 * sum((cutoff + 1 - abs(d)) ** 2 for d in range(-cutoff, cutoff + 1))
         assert stack_bytes <= (0.55 if cutoff == 200 else 0.6) * sector_bytes
         assert peak - stack_bytes < 2e6
@@ -812,7 +812,7 @@ class TestSectorFockState:
         # what is allocated beside the stacks stays small at cutoff 40 too
         rho, residuals, peak = self.witness_peak(lz.squeezed_thermal_form(2.4, 2.0, 0.5), 40)
         assert all(res > 1e-3 for res in residuals)
-        assert peak - sum(stack.nbytes for stack, _ in rho._stacks) < 512 * 1024
+        assert peak - sum(stack.nbytes for stack, *_ in rho._stacks) < 512 * 1024
 
     def test_cutoff_tables_are_kept_for_a_few_cutoffs(self):
         # a sweep of cutoffs keeps the tables of the last few, about
@@ -851,16 +851,15 @@ class TestSectorFockState:
         faint = lz.squeezed_thermal_form(1.05, 1.02, r / 3.0)
         for cutoff in range(4, 101):
             rho = lz.fock_truncate(form if cutoff >= 7 else faint, cutoff)
-            for stack, readings in rho._stacks:
+            for stack, shifts, weights in rho._stacks:
                 assert stack.dtype == np.float64
                 assert not stack.flags.writeable
-                # a reading reads the last len(shifts) layers
-                for shifts, weights, _ in readings:
-                    assert weights.dtype == np.float64
-                    for shift, layer in zip(shifts.tolist(), stack[len(stack) - len(shifts):]):
-                        size = cutoff + 1 - abs(shift)
-                        assert not layer[size:].any()
-                        assert not layer[:, size:].any()
+                assert weights.dtype == np.float64
+                # layer k holds the product of shift d = shifts[k] >= 0
+                for shift, layer in zip(shifts.tolist(), stack):
+                    size = cutoff + 1 - shift
+                    assert not layer[size:].any()
+                    assert not layer[:, size:].any()
 
     @pytest.mark.parametrize("cutoff", [10, 20])
     @pytest.mark.parametrize("a,b,r", SECTOR_FORMS)

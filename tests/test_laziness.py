@@ -275,33 +275,37 @@ class TestKeptMarginals:
 
     @staticmethod
     def fock_state():
-        return lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.4), 10)
+        # two stacks of products, each read as the sectors d and -d
+        return lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.4), 20)
 
     def test_residual_walks_the_sectors_once(self, monkeypatch):
-        # each level sum and each residual walks the stacks' readings once
+        # each level sum is one pass over the stacks, and each residual
+        # walks every stack once: one vdot per stack, both rows at once
         calls = []
-        sums, walk = lz.SectorDensityMatrix._level_sums, lz.SectorDensityMatrix._readings
+        sums, vdot = lz.SectorDensityMatrix._level_sums, np.vdot
 
         def counting_sums(rho, side):
             calls.append(side)
             return sums(rho, side)
 
-        def counting_walk(rho):
-            calls.append("walk")
-            return walk(rho)
+        def counting_vdot(a, b):
+            calls.append("vdot")
+            return vdot(a, b)
 
         monkeypatch.setattr(lz.SectorDensityMatrix, "_level_sums", counting_sums)
-        monkeypatch.setattr(lz.SectorDensityMatrix, "_readings", counting_walk)
+        monkeypatch.setattr(np, "vdot", counting_vdot)
         rho = self.fock_state()
+        walk = ["vdot"] * 2
+        assert len(rho._stacks) == 2
         # the constructor sums the A diagonal
-        assert calls == ["A", "walk"]
+        assert calls == ["A"]
         lz.commutator_residual(rho, "A")
-        assert calls == ["A", "walk", "walk"]
-        # the B diagonal is accumulated on its first read, then kept
+        assert calls == ["A", *walk]
+        # the B diagonal is summed on its first read, then kept
         lz.commutator_residual(rho, "B")
-        assert calls == ["A", "walk", "walk", "B", "walk", "walk"]
+        assert calls == ["A", *walk, "B", *walk]
         lz.commutator_residual(rho, "B")
-        assert calls == ["A", "walk", "walk", "B", "walk", "walk", "walk"]
+        assert calls == ["A", *walk, "B", *walk, *walk]
 
     def test_kept_marginals_are_read_only(self):
         rho = self.fock_state()
