@@ -341,125 +341,75 @@ class DensityMatrix:
         return f"DensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b})"
 
 
-def _sector_size(dim_a: int, dim_b: int, shift: int) -> int:
-    """Number of states of sector `shift` in the (dim_a, dim_b) box; < 1 if none."""
-    return min(dim_a - max(shift, 0), dim_b - max(-shift, 0))
-
-
 def _levels(shifts: np.ndarray, size: int, side: Side) -> np.ndarray:
     """(2, g, size) levels on `side` of the entries of layers read as the
-    sectors +shifts (row 0) and -shifts (row 1); padding and a row that is
-    no sector can point past the box."""
+    sectors +shifts (row 0) and -shifts (row 1); the padding points past
+    the box."""
     lift = (1, 0) if side == "A" else (0, 1)
     return np.multiply.outer(lift, shifts)[:, :, None] + np.arange(size)
 
 
-#: the weights of a block given to the constructor, read as sector +d or
-#: as sector -d; the other row is no sector and weighs 0
-_PLUS = np.array([[1.0], [0.0]])
-_PLUS.setflags(write=False)
-_MINUS = _PLUS[::-1]
-
-
 class SectorDensityMatrix(DensityMatrix):
-    """Real state that is a direct sum of symmetric blocks over sectors.
+    """Real state of a square (keep, keep) box that is a direct sum of
+    symmetric blocks over its 2 keep - 1 sectors.
 
-    `sectors` maps a shift s = n_A - n_B to the real block of the state on
-    its sector: the min(dim_a - max(s, 0), dim_b - max(-s, 0)) basis states
-    |k + max(s, 0), k + max(-s, 0)>, k = 0, 1, ..., of the (dim_a, dim_b)
-    box, so the levels are implied by s.  Entries between two sectors, and
-    on the sectors of shifts not given, are zero.
+    Only `fock_truncate` makes one, through `_of`: calling the class raises
+    TypeError.  Sector s = n_A - n_B holds the keep - |s| basis states
+    |k + max(s, 0), k + max(-s, 0)>, k = 0, 1, ...; entries between two
+    sectors are zero.
 
     The state keeps its sectors as stacks of products, each read as the
     sectors +d and -d: a list of (S, shifts, weights) triples.  S is a
     read-only float64 (g, s, s) stack, each layer exactly zero outside a
-    leading corner; shifts holds the magnitudes d >= 0 of its layers, and
-    weights is one read-only float64 (2, g) table.  Row 0 reads layer k as
-    sector +shifts[k] with the block weights[0, k] * S[k] in its leading
-    corner, row 1 as sector -shifts[k] with weights[1, k] * S[k].  A row
-    that is no sector weighs 0.  The constructor keeps each given block as
-    a stack of one layer, weighted 1 on the row of its sector (`_PLUS`,
-    `_MINUS`); `fock_truncate` hands over, through `_of`, stacks of many
-    products M_d M_d^T, each read as the sectors d and -d, and the mirror
-    of sector 0 is no sector.  No levels are kept: entry k of row 0 lies
-    on the A level d + k and the B level k, entry k of row 1 on the A
-    level k and the B level d + k.  Each step below walks a stack once,
-    both rows together, and the padding adds nothing to it.
+    leading corner; shifts holds the d >= 0 of its layers, 0, 1, ...,
+    keep - 1 over the stacks in order; weights is one read-only float64
+    (2, g) table of weights w >= 0.  Row 0 reads layer k as sector
+    +shifts[k], the (keep - d)-square corner of weights[0, k] * S[k], and
+    row 1 as sector -shifts[k], that of weights[1, k] * S[k]; the mirror of
+    sector 0 is no sector and weighs 0.  Entry k of row 0 lies on the A
+    level d + k and the B level k, entry k of row 1 on the A level k and
+    the B level d + k.  Each step below walks a stack once, both rows
+    together, and the padding adds nothing to it.
 
     Within a sector each level of either subsystem occurs once, so both
-    marginals are diagonal.  The constructor sums the diagonal of rho_A,
-    one `bincount` over weights times the stack diagonals, and keeps it
+    marginals are diagonal.  `_of` sums the diagonal of rho_A, one
+    `bincount` over weights times the stack diagonals, and keeps it
     read-only; the diagonal of rho_B is summed on its first read and kept
-    too.  `_marginal` is the diagonal matrix of the kept diagonal, and
-    `_commutator_norm` reads the stacks directly.  `sectors`, and through
-    it the spectrum and `data`, is formed on first read only.
-
-    For a diagonal X = diag(p), such as the marginal, [rho, X (x) I] has
-    the entries rho_kl (p(a_l) - p(a_k)) inside each sector and zeros
+    too.  `_marginal` is the diagonal matrix of the kept diagonal.  For a
+    diagonal X = diag(p), such as the marginal, [rho, X (x) I] has the
+    entries rho_kl (p(a_l) - p(a_k)) inside each sector and zeros
     elsewhere, and
 
         || [rho, X (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
 
-    summed without the d x d matrix: per stack, S times the differences of
-    ps = p(levels) * weights over both rows, and one `vdot` (side B reads
-    the B levels).  p is read padded with dim_a + dim_b zeros, so the
-    levels an unused row or the padding points to past the box read 0.
+    which `_commutator_norm` sums per stack, S times the differences of
+    ps = p(levels) * weights over both rows, with one `vdot` (side B reads
+    the B levels).  p is read padded with dim_a + dim_b zeros, which the
+    padding's levels past the box read.
 
-    A shift must be an integer with a nonempty sector and every block a
-    real square of its sector's size, of no string or boolean dtype.  Each
-    sector w S[k] is then checked as `DensityMatrix` checks its matrix
+    w S has the spectrum of S times w >= 0, so `eigenvalues` is one
+    `eigvalsh` per product corner, scaled by the weight of each of its
+    sectors, and `data` is scattered from w S[k].  Neither forms
+    `sectors`, the read-only mapping of shift to block in the order 0, 1,
+    -1, 2, -2, ..., formed on first read only.
+
+    Each sector w S[k] is checked as `DensityMatrix` checks its matrix
     (finite, symmetric to HERMITICITY_TOL): each stack is scanned once for
     its largest asymmetry per layer, which |weights| scales and sums per
-    row; a NaN or Inf in S or in a weight, of a sector or not, leaves a
-    NaN or Inf there.  A stack that fails goes back through
-    `_check_hermitian` on the scaled blocks of its shifts +d and -d in
+    row; a NaN or Inf in S or in a weight leaves a NaN or Inf there.  A
+    stack that fails goes back through `_check_hermitian` on its sectors in
     mapping order, so the error names the first bad sector and the entry
     the scan of that block alone names.  The trace, the sum of the rho_A
-    diagonal, must be 1 within TRACE_TOL.  `sectors` is a read-only
-    mapping: the given blocks in the given order, float64 ones kept
-    without a copy and made read-only, or, for a state made by `_of`, the
-    corners of the read-only blocks w S[k] in the order 0, 1, -1, 2, -2,
-    ...
+    diagonal, must be 1 within TRACE_TOL.
     """
 
-    def __init__(self, dim_a: int, dim_b: int, sectors):
-        dim_a, dim_b = _check_dims(dim_a, dim_b)
-        checked = {}
-        for shift, block in sectors.items():
-            shift = _check_integer(shift, "sector shift")
-            size = _sector_size(dim_a, dim_b, shift)
-            if size < 1:
-                raise DimensionMismatchError(
-                    f"sector {shift} is empty: shifts run from {1 - dim_b} to {dim_a - 1}"
-                )
-            block = np.asarray(block)
-            if block.shape != (size, size):
-                raise DimensionMismatchError(
-                    f"sector {shift} needs a {size} x {size} block, got {block.shape}"
-                )
-            if block.dtype.kind == "c":
-                raise InvalidStateError(f"sector {shift} is complex; sector blocks are real")
-            _check_numeric(block, f"sector {shift}")
-            checked[shift] = block.astype(float, copy=False)
-        self.sectors = MappingProxyType(checked)
-        self._hold(dim_a, dim_b, [
-            (block[None], np.array([abs(shift)]), _PLUS if shift >= 0 else _MINUS)
-            for shift, block in checked.items()
-        ])
-        for block in checked.values():
-            block.setflags(write=False)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a SectorDensityMatrix is made by fock_truncate(form, cutoff) only")
 
     @classmethod
     def _of(cls, dim_a: int, dim_b: int, stacks: list) -> "SectorDensityMatrix":
-        """The state of `stacks`, (S, shifts, weights) triples kept without a copy.
-
-        The caller guarantees what the constructor checks of a mapping:
-        each S float64 and exactly zero outside its layers' corners (the
-        scan and the sums read the padding as the zeros it must be), its
-        shifts the distinct magnitudes d >= 0 of the sectors +d and -d of
-        the box, padded to S's size, and its weights float64.  Every row
-        is a sector but the mirror of sector 0, which weighs 0.
-        """
+        """The state of `stacks`, (S, shifts, weights) triples kept without a
+        copy; the caller guarantees the layout the class describes."""
         state = object.__new__(cls)
         state._hold(dim_a, dim_b, stacks)
         return state
@@ -488,29 +438,29 @@ class SectorDensityMatrix(DensityMatrix):
         diag_a.setflags(write=False)
         self._diagonal_a = diag_a
 
+    def _products(self):
+        """(corner, reads) of each product S[k] in the order d = 0, 1, ...:
+        the corner of S[k] that holds sectors d and -d, and (shift, weight)
+        of each sector it is read as, d before -d."""
+        for stack, shifts, weights in self._stacks:
+            for d, layer, plus, minus in zip(shifts.tolist(), stack, *weights.tolist()):
+                size = self.dim_a - d
+                yield layer[:size, :size], ((d, plus), (-d, minus))[: 2 if d else 1]
+
     @cached_property
     def sectors(self) -> MappingProxyType:
         """Read-only mapping of shift to block, formed on first read."""
-        layers = []
-        for stack, shifts, weights in self._stacks:
-            blocks = weights[:, :, None, None] * stack
-            blocks.setflags(write=False)
-            layers += zip(shifts.tolist(), blocks[0])
-            layers += ((-d, block) for d, block in zip(shifts.tolist(), blocks[1]) if d)
-        layers.sort(key=lambda pair: (abs(pair[0]), pair[0] < 0))
-        sizes = [_sector_size(self.dim_a, self.dim_b, shift) for shift, _ in layers]
-        return MappingProxyType(
-            {shift: layer[:size, :size] for (shift, layer), size in zip(layers, sizes)}
-        )
+        sectors = {shift: w * corner for corner, reads in self._products() for shift, w in reads}
+        for block in sectors.values():
+            block.setflags(write=False)
+        return MappingProxyType(sectors)
 
     def _level_sums(self, side: Side) -> np.ndarray:
         """Weights times the stack diagonals, summed over the levels of
         `side`: one `bincount`, stack order."""
         dim = self.dim_a if side == "A" else self.dim_b
-        if not self._stacks:
-            return np.zeros(dim)
-        # the levels past the box add the zeros of the padding and of rows
-        # that are no sector
+        # the padding's levels past the box, and the mirror of sector 0,
+        # add zeros
         return np.bincount(
             np.concatenate(
                 [_levels(shifts, stack.shape[1], side) for stack, shifts, _ in self._stacks],
@@ -566,41 +516,36 @@ class SectorDensityMatrix(DensityMatrix):
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Real spectrum in ascending order; cached.
-
-        The union of the sector spectra and one 0 for each basis state in
-        no sector; the dense matrix is not assembled.
-        """
-        covered = sum(map(len, self.sectors.values()))
-        vals = np.sort(
-            np.concatenate(
-                [np.linalg.eigvalsh(block) for block in self.sectors.values()]
-                + [np.zeros(self.dim - covered)]
-            )
-        )
+        """Real spectrum in ascending order; cached.  One `eigvalsh` per
+        product corner, times the weight of each of its sectors."""
+        spectra = []
+        for corner, reads in self._products():
+            vals = np.linalg.eigvalsh(corner)
+            spectra += (w * vals for _, w in reads)
+        vals = np.sort(np.concatenate(spectra))
         vals.setflags(write=False)
         return vals
 
     @cached_property
     def data(self) -> np.ndarray:
         """The dense float64 matrix, assembled once; read-only."""
+        n = self.dim_b
         data = np.zeros((self.dim, self.dim))
-        # consecutive states of a sector lie dim_b + 1 rows apart
-        step = self.dim_b + 1
-        for shift, block in self.sectors.items():
-            start = max(shift, 0) * self.dim_b + max(-shift, 0)
-            rows = slice(start, start + len(block) * step, step)
-            data[rows, rows] = block
+        for corner, reads in self._products():
+            for shift, w in reads:
+                # sector s starts at |max(s, 0), max(-s, 0)>, and its
+                # consecutive states lie n + 1 rows apart
+                start = max(shift, 0) * n + max(-shift, 0)
+                rows = slice(start, start + len(corner) * (n + 1), n + 1)
+                np.multiply(corner, w, out=data[rows, rows])
         data.setflags(write=False)
         return data
 
     def __repr__(self) -> str:
-        if "sectors" in vars(self):
-            count = len(self.sectors)
-        else:
-            # a state made by `_of` reads each layer as d and, unless d = 0, as -d
-            count = sum(2 * len(shifts) - (0 in shifts) for _, shifts, _ in self._stacks)
-        return f"SectorDensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b}, sectors={count})"
+        return (
+            f"SectorDensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b}, "
+            f"sectors={2 * self.dim_a - 1})"
+        )
 
 
 class BlochForm:

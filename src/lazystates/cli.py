@@ -123,7 +123,8 @@ def _handle_dynamics(args):
     }
     summary = (
         f"max |dS_{args.side}/dt| = {audit.max_rate:.3e} over {audit.trials} "
-        f"couplings (supremum {audit.rate_bound:.3e} per unit ||H||_F); "
+        "couplings A (x) B as drawn (||A (x) B||_F about n_A n_B); "
+        f"supremum {audit.rate_bound:.3e} over couplings with ||H||_F = 1; "
         f"{'consistent' if audit.consistent_with_laziness else 'INCONSISTENT'} "
         "with the commutator verdict"
     )

@@ -118,8 +118,10 @@ class Coupling:
 class DynamicsAudit:
     """Entropy-rate statistics over a battery of random couplings.
 
-    `max_rate` is the largest |rate| sampled; `rate_bound` = ||K||_F is the
-    exact supremum of |rate| over all couplings with unit Frobenius norm.
+    `max_rate` is the largest |rate| sampled, over the couplings as drawn:
+    ||A (x) B||_F is about n_A n_B, not 1, so it can exceed `rate_bound` =
+    ||K||_F, the exact supremum of |rate| over all couplings with unit
+    Frobenius norm.
     """
 
     max_rate: float

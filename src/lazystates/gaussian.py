@@ -46,12 +46,12 @@ two independent ways:
 * by truncating the squeezed-thermal subfamily (c' = -c) to a finite
   number basis and handing it to the finite-dimensional commutator test.
   The truncated state is real and block-diagonal over the sectors of fixed
-  shift n1 - n2, so it is stored and validated as a `SectorDensityMatrix`
-  that maps each shift to its real symmetric sector block, and the
-  commutator test reads the sectors without the dense (cutoff + 1)^2-square
-  matrix.  Sectors d and -d share one product M_d M_d^T, so the state holds
-  stacks of those products with their shifts d >= 0 and one weight per
-  product and sign; where each sector lies follows from d alone.  Each
+  shift n1 - n2, and `fock_truncate` is the one maker of the
+  `SectorDensityMatrix` that stores and validates it; the commutator test
+  reads the sectors without the dense (cutoff + 1)^2-square matrix.
+  Sectors d and -d share one product M_d M_d^T, so the state holds stacks
+  of those products with their shifts d >= 0 and one weight per product
+  and sign; where each sector lies follows from d alone.  Each
   product comes from the normal-ordered su(1,1) closed form of the
   squeezed thermal state (see `fock_truncate`), which is exact on the kept
   levels, so no padded levels and no matrix exponential are needed.
@@ -480,8 +480,8 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     the kept rows are exact before renormalization: no padded levels
     enter, and the trace deficit is the true weight outside the block.
 
-    The result is a `SectorDensityMatrix` that maps each shift d to its real
-    block, in the order 0, 1, -1, 2, -2, ..., O(cutoff^3) numbers in all.
+    The result is a `SectorDensityMatrix` of the real blocks of the shifts
+    d = 0, 1, -1, 2, -2, ..., O(cutoff^3) numbers in all.
     Each block is w_d M M^T with M = L W^(1/2) evaluated in logarithms, so
     M M^T is exactly symmetric, and the state holds it once for the two
     mirror sectors: w_d = scale q_a^d / tr for d and scale q_b^d / tr for
@@ -491,17 +491,17 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     table and of one (cutoff + 1)^2 column table per form.  Consecutive
     shifts d >= 0 are formed a group at a time, padded to the size of the
     first: the log rows past each shift's kept levels are -inf, so exp
-    pads with exact zeros, as `SectorDensityMatrix._of` requires.  A group
+    pads with exact zeros, as the state's scan and sums require.  A group
     is one (g, s, s) stack of the unweighted M M^T, whose sectors take at
-    most _GROUP_ENTRIES padded entries unless it is one shift.  It goes to
-    `_of` as it is, with views of its shifts d and of the columns d of one
-    (2, cutoff + 1) weight table: row 0 holds w_d for the sectors d, row 1
-    w_-d for their mirrors, and the mirror of sector 0, which is no
-    sector, weighs 0.  A vacuum mode (q = 0) zeroes a row but for sector
-    0, so the weights stay off the stack.  A group costs one exp, one
-    batched M M^T and one trace, whatever its number of shifts.  The blocks w_d M
-    M^T are formed only when `.sectors` is read, and the dense (cutoff +
-    1)^2 matrix only when `.data` is read.
+    most _GROUP_ENTRIES padded entries unless it is one shift.  It goes
+    to the state as it is, with views of its shifts d and of the columns d
+    of one (2, cutoff + 1) weight table: row 0 holds w_d for the sectors
+    d, row 1 w_-d for their mirrors, and the mirror of sector 0, which is
+    no sector, weighs 0.  A vacuum mode (q = 0) zeroes a row but for
+    sector 0, so the weights stay off the stack.  A group costs one exp,
+    one batched M M^T and one trace, whatever its number of shifts.  The
+    blocks w_d M M^T are formed only when `.sectors` is read, and the
+    dense (cutoff + 1)^2 matrix only when `.data` is read.
     """
     cutoff = _check_count(cutoff, "cutoff", 4)
     a, b, r = squeezed_thermal_parameters(form)

@@ -22,10 +22,11 @@ the commutator over the generator products and using their orthogonality.
 
 The state owns the commutator and its marginal: `commutator_residual` is
 `rho._commutator_norm` at X = rho_side, the raw marginal
-`rho._marginal(side)`, neither Hermitized nor re-checked.  A
-`SectorDensityMatrix` (such as a truncated Fock state) sums that norm over
-its sectors without the d x d matrix; `bloch` describes both routes.  The
-criterion matrix is a scatter-add over the nonzero structure constants.
+`rho._marginal(side)`, neither Hermitized nor re-checked.  The truncated
+Fock state of `fock_truncate`, a `SectorDensityMatrix`, sums that norm
+over its sectors without the d x d matrix; `bloch` describes both routes.
+The criterion matrix is a scatter-add over the nonzero structure
+constants.
 """
 
 from __future__ import annotations

@@ -167,6 +167,60 @@ def reference_sector_residual(rho, side="A"):
     return math.sqrt(total)
 
 
+def fock_stacks(cutoff, form=(1.2, 1.1, 0.3)):
+    """Writable copies of the stacks of `fock_truncate` on the
+    squeezed-thermal `form` (a, b, r), with their shifts and weights, to
+    plant a defect in."""
+    rho = lz.fock_truncate(lz.squeezed_thermal_form(*form), cutoff)
+    return [(stack.copy(), shifts, weights.copy()) for stack, shifts, weights in rho._stacks]
+
+
+def fock_state(stacks):
+    """The sector state of Fock `stacks`, planted or not, made as
+    `fock_truncate` makes it."""
+    keep = stacks[0][0].shape[1]
+    return lz.SectorDensityMatrix._of(keep, keep, stacks)
+
+
+def products(stacks):
+    """{d: (S[k], weights[:, k])} of Fock `stacks`: views of the product of
+    shift d and of the weights of its sectors d and -d."""
+    return {
+        d: (stack[k], weights[:, k])
+        for stack, shifts, weights in stacks
+        for k, d in enumerate(shifts.tolist())
+    }
+
+
+def mapping_order(shift):
+    """Sort key of the order 0, 1, -1, 2, -2, ..."""
+    return abs(shift), shift < 0
+
+
+def read_layers(stacks):
+    """(shift, weight, stack, layer index) of every sector of Fock `stacks`:
+    row 0 of the weights reads layer k as sector d, row 1 as sector -d
+    unless d = 0."""
+    return [
+        (sign * d, weight, stack, k)
+        for stack, shifts, weights in stacks
+        for sign, row in ((1, weights[0]), (-1, weights[1]))
+        for k, (d, weight) in enumerate(zip(shifts.tolist(), row))
+        if sign > 0 or d
+    ]
+
+
+def stack_sectors(stacks, keep):
+    """The sectors of `stacks` on a (keep, keep) box, the corners of their
+    scaled layers w * S[k], in the order 0, 1, -1, 2, -2, ..."""
+    sectors = {}
+    with np.errstate(invalid="ignore"):
+        for shift, weight, stack, k in read_layers(stacks):
+            size = keep - abs(shift)
+            sectors[shift] = (weight * stack[k])[:size, :size]
+    return {shift: sectors[shift] for shift in sorted(sectors, key=mapping_order)}
+
+
 def kron_commutator_residual(rho, side="A"):
     """Frobenius norm of [rho, rho_side (x) I] with the operator built by kron."""
     na, nb = rho.dim_a, rho.dim_b

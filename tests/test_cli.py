@@ -353,6 +353,20 @@ class TestDynamics:
         assert results["rateBound"] == lz.dynamics_audit(witness, "A", trials=1).rate_bound
         assert results["rateBound"] > 1e-3
 
+    def test_summary_names_the_normalisation_of_each_figure(self, capsys, tmp_path):
+        # the sampled couplings A (x) B are not unit norm, so the sampled
+        # maximum exceeds the supremum over unit-norm couplings
+        path = tmp_path / "random.json"
+        save_state(lz.random_density_matrix(2, 2, 5), path)
+        argv = ["dynamics", "--state", str(path), "--side", "A", "--trials", "100", "--seed", "0"]
+        code, _, err = run(capsys, argv)
+        assert code == 0
+        assert err == (
+            "max |dS_A/dt| = 1.647e+00 over 100 couplings A (x) B as drawn "
+            "(||A (x) B||_F about n_A n_B); supremum 4.994e-01 over couplings "
+            "with ||H||_F = 1; consistent with the commutator verdict\n"
+        )
+
     def test_pure_marginal_product_is_consistent(self, capsys, tmp_path):
         pure = np.diag([1.0, 0.0, 0.0]).astype(complex)
         path = tmp_path / "product.json"

@@ -10,9 +10,12 @@ from conftest import (
     FOCK_ORACLE_PAD,
     NEAR_PURE_FORM,
     dense_fock_reference,
+    fock_stacks,
+    fock_state,
     kron_commutator_residual,
     mp_fock_sector,
     naive_partial_trace,
+    products,
 )
 
 GAP_23 = 2.0 * (1.0 + 3.0) * (2.0 + 2.0)  # kernel determinant gap at n=2, m=3
@@ -861,14 +864,70 @@ class TestSectorFockState:
                     assert not layer[size:].any()
                     assert not layer[:, size:].any()
 
-    @pytest.mark.parametrize("cutoff", [10, 20])
-    @pytest.mark.parametrize("a,b,r", SECTOR_FORMS)
-    def test_spectrum_matches_dense_eigvalsh(self, a, b, r, cutoff):
-        rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff)
-        vals = rho.eigenvalues
+    @pytest.mark.parametrize(
+        "a,b,r",
+        # r = +-0.3 on a form with two thermal modes and on both forms with
+        # a vacuum mode, then the sector forms
+        [(a, b, r) for a, b in [(1.2, 1.1), (1.3, 1.0), (1.0, 1.3)] for r in (0.3, -0.3)]
+        + SECTOR_FORMS,
+    )
+    def test_spectrum_and_data_match_the_dense_oracle(self, a, b, r):
+        # below cutoff 8 the truncation of these forms leaves out too much
+        # trace; a fainter one with the same vacuum mode stands in there
+        form = lz.squeezed_thermal_form(a, b, r)
+        faint = lz.squeezed_thermal_form(1.0 + (a - 1.0) / 6.0, 1.0 + (b - 1.0) / 6.0, r / 3.0)
+        for cutoff in range(4, 21):
+            rho = lz.fock_truncate(form if cutoff >= 8 else faint, cutoff)
+            vals = rho.eigenvalues
+            assert rho.eigenvalues is vals
+            assert not vals.flags.writeable
+            assert np.all(np.diff(vals) >= 0.0)
+            assert rho.is_physical
+            assert "data" not in vars(rho)
+            data = rho.data
+            assert data.dtype == np.float64
+            assert not data.flags.writeable
+            assert rho.data is data
+            assert "sectors" not in vars(rho)
+            # each sector's block placed on its states |k + max(s, 0), k + max(-s, 0)>
+            keep = cutoff + 1
+            placed = np.zeros_like(data)
+            for shift, block in rho.sectors.items():
+                k = np.arange(len(block))
+                states = (k + max(shift, 0)) * keep + k + max(-shift, 0)
+                placed[np.ix_(states, states)] = block
+            assert np.array_equal(data, placed)
+            assert vals == pytest.approx(np.linalg.eigvalsh(data), rel=0, abs=1e-14)
+
+    def test_spectrum_at_cutoff_200_stays_off_the_blocks(self):
+        # the weighted blocks would take 43.5 MB beside the 22 MB of
+        # stacks; one eigvalsh works on one product corner at a time
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.5), 200)
+        tracemalloc.start()
+        try:
+            vals = rho.eigenvalues
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert len(vals) == 201 * 201
         assert rho.is_physical
+        assert "sectors" not in vars(rho)
+
+    def test_a_negative_sector_eigenvalue_is_unphysical(self):
+        # a planted symmetric pair, which leaves the trace alone, makes
+        # the top corner of sector 0 indefinite
+        stacks = fock_stacks(20)
+        product = products(stacks)[0][0]
+        product[0, 1] = product[1, 0] = 1.0
+        rho = fock_state(stacks)
+        assert rho.min_eigenvalue < -0.1
+        assert not rho.is_physical
+        with pytest.raises(lz.InvalidStateError, match="positivity"):
+            rho.require_physical()
         assert "data" not in vars(rho)
-        assert vals == pytest.approx(np.linalg.eigvalsh(rho.data), rel=0, abs=1e-13)
+        assert "sectors" not in vars(rho)
+        assert rho.eigenvalues == pytest.approx(np.linalg.eigvalsh(rho.data), rel=0, abs=1e-14)
 
 
 def thermal_ratios(form):

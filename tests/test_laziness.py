@@ -3,12 +3,15 @@ import pytest
 
 import lazystates as lz
 from conftest import (
+    fock_stacks,
+    fock_state,
     golden_su3_contraction,
     haar_unitary,
     kron_commutator_residual,
     marginal_asymmetric_state,
     naive_commutator_residual,
     naive_partial_trace,
+    products,
 )
 
 #: Frobenius norm of the witness commutator, sqrt(2)/8 analytically
@@ -250,12 +253,8 @@ class TestSharedExpansion:
 
     @pytest.mark.parametrize(
         "rho",
-        [
-            lz.SectorDensityMatrix(1, 4, {0: [[0.3]], -1: [[0.2]], -3: [[0.5]]}),
-            lz.SectorDensityMatrix(4, 1, {0: [[0.6]], 2: [[0.4]]}),
-            lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.4), 10),
-        ],
-        ids=["1x4", "4x1", "fock10"],
+        [lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.4), 10)],
+        ids=["fock10"],
     )
     def test_sector_reports_match_a_fresh_expansion(self, rho):
         for side in ("A", "B"):
@@ -315,6 +314,29 @@ class TestKeptMarginals:
             assert np.array_equal(np.diag(diagonal), lz.reduced_state(rho, side).data)
             with pytest.raises(ValueError, match="read-only"):
                 diagonal[0] = 1.0
+
+    def test_a_b_level_beyond_the_float_range_is_named(self):
+        # planted stacks of zeros with trace 1 on A's levels, but B level 0
+        # sums 1e308 + 1e308 + 1: the state is accepted, and the first read
+        # of B names the level.  Entry 0 of sector d lies on A level d and
+        # B level 0, that of sector -d on A level 0 and B level d
+        big = 1e308
+        stacks = fock_stacks(20)
+        for stack, _, weights in stacks:
+            stack[...] = 0.0
+            weights[...] = 0.0
+        prods = products(stacks)
+        # (d, row of the weights read, the diagonal's first entries)
+        for d, row, entries in ((0, 0, [big, -big]), (1, 0, [big]), (2, 1, [-big]), (3, 0, [1.0])):
+            product, weights = prods[d]
+            product[range(len(entries)), range(len(entries))] = entries
+            weights[row] = 1.0
+        state = fock_state(stacks)
+        message = "rho_B level 0 sums beyond the float range: inf"
+        for read in (lz.commutator_residual, lz.is_lazy, lz.reduced_state):
+            with pytest.raises(lz.InvalidStateError) as info:
+                read(state, "B")
+            assert str(info.value) == message
 
 
 class TestDiagonalCorrelationFamily:
