@@ -296,7 +296,7 @@ class TestKeptMarginals:
         rho = self.fock_state()
         walk = ["vdot"] * 2
         assert len(rho._stacks) == 2
-        # the constructor sums the A diagonal
+        # making the state sums the A diagonal
         assert calls == ["A"]
         lz.commutator_residual(rho, "A")
         assert calls == ["A", *walk]
