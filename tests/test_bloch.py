@@ -365,11 +365,98 @@ class TestSectorDensityMatrix:
         with pytest.raises(lz.InvalidStateError, match="trace deviation 1.000e-09"):
             fock_state(stacks)
 
+    # at cutoff 20 the products d <= 8 share one stack, d >= 9 another
+    @pytest.mark.parametrize("shift", [1, -1, 12, -12])
+    def test_rejects_trace_off_by_1e_9_on_a_shifted_sector(self, shift):
+        # sectors d and -d read one product through the two rows of the
+        # weights: raising one weight changes the trace of one sector
+        stacks = fock_stacks(20)
+        fock_state(stacks)
+        product, weights = products(stacks)[abs(shift)]
+        weights[0 if shift > 0 else 1] += 1e-9 / np.trace(product)
+        with pytest.raises(lz.InvalidStateError, match="trace deviation 1.000e-09"):
+            fock_state(stacks)
+
     def test_weights_of_zero_fail_the_trace_check(self):
         stacks = fock_stacks(20)
         for _, _, weights in stacks:
             weights[...] = 0.0
         assert quiet_rejection(lambda: fock_state(stacks)) == "trace deviation 1.000e+00"
+
+    def test_no_sectors_fail_the_trace_check(self):
+        # products of zeros, whatever their weights
+        stacks = fock_stacks(20)
+        for stack, _, _ in stacks:
+            stack[...] = 0.0
+        assert quiet_rejection(lambda: fock_state(stacks)) == "trace deviation 1.000e+00"
+
+    def test_keeps_float64_blocks_without_a_copy(self):
+        stacks = fock_stacks(20)
+        rho = fock_state(stacks)
+        assert rho._stacks is stacks
+        for stack, _, _ in stacks:
+            assert stack.dtype == np.float64
+            # the state's check leaves the caller's stack read-only
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 1.0
+
+    def test_dense_data_places_each_sector(self):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(1.02, 1.01, 0.05), 4)
+        # |n_A, n_B> is basis state 5 n_A + n_B, and sector s holds the
+        # states with n_A - n_B = s
+        states = {
+            0: [0, 6, 12, 18, 24],
+            1: [5, 11, 17, 23],
+            -1: [1, 7, 13, 19],
+            2: [10, 16, 22],
+            -2: [2, 8, 14],
+            3: [15, 21],
+            -3: [3, 9],
+            4: [20],
+            -4: [4],
+        }
+        expected = np.zeros((25, 25))
+        for shift, block in rho.sectors.items():
+            expected[np.ix_(states[shift], states[shift])] = block
+        assert rho.data.dtype == np.float64
+        assert np.array_equal(rho.data, expected)
+        assert rho.data is rho.data
+        assert not rho.data.flags.writeable
+        assert isinstance(rho, lz.DensityMatrix)
+
+    @pytest.mark.parametrize("cutoff", [4, 20, 40])
+    def test_repr_counts_the_sectors(self, cutoff):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(1.02, 1.01, 0.05), cutoff)
+        keep = cutoff + 1
+        assert repr(rho) == f"SectorDensityMatrix(dim_a={keep}, dim_b={keep}, sectors={2 * cutoff + 1})"
+        assert "sectors" not in vars(rho)
+        assert len(rho.sectors) == 2 * cutoff + 1
+
+    # the last two forms have a vacuum mode
+    @pytest.mark.parametrize("a,b,r", [(1.2, 1.1, 0.5), (1.3, 1.0, 0.3), (1.0, 1.3, -0.3)])
+    def test_spectrum_is_the_union_of_sector_spectra(self, a, b, r):
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), 12)
+        vals = rho.eigenvalues
+        assert "sectors" not in vars(rho)
+        assert "data" not in vars(rho)
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in rho.sectors.values()]))
+        assert len(vals) == 13 * 13
+        assert vals == pytest.approx(union, rel=0, abs=1e-15)
+
+    def test_a_sector_of_weight_zero_adds_zeros(self):
+        # sectors 3 and -3 read one product: moving the weight of row 0 to
+        # row 1 keeps the trace and leaves sector 3 a block of zeros
+        stacks = fock_stacks(20)
+        _, weights = products(stacks)[3]
+        weights[1] += weights[0]
+        weights[0] = 0.0
+        rho = fock_state(stacks)
+        vals = rho.eigenvalues
+        assert np.count_nonzero(vals == 0.0) == 21 - 3
+        assert rho.is_physical
+        assert "data" not in vars(rho)
+        assert not rho.sectors[3].any()
+        assert vals == pytest.approx(np.linalg.eigvalsh(rho.data), rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("cutoff", [12, 16])
     # the last two forms have a vacuum mode
@@ -493,6 +580,30 @@ class TestSectorStacks:
     )
     def test_residual_matches_the_per_sector_sum_on_fock_states(self, cutoff, a, b, r):
         rho = lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff)
+        for side in ("A", "B"):
+            assert lz.commutator_residual(rho, side) == pytest.approx(
+                reference_sector_residual(rho, side), rel=1e-13, abs=0
+            )
+
+    @pytest.mark.parametrize(
+        "cutoff,seed", [(4, 0), (9, 1), (20, 2), (20, 3), (40, 4), (100, 5)]
+    )
+    def test_residual_matches_the_per_sector_sum_on_planted_states(self, cutoff, seed):
+        # random weights >= 0 on the products of a Fock state, about half
+        # of the sectors weighed 0, rescaled to trace 1
+        rng = np.random.default_rng(seed)
+        stacks = fock_stacks(cutoff, form=(1.05, 1.02, 0.1))
+        for _, _, weights in stacks:
+            weights[...] = rng.random(weights.shape) * (rng.random(weights.shape) < 0.5)
+        # the mirror of sector 0 is no sector and weighs 0
+        stacks[0][2][1, 0] = 0.0
+        trace = sum(
+            (weights * stack.trace(axis1=1, axis2=2)).sum() for stack, _, weights in stacks
+        )
+        for _, _, weights in stacks:
+            weights /= trace
+        rho = fock_state(stacks)
+        assert any(not block.any() for block in rho.sectors.values())
         for side in ("A", "B"):
             assert lz.commutator_residual(rho, side) == pytest.approx(
                 reference_sector_residual(rho, side), rel=1e-13, abs=0

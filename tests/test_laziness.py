@@ -253,8 +253,11 @@ class TestSharedExpansion:
 
     @pytest.mark.parametrize(
         "rho",
-        [lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.4), 10)],
-        ids=["fock10"],
+        [
+            lz.fock_truncate(lz.squeezed_thermal_form(*form), 10)
+            for form in [(1.2, 1.1, 0.4), (1.0, 1.3, -0.3), (1.3, 1.0, 0.3)]
+        ],
+        ids=["fock10", "fock10 a vacuum", "fock10 b vacuum"],
     )
     def test_sector_reports_match_a_fresh_expansion(self, rho):
         for side in ("A", "B"):
