@@ -257,7 +257,8 @@ class DensityMatrix:
     on b and d.  Each product is one GEMM over a reshaped view of rho,
     O(d^2 n) work instead of the O(d^3) of a dense d x d product.  A real
     state has a real marginal, so both GEMMs then run in real arithmetic.
-    `_commutator_norm(X, side)` is its Frobenius norm.
+    `_commutator_norm(X, side)` is its Frobenius norm, and `_residual(side)`
+    that norm at X = the raw marginal, the commutator residual.
     """
 
     def __init__(self, dim_a: int, dim_b: int, data):
@@ -337,16 +338,36 @@ class DensityMatrix:
         """Frobenius norm of `_commutator(x, side)`."""
         return float(np.linalg.norm(self._commutator(x, side)))
 
+    def _residual(self, side: Side) -> float:
+        """The commutator residual, `_commutator_norm` at X = `_marginal(side)`."""
+        return self._commutator_norm(self._marginal(side), side)
+
     def __repr__(self) -> str:
         return f"DensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b})"
 
 
-def _levels(shifts: np.ndarray, size: int, side: Side) -> np.ndarray:
-    """(2, g, size) levels on `side` of the entries of layers read as the
-    sectors +shifts (row 0) and -shifts (row 1); the padding points past
-    the box."""
+@lru_cache(maxsize=4)
+def _level_index(plan: tuple, side: Side) -> np.ndarray:
+    """Levels on `side` of the diagonal entries that `_level_sums` sums, in
+    its order, as one read-only array; cached.
+
+    `plan` holds (first, g, s) of each stack, whose g layers of size s hold
+    the shifts d = first, first + 1, ...: per stack, entry i of layer k
+    read as sector +d (row 0) lies on the A level d + i and the B level i,
+    and read as -d (row 1) on the A level i and the B level d + i.  The
+    padding points past the box.  A table of `fock_truncate`'s plan has
+    about cutoff^2 entries, 0.73 MB at cutoff 300; four are kept.
+    """
     lift = (1, 0) if side == "A" else (0, 1)
-    return np.multiply.outer(lift, shifts)[:, :, None] + np.arange(size)
+    index = np.concatenate(
+        [
+            np.multiply.outer(lift, np.arange(first, first + g))[:, :, None] + np.arange(size)
+            for first, g, size in plan
+        ],
+        axis=None,
+    )
+    index.setflags(write=False)
+    return index
 
 
 class SectorDensityMatrix(DensityMatrix):
@@ -375,17 +396,23 @@ class SectorDensityMatrix(DensityMatrix):
     marginals are diagonal.  `_of` sums the diagonal of rho_A, one
     `bincount` over weights times the stack diagonals, and keeps it
     read-only; the diagonal of rho_B is summed on its first read and kept
-    too.  `_marginal` is the diagonal matrix of the kept diagonal.  For a
-    diagonal X = diag(p), such as the marginal, [rho, X (x) I] has the
-    entries rho_kl (p(a_l) - p(a_k)) inside each sector and zeros
-    elsewhere, and
+    too.  The levels of the bincount depend on the shapes of the stacks
+    alone, so they come from a read-only table kept per stack plan
+    (`_level_index`).  `_marginal` is the diagonal matrix of the kept
+    diagonal; the commutator residual (`_residual`) reads the kept
+    diagonal itself and forms no such matrix.  For a diagonal X =
+    diag(p), such as the marginal, [rho, X (x) I] has the entries
+    rho_kl (p(a_l) - p(a_k)) inside each sector and zeros elsewhere, and
 
         || [rho, X (x) I] ||_F^2 = sum_s sum_kl (rho^(s)_kl)^2 (p(a_k) - p(a_l))^2,
 
-    which `_commutator_norm` sums per stack, S times the differences of
-    ps = p(levels) * weights over both rows, with one `vdot` (side B reads
-    the B levels).  p is read padded with dim_a + dim_b zeros, which the
-    padding's levels past the box read.
+    which `_diagonal_commutator_norm` sums per stack, S times the
+    differences of ps = p(levels) * weights over both rows, with one
+    `vdot` (side B reads the B levels).  p is read padded with dim_a +
+    dim_b zeros, which the padding's levels past the box read.  No level
+    is gathered: the shifts of a stack are consecutive, so the shifted
+    levels d + k of its layers are rows of the strided window
+    window[d] = p[d:d + keep] of the padded p, and the others are p[:s].
 
     w S has the spectrum of S times w >= 0, so `eigenvalues` is one
     `eigvalsh` per product corner, scaled by the weight of each of its
@@ -396,11 +423,12 @@ class SectorDensityMatrix(DensityMatrix):
     Each sector w S[k] is checked as `DensityMatrix` checks its matrix
     (finite, symmetric to HERMITICITY_TOL): each stack is scanned once for
     its largest asymmetry per layer, which |weights| scales and sums per
-    row; a NaN or Inf in S or in a weight leaves a NaN or Inf there.  A
-    stack that fails goes back through `_check_hermitian` on its sectors in
-    mapping order, so the error names the first bad sector and the entry
-    the scan of that block alone names.  The trace, the sum of the rho_A
-    diagonal, must be 1 within TRACE_TOL.
+    row, and the sums of all stacks are compared with HERMITICITY_TOL at
+    once; a NaN or Inf in S or in a weight leaves a NaN or Inf there.
+    The stacks that fail go back through `_check_hermitian` on their
+    sectors in mapping order, so the error names the first bad sector and
+    the entry the scan of that block alone names.  The trace, the sum of
+    the rho_A diagonal, must be 1 within TRACE_TOL.
     """
 
     def __init__(self, *args, **kwargs):
@@ -416,20 +444,29 @@ class SectorDensityMatrix(DensityMatrix):
 
     @np.errstate(invalid="ignore", over="ignore")
     def _hold(self, dim_a: int, dim_b: int, stacks: list) -> None:
-        """Check `stacks` as the state's sectors and keep them, with the rho_A diagonal."""
+        """Check `stacks` as the state's sectors and keep them, with the
+        rho_A diagonal: one scan per stack, one comparison per state."""
         self.dim_a, self.dim_b = dim_a, dim_b
         self._stacks = stacks
-        for stack, shifts, weights in stacks:
-            asym = stack - stack.transpose(0, 2, 1)
-            layer_max = np.abs(asym, out=asym).max(axis=(1, 2))
-            # each row's sum bounds every |w_k| times the asymmetry of S[k];
-            # a NaN or Inf in S or w leaves a NaN or Inf, which `not <=` fails
-            if not (np.abs(weights) @ layer_max <= HERMITICITY_TOL).all():
-                bad = set(shifts.tolist())
-                _check_hermitian(
-                    {f" of sector {shift}": b for shift, b in self.sectors.items() if abs(shift) in bad}
-                )
-                # every sector of the stack passed on its own
+        # each row's sum bounds every |w_k| times the asymmetry of S[k]
+        bounds = np.empty((len(stacks), 2))
+        for bound, (stack, _, weights) in zip(bounds, stacks):
+            # S - S^T is antisymmetric, so its largest entry is its largest |entry|
+            layer_max = (stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+            np.matmul(np.abs(weights), layer_max, out=bound)
+        # a NaN or Inf in S or w leaves a NaN or Inf, which `<=` fails
+        if not (bounds <= HERMITICITY_TOL).all():
+            bad = {
+                shift
+                for (_, shifts, _), bound in zip(stacks, bounds)
+                if not (bound <= HERMITICITY_TOL).all()
+                for shift in shifts.tolist()
+            }
+            _check_hermitian(
+                {f" of sector {shift}": b for shift, b in self.sectors.items() if abs(shift) in bad}
+            )
+            # every sector of the failing stacks passed on its own
+        for stack, _, _ in stacks:
             stack.setflags(write=False)
         # finite diagonals can still sum beyond the float range: the trace
         # check names that, so numpy need not warn
@@ -457,15 +494,13 @@ class SectorDensityMatrix(DensityMatrix):
 
     def _level_sums(self, side: Side) -> np.ndarray:
         """Weights times the stack diagonals, summed over the levels of
-        `side`: one `bincount`, stack order."""
+        `side`: one `bincount`, stack order, on the kept `_level_index`."""
         dim = self.dim_a if side == "A" else self.dim_b
+        plan = tuple((shifts[0].item(), *stack.shape[:2]) for stack, shifts, _ in self._stacks)
         # the padding's levels past the box, and the mirror of sector 0,
         # add zeros
         return np.bincount(
-            np.concatenate(
-                [_levels(shifts, stack.shape[1], side) for stack, shifts, _ in self._stacks],
-                axis=None,
-            ),
+            _level_index(plan, side),
             np.concatenate(
                 [weights[:, :, None] * stack.diagonal(0, 1, 2) for stack, _, weights in self._stacks],
                 axis=None,
@@ -500,16 +535,39 @@ class SectorDensityMatrix(DensityMatrix):
         """Reduced state of `side`, the diagonal matrix of the kept diagonal."""
         return np.diag(self._diagonal(side))
 
+    def _residual(self, side: Side) -> float:
+        """The commutator residual, read off the kept diagonal of the
+        marginal: no marginal matrix is formed."""
+        return self._diagonal_commutator_norm(self._diagonal(side), side)
+
     def _commutator_norm(self, x: np.ndarray, side: Side) -> float:
         """Frobenius norm of [rho, X (x) I] for a diagonal X, of which only
-        `x.diagonal()` is read, summed over the stacks."""
-        p = np.concatenate((x.diagonal(), np.zeros(self.dim_a + self.dim_b)))
+        `x.diagonal()` is read."""
+        return self._diagonal_commutator_norm(x.diagonal(), side)
+
+    def _diagonal_commutator_norm(self, p: np.ndarray, side: Side) -> float:
+        """Frobenius norm of [rho, diag(p) (x) I] (side A) or
+        [rho, I (x) diag(p)] (side B), summed over the stacks."""
+        keep = self.dim_a
+        p = np.concatenate((p, np.zeros(self.dim_a + self.dim_b)))
+        # window[d] = p[d:d + keep], a view: entry i of a layer of shift d
+        # lies on the level d + i of one side, past the box in the padding
+        window = np.ndarray((keep, keep), p.dtype, p, strides=2 * p.strides)
+        # one stack's commutator at a time, in one buffer
+        buffer = np.empty(2 * max(stack.size for stack, _, _ in self._stacks))
         total = 0.0
         for stack, shifts, weights in self._stacks:
+            g, size = stack.shape[:2]
+            first = shifts[0].item()
+            shifted, level = window[first : first + g, :size], p[:size]
             # X = diag(p): layer k of the commutator read through row r has
-            # the entries w_rk S_ij (p_j - p_i) on its levels, zeros in the padding
-            ps = p[_levels(shifts, stack.shape[1], side)] * weights[:, :, None]
-            y = ps[:, :, None, :] - ps[:, :, :, None]
+            # the entries w_rk S_ij (p_j - p_i) on its levels, zeros in the
+            # padding; sector +d (row 0) lies d levels up on A, -d on B
+            ps = np.empty((2, g, size))
+            np.multiply(shifted if side == "A" else level, weights[0, :, None], out=ps[0])
+            np.multiply(level if side == "A" else shifted, weights[1, :, None], out=ps[1])
+            y = buffer[: 2 * stack.size].reshape(2, *stack.shape)
+            np.subtract(ps[:, :, None, :], ps[:, :, :, None], out=y)
             y *= stack
             total += np.vdot(y, y)
         return math.sqrt(total)

@@ -21,10 +21,12 @@ The two are tied together by the exact identity
 the commutator over the generator products and using their orthogonality.
 
 The state owns the commutator and its marginal: `commutator_residual` is
-`rho._commutator_norm` at X = rho_side, the raw marginal
-`rho._marginal(side)`, neither Hermitized nor re-checked.  The truncated
-Fock state of `fock_truncate`, a `SectorDensityMatrix`, sums that norm
-over its sectors without the d x d matrix; `bloch` describes both routes.
+`rho._residual(side)`, the norm `rho._commutator_norm` at X = rho_side,
+the raw marginal `rho._marginal(side)`, neither Hermitized nor
+re-checked.  The truncated Fock state of `fock_truncate`, a
+`SectorDensityMatrix`, sums that norm over its sectors from the kept
+diagonal of its marginal, without the d x d matrix and without the
+diagonal matrix of the marginal; `bloch` describes both routes.
 The criterion matrix is a scatter-add over the nonzero structure
 constants.
 """
@@ -77,7 +79,7 @@ class LazinessReport:
 
 def commutator_residual(rho: DensityMatrix, side: Side) -> float:
     """Frobenius norm of [rho, rho_side (x) I]; zero iff lazy on that side."""
-    return rho._commutator_norm(rho._marginal(side), side)
+    return rho._residual(side)
 
 
 def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:

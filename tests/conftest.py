@@ -167,6 +167,47 @@ def reference_sector_residual(rho, side="A"):
     return math.sqrt(total)
 
 
+def gathered_levels(shifts, size, side):
+    """(2, g, size) levels on `side` of the entries of layers read as the
+    sectors +shifts (row 0) and -shifts (row 1); the padding points past
+    the box.  Formed afresh on every call."""
+    lift = (1, 0) if side == "A" else (0, 1)
+    return np.multiply.outer(lift, shifts)[:, :, None] + np.arange(size)
+
+
+def gathered_level_sums(rho, side):
+    """Diagonal of the marginal of a sector state: weights times the stack
+    diagonals, one `bincount` over the `gathered_levels` of every stack,
+    in stack order."""
+    dim = rho.dim_a if side == "A" else rho.dim_b
+    return np.bincount(
+        np.concatenate(
+            [gathered_levels(shifts, stack.shape[1], side) for stack, shifts, _ in rho._stacks],
+            axis=None,
+        ),
+        np.concatenate(
+            [weights[:, :, None] * stack.diagonal(0, 1, 2) for stack, _, weights in rho._stacks],
+            axis=None,
+        ),
+        minlength=dim,
+    )[:dim]
+
+
+def gathered_residual(rho, side):
+    """Commutator residual of a sector state, one `vdot` per stack, with p
+    gathered at the `gathered_levels` of each stack from the padded
+    `gathered_level_sums`.  Its bits are those `commutator_residual` must
+    reproduce."""
+    p = np.concatenate((gathered_level_sums(rho, side), np.zeros(rho.dim_a + rho.dim_b)))
+    total = 0.0
+    for stack, shifts, weights in rho._stacks:
+        ps = p[gathered_levels(shifts, stack.shape[1], side)] * weights[:, :, None]
+        y = ps[:, :, None, :] - ps[:, :, :, None]
+        y *= stack
+        total += np.vdot(y, y)
+    return math.sqrt(total)
+
+
 def fock_stacks(cutoff, form=(1.2, 1.1, 0.3)):
     """Writable copies of the stacks of `fock_truncate` on the
     squeezed-thermal `form` (a, b, r), with their shifts and weights, to

@@ -12,6 +12,8 @@ from conftest import (
     einsum_reconstruct,
     fock_stacks,
     fock_state,
+    gathered_level_sums,
+    gathered_residual,
     mapping_order,
     naive_decompose,
     naive_partial_trace,
@@ -608,6 +610,45 @@ class TestSectorStacks:
             assert lz.commutator_residual(rho, side) == pytest.approx(
                 reference_sector_residual(rho, side), rel=1e-13, abs=0
             )
+
+    @staticmethod
+    def assert_gathered_bits(rho):
+        """Both residuals and both kept diagonals carry the bits of the
+        levels gathered afresh per stack."""
+        for side in ("A", "B"):
+            assert lz.commutator_residual(rho, side) == gathered_residual(rho, side)
+            assert rho._diagonal(side).tobytes() == gathered_level_sums(rho, side).tobytes()
+
+    @pytest.mark.parametrize("cutoff", [4, 5, 20, 21, 40, 100, 200])
+    @pytest.mark.parametrize(
+        "a,b,r",
+        # the last two have a vacuum mode, whose q = 0 zeroes one weight vector
+        [(1.2, 1.1, 0.3), (1.2, 1.1, -0.3), (1.3, 1.0, 0.3), (1.0, 1.3, -0.3)],
+    )
+    def test_kept_levels_read_the_bits_of_gathered_levels_on_fock_states(self, cutoff, a, b, r):
+        # below cutoff 8 the truncation of these forms leaves out too much
+        # trace; a fainter one with the same vacuum mode stands in there
+        if cutoff < 8:
+            a, b, r = 1.0 + (a - 1.0) / 6.0, 1.0 + (b - 1.0) / 6.0, r / 3.0
+        self.assert_gathered_bits(lz.fock_truncate(lz.squeezed_thermal_form(a, b, r), cutoff))
+
+    @pytest.mark.parametrize(
+        "cutoff,seed", [(4, 0), (5, 1), (20, 2), (21, 3), (40, 4), (100, 5), (200, 6)]
+    )
+    def test_kept_levels_read_the_bits_of_gathered_levels_on_planted_states(self, cutoff, seed):
+        # random weights >= 0 on the products of a Fock state, about half
+        # of the sectors weighed 0, rescaled to trace 1
+        rng = np.random.default_rng(seed)
+        stacks = fock_stacks(cutoff, form=(1.05, 1.02, 0.1))
+        for _, _, weights in stacks:
+            weights[...] = rng.random(weights.shape) * (rng.random(weights.shape) < 0.5)
+        stacks[0][2][1, 0] = 0.0
+        trace = sum(
+            (weights * stack.trace(axis1=1, axis2=2)).sum() for stack, _, weights in stacks
+        )
+        for _, _, weights in stacks:
+            weights /= trace
+        self.assert_gathered_bits(fock_state(stacks))
 
     @pytest.mark.parametrize("cutoff", [20, 40, 200])
     def test_a_block_larger_than_a_group_is_a_group_of_its_own(self, cutoff):

@@ -835,6 +835,55 @@ class TestSectorFockState:
         for table in tables(300)[:4]:
             assert not table.flags.writeable
 
+    def test_level_tables_are_kept_for_a_few_plans(self):
+        # the level sums read their levels from a table kept per stack
+        # plan (first shift, layers, size of each stack) and side: a sweep
+        # of cutoffs on both sides keeps four, 0.73 MB each at cutoff 300,
+        # not one per cutoff and side swept (about 150 MB from 4 to 300)
+        def plan(cutoff):
+            return tuple(
+                (first, stop - first, cutoff + 1 - first)
+                for first, stop in lz.gaussian._fock_tables(cutoff)[-1]
+            )
+
+        plans = [plan(cutoff) for cutoff in range(4, 301)]
+        index = lz.bloch._level_index
+        index.cache_clear()
+        tracemalloc.start()
+        try:
+            for levels in plans:
+                for side in ("A", "B"):
+                    index(levels, side)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 4 * 0.75e6
+        for side in ("A", "B"):
+            table = index(plans[-1], side)
+            assert table is index(plans[-1], side)
+            assert table.nbytes == 8 * 91232
+            assert not table.flags.writeable
+        # a state of fock_truncate reads the table of its cutoff's plan
+        lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.5), 20)
+        misses = index.cache_info().misses
+        index(plan(20), "A")
+        assert index.cache_info().misses == misses
+
+    @pytest.mark.parametrize("r", [0.3, -0.3])
+    def test_products_agree_on_the_levels_two_cutoffs_keep(self, r):
+        # L is lower triangular, so the product M_d M_d^T on the levels
+        # both cutoffs keep does not depend on the cutoff.  Above the
+        # diagonal of M, every log lies in the normal range of exp at
+        # cutoff 60 and not at 200, so the two cutoffs take both routes to
+        # the zeros there
+        form = lz.squeezed_thermal_form(1.2, 1.1, r)
+        low = products(lz.fock_truncate(form, 60)._stacks)
+        high = products(lz.fock_truncate(form, 200)._stacks)
+        for d, (product, _) in low.items():
+            size = 61 - d
+            gap = np.abs(high[d][0][:size, :size] - product[:size, :size]).max()
+            assert gap <= 1e-15 * np.abs(product).max()
+
     @pytest.mark.parametrize("r", [0.3, -0.3])
     def test_every_block_is_exactly_symmetric(self, r):
         form = lz.squeezed_thermal_form(1.2, 1.1, r)

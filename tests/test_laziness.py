@@ -309,6 +309,20 @@ class TestKeptMarginals:
         lz.commutator_residual(rho, "B")
         assert calls == ["A", *walk, "B", *walk, *walk]
 
+    def test_residual_forms_no_marginal_matrix(self, monkeypatch):
+        # the residual reads the kept diagonals, not np.diag of them
+        expected = {side: lz.commutator_residual(self.fock_state(), side) for side in ("A", "B")}
+
+        def refuse(rho, side):
+            raise AssertionError(f"a marginal matrix of side {side} was formed")
+
+        monkeypatch.setattr(lz.SectorDensityMatrix, "_marginal", refuse)
+        rho = self.fock_state()
+        for side in ("A", "B"):
+            assert lz.commutator_residual(rho, side) == expected[side]
+        with pytest.raises(ValueError, match="side must be 'A' or 'B', got 'C'"):
+            lz.commutator_residual(rho, "C")
+
     def test_kept_marginals_are_read_only(self):
         rho = self.fock_state()
         for side in ("A", "B"):
