@@ -351,12 +351,13 @@ def _level_index(plan: tuple, side: Side) -> np.ndarray:
     """Levels on `side` of the diagonal entries that `_level_sums` sums, in
     its order, as one read-only array; cached.
 
-    `plan` holds (first, g, s) of each stack, whose g layers of size s hold
-    the shifts d = first, first + 1, ...: per stack, entry i of layer k
-    read as sector +d (row 0) lies on the A level d + i and the B level i,
-    and read as -d (row 1) on the A level i and the B level d + i.  The
-    padding points past the box.  A table of `fock_truncate`'s plan has
-    about cutoff^2 entries, 0.73 MB at cutoff 300; four are kept.
+    `plan` is a state's `_plan`, (first, g, s) of each stack, whose g
+    layers of size s hold the shifts d = first, first + 1, ...: per
+    stack, entry i of layer k read as sector +d (row 0) lies on the A
+    level d + i and the B level i, and read as -d (row 1) on the A level
+    i and the B level d + i.  The padding points past the box.  A table
+    of `fock_truncate`'s plan has about cutoff^2 entries, 0.73 MB at
+    cutoff 300; four are kept.
     """
     lift = (1, 0) if side == "A" else (0, 1)
     index = np.concatenate(
@@ -396,8 +397,10 @@ class SectorDensityMatrix(DensityMatrix):
     marginals are diagonal.  `_of` sums the diagonal of rho_A, one
     `bincount` over weights times the stack diagonals, and keeps it
     read-only; the diagonal of rho_B is summed on its first read and kept
-    too.  The levels of the bincount depend on the shapes of the stacks
-    alone, so they come from a read-only table kept per stack plan
+    too.  The shifts of each stack are consecutive, so its first shift and
+    its shape locate all its entries: `_hold` keeps them as the state's
+    `_plan`, (first, g, s) per stack.  The levels of the bincount depend
+    on the plan alone, so they come from a read-only table kept per plan
     (`_level_index`).  `_marginal` is the diagonal matrix of the kept
     diagonal; the commutator residual (`_residual`) reads the kept
     diagonal itself and forms no such matrix.  For a diagonal X =
@@ -410,8 +413,8 @@ class SectorDensityMatrix(DensityMatrix):
     differences of ps = p(levels) * weights over both rows, with one
     `vdot` (side B reads the B levels).  p is read padded with dim_a +
     dim_b zeros, which the padding's levels past the box read.  No level
-    is gathered: the shifts of a stack are consecutive, so the shifted
-    levels d + k of its layers are rows of the strided window
+    is gathered: by the plan, the shifted levels d + k of the layers of
+    a stack are rows first, ..., first + g - 1 of the strided window
     window[d] = p[d:d + keep] of the padded p, and the others are p[:s].
 
     w S has the spectrum of S times w >= 0, so `eigenvalues` is one
@@ -437,7 +440,8 @@ class SectorDensityMatrix(DensityMatrix):
     @classmethod
     def _of(cls, dim_a: int, dim_b: int, stacks: list) -> "SectorDensityMatrix":
         """The state of `stacks`, (S, shifts, weights) triples kept without a
-        copy; the caller guarantees the layout the class describes."""
+        copy; the caller guarantees the layout the class describes, the
+        shifts of each stack consecutive among them."""
         state = object.__new__(cls)
         state._hold(dim_a, dim_b, stacks)
         return state
@@ -448,6 +452,7 @@ class SectorDensityMatrix(DensityMatrix):
         rho_A diagonal: one scan per stack, one comparison per state."""
         self.dim_a, self.dim_b = dim_a, dim_b
         self._stacks = stacks
+        self._plan = tuple((shifts[0].item(), *stack.shape[:2]) for stack, shifts, _ in stacks)
         # each row's sum bounds every |w_k| times the asymmetry of S[k]
         bounds = np.empty((len(stacks), 2))
         for bound, (stack, _, weights) in zip(bounds, stacks):
@@ -496,11 +501,10 @@ class SectorDensityMatrix(DensityMatrix):
         """Weights times the stack diagonals, summed over the levels of
         `side`: one `bincount`, stack order, on the kept `_level_index`."""
         dim = self.dim_a if side == "A" else self.dim_b
-        plan = tuple((shifts[0].item(), *stack.shape[:2]) for stack, shifts, _ in self._stacks)
         # the padding's levels past the box, and the mirror of sector 0,
         # add zeros
         return np.bincount(
-            _level_index(plan, side),
+            _level_index(self._plan, side),
             np.concatenate(
                 [weights[:, :, None] * stack.diagonal(0, 1, 2) for stack, _, weights in self._stacks],
                 axis=None,
@@ -556,9 +560,7 @@ class SectorDensityMatrix(DensityMatrix):
         # one stack's commutator at a time, in one buffer
         buffer = np.empty(2 * max(stack.size for stack, _, _ in self._stacks))
         total = 0.0
-        for stack, shifts, weights in self._stacks:
-            g, size = stack.shape[:2]
-            first = shifts[0].item()
+        for (first, g, size), (stack, _, weights) in zip(self._plan, self._stacks):
             shifted, level = window[first : first + g, :size], p[:size]
             # X = diag(p): layer k of the commutator read through row r has
             # the entries w_rk S_ij (p_j - p_i) on its levels, zeros in the

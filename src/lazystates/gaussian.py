@@ -60,7 +60,6 @@ two independent ways:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -102,10 +101,6 @@ QUADRATIC_IDENTITY_TOL = 1e-9
 
 #: maximum trace allowed outside the requested Fock block
 MAX_TRACE_DEFICIT = 1e-6
-
-#: log of the smallest normal float64: numpy's exp takes a slow path on
-#: every entry below it, -inf included
-_LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
 
 #: entries (64 KiB of float64) of the sectors one stack of Fock products
 #: M_d M_d^T is read as, sectors +d and -d alike; a product whose sectors
@@ -433,15 +428,13 @@ def _log_or_minus_inf(x: float) -> float:
 def _fock_tables(cutoff: int) -> tuple:
     """The tables of `fock_truncate` at `cutoff` that no form changes; cached.
 
-    Returns (n, log_fact, half, clamped, lower, plan), the arrays
-    read-only: n = 0, ..., cutoff and log_fact its log n!; the half tables
-    clamped[d, k] = (log k! + log min(k + d, cutoff)!) / 2 and half, the
-    same with -inf where k + d > cutoff; lower, 1 on and below the
-    diagonal and 0 above it, a Toeplitz view of one run of 2 cutoff + 1
-    entries; and the plan, one (first, stop) per group of shifts first,
-    ..., stop - 1, padded to the size keep - first of the first.  The
-    tables take about 1.1 MB at cutoff 200, 2.4 MB at 300, so a few
-    cutoffs are kept.
+    Returns (n, log_fact, half, clamped, plan), the arrays read-only: n =
+    0, ..., cutoff and log_fact its log n!; the half tables clamped[d, k]
+    = (log k! + log min(k + d, cutoff)!) / 2 and half, the same with -inf
+    where k + d > cutoff; and the plan, one (first, stop) per group of
+    shifts first, ..., stop - 1, padded to the size keep - first of the
+    first.  The tables take about 1.1 MB at cutoff 200, 2.4 MB at 300, so
+    a few cutoffs are kept.
     """
     keep = cutoff + 1
     n = np.arange(keep)
@@ -455,16 +448,9 @@ def _fock_tables(cutoff: int) -> tuple:
         stop = min(keep, first + max(1, (_GROUP_ENTRIES // (size * size) + (first == 0)) // 2))
         plan.append((first, stop))
         first = stop
-    # entry (k, j) of lower is steps[cutoff - k + j], 1 exactly where j <= k
-    steps = np.zeros(2 * keep - 1)
-    steps[:keep] = 1.0
-    step = steps.itemsize
-    lower = np.ndarray(
-        (keep, keep), steps.dtype, steps, offset=cutoff * step, strides=(-step, step)
-    )
-    for table in (n, log_fact, clamped, half, lower):
+    for table in (n, log_fact, clamped, half):
         table.setflags(write=False)
-    return n, log_fact, half, clamped, lower, tuple(plan)
+    return n, log_fact, half, clamped, tuple(plan)
 
 
 def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatrix:
@@ -507,12 +493,7 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     table and of one (cutoff + 1)^2 column table per form.  Consecutive
     shifts d >= 0 are formed a group at a time, padded to the size of the
     first: the log rows past each shift's kept levels are -inf, so exp
-    pads with exact zeros, as the state's scan and sums require.  Above
-    the diagonal, where L is 0, the logs are -inf too unless exp keeps
-    every one of them a normal float: then they are left finite, and the
-    lower-triangular 0/1 table of `_fock_tables` zeroes what exp makes of
-    them.  numpy's exp takes a slow path on every entry that underflows,
-    -inf included, and above the diagonal lies half of each group.  A group
+    pads with exact zeros, as the state's scan and sums require.  A group
     is one (g, s, s) stack of the unweighted M M^T, whose sectors take at
     most _GROUP_ENTRIES padded entries unless it is one shift.  It goes
     to the state as it is, with views of its shifts d and of the columns d
@@ -532,7 +513,17 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     denom = ch * ch - sh * sh * qq
     alpha = ch * sh * (1.0 - qq) / denom
     keep = cutoff + 1
-    n, log_fact, half, clamped, lower, plan = _fock_tables(cutoff)
+    n, log_fact, half, clamped, plan = _fock_tables(cutoff)
+    # log of alpha^(k-j) / (k-j)! at k >= j, -inf above the diagonal, as a
+    # Toeplitz view of one run: entry (k, j) is lags[cutoff - k + j]; the
+    # power is taken from n = 1 on, so alpha = 0 leaves 0 on the diagonal
+    log_power = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(abs(alpha))))
+    lags = np.full(2 * keep - 1, -np.inf)
+    lags[cutoff::-1] = log_power - log_fact
+    step = lags.itemsize
+    log_toeplitz = np.ndarray(
+        (keep, keep), lags.dtype, lags, offset=cutoff * step, strides=(-step, step)
+    )
     log_qq = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(qq)))
     # row d of each table serves sector d on its first keep - d entries:
     # sqrt(C(k, j) C(k + d, j + d)) (k - j)! = exp(half[d, k] - half[d, j])
@@ -546,22 +537,6 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     col *= math.log(denom)
     np.subtract(0.5 * log_qq, col, out=col)
     col -= clamped
-    # log of alpha^(k-j) / (k-j)! at k >= j, as a Toeplitz view of one run:
-    # entry (k, j) is lags[cutoff - k + j]; the power is taken from n = 1
-    # on, so alpha = 0 leaves 0 on the diagonal.  Above the diagonal, where
-    # M is 0, the run holds 0 when exp of every such entry is a normal
-    # float, and -inf otherwise; `lower` zeroes what exp makes of them.
-    # There half[d, k] <= clamped[d, j], log(q_a q_b) < 0 and log D >= 0,
-    # so an entry's log lies between col[d, j] (half >= 0) and 0 up to
-    # rounding, or is -inf in a padded row
-    masked = col.min() >= _LOG_SMALLEST_NORMAL
-    log_power = np.concatenate(([0.0], n[1:] * _log_or_minus_inf(abs(alpha))))
-    lags = np.full(2 * keep - 1, 0.0 if masked else -np.inf)
-    lags[cutoff::-1] = log_power - log_fact
-    step = lags.itemsize
-    log_toeplitz = np.ndarray(
-        (keep, keep), lags.dtype, lags, offset=cutoff * step, strides=(-step, step)
-    )
     stacks = []
     # tr(M M^T) per shift
     norms = np.empty(keep)
@@ -570,8 +545,6 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
         m = half[first:stop, :size, None] + col[first:stop, None, :size]
         m += log_toeplitz[:size, :size]
         np.exp(m, out=m)
-        if masked:
-            m *= lower[:size, :size]
         if alpha < 0.0:
             # alpha^(k-j) = (-1)^k (-1)^j |alpha|^(k-j); the column signs
             # cancel in M M^T

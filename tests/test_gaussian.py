@@ -863,8 +863,9 @@ class TestSectorFockState:
             assert table is index(plans[-1], side)
             assert table.nbytes == 8 * 91232
             assert not table.flags.writeable
-        # a state of fock_truncate reads the table of its cutoff's plan
-        lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.5), 20)
+        # a state of fock_truncate holds its cutoff's plan and reads its table
+        rho = lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.5), 20)
+        assert rho._plan == plan(20)
         misses = index.cache_info().misses
         index(plan(20), "A")
         assert index.cache_info().misses == misses
@@ -872,10 +873,7 @@ class TestSectorFockState:
     @pytest.mark.parametrize("r", [0.3, -0.3])
     def test_products_agree_on_the_levels_two_cutoffs_keep(self, r):
         # L is lower triangular, so the product M_d M_d^T on the levels
-        # both cutoffs keep does not depend on the cutoff.  Above the
-        # diagonal of M, every log lies in the normal range of exp at
-        # cutoff 60 and not at 200, so the two cutoffs take both routes to
-        # the zeros there
+        # both cutoffs keep does not depend on the cutoff
         form = lz.squeezed_thermal_form(1.2, 1.1, r)
         low = products(lz.fock_truncate(form, 60)._stacks)
         high = products(lz.fock_truncate(form, 200)._stacks)
