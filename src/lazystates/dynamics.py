@@ -29,29 +29,32 @@ state and NONLAZY_RATE_FLOOR for those of a non-lazy one.
 Seeding: an audit with seed s uses the product couplings H_i = A_i (x) B_i
 of `product_couplings(dim_a, dim_b, trials, s)`, one draw of n_A^2 + n_B^2
 normals per trial from `np.random.default_rng(s)`, so a k-trial audit is a
-prefix of any longer one with the same seed.  Each factor is drawn in
-Hermitian coordinates, A = sum_p a_p h_p with i.i.d. N(0, 1) coefficients
-over the Frobenius-orthonormal basis {E_kk, (E_kl + E_lk)/sqrt2,
-i (E_kl - E_lk)/sqrt2 : k < l}: the law of the GUE factor (G + G^dag)/2
-from n^2 normals instead of 2 n^2.  Row i of the draw holds A_i's
-diagonal, then sqrt2 Re A_kl and sqrt2 Im A_kl for each k < l in
-`np.triu_indices` order, then the same for B_i.  One gather over the whole
-row builds both factors, so A_i and B_i are views of one complex array.
+prefix of any longer one with the same seed.  Row i of the draw holds G_A,
+then G_B, each an n x n block in row-major order, and each factor is the
+Hermitian part of (1+i) G,
+
+    A = herm((1+i) G) = ((G + G^T) + i (G - G^T)) / 2,
+
+so G holds A's coordinates over the Frobenius-orthonormal basis {E_kk,
+((1+i) E_kl + (1-i) E_lk)/2 : k != l}.  This is the law of the GUE factor
+(G + G^dag)/2 from n^2 normals instead of 2 n^2, with ||A||_F = ||G||_F.
 Products span every coupling and keep the GUE entry covariance, so each
 rate has second moment ||K||_F^2.
 
-An audit does each piece of work once.  It forms the raw marginal
-`rho._marginal(side)` once, for both the verdict residual and
-log2(rho_side).  With c realigned as M[(a, c), (b, d)] = c[(c, d), (a, b)],
-rate_i = -Im vec(A_i)^T M vec(B_i), one matrix product for all trials,
-and rate_bound = ||K||_F = ||c||_F.
+An audit does each piece of work once and forms no factor.  It forms the
+raw marginal `rho._marginal(side)` once, for both the verdict residual and
+log2(rho_side).  The map from a draw to its factor is vec(A) = a g +
+conj(a) P g, with a = (1+i)/2 and P the transpose, so the rate is a real
+bilinear form in the draw row, rate_i = g_i^T R h_i, whose kernel R
+(n_A^2 x n_B^2) is four strided views of c (`_rate_kernel`): one real
+matrix product gives every rate.  R holds the coordinates of K over the
+orthonormal product basis, so ||R||_F = ||K||_F = ||c||_F = rate_bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -63,7 +66,6 @@ from .bloch import (
     _check_dims,
     _check_hermitian,
     _check_side,
-    _realign,
     reduced_state,
 )
 from .errors import DimensionMismatchError
@@ -215,56 +217,17 @@ def _coupling_rng(dim_a, dim_b, seed):
     return dim_a, dim_b, np.random.default_rng(_check_count(seed, "seed"))
 
 
-def _hermitian_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each float slot of vec(A), A n x n Hermitian: its coordinate and scale.
+def _hermitian_factors(g: np.ndarray) -> np.ndarray:
+    """herm((1+i) G) = ((G + G^T) + i (G - G^T)) / 2 for a real stack G (..., n, n).
 
-    Slots 2 (a n + c) and 2 (a n + c) + 1 hold Re and Im of A[a, c].  The
-    coordinates are A's diagonal, then sqrt2 Re A_kl and sqrt2 Im A_kl for
-    each k < l in `np.triu_indices` order; the imaginary diagonal reads
-    coordinate 0 with scale 0.
-
-    Not cached: the table has 2 n^2 entries, with n = dim_a dim_b for
-    `random_coupling`.  `_pair_gather` caches its per-split tables.
+    Exactly Hermitian: the real part is a symmetric sum and the imaginary
+    part an antisymmetric difference, so the diagonal is real.
     """
-    d = np.arange(n)
-    k, l = np.triu_indices(n, 1)
-    half = np.sqrt(0.5)
-    pair = n + 2 * np.arange(k.size)
-    index = np.zeros((n, n, 2), dtype=np.intp)
-    scale = np.zeros((n, n, 2))
-    index[d, d, 0], scale[d, d, 0] = d, 1.0
-    for rows, cols, sign in ((k, l, 1.0), (l, k, -1.0)):
-        index[rows, cols, 0], scale[rows, cols, 0] = pair, half
-        index[rows, cols, 1], scale[rows, cols, 1] = pair + 1, sign * half
-    return index.ravel(), scale.ravel()
-
-
-@lru_cache(maxsize=None)
-def _pair_gather(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_hermitian_gather` of A, then of B, over one draw row of `product_couplings`.
-
-    B's coordinates follow A's n_A^2 in the row, so its indices are shifted
-    by n_A^2.  Cached per split: 2 (n_A^2 + n_B^2) entries each.
-    """
-    index_a, scale_a = _hermitian_gather(dim_a)
-    index_b, scale_b = _hermitian_gather(dim_b)
-    index = np.concatenate([index_a, index_b + dim_a * dim_a])
-    scale = np.concatenate([scale_a, scale_b])
-    index.setflags(write=False)
-    scale.setflags(write=False)
-    return index, scale
-
-
-def _gather(coords: np.ndarray, index: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Complex rows whose float slots are coords[i, index] * scale: one take, one multiply."""
-    flat = np.take(coords, index, axis=1)
-    flat *= scale
-    return flat.view(complex)
-
-
-def _hermitian_stack(coords: np.ndarray, n: int) -> np.ndarray:
-    """(count, n, n) stack of A_i = sum_p coords[i, p] h_p, coords (count, n^2)."""
-    return _gather(coords, *_hermitian_gather(n)).reshape(-1, n, n)
+    gt = g.swapaxes(-1, -2)
+    factors = np.empty(g.shape, dtype=complex)
+    factors.real = (g + gt) / 2
+    factors.imag = (g - gt) / 2
+    return factors
 
 
 def product_couplings(
@@ -273,34 +236,54 @@ def product_couplings(
     """GUE factor stacks (a, b); coupling i is kron(a[i], b[i]), trial i of an audit.
 
     Row i of `np.random.default_rng(seed).standard_normal((count, dim_a^2 +
-    dim_b^2))` holds a[i]'s Hermitian coordinates, then b[i]'s: the
-    diagonal, then sqrt2 Re A_kl and sqrt2 Im A_kl for each k < l in
-    `np.triu_indices` order.  Each factor has the law of (G + G^dag)/2, and
-    the first k couplings do not depend on `count`.
-
-    Both factors come from one gather over the whole row, so `a` and `b`
-    are views of one complex array: row i holds vec(a[i]), then vec(b[i]).
+    dim_b^2))` holds G_A, then G_B, each n x n block in row-major order,
+    and a[i] = herm((1+i) G_A), b[i] = herm((1+i) G_B).  Each factor has the
+    law of (G + G^dag)/2, and the first k couplings do not depend on `count`.
     """
     count = _check_count(count, "count", 1)
     dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
     draws = rng.standard_normal((count, dim_a**2 + dim_b**2))
-    pairs = _gather(draws, *_pair_gather(dim_a, dim_b))
     split = dim_a**2
     return (
-        pairs[:, :split].reshape(-1, dim_a, dim_a),
-        pairs[:, split:].reshape(-1, dim_b, dim_b),
+        _hermitian_factors(draws[:, :split].reshape(-1, dim_a, dim_a)),
+        _hermitian_factors(draws[:, split:].reshape(-1, dim_b, dim_b)),
     )
 
 
 def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
-    """GUE coupling (G + G^dag)/2 on d = dim_a dim_b, from d^2 normals of `default_rng(seed)`.
+    """GUE coupling herm((1+i) G) on d = dim_a dim_b, G the d^2 normals of `default_rng(seed)`.
 
-    They are its Hermitian coordinates, laid out as in `product_couplings`.
+    G is read in row-major order, as each factor of `product_couplings` is.
     """
     dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
     d = dim_a * dim_b
-    hamiltonian = _hermitian_stack(rng.standard_normal((1, d * d)), d)[0]
+    hamiltonian = _hermitian_factors(rng.standard_normal((d, d)))
     return Coupling(hamiltonian=hamiltonian, seed=seed)
+
+
+def _rate_kernel(c: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Real R (n_A^2, n_B^2) with rate = g^T R h under herm((1+i) G_A) (x) herm((1+i) G_B).
+
+    g = vec(G_A) and h = vec(G_B), row-major.  Let m4[c, a, d, b] =
+    c[(a, b), (c, d)], a view of m = `bloch._realign(c)`, for which
+    tr(c (A (x) B)) = vec(A)^T m vec(B) and the rate is -Im of that.  Since
+    vec(herm((1+i) G)) = a g + conj(a) P g, with a = (1+i)/2 and P the
+    transpose, the rate is g^T R h with, for the transposes T1 = (1, 0, 3, 2),
+    T2 = (0, 1, 3, 2) and T3 = (1, 0, 2, 3),
+
+        R = (Re m4.T1 - Re m4 - Im m4.T2 - Im m4.T3) / 2.
+
+    R[p, q] is the rate under the unit draws g = e_p, h = e_q: the
+    coordinates of K over an orthonormal basis, so ||R||_F = ||K||_F.
+    """
+    m4 = c.reshape(dim_a, dim_b, dim_a, dim_b).transpose(2, 0, 3, 1)
+    re, im = m4.real, m4.imag
+    kernel = np.empty((dim_a, dim_a, dim_b, dim_b))
+    np.subtract(re.transpose(1, 0, 3, 2), re, out=kernel)
+    kernel -= im.transpose(0, 1, 3, 2)
+    kernel -= im.transpose(1, 0, 2, 3)
+    kernel *= 0.5
+    return kernel.reshape(dim_a * dim_a, dim_b * dim_b)
 
 
 def derive_trial_seed(seed: int, index: int) -> int:
@@ -324,6 +307,8 @@ def dynamics_audit(
 
     Trial i uses kron(a[i], b[i]) of `product_couplings(rho.dim_a,
     rho.dim_b, trials, seed)`, with `trials` >= 1 and `seed` >= 0 integers.
+    The audit forms neither factor: its rate is g^T R h over trial i's draw
+    row (g, h), with R = `_rate_kernel(c)` real.
 
     A state is lazy when its commutator residual is below DEFAULT_TOL.  The
     audit is consistent when a lazy state stays below LAZY_RATE_TOL on
@@ -334,20 +319,19 @@ def dynamics_audit(
     """
     side = _check_side(side)
     trials = _check_count(trials, "trials", 1)
-    na, nb = rho.dim_a, rho.dim_b
-    a, b = product_couplings(na, nb, trials, seed)
+    na, nb, rng = _coupling_rng(rho.dim_a, rho.dim_b, seed)
+    draws = rng.standard_normal((trials, na * na + nb * nb))
     # one raw marginal serves the verdict and the rates
     red = rho._marginal(side)
     lazy = rho._commutator_norm(red, side) < DEFAULT_TOL
-    # a real state has a real c, which the product with the complex factors
-    # would cast anyway: casting it first casts it once
+    # a real state has a real c, cast once so that one kernel serves every
+    # state and ||c||_F keeps the bits of the complex array's norm
     c = np.asarray(_rate_commutator(rho, red, side), dtype=complex)
-    # tr(K (A (x) B)) = i vec(A)^T m vec(B) with m realigned from c = -i K;
-    # the rate, its real part, is -Im of that product and reads only the
-    # Hermitian part of K, as `entropy_rate` does.  0 - Im, not -Im, keeps
-    # an exactly zero rate +0.0.
-    m = _realign(c, na, nb)
-    rates = 0.0 - np.einsum("ij,ij->i", a.reshape(trials, -1) @ m, b.reshape(trials, -1)).imag
+    # rate_i = g_i^T R h_i over the draw rows, with no factor formed; adding
+    # 0.0 turns an exactly zero rate -0.0 into +0.0
+    split = na * na
+    rates = np.einsum("ij,ij->i", draws[:, :split] @ _rate_kernel(c, na, nb), draws[:, split:])
+    rates += 0.0
     max_rate = float(np.abs(rates).max())
     consistent = max_rate < LAZY_RATE_TOL if lazy else max_rate > NONLAZY_RATE_FLOOR
     return DynamicsAudit(

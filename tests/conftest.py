@@ -346,33 +346,25 @@ def reference_entropy_rate(rho, coupling, side):
     return float(np.vdot(1j * c, coupling.hamiltonian).real)
 
 
-def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
-    """`dynamics_audit` as it was before one gather, one marginal and no x i pass.
+def herm_1i(g):
+    """herm((1+i) G) = (X + X^dag) / 2 with X = (1+i) G, in complex arithmetic."""
+    x = (1 + 1j) * g
+    return (x + x.conj().swapaxes(-1, -2)) / 2
 
-    Each factor stack is its own gather of its half of the draw rows,
+
+def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
+    """`dynamics_audit` from dense factors and the realigned rate operator.
+
+    Each factor stack is `herm_1i` of its half of the draw rows;
     `commutator_residual` and the rate operator each form their own raw
-    marginal, and the rates are the real part of the product with the
-    realigned K = i c.  The outputs must match `dynamics_audit` bit for bit.
+    marginal; and the rates are the real part of vec(A)^T m vec(B), with m
+    the realigned K = i c.  `trials`, `rate_bound` and the verdict must
+    match `dynamics_audit` bit for bit.  The rates are summed in another
+    order, so they agree to rounding only.
     """
     from lazystates.bloch import _check_count, _check_side, _realign
-    from lazystates.dynamics import (
-        LAZY_RATE_TOL,
-        NONLAZY_RATE_FLOOR,
-        DynamicsAudit,
-        _coupling_rng,
-        _hermitian_stack,
-    )
+    from lazystates.dynamics import LAZY_RATE_TOL, NONLAZY_RATE_FLOOR, DynamicsAudit
     from lazystates.laziness import DEFAULT_TOL, commutator_residual
-
-    def product_couplings(dim_a, dim_b, count, seed):
-        count = _check_count(count, "count", 1)
-        dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
-        draws = rng.standard_normal((count, dim_a**2 + dim_b**2))
-        split = dim_a**2
-        return (
-            _hermitian_stack(draws[:, :split], dim_a),
-            _hermitian_stack(draws[:, split:], dim_b),
-        )
 
     def rate_operator(rho, side):
         w, q = np.linalg.eigh(rho._marginal(side))
@@ -383,7 +375,11 @@ def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
     side = _check_side(side)
     trials = _check_count(trials, "trials", 1)
     na, nb = rho.dim_a, rho.dim_b
-    a, b = product_couplings(na, nb, trials, seed)
+    draws = np.random.default_rng(_check_count(seed, "seed")).standard_normal(
+        (trials, na * na + nb * nb)
+    )
+    a = herm_1i(draws[:, : na * na].reshape(-1, na, na))
+    b = herm_1i(draws[:, na * na:].reshape(-1, nb, nb))
     lazy = commutator_residual(rho, side) < DEFAULT_TOL
     k = rate_operator(rho, side)
     m = _realign(k, na, nb)

@@ -362,7 +362,7 @@ class TestDynamics:
         code, _, err = run(capsys, argv)
         assert code == 0
         assert err == (
-            "max |dS_A/dt| = 1.647e+00 over 100 couplings A (x) B as drawn "
+            "max |dS_A/dt| = 2.401e+00 over 100 couplings A (x) B as drawn "
             "(||A (x) B||_F about n_A n_B); supremum 4.994e-01 over couplings "
             "with ||H||_F = 1; consistent with the commutator verdict\n"
         )

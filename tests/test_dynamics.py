@@ -6,6 +6,7 @@ import pytest
 import lazystates as lz
 from conftest import (
     finite_difference_rate,
+    herm_1i,
     kron_rate_operator,
     reference_dynamics_audit,
     reference_entropy_rate,
@@ -86,13 +87,15 @@ class TestRandomCoupling:
             lz.random_coupling(1, 4, 0)
 
     def test_draws_its_own_gue_block(self):
-        # the d^2 normals of default_rng(seed) are H's Hermitian coordinates,
-        # in the layout of one product_couplings factor
+        # H = herm((1+i) G), G the d^2 normals of default_rng(seed) read
+        # row-major, as one product_couplings factor is
         for na, nb, seed in ((2, 2, 0), (2, 3, 123), (3, 2, 7), (5, 5, 2**40 + 5)):
             d = na * nb
-            coords = np.random.default_rng(seed).standard_normal(d * d)
-            expected = hermitian_from_coordinates(coords, d)
-            assert np.array_equal(lz.random_coupling(na, nb, seed).hamiltonian, expected)
+            normals = np.random.default_rng(seed).standard_normal(d * d)
+            h = lz.random_coupling(na, nb, seed).hamiltonian
+            assert np.array_equal(h, hermitian_from_normals(normals, d))
+            assert h.tobytes() == herm_1i(normals.reshape(1, d, d))[0].tobytes()
+            assert np.array_equal(h, h.conj().T)
 
     def test_keeps_nothing_once_deleted(self):
         # a gather table cached per size held 2 x 256^2 entries, 2.10 MB, here;
@@ -134,28 +137,43 @@ class TestRandomCoupling:
             lz.Coupling(hamiltonian=h, seed=3)
 
 
-def hermitian_from_coordinates(coords, n):
-    """A = sum_p coords[p] h_p, entry by entry: the diagonal, then for each
-    k < l the pair (sqrt2 Re A_kl, sqrt2 Im A_kl)."""
-    s = np.sqrt(0.5)
+def hermitian_from_normals(normals, n):
+    """A = sum_p g_p h_p over the basis {E_kk, ((1+i) E_kl + (1-i) E_lk)/2 :
+    k != l}, entry by entry, with g = normals read as n x n row-major:
+    A_kl = ((g_kl + g_lk) + i (g_kl - g_lk)) / 2."""
+    g = np.asarray(normals).reshape(n, n)
     a = np.zeros((n, n), dtype=complex)
     for k in range(n):
-        a[k, k] = coords[k]
-    p = n
-    for k in range(n):
-        for l in range(k + 1, n):
-            a[k, l] = complex(coords[p] * s, coords[p + 1] * s)
-            a[l, k] = complex(coords[p] * s, -coords[p + 1] * s)
-            p += 2
+        for l in range(n):
+            a[k, l] = complex((g[k, l] + g[l, k]) / 2, (g[k, l] - g[l, k]) / 2)
     return a
+
+
+def unit_factor(p, n):
+    """herm((1+i) E_p), the factor drawn from the unit row e_p: basis element p."""
+    return hermitian_from_normals(np.eye(n * n)[p], n)
 
 
 def product_stack_from_normals(na, nb, count, seed):
     normals = np.random.default_rng(seed).standard_normal((count, na * na + nb * nb))
     return [
-        np.array([hermitian_from_coordinates(row, n) for row in block])
+        np.array([hermitian_from_normals(row, n) for row in block])
         for n, block in ((na, normals[:, : na * na]), (nb, normals[:, na * na:]))
     ]
+
+
+def assert_rates_close(got, want, rate_bound, a, b):
+    """|got_i - want_i| <= gamma_k ||K||_F ||A_i||_F ||B_i||_F, k = n_A^2 + n_B^2.
+
+    gamma_k = k eps / (1 - k eps) bounds the rounding of a k-term product;
+    ||K||_F = rate_bound, and each rate is at most ||K||_F ||A_i|| ||B_i||.
+    """
+    k = a[0].size + b[0].size
+    eps = np.finfo(float).eps
+    gamma = k * eps / (1 - k * eps)
+    norms = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
+    gap = np.abs(np.asarray(got) - np.asarray(want))
+    assert np.all(gap <= gamma * rate_bound * norms), gap.max()
 
 
 def gue_entry_covariance(n):
@@ -185,13 +203,18 @@ class TestDeriveTrialSeed:
 
 
 class TestProductCouplings:
-    @pytest.mark.parametrize("na,nb", [(3, 2), (2, 5), (4, 4)])
+    @pytest.mark.parametrize("na,nb", [(3, 2), (2, 5), (4, 4), (2, 6), (6, 2)])
     def test_one_draw_in_row_layout(self, na, nb):
+        # each factor is bitwise herm((1+i) G) of its row-major block of the
+        # draw row, and exactly Hermitian
         a, b = lz.product_couplings(na, nb, 37, 11)
         expected_a, expected_b = product_stack_from_normals(na, nb, 37, 11)
+        normals = np.random.default_rng(11).standard_normal((37, na * na + nb * nb))
         assert a.shape == (37, na, na) and b.shape == (37, nb, nb)
         assert np.array_equal(a, expected_a)
         assert np.array_equal(b, expected_b)
+        assert a.tobytes() == herm_1i(normals[:, : na * na].reshape(-1, na, na)).tobytes()
+        assert b.tobytes() == herm_1i(normals[:, na * na:].reshape(-1, nb, nb)).tobytes()
         assert np.array_equal(a, a.conj().transpose(0, 2, 1))
         assert np.array_equal(b, b.conj().transpose(0, 2, 1))
 
@@ -203,7 +226,7 @@ class TestProductCouplings:
             lz.product_couplings(na, nb, 37, 11),
             (normals[:, : na * na], normals[:, na * na:]),
         ):
-            basis = np.array([hermitian_from_coordinates(e, n) for e in np.eye(n * n)])
+            basis = np.array([unit_factor(p, n) for p in range(n * n)])
             gram = np.einsum("pab,qba->pq", basis, basis)
             assert np.abs(gram - np.eye(n * n)).max() < 1e-15
             norms = np.linalg.norm(stack, axis=(1, 2)) ** 2
@@ -234,16 +257,6 @@ class TestProductCouplings:
         a, b = lz.product_couplings(3, 2, 37, 11)
         short_a, short_b = lz.product_couplings(3, 2, 9, 11)
         assert np.array_equal(short_a, a[:9]) and np.array_equal(short_b, b[:9])
-
-    @pytest.mark.parametrize("na,nb", [(2, 6), (6, 2), (3, 4)])
-    def test_one_gather_gives_views_with_the_per_factor_bytes(self, na, nb):
-        a, b = lz.product_couplings(na, nb, 23, 7)
-        assert a.base is not None and a.base is b.base
-        normals = np.random.default_rng(7).standard_normal((23, na * na + nb * nb))
-        want_a = dynamics._hermitian_stack(normals[:, : na * na], na)
-        want_b = dynamics._hermitian_stack(normals[:, na * na:], nb)
-        assert a.shape == want_a.shape and b.shape == want_b.shape
-        assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
 
     @pytest.mark.parametrize("count", [0, True, 2.0])
     def test_rejects_invalid_count(self, count):
@@ -290,7 +303,7 @@ class TestEntropyRate:
     def test_witness_generic_coupling_rate(self, witness):
         coupling = lz.random_coupling(2, 2, lz.derive_trial_seed(7, 0))
         rate = lz.entropy_rate(witness, coupling, "A")
-        assert rate == pytest.approx(-1.0365341378332422, rel=1e-9, abs=0)
+        assert rate == pytest.approx(0.8932057885805395, rel=1e-9, abs=0)
         oracle = finite_difference_rate(witness, coupling.hamiltonian, "A")
         assert rate == pytest.approx(oracle, abs=max(1e-6, 1e-4 * abs(rate)))
 
@@ -425,7 +438,18 @@ class TestDynamicsAudit:
         rng = np.random.default_rng(21)
         pure_a = lz.product_state(pure_density(rng, 3), random_marginal(rng, 2))
         pure = lz.DensityMatrix(3, 2, pure_density(rng, 6))
-        for rho in (lz.random_density_matrix(2, 3, 21), pure_a, pure):
+        states = (
+            lz.random_density_matrix(2, 3, 21),
+            pure_a,
+            pure,
+            lz.random_density_matrix(2, 6, 22),
+            lz.random_density_matrix(6, 2, 23),
+            lz.random_density_matrix(16, 16, 24),
+            lz.DensityMatrix(3, 3, lz.random_density_matrix(3, 3, 25).data.real),
+            lz.DensityMatrix(4, 2, lz.random_density_matrix(4, 2, 26).data.real),
+            lz.fock_truncate(lz.squeezed_thermal_form(1.2, 1.1, 0.3), 8),
+        )
+        for rho in states:
             a, b = lz.product_couplings(rho.dim_a, rho.dim_b, 35, 4)
             for side in ("A", "B"):
                 audit = lz.dynamics_audit(rho, side, trials=35, seed=4)
@@ -434,7 +458,28 @@ class TestDynamicsAudit:
                     lz.entropy_rate(rho, lz.Coupling(hamiltonian=np.kron(ai, bi), seed=4), side)
                     for ai, bi in zip(a, b)
                 ]
-                np.testing.assert_allclose(audit.per_trial_rates, direct, rtol=0, atol=1e-14)
+                assert_rates_close(audit.per_trial_rates, direct, audit.rate_bound, a, b)
+
+    @pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (4, 4)])
+    def test_rate_kernel_holds_the_rates_of_unit_draws(self, na, nb):
+        # R[p, q] = tr(K (e_p (x) e_q)), e_p = herm((1+i) E_p), with K built
+        # by kron: this pins the sign and the orientation of R
+        rng = np.random.default_rng(na * 10 + nb)
+        complex_state = lz.random_density_matrix(na, nb, int(rng.integers(2**32)))
+        real = lz.DensityMatrix(na, nb, lz.random_density_matrix(na, nb, 3).data.real)
+        for rho in (complex_state, real):
+            for side in ("A", "B"):
+                c = np.asarray(_rate_commutator(rho, rho._marginal(side), side), dtype=complex)
+                kernel = dynamics._rate_kernel(c, na, nb)
+                assert kernel.shape == (na * na, nb * nb) and kernel.dtype == float
+                k = kron_rate_operator(rho, side)
+                for p, q in ((0, 0), (1, 0), (0, nb * nb - 1), (na * na - 1, 1), (na + 1, nb)):
+                    unit = np.kron(unit_factor(p, na), unit_factor(q, nb))
+                    assert kernel[p, q] == pytest.approx(
+                        np.trace(k @ unit).real, rel=0, abs=1e-15
+                    )
+                audit = lz.dynamics_audit(rho, side, trials=1, seed=0)
+                assert np.linalg.norm(kernel) == pytest.approx(audit.rate_bound, rel=1e-14)
 
     def test_shorter_audit_is_a_prefix(self, witness):
         long = lz.dynamics_audit(witness, "A", trials=100, seed=5)
@@ -517,7 +562,9 @@ class TestDynamicsAudit:
             lz.dynamics_audit(bell, "A", **{"trials": 4, "seed": 0, **kwargs})
 
     @pytest.mark.parametrize("side", ["A", "B"])
-    def test_matches_the_reference_audit_bit_for_bit(self, side):
+    def test_matches_the_dense_factor_reference(self, side):
+        # the verdict, the trial count and rate_bound bit for bit; each rate
+        # to the rounding of its k-term product
         rng = np.random.default_rng(31)
         real = lz.random_density_matrix(3, 3, 9).data.real
         states = {
@@ -534,10 +581,15 @@ class TestDynamicsAudit:
             for trials, seed in ((1, 0), (37, 5), (100, 11)):
                 got = lz.dynamics_audit(rho, side, trials, seed)
                 want = reference_dynamics_audit(rho, side, trials, seed)
-                assert got == want, name
-                # repr tells -0.0 from 0.0, which == does not
-                assert repr(got) == repr(want), name
-        assert set(lz.dynamics_audit(states["werner"], side, 5, 0).per_trial_rates) == {0.0}
+                assert got.trials == want.trials == trials, name
+                assert got.rate_bound == want.rate_bound, name
+                assert got.consistent_with_laziness == want.consistent_with_laziness, name
+                assert got.max_rate == max(abs(r) for r in got.per_trial_rates), name
+                a, b = lz.product_couplings(rho.dim_a, rho.dim_b, trials, seed)
+                assert_rates_close(got.per_trial_rates, want.per_trial_rates, want.rate_bound, a, b)
+        werner = lz.dynamics_audit(states["werner"], side, 5, 0).per_trial_rates
+        # +0.0, not -0.0: == does not tell them apart, signbit does
+        assert set(werner) == {0.0} and not np.signbit(werner).any()
 
     def test_forms_the_dense_marginal_once(self, monkeypatch):
         calls = []
@@ -555,13 +607,17 @@ class TestDynamicsAudit:
         def no_draw(*args):
             raise AssertionError("couplings drawn before the side was checked")
 
-        monkeypatch.setattr(dynamics, "product_couplings", no_draw)
+        monkeypatch.setattr(dynamics, "_coupling_rng", no_draw)
         with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
             lz.dynamics_audit(bell, "C", trials=4, seed=0)
+        # the patched generator is the one the audit draws from
+        with pytest.raises(AssertionError, match="couplings drawn"):
+            lz.dynamics_audit(bell, "A", trials=4, seed=0)
 
     def test_local_dimension_32_stays_small(self):
-        # full GUE couplings traced 570 MB at this size; the product
-        # factors are 2 x 100 x 1024 complex numbers
+        # full GUE couplings traced 570 MB at this size; the audit forms no
+        # factor, only the real 1024 x 1024 rate kernel R beside c (52 MB
+        # traced peak)
         rho = lz.random_density_matrix(32, 32, 3)
         tracemalloc.start()
         try:
