@@ -154,33 +154,40 @@ def _reject_boolean_or_null(value, where: str, suffix: str = "") -> None:
         raise InvalidStateError(f"{kind} at {at}{suffix}")
 
 
-@np.errstate(invalid="ignore", over="ignore")
-def _check_hermitian(matrices: dict) -> None:
-    """Reject the first of `matrices` that is non-finite or not Hermitian to HERMITICITY_TOL.
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of `x`: the body of `np.linalg.norm(x)` without its
+    argument handling, so the same dot products give the same bits."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
-    Keys are the text that follows an entry position in a message, e.g.
+
+@np.errstate(invalid="ignore", over="ignore")
+def _check_hermitian(data: np.ndarray, where: str = "") -> None:
+    """Reject `data` when it is non-finite or not Hermitian to HERMITICITY_TOL.
+
+    `where` is the text that follows an entry position in a message, e.g.
     " of sector 3".  One scan, max |data - data^dagger|, decides both: a
-    NaN or Inf entry leaves a NaN or Inf there and at its mirror.  numpy's
-    warnings on `inf - inf` and on overflow are off once per call, not per
-    matrix: that costs about as much as scanning a 4 x 4 matrix, and a Fock
-    state has up to 2 cutoff + 1 sector blocks.
+    NaN or Inf entry leaves a NaN or Inf there and at its mirror, with
+    numpy's warnings on `inf - inf` and on overflow off.
     """
-    for where, data in matrices.items():
-        asym = np.abs(data - data.conj().T)
-        max_asym = float(asym.max())
-        if max_asym <= HERMITICITY_TOL:
-            continue
-        # a rejection is rare: only then tell a non-finite entry from a large asymmetry
-        finite = np.isfinite(data)
-        if not finite.all():
-            # the first position in row order that holds a NaN or Inf or mirrors one
-            i, j = np.argwhere(~(finite & finite.T))[0]
-            raise InvalidStateError(f"non-finite entry at ({i}, {j}){where}")
-        i, j = np.unravel_index(int(asym.argmax()), asym.shape)
-        raise InvalidStateError(
-            f"hermiticity violation: max asymmetry {max_asym:.3e} "
-            f"at entry ({i}, {j}){where}"
-        )
+    asym = np.abs(data - data.conj().T)
+    max_asym = float(asym.max())
+    if max_asym <= HERMITICITY_TOL:
+        return
+    # a rejection is rare: only then tell a non-finite entry from a large asymmetry
+    finite = np.isfinite(data)
+    if not finite.all():
+        # the first position in row order that holds a NaN or Inf or mirrors one
+        i, j = np.argwhere(~(finite & finite.T))[0]
+        raise InvalidStateError(f"non-finite entry at ({i}, {j}){where}")
+    i, j = np.unravel_index(int(asym.argmax()), asym.shape)
+    raise InvalidStateError(
+        f"hermiticity violation: max asymmetry {max_asym:.3e} "
+        f"at entry ({i}, {j}){where}"
+    )
 
 
 def _check_trace(trace: complex) -> None:
@@ -223,7 +230,9 @@ def _check_dense_size(dim: int, what: str) -> None:
 
 
 def _check_dims(dim_a, dim_b) -> tuple[int, int]:
-    dim_a, dim_b = (_check_integer(dim, "subsystem dimension") for dim in (dim_a, dim_b))
+    if type(dim_a) is not int or type(dim_b) is not int:
+        dim_a = _check_integer(dim_a, "subsystem dimension")
+        dim_b = _check_integer(dim_b, "subsystem dimension")
     if dim_a < 1 or dim_b < 1:
         raise DimensionMismatchError(
             f"subsystem dimensions must be >= 1, got ({dim_a}, {dim_b})"
@@ -258,7 +267,13 @@ class DensityMatrix:
     O(d^2 n) work instead of the O(d^3) of a dense d x d product.  A real
     state has a real marginal, so both GEMMs then run in real arithmetic.
     `_commutator_norm(X, side)` is its Frobenius norm, and `_residual(side)`
-    that norm at X = the raw marginal, the commutator residual.
+    that norm at X = the raw marginal, the commutator residual; the norm is
+    the body of `np.linalg.norm`, `_frobenius`.
+
+    `_marginal` checks its side.  `_partial_trace` (the marginal itself),
+    `_commutator` and `_residual` take a side their caller has checked, as
+    `is_lazy` and `commutator_residual` do once per call, and run the
+    numpy arithmetic alone.
     """
 
     def __init__(self, dim_a: int, dim_b: int, data):
@@ -272,7 +287,7 @@ class DensityMatrix:
                 f"matrix shape {data.shape} does not match dimensions "
                 f"({dim_a}, {dim_b}) -> ({d}, {d})"
             )
-        _check_hermitian({"": data})
+        _check_hermitian(data)
         # a sum of Python numbers overflows to inf without a numpy warning
         _check_trace(sum(data.diagonal().tolist()))
         data.setflags(write=False)
@@ -313,7 +328,10 @@ class DensityMatrix:
 
     def _marginal(self, side: Side) -> np.ndarray:
         """Reduced state of `side` as a plain array, not Hermitized or re-validated."""
-        _check_side(side)
+        return self._partial_trace(_check_side(side))
+
+    def _partial_trace(self, side: Side) -> np.ndarray:
+        """`_marginal` of a side the caller has checked."""
         r = self.data.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
         return np.einsum("abcb->ac" if side == "A" else "abad->bd", r)
 
@@ -332,15 +350,18 @@ class DensityMatrix:
             x_rho = x @ r.reshape(na, nb, -1)
             rho_x = r.reshape(-1, nb) @ x
         d = na * nb
-        return rho_x.reshape(d, d) - x_rho.reshape(d, d)
+        # in place: both products are this call's own arrays
+        c = rho_x.reshape(d, d)
+        return np.subtract(c, x_rho.reshape(d, d), out=c)
 
     def _commutator_norm(self, x: np.ndarray, side: Side) -> float:
         """Frobenius norm of `_commutator(x, side)`."""
-        return float(np.linalg.norm(self._commutator(x, side)))
+        return _frobenius(self._commutator(x, side))
 
     def _residual(self, side: Side) -> float:
-        """The commutator residual, `_commutator_norm` at X = `_marginal(side)`."""
-        return self._commutator_norm(self._marginal(side), side)
+        """The commutator residual of a side the caller has checked: the
+        norm of `_commutator` at X = `_partial_trace(side)`."""
+        return _frobenius(self._commutator(self._partial_trace(side), side))
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b})"
@@ -401,7 +422,7 @@ class SectorDensityMatrix(DensityMatrix):
     its shape locate all its entries: `_hold` keeps them as the state's
     `_plan`, (first, g, s) per stack.  The levels of the bincount depend
     on the plan alone, so they come from a read-only table kept per plan
-    (`_level_index`).  `_marginal` is the diagonal matrix of the kept
+    (`_level_index`).  `_partial_trace` is the diagonal matrix of the kept
     diagonal; the commutator residual (`_residual`) reads the kept
     diagonal itself and forms no such matrix.  For a diagonal X =
     diag(p), such as the marginal, [rho, X (x) I] has the entries
@@ -467,9 +488,9 @@ class SectorDensityMatrix(DensityMatrix):
                 if not (bound <= HERMITICITY_TOL).all()
                 for shift in shifts.tolist()
             }
-            _check_hermitian(
-                {f" of sector {shift}": b for shift, b in self.sectors.items() if abs(shift) in bad}
-            )
+            for shift, block in self.sectors.items():
+                if abs(shift) in bad:
+                    _check_hermitian(block, f" of sector {shift}")
             # every sector of the failing stacks passed on its own
         for stack, _, _ in stacks:
             stack.setflags(write=False)
@@ -531,11 +552,10 @@ class SectorDensityMatrix(DensityMatrix):
         return diag_b
 
     def _diagonal(self, side: Side) -> np.ndarray:
-        """Read-only diagonal of the marginal of `side`, kept on the state."""
-        _check_side(side)
+        """Read-only diagonal of the marginal of a checked `side`, kept on the state."""
         return self._diagonal_a if side == "A" else self._diagonal_b
 
-    def _marginal(self, side: Side) -> np.ndarray:
+    def _partial_trace(self, side: Side) -> np.ndarray:
         """Reduced state of `side`, the diagonal matrix of the kept diagonal."""
         return np.diag(self._diagonal(side))
 
@@ -673,11 +693,12 @@ class BlochForm:
 
 
 def _change_of_basis(dim: int, basis: SuBasis | None) -> np.ndarray:
-    """`S` of one side, its basis built on demand; [[1]] for a trivial side."""
+    """`S` of one side, its canonical basis built on demand and a given
+    basis checked against `dim`; [[1]] for a trivial side."""
     if dim == 1:
         return np.ones((1, 1))
     if basis is None:
-        basis = build_su_basis(dim)
+        return build_su_basis(dim).S
     if basis.dim != dim:
         raise DimensionMismatchError(
             f"basis dimension {basis.dim} does not match subsystem dimension {dim}"

@@ -41,13 +41,13 @@ so G holds A's coordinates over the Frobenius-orthonormal basis {E_kk,
 Products span every coupling and keep the GUE entry covariance, so each
 rate has second moment ||K||_F^2.
 
-An audit does each piece of work once and forms no factor.  It forms the
-raw marginal `rho._marginal(side)` once, for both the verdict residual and
-log2(rho_side).  The map from a draw to its factor is vec(A) = a g +
-conj(a) P g, with a = (1+i)/2 and P the transpose, so the rate is a real
-bilinear form in the draw row, rate_i = g_i^T R h_i, whose kernel R
-(n_A^2 x n_B^2) is four strided views of c (`_rate_kernel`): one real
-matrix product gives every rate.  R holds the coordinates of K over the
+An audit does each piece of work once and forms no factor.  It checks its
+side once and forms the raw marginal `rho._partial_trace(side)` once, for
+both the verdict residual and log2(rho_side).  The map from a draw to its
+factor is vec(A) = a g + conj(a) P g, with a = (1+i)/2 and P the
+transpose, so the rate is a real bilinear form in the draw row, rate_i =
+g_i^T R h_i, whose kernel R (n_A^2 x n_B^2) is four strided views of c
+(`_rate_kernel`): one real matrix product gives every rate.  R holds the coordinates of K over the
 orthonormal product basis, so ||R||_F = ||K||_F = ||c||_F = rate_bound.
 """
 
@@ -66,6 +66,7 @@ from .bloch import (
     _check_dims,
     _check_hermitian,
     _check_side,
+    _frobenius,
     reduced_state,
 )
 from .errors import DimensionMismatchError
@@ -111,7 +112,7 @@ class Coupling:
         h = np.array(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatchError(f"coupling must be square, got {h.shape}")
-        _check_hermitian({" of the coupling": h})
+        _check_hermitian(h, " of the coupling")
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
 
@@ -321,8 +322,8 @@ def dynamics_audit(
     trials = _check_count(trials, "trials", 1)
     na, nb, rng = _coupling_rng(rho.dim_a, rho.dim_b, seed)
     draws = rng.standard_normal((trials, na * na + nb * nb))
-    # one raw marginal serves the verdict and the rates
-    red = rho._marginal(side)
+    # one raw marginal of the side checked above serves the verdict and the rates
+    red = rho._partial_trace(side)
     lazy = rho._commutator_norm(red, side) < DEFAULT_TOL
     # a real state has a real c, cast once so that one kernel serves every
     # state and ||c||_F keeps the bits of the complex array's norm
@@ -339,5 +340,5 @@ def dynamics_audit(
         trials=trials,
         per_trial_rates=tuple(rates.tolist()),
         consistent_with_laziness=consistent,
-        rate_bound=float(np.linalg.norm(c)),
+        rate_bound=_frobenius(c),
     )

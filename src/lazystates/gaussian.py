@@ -222,7 +222,7 @@ class CovarianceState:
         if V.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got {V.shape}")
         # the one scan rejects a NaN or Inf as well as an asymmetry
-        _check_hermitian({" of covariance matrix V": V})
+        _check_hermitian(V, " of covariance matrix V")
         if d is None:
             d = np.zeros(4)
         else:
@@ -492,8 +492,9 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     cutoff; the row and column log terms of every M are rows of its half
     table and of one (cutoff + 1)^2 column table per form.  Consecutive
     shifts d >= 0 are formed a group at a time, padded to the size of the
-    first: the log rows past each shift's kept levels are -inf, so exp
-    pads with exact zeros, as the state's scan and sums require.  A group
+    first: the log rows past each shift's kept levels are -inf, and exp
+    fills a zeroed stack where the log is finite alone, so the padding is
+    exact zeros, as the state's scan and sums require.  A group
     is one (g, s, s) stack of the unweighted M M^T, whose sectors take at
     most _GROUP_ENTRIES padded entries unless it is one shift.  It goes
     to the state as it is, with views of its shifts d and of the columns d
@@ -542,9 +543,11 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     norms = np.empty(keep)
     for first, stop in plan:
         size = keep - first
-        m = half[first:stop, :size, None] + col[first:stop, None, :size]
-        m += log_toeplitz[:size, :size]
-        np.exp(m, out=m)
+        log_m = half[first:stop, :size, None] + col[first:stop, None, :size]
+        log_m += log_toeplitz[:size, :size]
+        # exp(-inf) is exactly 0, so exp runs on the finite logs alone
+        m = np.zeros_like(log_m)
+        np.exp(log_m, out=m, where=log_m > -np.inf)
         if alpha < 0.0:
             # alpha^(k-j) = (-1)^k (-1)^j |alpha|^(k-j); the column signs
             # cancel in M M^T
@@ -553,7 +556,7 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
         norms[first:stop] = stack.trace(axis1=1, axis2=2)
         stacks.append(stack)
     # free the per-form tables before the state is checked
-    del lags, log_toeplitz, col, m
+    del lags, log_toeplitz, col, log_m, m
     scale = (1.0 - q_a) * (1.0 - q_b)
     # row 0 weighs sector d by q_a^d, row 1 its mirror -d by q_b^d; the
     # mirror of sector 0 is no sector

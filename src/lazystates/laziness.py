@@ -21,14 +21,22 @@ The two are tied together by the exact identity
 the commutator over the generator products and using their orthogonality.
 
 The state owns the commutator and its marginal: `commutator_residual` is
-`rho._residual(side)`, the norm `rho._commutator_norm` at X = rho_side,
-the raw marginal `rho._marginal(side)`, neither Hermitized nor
-re-checked.  The truncated Fock state of `fock_truncate`, a
-`SectorDensityMatrix`, sums that norm over its sectors from the kept
-diagonal of its marginal, without the d x d matrix and without the
-diagonal matrix of the marginal; `bloch` describes both routes.
-The criterion matrix is a scatter-add over the nonzero structure
+`rho._residual(side)`, the commutator norm at X = rho_side, the raw
+marginal, neither Hermitized nor re-checked.  The truncated Fock state of
+`fock_truncate`, a `SectorDensityMatrix`, sums that norm over its sectors
+from the kept diagonal of its marginal, without the d x d matrix and
+without the diagonal matrix of the marginal; `bloch` describes both
+routes.  The criterion matrix is a scatter-add over the nonzero structure
 constants.
+
+Arguments are checked once, at the public edge: `is_lazy` checks the side
+and the tolerance, `commutator_residual` the side, `criterion_matrix` the
+side and the length of the form's coefficient vector against the basis,
+and `contraction_matrix` its coefficient vector; the state was checked
+when it was made.  Each then runs private kernels that check nothing
+again: `rho._residual`, `_criterion` and `_contraction`.  So each
+quantity is computed one way, and `is_lazy`'s report equals what the
+public functions give, bit for bit.
 """
 
 from __future__ import annotations
@@ -79,7 +87,26 @@ class LazinessReport:
 
 def commutator_residual(rho: DensityMatrix, side: Side) -> float:
     """Frobenius norm of [rho, rho_side (x) I]; zero iff lazy on that side."""
-    return rho._residual(side)
+    return rho._residual(_check_side(side))
+
+
+def _check_coefficients(coeffs: np.ndarray, basis: SuBasis) -> None:
+    """DimensionMismatchError unless `coeffs` has one entry per su(n) generator."""
+    count = basis.dim * basis.dim - 1
+    if coeffs.shape != (count,):
+        raise DimensionMismatchError(
+            f"coefficient vector of length {coeffs.size} does not match "
+            f"su({basis.dim}) with {count} generators"
+        )
+
+
+def _contraction(coeffs: np.ndarray, basis: SuBasis) -> np.ndarray:
+    """`contraction_matrix` of a checked float64 coefficient vector."""
+    count = basis.dim * basis.dim - 1
+    # F[i, k] = sum_j coeffs[j] f[i, j, k] over the signed permutations
+    _, j, _, v = basis.f.permuted
+    flat = np.bincount(basis.f.scatter_index, weights=v * coeffs[j], minlength=count * count)
+    return flat.reshape(count, count)
 
 
 def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:
@@ -93,16 +120,15 @@ def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:
     in the number of nonzero constants.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    count = basis.dim * basis.dim - 1
-    if coeffs.shape != (count,):
-        raise DimensionMismatchError(
-            f"coefficient vector of length {coeffs.size} does not match "
-            f"su({basis.dim}) with {count} generators"
-        )
-    # F[i, k] = sum_j coeffs[j] f[i, j, k] over the signed permutations
-    _, j, _, v = basis.f.permuted
-    flat = np.bincount(basis.f.scatter_index, weights=v * coeffs[j], minlength=count * count)
-    return flat.reshape(count, count)
+    _check_coefficients(coeffs, basis)
+    return _contraction(coeffs, basis)
+
+
+def _criterion(form: BlochForm, basis: SuBasis, side: Side) -> np.ndarray:
+    """`criterion_matrix` of a checked side and a basis that fits the form."""
+    if side == "A":
+        return _contraction(form.x, basis).T @ form.T
+    return form.T @ _contraction(form.y, basis)
 
 
 def criterion_matrix(form: BlochForm, basis: SuBasis, side: Side = "A") -> np.ndarray:
@@ -110,12 +136,12 @@ def criterion_matrix(form: BlochForm, basis: SuBasis, side: Side = "A") -> np.nd
 
     Side A contracts x against the su(n_A) constants and applies T from the
     right; side B mirrors this with y, the su(n_B) constants, and T from
-    the left.
+    the left.  x and y are the form's own float64 vectors, so only their
+    lengths are checked against the basis.
     """
     _check_side(side)
-    if side == "A":
-        return contraction_matrix(form.x, basis).T @ form.T
-    return form.T @ contraction_matrix(form.y, basis)
+    _check_coefficients(form.x if side == "A" else form.y, basis)
+    return _criterion(form, basis, side)
 
 
 def criterion_prefactor(dim_a: int, dim_b: int, side: Side) -> float:
@@ -134,15 +160,21 @@ def is_lazy(rho: DensityMatrix, side: Side = "A", tol: float = DEFAULT_TOL) -> L
     for a decided side of dimension >= 2 (a trivial side reports 0 without
     a Bloch expansion).  The criterion reads the state's cached
     `bloch_form`, so both sides of one state share one expansion.
+
+    `side` and `tol` are checked here, before any array work, and nowhere
+    again: the residual and the criterion come from the kernels behind
+    `commutator_residual` and `criterion_matrix`, whose values they equal
+    exactly.
     """
     _check_side(side)
     tol = _check_tolerance(tol)
-    residual = commutator_residual(rho, side)
+    residual = rho._residual(side)
     n = rho.dim_a if side == "A" else rho.dim_b
     criterion = 0.0
     if n >= 2:
-        g = criterion_matrix(rho.bloch_form, build_su_basis(n), side)
-        criterion = float(np.abs(g).max()) if g.size else 0.0
+        g = _criterion(rho.bloch_form, build_su_basis(n), side)
+        if g.size:
+            criterion = float(np.abs(g).max())
     return LazinessReport(
         side=side,
         tolerance=tol,

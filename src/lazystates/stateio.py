@@ -187,6 +187,8 @@ def _write_json(obj, out: list[str]) -> None:
     kind = type(obj)
     if kind is float:
         out.append(_format_float(obj))
+    elif kind is int:
+        out.append(str(obj))
     elif kind is list or kind is tuple:
         _write_sequence(obj, out)
     elif kind is dict:

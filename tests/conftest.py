@@ -6,13 +6,14 @@ loops so that tests never compare an implementation against itself.
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import lazystates as lz
-from lazystates import bloch
+from lazystates import bloch, gaussian
 from lazystates.su_algebra import ZERO_CUTOFF, StructureConstants
 
 
@@ -423,6 +424,29 @@ def dense_fock_reference(a, b, r, cutoff, pad=FOCK_ORACLE_PAD):
     kept = [n1 * dim + n2 for n1 in range(keep) for n2 in range(keep)]
     block = full[np.ix_(kept, kept)]
     return block / np.trace(block)
+
+
+class _ExpEverywhere(types.ModuleType):
+    """numpy, except that `exp` evaluates every entry and ignores `where`."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def exp(x, out=None, where=True):
+        return np.exp(x, out=out)
+
+
+def exp_everywhere_stacks(form, cutoff):
+    """The (S, shifts, weights) stacks of `fock_truncate(form, cutoff)` with
+    exp taken at every log entry, the -inf ones included."""
+    saved = gaussian.np
+    gaussian.np = _ExpEverywhere("numpy")
+    try:
+        rho = lz.fock_truncate(form, cutoff)
+    finally:
+        gaussian.np = saved
+    return rho._stacks
 
 
 def mp_fock_sector(a, b, r, cutoff, shift, pad=6, dps=30):

@@ -532,9 +532,9 @@ class TestSectorStacks:
             plant_defect(product[:size, :size], defect, scale=1.0 / weight)
         sectors = stack_sectors(stacks, keep)
         if shift and first_defect != "asymmetry":
-            assert quiet_rejection(lambda: bloch._check_hermitian({"": sectors[-shift]}))
+            assert quiet_rejection(lambda: bloch._check_hermitian(sectors[-shift]))
         alone = quiet_rejection(
-            lambda: bloch._check_hermitian({f" of sector {shift}": sectors[shift]})
+            lambda: bloch._check_hermitian(sectors[shift], f" of sector {shift}")
         )
         assert alone.endswith(f" of sector {shift}")
         # the stacks as `fock_truncate` hands them over
@@ -551,7 +551,7 @@ class TestSectorStacks:
         shift = int(shifts[2]) * (1, -1)[row]
         sectors = stack_sectors(stacks, keep)
         alone = quiet_rejection(
-            lambda: bloch._check_hermitian({f" of sector {shift}": sectors[shift]})
+            lambda: bloch._check_hermitian(sectors[shift], f" of sector {shift}")
         )
         assert alone.startswith("non-finite entry")
         assert quiet_rejection(lambda: fock_state(stacks)) == alone

@@ -593,13 +593,13 @@ class TestDynamicsAudit:
 
     def test_forms_the_dense_marginal_once(self, monkeypatch):
         calls = []
-        original = lz.DensityMatrix._marginal
+        original = lz.DensityMatrix._partial_trace
 
         def counted(rho, side):
             calls.append(side)
             return original(rho, side)
 
-        monkeypatch.setattr(lz.DensityMatrix, "_marginal", counted)
+        monkeypatch.setattr(lz.DensityMatrix, "_partial_trace", counted)
         lz.dynamics_audit(lz.random_density_matrix(3, 4, 2), "B", trials=10, seed=1)
         assert calls == ["B"]
 

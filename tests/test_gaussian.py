@@ -10,6 +10,7 @@ from conftest import (
     FOCK_ORACLE_PAD,
     NEAR_PURE_FORM,
     dense_fock_reference,
+    exp_everywhere_stacks,
     fock_stacks,
     fock_state,
     kron_commutator_residual,
@@ -699,6 +700,24 @@ class TestFockTruncation:
             lazy_form = lz.is_lazy_gaussian(form)
             residual = lz.commutator_residual(lz.fock_truncate(form, 20), "A")
             assert lazy_form == (residual < 1e-8)
+
+    @pytest.mark.parametrize("cutoff", [20, 40, 100])
+    @pytest.mark.parametrize(
+        "a,b,r",
+        [(1.2, 1.1, 0.5), (1.2, 1.1, -0.5), (1.2, 1.1, 0.0), (1.3, 1.0, 0.3)],
+        ids=["r > 0", "r < 0", "r = 0", "b vacuum"],
+    )
+    def test_stacks_match_exp_everywhere(self, a, b, r, cutoff):
+        # exp skips the -inf logs; taking it everywhere gives the same
+        # bytes, signs of zero included
+        form = lz.squeezed_thermal_form(a, b, r)
+        reference = exp_everywhere_stacks(form, cutoff)
+        stacks = lz.fock_truncate(form, cutoff)._stacks
+        assert len(stacks) == len(reference)
+        for got, want in zip(stacks, reference):
+            for part, expected in zip(got, want):
+                assert part.dtype == expected.dtype
+                assert part.tobytes() == expected.tobytes()
 
     def test_trace_deficit_rejected(self):
         with pytest.raises(lz.TruncationError, match="deficit"):

@@ -18,6 +18,23 @@ from conftest import (
 WITNESS_RESIDUAL = np.sqrt(2.0) / 8.0
 
 
+def composed_report(rho, side, tol=1e-10):
+    """The fields of `is_lazy(rho, side, tol)` from the public functions alone."""
+    residual = lz.commutator_residual(rho, side)
+    n = rho.dim_a if side == "A" else rho.dim_b
+    criterion = 0.0
+    if n >= 2:
+        g = lz.criterion_matrix(lz.decompose(rho), lz.build_su_basis(n), side)
+        criterion = float(np.abs(g).max()) if g.size else 0.0
+    return lz.LazinessReport(
+        side=side,
+        tolerance=tol,
+        commutator_residual=residual,
+        criterion_residual=criterion,
+        is_lazy=residual < tol,
+    )
+
+
 class TestCommutatorResidual:
     def test_product_states_commute(self):
         rng = np.random.default_rng(1)
@@ -261,14 +278,76 @@ class TestSharedExpansion:
     )
     def test_sector_reports_match_a_fresh_expansion(self, rho):
         for side in ("A", "B"):
-            report = lz.is_lazy(rho, side)
-            n = rho.dim_a if side == "A" else rho.dim_b
-            criterion = 0.0
-            if n >= 2:
-                g = lz.criterion_matrix(lz.decompose(rho), lz.build_su_basis(n), side)
-                criterion = float(np.abs(g).max()) if g.size else 0.0
-            assert report.criterion_residual == criterion
-            assert report.commutator_residual == lz.commutator_residual(rho, side)
+            assert lz.is_lazy(rho, side) == composed_report(rho, side)
+
+
+class TestVerdictBitIdentity:
+    """`is_lazy` reads the kernels behind the public functions, so every
+    field equals their composition exactly, on dense states of either dtype."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (2, 2), (3, 5), (4, 4), (8, 8)])
+    def test_report_is_the_public_composition(self, dims, real):
+        for seed in range(3):
+            data = lz.random_density_matrix(*dims, seed).data
+            if real:
+                data = data.real.copy()
+            states = [lz.DensityMatrix(*dims, data)]
+            # a lazy state too: a product of two random marginals
+            a = lz.random_density_matrix(dims[0], 1, seed + 10).data
+            b = lz.random_density_matrix(dims[1], 1, seed + 20).data
+            product = np.kron(a.real, b.real) if real else np.kron(a, b)
+            states.append(lz.DensityMatrix(*dims, product))
+            for rho in states:
+                assert rho.data.dtype == (np.float64 if real else np.complex128)
+                for side in ("A", "B"):
+                    for tol in (1e-10, 0.5):
+                        assert lz.is_lazy(rho, side, tol) == composed_report(rho, side, tol)
+
+    @pytest.mark.parametrize(
+        "side,tol,message",
+        [
+            ("C", 1e-10, "side must be 'A' or 'B', got 'C'"),
+            ("a", 1e-10, "side must be 'A' or 'B', got 'a'"),
+            ("A", 0.0, "tolerance must be a positive finite number, got 0.0"),
+            ("B", float("nan"), "tolerance must be a positive finite number, got nan"),
+            # the side is checked first
+            ("C", -1.0, "side must be 'A' or 'B', got 'C'"),
+        ],
+    )
+    def test_bad_arguments_raise_before_any_array_work(self, monkeypatch, side, tol, message):
+        rho = lz.random_density_matrix(2, 3, 1)
+        form, basis = rho.bloch_form, lz.build_su_basis(2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("array work before the arguments were checked")
+
+        for name in ("_residual", "_partial_trace", "_commutator"):
+            monkeypatch.setattr(lz.DensityMatrix, name, refuse)
+        monkeypatch.setattr(lz.bloch, "decompose", refuse)
+        monkeypatch.setattr(lz.laziness, "_contraction", refuse)
+        with pytest.raises(ValueError) as info:
+            lz.is_lazy(rho, side, tol)
+        assert str(info.value) == message
+        if side not in ("A", "B"):
+            for call in (
+                lambda: lz.commutator_residual(rho, side),
+                lambda: lz.criterion_matrix(form, basis, side),
+            ):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == message
+
+    def test_a_basis_that_does_not_fit_the_form_is_named(self):
+        form = lz.random_density_matrix(2, 3, 4).bloch_form
+        for side, basis, length in (("A", lz.build_su_basis(3), 3), ("B", lz.build_su_basis(2), 8)):
+            with pytest.raises(lz.DimensionMismatchError) as info:
+                lz.criterion_matrix(form, basis, side)
+            count = basis.dim**2 - 1
+            assert str(info.value) == (
+                f"coefficient vector of length {length} does not match "
+                f"su({basis.dim}) with {count} generators"
+            )
 
 
 class TestKeptMarginals:

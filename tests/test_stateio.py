@@ -61,6 +61,29 @@ class TestCanonicalJson:
     def test_negative_zero_in_a_list_prints_as_zero(self):
         assert canonical_json([-0.0, 1.5, [-0.0]]) == "[0,1.5,[0]]"
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0,
+            -7,
+            87,
+            True,
+            False,
+            np.int64(-3),
+            np.int32(12),
+            10**400,
+            -(10**400),
+            [1, True, np.int64(2), 2**63, 3.0],
+            {"i": 1, "j": [np.int64(0), False, 10**309]},
+            np.array([1, 2, 3]),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_ints_match_the_element_by_element_writer(self, value):
+        # a plain int takes the writer's shortcut; a bool, a numpy int and
+        # an int beyond the float range keep their own text
+        assert canonical_json(value) == reference_canonical_json(value)
+
 
 class TestStateFiles:
     def test_roundtrip(self, tmp_path, bell):
