@@ -367,31 +367,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim_a={self.dim_a}, dim_b={self.dim_b})"
 
 
-@lru_cache(maxsize=4)
-def _level_index(plan: tuple, side: Side) -> np.ndarray:
-    """Levels on `side` of the diagonal entries that `_level_sums` sums, in
-    its order, as one read-only array; cached.
-
-    `plan` is a state's `_plan`, (first, g, s) of each stack, whose g
-    layers of size s hold the shifts d = first, first + 1, ...: per
-    stack, entry i of layer k read as sector +d (row 0) lies on the A
-    level d + i and the B level i, and read as -d (row 1) on the A level
-    i and the B level d + i.  The padding points past the box.  A table
-    of `fock_truncate`'s plan has about cutoff^2 entries, 0.73 MB at
-    cutoff 300; four are kept.
-    """
-    lift = (1, 0) if side == "A" else (0, 1)
-    index = np.concatenate(
-        [
-            np.multiply.outer(lift, np.arange(first, first + g))[:, :, None] + np.arange(size)
-            for first, g, size in plan
-        ],
-        axis=None,
-    )
-    index.setflags(write=False)
-    return index
-
-
 class SectorDensityMatrix(DensityMatrix):
     """Real state of a square (keep, keep) box that is a direct sum of
     symmetric blocks over its 2 keep - 1 sectors.
@@ -415,14 +390,17 @@ class SectorDensityMatrix(DensityMatrix):
     together, and the padding adds nothing to it.
 
     Within a sector each level of either subsystem occurs once, so both
-    marginals are diagonal.  `_of` sums the diagonal of rho_A, one
-    `bincount` over weights times the stack diagonals, and keeps it
-    read-only; the diagonal of rho_B is summed on its first read and kept
-    too.  The shifts of each stack are consecutive, so its first shift and
-    its shape locate all its entries: `_hold` keeps them as the state's
-    `_plan`, (first, g, s) per stack.  The levels of the bincount depend
-    on the plan alone, so they come from a read-only table kept per plan
-    (`_level_index`).  `_partial_trace` is the diagonal matrix of the kept
+    marginals are diagonal.  The shifts of each stack are consecutive, so
+    its first shift and its shape locate all its entries: `_hold` keeps
+    them as the state's `_plan`, (first, g, s) per stack.  `_of` sums the
+    diagonal of rho_A and keeps it read-only; the diagonal of rho_B is
+    summed on its first read and kept too.  Each sum (`_level_sums`)
+    copies the product diagonals into row d of a zeroed (keep, 2 keep)
+    buffer, shifted right by d, through a skewed (keep, keep) view D of
+    it, and takes two vector-matrix products: the weights of the sectors
+    on the unshifted levels times D, and those of the sectors d levels up
+    times the buffer's first keep columns, where entry (d, i) of D lands
+    on level d + i.  `_partial_trace` is the diagonal matrix of the kept
     diagonal; the commutator residual (`_residual`) reads the kept
     diagonal itself and forms no such matrix.  For a diagonal X =
     diag(p), such as the marginal, [rho, X (x) I] has the entries
@@ -518,20 +496,24 @@ class SectorDensityMatrix(DensityMatrix):
             block.setflags(write=False)
         return MappingProxyType(sectors)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _level_sums(self, side: Side) -> np.ndarray:
         """Weights times the stack diagonals, summed over the levels of
-        `side`: one `bincount`, stack order, on the kept `_level_index`."""
-        dim = self.dim_a if side == "A" else self.dim_b
-        # the padding's levels past the box, and the mirror of sector 0,
-        # add zeros
-        return np.bincount(
-            _level_index(self._plan, side),
-            np.concatenate(
-                [weights[:, :, None] * stack.diagonal(0, 1, 2) for stack, _, weights in self._stacks],
-                axis=None,
-            ),
-            minlength=dim,
-        )[:dim]
+        `side`: two vector-matrix products over one buffer."""
+        keep = self.dim_a
+        # row d of `diag` starts d entries into row d of `buffer`: `diag`
+        # holds the product diagonals as they stand, row d on levels 0,
+        # 1, ..., and `buffer` the same rows d levels up; the padding past
+        # the box, and the mirror of sector 0, add zeros
+        buffer = np.zeros((keep, 2 * keep))
+        diag = np.ndarray((keep, keep), float, buffer, strides=(sum(buffer.strides), 8))
+        for (first, g, size), (stack, _, _) in zip(self._plan, self._stacks):
+            diag[first : first + g, :size] = stack.diagonal(0, 1, 2)
+        weights = np.concatenate([weights for _, _, weights in self._stacks], axis=1)
+        # sector +d (row 0) lies d levels up on A, -d (row 1) on B; numpy's
+        # matmul warns on overflow, which `_hold` and `_diagonal_b` name
+        shifted, unshifted = (0, 1) if side == "A" else (1, 0)
+        return weights[shifted] @ buffer[:, :keep] + weights[unshifted] @ diag
 
     @cached_property
     def _diagonal_b(self) -> np.ndarray:
@@ -732,9 +714,12 @@ def decompose(
     return BlochForm._of(c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=11)
 def _coefficient_scale(dim_a: int, dim_b: int) -> np.ndarray:
-    """outer([1, n_A/2, ...], [1, n_B/2, ...]), read-only; cached.
+    """outer([1, n_A/2, ...], [1, n_B/2, ...]), read-only; the eleven
+    splits used last are cached, enough for a scan over the splits of local
+    dimensions 2-4 with 6 x 6 and 8 x 8: the table takes 8 n_A^2 n_B^2
+    bytes, 134 MB at 64 x 64.
 
     (n_A / 2)(n_B / 2) is exactly n_A n_B / 4, so every coefficient is one
     rounded product.

@@ -9,7 +9,8 @@ some coupling witnesses non-laziness.  The rate is linear in the coupling,
 (mirrored for B), with log2 taken on the support of the reduced state.
 K is the state's commutator kernel, `rho._commutator`, applied to
 log2(rho_A) in place of rho_A, with rho_A the raw marginal
-`rho._marginal(side)` that `laziness.commutator_residual` reads.  K is
+`rho._partial_trace(side)` of a checked side, the marginal whose
+commutator norm `laziness.commutator_residual` reads (`rho._residual`).  K is
 notation only: the code forms c = [rho, log2(rho_A) (x) I] = -i K and
 reads every rate off c, tr(H K) = Re vdot(K, H) = Im vdot(c, H).
 This is exact for rank-deficient marginals too: rho >= 0 makes the kernel
@@ -166,7 +167,7 @@ def evolve(rho: DensityMatrix, hamiltonian: np.ndarray, t: float) -> DensityMatr
 
 
 def _rate_commutator(rho: DensityMatrix, red: np.ndarray, side: Side) -> np.ndarray:
-    """c = [rho, log2(red) (x) I] = -i K, red = `rho._marginal(side)`; rates are read off c.
+    """c = [rho, log2(red) (x) I] = -i K, red = `rho._partial_trace(side)`; rates are read off c.
 
     log2 acts on the support of the raw marginal only: eigenvalues <= 0 are
     dropped, matching the 0 log 0 = 0 convention of `entropy`.  The
@@ -189,10 +190,12 @@ def entropy_rate(
 
     `method="analytic"` evaluates the exact linear form tr(H K) as
     Im vdot(c, H), reading it off c = [rho, log2(rho_side) (x) I] = -i K,
-    rho_side = `rho._marginal(side)`, as the audit reads its rates; `"fd"`
-    is the independent central finite difference of the entropy along the
-    exact evolution, kept as a cross-check.
+    rho_side = `rho._partial_trace(side)`, as the audit reads its rates;
+    `"fd"` is the independent central finite difference of the entropy
+    along the exact evolution, kept as a cross-check.  `side` is checked
+    first, before either method does any array work.
     """
+    side = _check_side(side)
     if method not in ("analytic", "fd"):
         raise ValueError(f"unknown rate method {method!r}")
     h = coupling.hamiltonian
@@ -201,7 +204,7 @@ def entropy_rate(
             f"coupling shape {h.shape} does not match state shape {rho.data.shape}"
         )
     if method == "analytic":
-        c = _rate_commutator(rho, rho._marginal(side), side)
+        c = _rate_commutator(rho, rho._partial_trace(side), side)
         return float(np.vdot(c, h).imag)
     s_plus = entropy(reduced_state(evolve(rho, h, FD_STEP), side))
     s_minus = entropy(reduced_state(evolve(rho, h, -FD_STEP), side))

@@ -32,7 +32,8 @@ constants.
 Arguments are checked once, at the public edge: `is_lazy` checks the side
 and the tolerance, `commutator_residual` the side, `criterion_matrix` the
 side and the length of the form's coefficient vector against the basis,
-and `contraction_matrix` its coefficient vector; the state was checked
+`criterion_prefactor` the side and the dimensions, and
+`contraction_matrix` its coefficient vector; the state was checked
 when it was made.  Each then runs private kernels that check nothing
 again: `rho._residual`, `_criterion` and `_contraction`.  So each
 quantity is computed one way, and `is_lazy`'s report equals what the
@@ -49,6 +50,7 @@ from .bloch import (
     BlochForm,
     DensityMatrix,
     Side,
+    _check_dims,
     _check_side,
     _check_tolerance,
     reconstruct,
@@ -145,8 +147,10 @@ def criterion_matrix(form: BlochForm, basis: SuBasis, side: Side = "A") -> np.nd
 
 
 def criterion_prefactor(dim_a: int, dim_b: int, side: Side) -> float:
-    """Factor relating ||G||_F to the commutator residual for one side."""
+    """Factor relating ||G||_F to the commutator residual for one side;
+    the dimensions are checked as a state's are."""
     _check_side(side)
+    dim_a, dim_b = _check_dims(dim_a, dim_b)
     if side == "A":
         return 4.0 / (dim_a * dim_a * dim_b)
     return 4.0 / (dim_a * dim_b * dim_b)

@@ -176,30 +176,50 @@ def gathered_levels(shifts, size, side):
     return np.multiply.outer(lift, shifts)[:, :, None] + np.arange(size)
 
 
+def gathered_terms(rho, side):
+    """(levels, terms) of the diagonal of the marginal of a sector state:
+    weights times the stack diagonals and the `gathered_levels` they lie
+    on, flat in stack order, the padding's levels past the box."""
+    levels = np.concatenate(
+        [gathered_levels(shifts, stack.shape[1], side) for stack, shifts, _ in rho._stacks],
+        axis=None,
+    )
+    terms = np.concatenate(
+        [weights[:, :, None] * stack.diagonal(0, 1, 2) for stack, _, weights in rho._stacks],
+        axis=None,
+    )
+    return levels, terms
+
+
 def gathered_level_sums(rho, side):
-    """Diagonal of the marginal of a sector state: weights times the stack
-    diagonals, one `bincount` over the `gathered_levels` of every stack,
-    in stack order."""
+    """Diagonal of the marginal of a sector state: one `bincount` of the
+    `gathered_terms`, in stack order."""
     dim = rho.dim_a if side == "A" else rho.dim_b
-    return np.bincount(
-        np.concatenate(
-            [gathered_levels(shifts, stack.shape[1], side) for stack, shifts, _ in rho._stacks],
-            axis=None,
-        ),
-        np.concatenate(
-            [weights[:, :, None] * stack.diagonal(0, 1, 2) for stack, _, weights in rho._stacks],
-            axis=None,
-        ),
-        minlength=dim,
-    )[:dim]
+    return np.bincount(*gathered_terms(rho, side), minlength=dim)[:dim]
+
+
+def exact_level_sums(rho, side):
+    """(fsum, fsum of |terms|, count of terms) of each level of the
+    diagonal of the marginal of a sector state: the exactly rounded sum of
+    its `gathered_terms`, and what bounds the rounding of any other sum."""
+    dim = rho.dim_a if side == "A" else rho.dim_b
+    per_level = [[] for _ in range(dim)]
+    for level, term in zip(*(part.tolist() for part in gathered_terms(rho, side))):
+        if level < dim:
+            per_level[level].append(term)
+    return (
+        np.array([math.fsum(terms) for terms in per_level]),
+        np.array([math.fsum(map(abs, terms)) for terms in per_level]),
+        np.array([len(terms) for terms in per_level]),
+    )
 
 
 def gathered_residual(rho, side):
     """Commutator residual of a sector state, one `vdot` per stack, with p
-    gathered at the `gathered_levels` of each stack from the padded
-    `gathered_level_sums`.  Its bits are those `commutator_residual` must
+    gathered at the `gathered_levels` of each stack from the state's own
+    kept diagonal, padded.  Its bits are those `commutator_residual` must
     reproduce."""
-    p = np.concatenate((gathered_level_sums(rho, side), np.zeros(rho.dim_a + rho.dim_b)))
+    p = np.concatenate((rho._diagonal(side), np.zeros(rho.dim_a + rho.dim_b)))
     total = 0.0
     for stack, shifts, weights in rho._stacks:
         ps = p[gathered_levels(shifts, stack.shape[1], side)] * weights[:, :, None]

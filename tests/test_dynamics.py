@@ -273,6 +273,20 @@ class TestProductCouplings:
 
 
 class TestEntropyRate:
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    def test_checks_side_before_any_array_work(self, bell, monkeypatch, method):
+        def refuse(*args, **kwargs):
+            raise AssertionError("array work before the side was checked")
+
+        for name in ("evolve", "_rate_commutator"):
+            monkeypatch.setattr(dynamics, name, refuse)
+        coupling = lz.random_coupling(2, 2, 0)
+        with pytest.raises(ValueError, match="side must be 'A' or 'B', got 'C'"):
+            lz.entropy_rate(bell, coupling, "C", method=method)
+        # the patched functions are the ones the method calls
+        with pytest.raises(AssertionError, match="array work"):
+            lz.entropy_rate(bell, coupling, "A", method=method)
+
     def test_local_hamiltonian_gives_zero(self):
         rng = np.random.default_rng(2)
         for trial in range(5):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,31 @@ class TestScaling:
             via = lz.criterion_prefactor(na, nb, side) * np.linalg.norm(g)
             assert via == pytest.approx(report.commutator_residual, rel=1e-11, abs=0)
 
+    def test_bases_and_scales_are_kept_for_a_few_dimensions(self):
+        # a sweep of is_lazy on both sides of n x 2 states, n = 2, ..., 32,
+        # keeps the last five bases used (2 and 29-32, about 80 MB) and
+        # the scale tables of the last eleven splits, not the 31 of each
+        # swept (177 MB)
+        bases, scales = lz.build_su_basis, lz.bloch._coefficient_scale
+        bases.cache_clear()
+        scales.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in range(2, 33):
+                rho = lz.random_density_matrix(n, 2, 0)
+                for side in ("A", "B"):
+                    lz.is_lazy(rho, side)
+            del rho
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 100e6
+        assert bases.cache_info().currsize == 5
+        assert scales.cache_info().currsize == 11
+        assert bases(32) is bases(32)
+        assert scales(32, 2) is scales(32, 2)
+        assert not scales(32, 2).flags.writeable
+
 
 class TestContractionMatrix:
     def test_golden_transcription(self, su3):
@@ -333,6 +360,7 @@ class TestVerdictBitIdentity:
             for call in (
                 lambda: lz.commutator_residual(rho, side),
                 lambda: lz.criterion_matrix(form, basis, side),
+                lambda: lz.criterion_prefactor(2, 3, side),
             ):
                 with pytest.raises(ValueError) as info:
                     call()
@@ -348,6 +376,16 @@ class TestVerdictBitIdentity:
                 f"coefficient vector of length {length} does not match "
                 f"su({basis.dim}) with {count} generators"
             )
+        # so is a dimension that no state has, in the prefactor
+        for args, message in (
+            ((0, 2, "A"), "subsystem dimensions must be >= 1, got (0, 2)"),
+            ((-1, 2, "A"), "subsystem dimensions must be >= 1, got (-1, 2)"),
+            ((2.5, 2, "A"), "subsystem dimension must be an integer, got 2.5"),
+            ((True, 2, "B"), "subsystem dimension must be an integer, got True"),
+        ):
+            with pytest.raises(lz.DimensionMismatchError) as info:
+                lz.criterion_prefactor(*args)
+            assert str(info.value) == message
 
 
 class TestKeptMarginals:
