@@ -116,6 +116,20 @@ def _float_array(value, name: str) -> np.ndarray:
         raise InvalidStateError(f"malformed {name}: {exc}") from exc
 
 
+def _number_array(value, name: str) -> np.ndarray:
+    """`value` as a new float64 array, or complex128 if it holds complex
+    numbers; a string or boolean dtype raises InvalidStateError naming
+    `name` (`_check_numeric`).  So does a boolean or null among the numbers
+    of a `value` that is not an array, named by its position
+    (`_reject_boolean_or_null`): numpy would read it as 1, 0 or NaN.
+    """
+    arr = np.asarray(value)
+    _check_numeric(arr, name)
+    if not isinstance(value, np.ndarray):
+        _reject_boolean_or_null(value, name)
+    return np.array(arr, dtype=complex if arr.dtype.kind == "c" else float)
+
+
 def _locate(obj, found, where: str = "$"):
     """JSONPath-style location and value of the first item of `obj` that
     `found` holds for, in document order, or None."""
@@ -155,13 +169,10 @@ def _reject_boolean_or_null(value, where: str, suffix: str = "") -> None:
 
 
 def _frobenius(x: np.ndarray) -> float:
-    """Frobenius norm of `x`: the body of `np.linalg.norm(x)` without its
-    argument handling, so the same dot products give the same bits."""
-    x = x.ravel(order="K")
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
+    """Frobenius norm of a real or complex `x`: one contiguous dot of its
+    float64 view with itself, the sum the sector residual takes."""
+    v = x.reshape(-1).view(np.float64)
+    return math.sqrt(v.dot(v))
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -244,8 +255,9 @@ class DensityMatrix:
     """Hermitian unit-trace matrix with a bipartite dimension split.
 
     Real input stays real: it is stored as float64, so the products of a
-    real state run in real arithmetic; any other input is stored as
-    complex128.  Hermiticity and unit trace are enforced at construction.
+    real state run in real arithmetic; complex input is stored as
+    complex128 (`_number_array`, which rejects strings, booleans and
+    nulls).  Hermiticity and unit trace are enforced at construction.
     Positivity is *not*: generator expansions with out-of-range coefficients
     legitimately produce indefinite matrices, so it is exposed as the lazy
     `is_physical` flag instead and enforced only where callers demand it
@@ -256,7 +268,7 @@ class DensityMatrix:
     the canonical bases that both sides' laziness verdicts read.
 
     The state also owns the two pieces that both laziness characterizations
-    read: its raw marginal `_marginal(side)` and the kernel
+    read: its raw marginal `_partial_trace(side)` and the kernel
     `_commutator(X, side)`, [rho, X (x) I] or [rho, I (x) X] for any local
     X: X = rho_A for the verdict, X = log2(rho_A) for the entropy rate.
     The kernel never forms X (x) I: with rho viewed as the tensor
@@ -268,19 +280,16 @@ class DensityMatrix:
     state has a real marginal, so both GEMMs then run in real arithmetic.
     `_commutator_norm(X, side)` is its Frobenius norm, and `_residual(side)`
     that norm at X = the raw marginal, the commutator residual; the norm is
-    the body of `np.linalg.norm`, `_frobenius`.
+    one dot of the commutator's float64 view, `_frobenius`.
 
-    `_marginal` checks its side.  `_partial_trace` (the marginal itself),
-    `_commutator` and `_residual` take a side their caller has checked, as
-    `is_lazy` and `commutator_residual` do once per call, and run the
-    numpy arithmetic alone.
+    `_partial_trace`, `_commutator` and `_residual` take a side their
+    caller has checked, as `is_lazy`, `commutator_residual` and
+    `reduced_state` do once per call, and run the numpy arithmetic alone.
     """
 
     def __init__(self, dim_a: int, dim_b: int, data):
         dim_a, dim_b = _check_dims(dim_a, dim_b)
-        data = np.asarray(data)
-        _check_numeric(data, "matrix")
-        data = np.array(data, dtype=complex if data.dtype.kind == "c" else float)
+        data = _number_array(data, "matrix")
         d = dim_a * dim_b
         if data.shape != (d, d):
             raise DimensionMismatchError(
@@ -326,12 +335,9 @@ class DensityMatrix:
             )
         return self
 
-    def _marginal(self, side: Side) -> np.ndarray:
-        """Reduced state of `side` as a plain array, not Hermitized or re-validated."""
-        return self._partial_trace(_check_side(side))
-
     def _partial_trace(self, side: Side) -> np.ndarray:
-        """`_marginal` of a side the caller has checked."""
+        """Reduced state of a checked `side` as a plain array, not
+        Hermitized or re-validated."""
         r = self.data.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
         return np.einsum("abcb->ac" if side == "A" else "abad->bd", r)
 
@@ -615,16 +621,16 @@ class BlochForm:
 
     The form is its coefficient matrix C = [[1, y], [x, T]], float64 and
     read-only; x, y and T are read-only views of it.  `BlochForm(x=..., y=...,
-    T=...)` checks the shapes and copies the parts into a fresh C, while
-    `decompose` hands over the C of its own product.  Either way one scan
-    rejects a NaN or Inf, naming the part and the entry.  Attributes cannot
-    be set.
+    T=...)` reads each part as numbers (`_float_array`), checks the shapes
+    and copies the parts into a fresh C, while `decompose` hands over the C
+    of its own product.  Either way one scan rejects a NaN or Inf, naming
+    the part and the entry.  Attributes cannot be set.
     """
 
     __slots__ = ("C",)
 
     def __init__(self, x, y, T):
-        x, y, T = (np.asarray(part, dtype=float) for part in (x, y, T))
+        x, y, T = (_float_array(part, name) for part, name in ((x, "x"), (y, "y"), (T, "T")))
         if x.ndim != 1 or y.ndim != 1 or T.shape != (x.size, y.size):
             raise DimensionMismatchError(
                 f"inconsistent Bloch shapes x{x.shape}, y{y.shape}, T{T.shape}"
@@ -766,11 +772,9 @@ def reduced_state(rho: DensityMatrix, side: Side) -> DensityMatrix:
     Hermitized as (m + m^dagger)/2: the partial trace sums entries that are
     each Hermitian only to within the tolerance `DensityMatrix` accepts.
     """
-    red = rho._marginal(side)
-    red = (red + red.conj().T) / 2.0
-    if side == "A":
-        return DensityMatrix(rho.dim_a, 1, red)
-    return DensityMatrix(1, rho.dim_b, red)
+    red = rho._partial_trace(_check_side(side))
+    dims = (rho.dim_a, 1) if side == "A" else (1, rho.dim_b)
+    return DensityMatrix(*dims, (red + red.conj().T) / 2.0)
 
 
 def random_density_matrix(dim_a: int, dim_b: int, seed) -> DensityMatrix:

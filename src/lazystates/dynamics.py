@@ -68,6 +68,7 @@ from .bloch import (
     _check_hermitian,
     _check_side,
     _frobenius,
+    _number_array,
     reduced_state,
 )
 from .errors import DimensionMismatchError
@@ -97,12 +98,32 @@ NONLAZY_RATE_FLOOR = 1e-3
 RateMethod = Literal["analytic", "fd"]
 
 
+def _hamiltonian(value, name: str) -> np.ndarray:
+    """`value` as a new complex matrix, checked as a state's matrix is: a
+    string, boolean or null entry, a non-square shape, a NaN or Inf and an
+    asymmetry above HERMITICITY_TOL each raise an error naming `name`."""
+    h = _number_array(value, name).astype(complex, copy=False)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DimensionMismatchError(f"{name} must be square, got {h.shape}")
+    _check_hermitian(h, f" of the {name}")
+    return h
+
+
+def _check_fits(rho: DensityMatrix, h: np.ndarray, name: str) -> None:
+    """DimensionMismatchError naming `name` unless `h` has the shape of the state's matrix."""
+    if h.shape != rho.data.shape:
+        raise DimensionMismatchError(
+            f"{name} shape {h.shape} does not match state shape {rho.data.shape}"
+        )
+
+
 @dataclass(frozen=True)
 class Coupling:
     """Hermitian joint Hamiltonian with its generating seed.
 
-    Validated as a state's matrix is: a non-finite entry or an asymmetry
-    above HERMITICITY_TOL raises InvalidStateError naming its position.
+    Validated as a state's matrix is (`_hamiltonian`): a string, boolean
+    or null entry raises InvalidStateError, and a non-finite entry or an
+    asymmetry above HERMITICITY_TOL one naming its position.
     """
 
     hamiltonian: np.ndarray
@@ -110,10 +131,7 @@ class Coupling:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _check_count(self.seed, "seed"))
-        h = np.array(self.hamiltonian, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimensionMismatchError(f"coupling must be square, got {h.shape}")
-        _check_hermitian(h, " of the coupling")
+        h = _hamiltonian(self.hamiltonian, "coupling")
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
 
@@ -147,6 +165,8 @@ def evolve(rho: DensityMatrix, hamiltonian: np.ndarray, t: float) -> DensityMatr
 
     A `t` that is not a finite real number (a str, a bool, NaN or +-Inf)
     raises ValueError naming `t`, before numpy can warn or blame the state.
+    The Hamiltonian is checked as a `Coupling`'s is, so `eigh`, which reads
+    one triangle, never evolves under another matrix.
     """
     if (
         not isinstance(t, (int, float, np.integer, np.floating))
@@ -154,11 +174,13 @@ def evolve(rho: DensityMatrix, hamiltonian: np.ndarray, t: float) -> DensityMatr
         or not math.isfinite(t)
     ):
         raise ValueError(f"t must be a finite real number, got {t!r}")
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.shape != rho.data.shape:
-        raise DimensionMismatchError(
-            f"hamiltonian shape {h.shape} does not match state shape {rho.data.shape}"
-        )
+    h = _hamiltonian(hamiltonian, "hamiltonian")
+    _check_fits(rho, h, "hamiltonian")
+    return _evolve(rho, h, t)
+
+
+def _evolve(rho: DensityMatrix, h: np.ndarray, t: float) -> DensityMatrix:
+    """`evolve` under a checked Hermitian `h` of the state's shape and a finite `t`."""
     w, q = np.linalg.eigh(h)
     u = (q * np.exp(-1j * w * t)) @ q.conj().T
     data = u @ rho.data @ u.conj().T
@@ -199,15 +221,13 @@ def entropy_rate(
     if method not in ("analytic", "fd"):
         raise ValueError(f"unknown rate method {method!r}")
     h = coupling.hamiltonian
-    if h.shape != rho.data.shape:
-        raise DimensionMismatchError(
-            f"coupling shape {h.shape} does not match state shape {rho.data.shape}"
-        )
+    _check_fits(rho, h, "coupling")
     if method == "analytic":
         c = _rate_commutator(rho, rho._partial_trace(side), side)
         return float(np.vdot(c, h).imag)
-    s_plus = entropy(reduced_state(evolve(rho, h, FD_STEP), side))
-    s_minus = entropy(reduced_state(evolve(rho, h, -FD_STEP), side))
+    # the coupling was checked when it was made
+    s_plus = entropy(reduced_state(_evolve(rho, h, FD_STEP), side))
+    s_minus = entropy(reduced_state(_evolve(rho, h, -FD_STEP), side))
     return float((s_plus - s_minus) / (2.0 * FD_STEP))
 
 
@@ -329,7 +349,8 @@ def dynamics_audit(
     red = rho._partial_trace(side)
     lazy = rho._commutator_norm(red, side) < DEFAULT_TOL
     # a real state has a real c, cast once so that one kernel serves every
-    # state and ||c||_F keeps the bits of the complex array's norm
+    # state and rate_bound reduces the complex c, whose bits the norm of
+    # K = i c shares: the zeros it interleaves set the order of the dot
     c = np.asarray(_rate_commutator(rho, red, side), dtype=complex)
     # rate_i = g_i^T R h_i over the draw rows, with no factor formed; adding
     # 0.0 turns an exactly zero rate -0.0 into +0.0

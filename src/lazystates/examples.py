@@ -13,6 +13,8 @@ from .bloch import (
     DensityMatrix,
     _check_dense_size,
     _check_integer,
+    _float_array,
+    _number_array,
     _require_finite,
     random_density_matrix,
 )
@@ -40,8 +42,8 @@ def maximally_entangled(dim: int) -> DensityMatrix:
 
 def product_state(marginal_a, marginal_b) -> DensityMatrix:
     """Kronecker product of two single-system density matrices."""
-    a = np.asarray(marginal_a, dtype=complex)
-    b = np.asarray(marginal_b, dtype=complex)
+    a = _number_array(marginal_a, "marginal a").astype(complex, copy=False)
+    b = _number_array(marginal_b, "marginal b").astype(complex, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(
             f"marginals must be square matrices, got shapes {a.shape} and {b.shape}"
@@ -65,19 +67,17 @@ def werner(p: float) -> DensityMatrix:
 
 
 def _diag_marginal(probs) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
+    probs = _float_array(probs, "marginal spec")
     if probs.ndim != 1 or probs.size < 2:
         raise ValueError(f"marginal spec must list at least two weights, got {probs!r}")
-    return np.diag(probs).astype(complex)
+    return np.diag(probs)
 
 
 def _vector8(value, default=0.0) -> np.ndarray:
-    if value is None:
-        return np.full(8, float(default))
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1:
-        return np.full(8, float(arr[0]))
-    return arr
+    """`value`, or `default` for None, with a single entry repeated 8 times;
+    `diagonal_correlation_state` checks the numbers."""
+    arr = np.atleast_1d(default if value is None else value)
+    return np.full(8, arr[0]) if arr.size == 1 else arr
 
 
 def _integer_param(params: dict, key: str, default: int) -> int:

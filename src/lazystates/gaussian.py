@@ -96,6 +96,12 @@ __all__ = [
 #: slack allowed below the exact nu_minus >= 1 physicality boundary
 PHYSICALITY_TOL = 1e-9
 
+#: largest local variance accepted: nu_minus, nu_plus and the kernel
+#: determinant are formed from fourth-degree products of the parameters,
+#: at most 17 max(n, m)^4 = 1.7e305 here, within the float range; past
+#: about 1e77 they overflow
+_MAX_VARIANCE = 1e76
+
 #: largest gap accepted between `kernel_quadratic_difference` and its closed form
 QUADRATIC_IDENTITY_TOL = 1e-9
 
@@ -127,8 +133,10 @@ class GaussianStandardForm:
     """Standard-form parameters (n, m, c, c') of a physical two-mode covariance.
 
     Construction raises UnphysicalFormError unless n, m >= 1 -
-    PHYSICALITY_TOL, M > 0 and nu_minus >= 1 - PHYSICALITY_TOL; the
-    symplectic eigenvalues are kept as `nu_minus` and `nu_plus`.  The
+    PHYSICALITY_TOL, M > 0 and nu_minus >= 1 - PHYSICALITY_TOL, and
+    ValueError for a non-finite parameter or a variance n or m above
+    1e76, whose fourth power leaves the float range; the symplectic
+    eigenvalues are kept as `nu_minus` and `nu_plus`.  The
     commutator kernels and the imaginary part of the inverse of `plus`
     are built on first read and kept, so every kernel identity checked on
     one form shares them.
@@ -144,14 +152,13 @@ class GaussianStandardForm:
     def __post_init__(self):
         n, m, c, cp = float(self.n), float(self.m), float(self.c), float(self.c_prime)
         if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(c) and math.isfinite(cp)):
-            name, value = next(
-                (name, value)
-                for name, value in zip(("n", "m", "c", "c_prime"), (n, m, c, cp))
-                if not math.isfinite(value)
-            )
+            params = zip(("n", "m", "c", "c_prime"), (n, m, c, cp))
+            name, value = next((name, value) for name, value in params if not math.isfinite(value))
             raise ValueError(f"non-finite standard-form parameter {name} = {value}")
         if n < 1.0 - PHYSICALITY_TOL or m < 1.0 - PHYSICALITY_TOL:
             raise UnphysicalFormError(f"local variances must be >= 1, got n={n}, m={m}")
+        if n > _MAX_VARIANCE or m > _MAX_VARIANCE:
+            raise ValueError(f"local variances must be <= {_MAX_VARIANCE:g}, got n={n}, m={m}")
         if not (n * m > c * c and n * m > cp * cp):
             raise UnphysicalFormError(
                 f"standard form (n, m, c, c') = ({n:.6g}, {m:.6g}, {c:.6g}, {cp:.6g}) "

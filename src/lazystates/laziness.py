@@ -33,11 +33,11 @@ Arguments are checked once, at the public edge: `is_lazy` checks the side
 and the tolerance, `commutator_residual` the side, `criterion_matrix` the
 side and the length of the form's coefficient vector against the basis,
 `criterion_prefactor` the side and the dimensions, and
-`contraction_matrix` its coefficient vector; the state was checked
-when it was made.  Each then runs private kernels that check nothing
-again: `rho._residual`, `_criterion` and `_contraction`.  So each
-quantity is computed one way, and `is_lazy`'s report equals what the
-public functions give, bit for bit.
+`contraction_matrix` its coefficient vector, as finite numbers of the
+right length; the state was checked when it was made.  Each then runs
+private kernels that check nothing again: `rho._residual`, `_criterion`
+and `_contraction`.  So each quantity is computed one way, and
+`is_lazy`'s report equals what the public functions give, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from .bloch import (
     _check_dims,
     _check_side,
     _check_tolerance,
+    _float_array,
+    _require_finite,
     reconstruct,
 )
 from .errors import DimensionMismatchError
@@ -121,8 +123,9 @@ def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:
     signed index permutations of every stored triple, so its cost is linear
     in the number of nonzero constants.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = _float_array(coeffs, "coefficient vector")
     _check_coefficients(coeffs, basis)
+    _require_finite(coeffs, "coefficient vector")
     return _contraction(coeffs, basis)
 
 
@@ -198,9 +201,8 @@ def diagonal_correlation_state(x, y, correlations) -> DensityMatrix:
     equivalence for the rows they silence.  The result may be unphysical
     for large coefficients; check `is_physical`.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    correlations = np.asarray(correlations, dtype=float)
+    x, y = _float_array(x, "x"), _float_array(y, "y")
+    correlations = _float_array(correlations, "correlations")
     if x.shape != (8,) or y.shape != (8,) or correlations.shape != (8,):
         raise DimensionMismatchError(
             "diagonal-correlation family needs three length-8 vectors, got "

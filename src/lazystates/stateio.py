@@ -28,7 +28,6 @@ from .errors import InvalidStateError
 from .gaussian import CovarianceState
 
 __all__ = [
-    "pairs_to_complex_matrix",
     "state_to_dict",
     "state_from_dict",
     "load_state",
@@ -42,27 +41,6 @@ def _pairs_array(values) -> np.ndarray:
     """[re, im] pairs of a complex array, as a float array with a last axis of 2."""
     m = np.asarray(values, dtype=complex)
     return np.stack((m.real, m.imag), axis=-1)
-
-
-def pairs_to_complex_matrix(obj) -> np.ndarray:
-    """Complex matrix of a nesting of [re, im] pairs, with entry and shape validation.
-
-    An entry that is not a number raises InvalidStateError naming the
-    matrix, a boolean or null one naming its path, e.g. "null at $[0][0][1]".
-    """
-    _reject_boolean_or_null(obj, "$")
-    return _complex_matrix(obj)
-
-
-def _complex_matrix(obj) -> np.ndarray:
-    """`pairs_to_complex_matrix` once `obj` holds no boolean or null."""
-    arr = _float_array(obj, "matrix entries")
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidStateError(
-            f"matrix must be square with [re, im] entries, got shape {arr.shape}"
-        )
-    # each [re, im] pair read as one complex, not as re + 1j * im: 1j * inf warns
-    return arr.view(complex)[..., 0]
 
 
 def _state_document(rho: DensityMatrix) -> dict:
@@ -101,7 +79,13 @@ def _state_from_document(obj) -> DensityMatrix:
     # `type(x) is int`: JSON true/false load as bool, a subclass of int
     if not all(type(x) is int and x >= 1 for x in (dim_a, dim_b)):
         raise InvalidStateError(f"dimensions must be positive integers, got ({dim_a!r}, {dim_b!r})")
-    rho = DensityMatrix(dim_a, dim_b, _complex_matrix(obj["matrix"]))
+    arr = _float_array(obj["matrix"], "matrix entries")
+    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+        raise InvalidStateError(
+            f"matrix must be square with [re, im] entries, got shape {arr.shape}"
+        )
+    # each [re, im] pair read as one complex, not as re + 1j * im: 1j * inf warns
+    rho = DensityMatrix(dim_a, dim_b, arr.view(complex)[..., 0])
     return rho.require_physical()
 
 

@@ -11,6 +11,7 @@ import types
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import unitary_group
 
 import lazystates as lz
 from lazystates import bloch, gaussian
@@ -158,7 +159,7 @@ def reference_sector_residual(rho, side="A"):
     Each sector block times its own outer difference of the marginal
     diagonal, summed by one `vdot` per sector, with no grouping.
     """
-    p = np.diag(rho._marginal(side))
+    p = np.diag(rho._partial_trace(side))
     total = 0.0
     for shift, block in rho.sectors.items():
         lo = max(shift, 0) if side == "A" else max(-shift, 0)
@@ -363,7 +364,7 @@ def reference_entropy_rate(rho, coupling, side):
     """`entropy_rate` as it was with K = i c formed: Re vdot(K, H)."""
     from lazystates.dynamics import _rate_commutator
 
-    c = _rate_commutator(rho, rho._marginal(side), side)
+    c = _rate_commutator(rho, rho._partial_trace(side), side)
     return float(np.vdot(1j * c, coupling.hamiltonian).real)
 
 
@@ -380,15 +381,17 @@ def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
     `commutator_residual` and the rate operator each form their own raw
     marginal; and the rates are the real part of vec(A)^T m vec(B), with m
     the realigned K = i c.  `trials`, `rate_bound` and the verdict must
-    match `dynamics_audit` bit for bit.  The rates are summed in another
-    order, so they agree to rounding only.
+    match `dynamics_audit` bit for bit; `rate_bound` is K reduced by the
+    package's one norm, `bloch._frobenius`, so the match pins the audit's
+    c to K.  The rates are summed in another order, so they agree to
+    rounding only.
     """
     from lazystates.bloch import _check_count, _check_side, _realign
     from lazystates.dynamics import LAZY_RATE_TOL, NONLAZY_RATE_FLOOR, DynamicsAudit
     from lazystates.laziness import DEFAULT_TOL, commutator_residual
 
     def rate_operator(rho, side):
-        w, q = np.linalg.eigh(rho._marginal(side))
+        w, q = np.linalg.eigh(rho._partial_trace(side))
         keep = w > 0.0
         log2_red = (q[:, keep] * np.log2(w[keep])) @ q[:, keep].conj().T
         return 1j * rho._commutator(log2_red, side)
@@ -412,7 +415,7 @@ def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
         trials=trials,
         per_trial_rates=tuple(rates.tolist()),
         consistent_with_laziness=consistent,
-        rate_bound=float(np.linalg.norm(k)),
+        rate_bound=bloch._frobenius(k),
     )
 
 
@@ -600,6 +603,42 @@ def haar_unitary(dim, rng):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def locally_rotated(data, ua, ub):
+    """(U_A (x) U_B) data (U_A (x) U_B)^dag, Hermitized, one local factor at
+    a time on the tensor data[(a, b), (c, d)], with no d x d unitary formed."""
+    na, nb = len(ua), len(ub)
+    r = data.reshape(na, nb, na, nb)
+    r = np.einsum("ai,bj,ijkl,ck,dl->abcd", ua, ub, r, ua.conj(), ub.conj(), optimize=True)
+    out = r.reshape(na * nb, na * nb)
+    return (out + out.conj().T) / 2.0
+
+
+def lazy_state(na, nb, side, rng):
+    """An exactly lazy state on `side`, with Haar local unitaries.
+
+    Side A: (U_A (x) U_B)(sum_i p_i |i><i| (x) sigma_i)(U_A (x) U_B)^dag,
+    with p a random distribution over the levels of A and each sigma_i a
+    random full-rank state of B, so rho_A = U_A diag(p) U_A^dag and rho
+    commutes with rho_A (x) I.  Side B mirrors it: sum_j p_j sigma_j (x)
+    |j><j|.  U_A and U_B are drawn by `scipy.stats.unitary_group`.
+    """
+    levels, other = (na, nb) if side == "A" else (nb, na)
+    p = rng.dirichlet(np.ones(levels))
+    g = rng.standard_normal((levels, other, other)) + 1j * rng.standard_normal(
+        (levels, other, other)
+    )
+    sigma = g @ g.conj().transpose(0, 2, 1)
+    sigma *= (p / np.trace(sigma, axis1=1, axis2=2).real)[:, None, None]
+    # core[i, x, i, y] = p_i sigma_i[x, y], block-diagonal over the levels i
+    core = np.zeros((levels, other, levels, other), dtype=complex)
+    core[np.arange(levels), :, np.arange(levels), :] = sigma
+    if side == "B":
+        core = core.transpose(1, 0, 3, 2)
+    ua = unitary_group.rvs(na, random_state=rng)
+    ub = unitary_group.rvs(nb, random_state=rng)
+    return lz.DensityMatrix(na, nb, locally_rotated(core.reshape(na * nb, -1), ua, ub))
 
 
 def sample_physical_diagonal_states(count, rng, lazy_fraction=0.5, min_corr=0.01):

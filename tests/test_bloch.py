@@ -1,4 +1,5 @@
 import copy
+import math
 import warnings
 
 import numpy as np
@@ -165,6 +166,97 @@ class TestDensityMatrix:
         for seed in (-1, True, 0.5):
             with pytest.raises(ValueError, match="seed must be an integer >= 0"):
                 lz.random_density_matrix(2, 2, seed)
+
+
+#: public entries given a string, a boolean, a null or a NaN that numpy
+#: would read as a number, with the message that names it
+NUMBER_CHECKS = [
+    pytest.param(
+        lambda: lz.Coupling(hamiltonian=np.array([["1", "0"], ["0", "1"]]), seed=0),
+        "malformed coupling: a string where a number belongs",
+        id="Coupling strings",
+    ),
+    pytest.param(
+        lambda: lz.Coupling(hamiltonian=np.eye(2, dtype=bool), seed=0),
+        "malformed coupling: a boolean where a number belongs",
+        id="Coupling booleans",
+    ),
+    pytest.param(
+        lambda: lz.BlochForm(x=["1"] * 3, y=np.zeros(3), T=np.zeros((3, 3))),
+        "malformed x: a string where a number belongs",
+        id="BlochForm strings",
+    ),
+    pytest.param(
+        lambda: lz.contraction_matrix(["1"] * 8, lz.build_su_basis(3)),
+        "malformed coefficient vector: a string where a number belongs",
+        id="contraction_matrix strings",
+    ),
+    pytest.param(
+        lambda: lz.contraction_matrix([np.nan] * 8, lz.build_su_basis(3)),
+        "non-finite entry in coefficient vector at (0,)",
+        id="contraction_matrix nan",
+    ),
+    pytest.param(
+        lambda: lz.contraction_matrix([0.0] * 7 + [np.inf], lz.build_su_basis(3)),
+        "non-finite entry in coefficient vector at (7,)",
+        id="contraction_matrix inf",
+    ),
+    pytest.param(
+        lambda: lz.product_state([["1"]], [["1"]]),
+        "malformed marginal a: a string where a number belongs",
+        id="product_state strings",
+    ),
+    pytest.param(
+        lambda: lz.diagonal_correlation_state(["0"] * 8, np.zeros(8), np.full(8, 0.1)),
+        "malformed x: a string where a number belongs",
+        id="diagonal_correlation_state strings",
+    ),
+    pytest.param(
+        lambda: lz.generate_example("product", {"a": ["0.5", "0.5"]}),
+        "malformed marginal spec: a string where a number belongs",
+        id="product example strings",
+    ),
+    pytest.param(
+        lambda: lz.generate_example("diagonal_correlation", {"x": "0.1"}),
+        "malformed x: a string where a number belongs",
+        id="diagonal_correlation example string",
+    ),
+    pytest.param(
+        lambda: lz.DensityMatrix(1, 2, [[0.5, True], [True, 0.5]]),
+        "boolean true at matrix[0][1]",
+        id="DensityMatrix boolean among numbers",
+    ),
+    pytest.param(
+        lambda: lz.DensityMatrix(1, 2, [[0.5, 0.0], [None, 0.5]]),
+        "null at matrix[1][0]",
+        id="DensityMatrix null among numbers",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,message", NUMBER_CHECKS)
+def test_public_array_entries_check_their_numbers(build, message):
+    # numpy reads "1" and True as 1.0, and None as NaN
+    with pytest.raises(lz.InvalidStateError) as info:
+        build()
+    assert str(info.value) == message
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("na,nb", [(2, 2), (3, 4), (5, 3), (8, 8), (16, 2), (2, 16)])
+    def test_one_dot_for_real_and_complex_arrays(self, na, nb):
+        # a complex commutator has the norm of its [re, im] pairs, bit for
+        # bit, within 1 ulp of the exactly rounded norm
+        mp = pytest.importorskip("mpmath")
+        rho = lz.random_density_matrix(na, nb, na + nb)
+        for side in ("A", "B"):
+            c = rho._commutator(rho._partial_trace(side), side)
+            norm = bloch._frobenius(c)
+            assert norm == bloch._frobenius(np.stack((c.real, c.imag), axis=-1))
+            with mp.workdps(50):
+                squares = (mp.mpf(float(v)) ** 2 for v in c.reshape(-1).view(np.float64))
+                exact = float(mp.sqrt(mp.fsum(squares)))
+            assert abs(norm - exact) <= math.ulp(exact)
 
 
 def quiet_rejection(build):

@@ -445,6 +445,31 @@ class TestGaussian:
         assert out == ""
         assert "uncertainty relation: nu_minus = 0.878981" in err
 
+    @pytest.mark.parametrize(
+        "form",
+        ["2.95,2.28e95,0.93,3.4e16", "1e80,4.34,4.34,-2.62", "1e200,1e200,0,0", "3e154,2,1,0.5"],
+    )
+    def test_variance_beyond_the_float_range_exits_two(self, capsys, form):
+        # neither a numerical failure (exit 3) nor a NaN that JSON refuses
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["gaussian", "--form", form])
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        assert err.startswith("error: local variances must be <= 1e+76, got n=")
+
+    def test_variances_at_the_bound_give_a_finite_manifest(self, capsys):
+        for form, expected in (("1e76,1e76,0,0", 0), ("1e76,1e76,0.9e76,0.9e76", 1)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, _ = run(capsys, ["gaussian", "--form", form])
+            assert [str(w.message) for w in caught] == []
+            assert code == expected
+            results = json.loads(out)["results"]
+            assert all(np.isfinite(results["symplecticEigenvalues"]))
+            assert np.isfinite(results["detIdentityResidual"])
+            assert np.isfinite(results["quadraticIdentityResidual"])
+
     def test_near_pure_squeezed_thermal_form_reaches_the_fock_check(self, capsys):
         # physical (the form's nu_minus reads 1.0000000375, the exact one
         # 0.999999999054612), and its thermal parameter b = 0.99999999896

@@ -278,7 +278,7 @@ class TestEntropyRate:
         def refuse(*args, **kwargs):
             raise AssertionError("array work before the side was checked")
 
-        for name in ("evolve", "_rate_commutator"):
+        for name in ("_evolve", "_rate_commutator"):
             monkeypatch.setattr(dynamics, name, refuse)
         coupling = lz.random_coupling(2, 2, 0)
         with pytest.raises(ValueError, match="side must be 'A' or 'B', got 'C'"):
@@ -375,7 +375,7 @@ class TestEntropyRate:
         pure_a = lz.product_state(pure_density(rng, na), random_marginal(rng, nb))
         for rho in (full, pure_a):
             for side in ("A", "B"):
-                k = 1j * _rate_commutator(rho, rho._marginal(side), side)
+                k = 1j * _rate_commutator(rho, rho._partial_trace(side), side)
                 assert np.abs(k - kron_rate_operator(rho, side)).max() < 1e-14
 
     @pytest.mark.parametrize("side", ["A", "B"])
@@ -428,6 +428,30 @@ class TestEvolve:
     def test_shape_mismatch(self, bell):
         with pytest.raises(lz.DimensionMismatchError):
             lz.evolve(bell, np.eye(6), 0.1)
+
+    @pytest.mark.parametrize(
+        "h,message",
+        [
+            (np.array([[0.0, 1.0], [0.0, 0.0]]),
+             "hermiticity violation: max asymmetry 1.000e+00 at entry (0, 1) of the hamiltonian"),
+            (np.full((2, 2), np.nan), "non-finite entry at (0, 0) of the hamiltonian"),
+            ([["1", "0"], ["0", "1"]], "malformed hamiltonian: a string where a number belongs"),
+        ],
+        ids=["|0><1|", "nan", "strings"],
+    )
+    def test_checks_the_hamiltonian(self, h, message):
+        # eigh reads one triangle: |0><1| would evolve under another matrix
+        rho = lz.DensityMatrix(1, 2, np.eye(2) / 2.0)
+        with pytest.raises(lz.InvalidStateError) as info:
+            lz.evolve(rho, h, 0.1)
+        assert str(info.value) == message
+
+    def test_fd_rate_checks_its_coupling_once(self, witness, monkeypatch):
+        coupling = lz.random_coupling(2, 2, 0)
+        calls = []
+        monkeypatch.setattr(dynamics, "_hamiltonian", lambda *args: calls.append(args))
+        lz.entropy_rate(witness, coupling, "A", method="fd")
+        assert calls == []
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, "0.1", True])
     def test_rejects_a_time_that_is_not_a_finite_real(self, bell, t):
@@ -483,7 +507,7 @@ class TestDynamicsAudit:
         real = lz.DensityMatrix(na, nb, lz.random_density_matrix(na, nb, 3).data.real)
         for rho in (complex_state, real):
             for side in ("A", "B"):
-                c = np.asarray(_rate_commutator(rho, rho._marginal(side), side), dtype=complex)
+                c = np.asarray(_rate_commutator(rho, rho._partial_trace(side), side), dtype=complex)
                 kernel = dynamics._rate_kernel(c, na, nb)
                 assert kernel.shape == (na * na, nb * nb) and kernel.dtype == float
                 k = kron_rate_operator(rho, side)

@@ -118,6 +118,32 @@ class TestStandardForm:
         with pytest.raises(ValueError, match=r"parameter m = inf$"):
             lz.GaussianStandardForm(2.0, np.inf, np.nan, -np.inf)
 
+    @pytest.mark.parametrize(
+        "params",
+        [(2.95, 2.28e95, 0.93, 3.4e16), (1e80, 4.34, 4.34, -2.62),
+         (1e200, 1e200, 0.0, 0.0), (3e154, 2.0, 1.0, 0.5)],
+    )
+    def test_rejects_variances_beyond_the_float_range(self, params):
+        # the fourth powers of these variances overflow: into an
+        # OverflowError from `** 2`, or into nu_minus = nan
+        with pytest.raises(ValueError, match=r"^local variances must be <= 1e\+76, got n=") as info:
+            lz.GaussianStandardForm(*params)
+        assert not isinstance(info.value, lz.UnphysicalFormError)
+
+    @pytest.mark.parametrize(
+        "params",
+        [(1e76, 1e76, 0.0, 0.0), (1e76, 1.0, 0.5, -0.5), (2.0, 1e76, 1e37, -1e37),
+         (1e76, 1e76, 0.9e76, 0.9e76), (1e76, 1e76, 0.999e76, -0.999e76)],
+    )
+    def test_variances_at_the_bound_keep_finite_eigenvalues(self, params):
+        n, m, c, cp = params
+        form = lz.GaussianStandardForm(*params)
+        lo, hi = form.nu_minus, form.nu_plus
+        assert 1.0 <= lo <= hi < math.inf
+        # nu_-^2 nu_+^2 = det M and nu_-^2 + nu_+^2 = Delta
+        assert (lo * hi) ** 2 == pytest.approx((n * m - c * c) * (n * m - cp * cp), rel=1e-12)
+        assert lo * lo + hi * hi == pytest.approx(n * n + m * m + 2 * c * cp, rel=1e-12)
+
     def test_keeps_converted_parameters_and_eigenvalues(self):
         form = lz.GaussianStandardForm(np.float32(2.0), 3, "0.5", np.float64(-0.2))
         params = (form.n, form.m, form.c, form.c_prime, form.nu_minus, form.nu_plus)

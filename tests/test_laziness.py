@@ -433,7 +433,7 @@ class TestKeptMarginals:
         def refuse(rho, side):
             raise AssertionError(f"a marginal matrix of side {side} was formed")
 
-        monkeypatch.setattr(lz.SectorDensityMatrix, "_marginal", refuse)
+        monkeypatch.setattr(lz.SectorDensityMatrix, "_partial_trace", refuse)
         rho = self.fock_state()
         for side in ("A", "B"):
             assert lz.commutator_residual(rho, side) == expected[side]

@@ -15,7 +15,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import lazystates as lz  # noqa: E402
-from conftest import haar_unitary, reference_canonical_json  # noqa: E402
+from conftest import (  # noqa: E402
+    haar_unitary,
+    lazy_state,
+    locally_rotated,
+    reference_canonical_json,
+)
+from scipy.stats import unitary_group  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -107,6 +113,39 @@ def test_audit_rates_are_the_linear_form_on_the_coupling_stack(dims, rank_frac, 
         assert np.all(np.abs(audit.per_trial_rates) <= audit.rate_bound * norms)
         mixed = rate(stack[0] + scale * stack[1])
         assert abs(mixed - direct[0] - scale * direct[1]) < 1e-12
+
+
+@settings(DETERMINISTIC, max_examples=12)
+@given(
+    dims=st.sampled_from([(16, 16), (64, 4), (4, 64)]),
+    family=st.sampled_from(["random", "lazy A", "lazy B"]),
+    seed=seeds,
+)
+@example(dims=(32, 32), family="random", seed=0)
+@example(dims=(32, 32), family="lazy B", seed=1)
+def test_identities_at_local_dimension_16_to_64(dims, family, seed):
+    # the norm identity at acceptance 03's tolerance, local-unitary
+    # invariance of the residual and the verdict, and the lazy family lazy
+    # on its side alone
+    na, nb = dims
+    rng = np.random.default_rng(seed)
+    if family == "random":
+        rho = lz.random_density_matrix(na, nb, seed)
+    else:
+        rho = lazy_state(na, nb, family[-1], rng)
+    ua, ub = unitary_group.rvs(na, random_state=rng), unitary_group.rvs(nb, random_state=rng)
+    rotated = lz.DensityMatrix(na, nb, locally_rotated(rho.data, ua, ub))
+    for side, n in (("A", na), ("B", nb)):
+        report = lz.is_lazy(rho, side)
+        assert report.is_lazy == (family == f"lazy {side}")
+        g = lz.criterion_matrix(rho.bloch_form, lz.build_su_basis(n), side)
+        via = lz.criterion_prefactor(na, nb, side) * np.linalg.norm(g)
+        assert via == pytest.approx(report.commutator_residual, rel=1e-11, abs=1e-15)
+        after = lz.is_lazy(rotated, side)
+        assert after.is_lazy == report.is_lazy
+        assert after.commutator_residual == pytest.approx(
+            report.commutator_residual, rel=1e-10, abs=1e-13
+        )
 
 
 def real_wishart_state(na, nb, rank, seed):

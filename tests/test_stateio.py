@@ -184,19 +184,6 @@ class TestStateFiles:
         with pytest.raises(lz.InvalidStateError, match=f"^{message}$"):
             state_from_dict({**dims, "matrix": matrix})
 
-    @pytest.mark.parametrize(
-        "matrix,message",
-        [([[[True, False]]], "boolean true at $[0][0][0]"),
-         ([[[None, 0.0]]], "null at $[0][0][0]"),
-         ([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, False]]], "boolean false at $[1][1][1]")],
-        ids=["booleans", "null", "boolean beside numbers"],
-    )
-    def test_pairs_reject_boolean_and_null_entries(self, matrix, message):
-        # numpy would read them as 1, 0 and NaN
-        with pytest.raises(lz.InvalidStateError) as info:
-            stateio.pairs_to_complex_matrix(matrix)
-        assert str(info.value) == message
-
     def test_load_walks_the_matrix_only_on_a_word_in_the_text(self, tmp_path, monkeypatch):
         # the text scan already rules booleans and nulls out of a plain
         # numeric file, so its lists are not walked again
