@@ -57,6 +57,9 @@ TRACE_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
 #: numpy's size limit for one array, in bytes
 MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
+#: float64 entries of one dot in `_frobenius`, below the 10^4 from which
+#: OpenBLAS splits a dot across threads
+_DOT_ENTRIES = 8192
 
 
 def _check_side(side: str) -> str:
@@ -66,11 +69,8 @@ def _check_side(side: str) -> str:
 
 
 def _check_tolerance(tol: float) -> float:
-    """`tol` as a float; NaN, Inf and nonpositive values are rejected."""
-    tol = float(tol)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
-    return tol
+    """`tol` as a float (`_scalar`); NaN, Inf and nonpositive values are rejected."""
+    return _scalar(tol, "tolerance must be a positive finite number", lambda v: 0.0 < v < math.inf)
 
 
 def _require_finite(arr: np.ndarray, label: str) -> None:
@@ -80,54 +80,67 @@ def _require_finite(arr: np.ndarray, label: str) -> None:
         raise InvalidStateError(f"non-finite entry in {label} at {pos}")
 
 
-def _check_numeric(arr: np.ndarray, name: str) -> None:
-    """Raise InvalidStateError naming `name` when `arr` has a str, bytes or
-    bool dtype, or is an object array holding a str or bytes: numpy would
-    read "1" and True as 1.0.  A numeric dtype is not scanned."""
+#: what `complex` would read as a number but `_scalar` does not
+_NOT_COMPLEX = (str, bytes, bool, np.bool_)
+#: and `float`, which would also read a numpy complex as its real part
+_NOT_REAL = _NOT_COMPLEX + (np.complexfloating,)
+
+
+def _scalar(value, message: str, valid=None, kind=float):
+    """`value` as a float, or a complex for `kind=complex`, that `valid`
+    holds for; otherwise ValueError "{message}, got ..." with the value.
+
+    `float` and `complex` would read "1" and True as numbers, and `float`
+    a numpy complex as its real part: a str, bytes, bool or np.bool_ is
+    rejected, and so is a numpy complex read as a float.  A value that
+    fails `valid` is shown as read, e.g. "got nan" for np.float64(nan).  A
+    Python float read as a float, or complex as a complex, is taken as it
+    is.
+    """
+    if type(value) is kind and (valid is None or valid(value)):
+        return value
+    shown = value
+    if not isinstance(value, _NOT_REAL if kind is float else _NOT_COMPLEX):
+        try:
+            shown = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if valid is None or valid(shown):
+                return shown
+    raise ValueError(f"{message}, got {shown!r}")
+
+
+def _number_array(value, name: str, where: str | None = None, real: bool = False) -> np.ndarray:
+    """`value` as a new float64 array, or complex128 if it holds complex
+    numbers; what is not a number raises InvalidStateError naming `name`.
+
+    numpy would read "1" and True as 1.0, and None as NaN.  numpy's own
+    errors, on a ragged nesting, an object or an integer beyond the float
+    range, follow "malformed {name}: ".  A string or boolean dtype is
+    rejected, and so is a complex one when `real` is set.  A boolean or
+    null among the numbers of a `value` that is not an array, or of an
+    object array, is then named by its position from `where` (default
+    `name`), such as "null at matrix[1][0]" (`_reject_boolean_or_null`);
+    a numeric array is not walked.
+    """
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidStateError(f"malformed {name}: {exc}") from exc
     kind = arr.dtype.kind
-    if kind in "iufc":
-        return
     if kind in "SU" or (kind == "O" and any(isinstance(x, (str, bytes)) for x in arr.flat)):
         raise InvalidStateError(f"malformed {name}: a string where a number belongs")
     if kind == "b":
         raise InvalidStateError(f"malformed {name}: a boolean where a number belongs")
-
-
-def _float_array(value, name: str) -> np.ndarray:
-    """`value` as a new float64 array; an entry that is not a number raises
-    InvalidStateError naming `name`.
-
-    `_check_numeric` rejects a string or boolean dtype; any other dtype that
-    is not integer or float then goes through numpy's own float
-    conversion, which raises on an object and on an integer literal beyond
-    the float range (JSON keeps one as an int).  A boolean or null among
-    numbers is no dtype of its own: state and covariance input reject one
-    by its position first (`_reject_boolean_or_null`).
-    """
+    if kind == "c" and real:
+        raise InvalidStateError(f"malformed {name}: a complex number where a real one belongs")
+    if kind == "O" or not isinstance(value, np.ndarray):
+        _reject_boolean_or_null(arr.tolist() if kind == "O" else value, where or name)
     try:
-        arr = np.array(value)
-        _check_numeric(arr, name)
-        if arr.dtype.kind not in "iuf":
-            arr = np.array(value, dtype=float)
-        return arr.astype(float, copy=False)
-    except InvalidStateError:
-        raise
+        return np.array(arr, dtype=complex if kind == "c" else float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidStateError(f"malformed {name}: {exc}") from exc
-
-
-def _number_array(value, name: str) -> np.ndarray:
-    """`value` as a new float64 array, or complex128 if it holds complex
-    numbers; a string or boolean dtype raises InvalidStateError naming
-    `name` (`_check_numeric`).  So does a boolean or null among the numbers
-    of a `value` that is not an array, named by its position
-    (`_reject_boolean_or_null`): numpy would read it as 1, 0 or NaN.
-    """
-    arr = np.asarray(value)
-    _check_numeric(arr, name)
-    if not isinstance(value, np.ndarray):
-        _reject_boolean_or_null(value, name)
-    return np.array(arr, dtype=complex if arr.dtype.kind == "c" else float)
 
 
 def _locate(obj, found, where: str = "$"):
@@ -153,14 +166,10 @@ def _reject_boolean_or_null(value, where: str, suffix: str = "") -> None:
     by its JSONPath-style position, `where` for `value` itself.
 
     numpy would read true and false as 1 and 0, and null as NaN.  `value`
-    is a number, a nesting of lists, tuples and dicts, or an array; a
-    numeric array holds neither and is not walked.  `suffix` follows the
-    position in the message, e.g. " in state.json".
+    is a number or a nesting of lists, tuples and dicts; an array in it is
+    not walked.  `suffix` follows the position in the message, e.g. " in
+    state.json".
     """
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind in "iufc":
-            return
-        value = value.tolist()
     hit = _locate(value, lambda item: item is None or isinstance(item, (bool, np.bool_)), where)
     if hit is not None:
         at, item = hit
@@ -169,10 +178,22 @@ def _reject_boolean_or_null(value, where: str, suffix: str = "") -> None:
 
 
 def _frobenius(x: np.ndarray) -> float:
-    """Frobenius norm of a real or complex `x`: one contiguous dot of its
-    float64 view with itself, the sum the sector residual takes."""
+    """Frobenius norm of a real or complex `x`, from its float64 view v.
+
+    Up to _DOT_ENTRIES entries it is one contiguous dot v.v, the sum the
+    sector residual takes.  OpenBLAS splits a longer dot across threads,
+    which moves its last bits with the thread count, so a longer v is
+    summed in order over the dots of its consecutive _DOT_ENTRIES-entry
+    chunks, each below that cut.
+    """
     v = x.reshape(-1).view(np.float64)
-    return math.sqrt(v.dot(v))
+    if v.size <= _DOT_ENTRIES:
+        return math.sqrt(v.dot(v))
+    total = 0.0
+    for start in range(0, v.size, _DOT_ENTRIES):
+        chunk = v[start : start + _DOT_ENTRIES]
+        total += chunk.dot(chunk)
+    return math.sqrt(total)
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -621,16 +642,16 @@ class BlochForm:
 
     The form is its coefficient matrix C = [[1, y], [x, T]], float64 and
     read-only; x, y and T are read-only views of it.  `BlochForm(x=..., y=...,
-    T=...)` reads each part as numbers (`_float_array`), checks the shapes
-    and copies the parts into a fresh C, while `decompose` hands over the C
-    of its own product.  Either way one scan rejects a NaN or Inf, naming
+    T=...)` reads each part as real numbers (`_number_array`), checks the
+    shapes and copies the parts into a fresh C, while `decompose` hands over
+    the C of its own product.  Either way one scan rejects a NaN or Inf, naming
     the part and the entry.  Attributes cannot be set.
     """
 
     __slots__ = ("C",)
 
     def __init__(self, x, y, T):
-        x, y, T = (_float_array(part, name) for part, name in ((x, "x"), (y, "y"), (T, "T")))
+        x, y, T = (_number_array(v, name, real=True) for v, name in ((x, "x"), (y, "y"), (T, "T")))
         if x.ndim != 1 or y.ndim != 1 or T.shape != (x.size, y.size):
             raise DimensionMismatchError(
                 f"inconsistent Bloch shapes x{x.shape}, y{y.shape}, T{T.shape}"

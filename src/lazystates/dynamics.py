@@ -69,6 +69,7 @@ from .bloch import (
     _check_side,
     _frobenius,
     _number_array,
+    _scalar,
     reduced_state,
 )
 from .errors import DimensionMismatchError
@@ -163,17 +164,12 @@ def entropy(rho: DensityMatrix) -> float:
 def evolve(rho: DensityMatrix, hamiltonian: np.ndarray, t: float) -> DensityMatrix:
     """Exact unitary evolution exp(-iHt) rho exp(iHt) by eigendecomposition.
 
-    A `t` that is not a finite real number (a str, a bool, NaN or +-Inf)
-    raises ValueError naming `t`, before numpy can warn or blame the state.
-    The Hamiltonian is checked as a `Coupling`'s is, so `eigh`, which reads
+    A `t` that is not a finite real number (a str, a bool, NaN or +-Inf;
+    `_scalar`) raises ValueError naming `t`, before numpy can warn or blame
+    the state.  The Hamiltonian is checked as a `Coupling`'s is, so `eigh`, which reads
     one triangle, never evolves under another matrix.
     """
-    if (
-        not isinstance(t, (int, float, np.integer, np.floating))
-        or isinstance(t, bool)
-        or not math.isfinite(t)
-    ):
-        raise ValueError(f"t must be a finite real number, got {t!r}")
+    t = _scalar(t, "t must be a finite real number", math.isfinite)
     h = _hamiltonian(hamiltonian, "hamiltonian")
     _check_fits(rho, h, "hamiltonian")
     return _evolve(rho, h, t)

@@ -7,15 +7,17 @@ unphysical matrix are rejected.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bloch import (
     DensityMatrix,
     _check_dense_size,
     _check_integer,
-    _float_array,
     _number_array,
     _require_finite,
+    _scalar,
     random_density_matrix,
 )
 from .laziness import diagonal_correlation_state
@@ -55,10 +57,12 @@ def product_state(marginal_a, marginal_b) -> DensityMatrix:
 
 
 def werner(p: float) -> DensityMatrix:
-    """Two-qubit mixture p |singlet><singlet| + (1 - p) I/4, physical for -1/3 <= p <= 1."""
-    p = float(p)
-    if not np.isfinite(p):
-        raise ValueError(f"parameter p must be a finite number, got {p}")
+    """Two-qubit mixture p |singlet><singlet| + (1 - p) I/4, physical for -1/3 <= p <= 1.
+
+    A `p` that is not a finite real number (a str, a bool, NaN or +-Inf;
+    `_scalar`) raises ValueError naming `p`.
+    """
+    p = _scalar(p, "parameter p must be a finite number", math.isfinite)
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1.0 / np.sqrt(2.0)
     singlet[2] = -1.0 / np.sqrt(2.0)
@@ -67,17 +71,18 @@ def werner(p: float) -> DensityMatrix:
 
 
 def _diag_marginal(probs) -> np.ndarray:
-    probs = _float_array(probs, "marginal spec")
+    probs = _number_array(probs, "marginal spec", real=True)
     if probs.ndim != 1 or probs.size < 2:
         raise ValueError(f"marginal spec must list at least two weights, got {probs!r}")
     return np.diag(probs)
 
 
-def _vector8(value, default=0.0) -> np.ndarray:
-    """`value`, or `default` for None, with a single entry repeated 8 times;
-    `diagonal_correlation_state` checks the numbers."""
-    arr = np.atleast_1d(default if value is None else value)
-    return np.full(8, arr[0]) if arr.size == 1 else arr
+def _vector8(value, default=0.0):
+    """`value`, or `default` for None, a scalar repeated 8 times;
+    `diagonal_correlation_state` reads the numbers, so a list is passed on
+    as it is, for its booleans and nulls to be named."""
+    value = default if value is None else value
+    return value if isinstance(value, (list, tuple)) or np.ndim(value) else [value] * 8
 
 
 def _integer_param(params: dict, key: str, default: int) -> int:

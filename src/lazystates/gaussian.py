@@ -70,9 +70,9 @@ from .bloch import (
     _check_count,
     _check_hermitian,
     _check_tolerance,
-    _float_array,
-    _reject_boolean_or_null,
+    _number_array,
     _require_finite,
+    _scalar,
 )
 from .errors import TruncationError, UnphysicalFormError
 from .laziness import DEFAULT_TOL
@@ -134,8 +134,9 @@ class GaussianStandardForm:
 
     Construction raises UnphysicalFormError unless n, m >= 1 -
     PHYSICALITY_TOL, M > 0 and nu_minus >= 1 - PHYSICALITY_TOL, and
-    ValueError for a non-finite parameter or a variance n or m above
-    1e76, whose fourth power leaves the float range; the symplectic
+    ValueError for a parameter that is not a real number (a str or a bool;
+    `_scalar`), a non-finite one or a variance n or m above 1e76, whose
+    fourth power leaves the float range; the symplectic
     eigenvalues are kept as `nu_minus` and `nu_plus`.  The
     commutator kernels and the imaginary part of the inverse of `plus`
     are built on first read and kept, so every kernel identity checked on
@@ -150,7 +151,10 @@ class GaussianStandardForm:
     nu_plus: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, m, c, cp = float(self.n), float(self.m), float(self.c), float(self.c_prime)
+        n = _scalar(self.n, "standard-form parameter n must be a real number")
+        m = _scalar(self.m, "standard-form parameter m must be a real number")
+        c = _scalar(self.c, "standard-form parameter c must be a real number")
+        cp = _scalar(self.c_prime, "standard-form parameter c_prime must be a real number")
         if not (math.isfinite(n) and math.isfinite(m) and math.isfinite(c) and math.isfinite(cp)):
             params = zip(("n", "m", "c", "c_prime"), (n, m, c, cp))
             name, value = next((name, value) for name, value in params if not math.isfinite(value))
@@ -219,13 +223,13 @@ class CovarianceState:
     """General two-mode covariance matrix with displacement vector.
 
     The displacement is stored but plays no role in the laziness decision,
-    which depends only on the second moments.
+    which depends only on the second moments.  `V` and `d` are read as real
+    numbers (`_number_array`), a boolean or null in lists named by its
+    position, e.g. "boolean true at $.V[0][0]".
     """
 
     def __init__(self, V, d=None):
-        # 20 numbers: walking them costs little, and a float array is not walked
-        _reject_boolean_or_null(V, "$.V")
-        V = _float_array(V, "covariance matrix V")
+        V = _number_array(V, "covariance matrix V", "$.V", real=True)
         if V.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got {V.shape}")
         # the one scan rejects a NaN or Inf as well as an asymmetry
@@ -233,8 +237,7 @@ class CovarianceState:
         if d is None:
             d = np.zeros(4)
         else:
-            _reject_boolean_or_null(d, "$.d")
-            d = _float_array(d, "displacement d")
+            d = _number_array(d, "displacement d", "$.d", real=True)
             if d.shape != (4,):
                 raise ValueError(f"displacement must have 4 entries, got shape {d.shape}")
             _require_finite(d, "displacement d")
@@ -296,7 +299,9 @@ def standard_form_from_covariance(cov: CovarianceState) -> GaussianStandardForm:
     more often through that quotient than through Q - R.
 
     The upper triangle of V is read; `CovarianceState` has checked that V
-    is symmetric.
+    is symmetric.  Finite entries can still give a local determinant
+    beyond the float range, which raises ValueError naming it and the
+    1e76 bound on local variances.
     """
     v = cov.V.tolist()
     a11, a12, c11, c12 = v[0]
@@ -309,6 +314,13 @@ def standard_form_from_covariance(cov: CovarianceState) -> GaussianStandardForm:
         raise UnphysicalFormError(
             f"local determinant below vacuum: det A = {det_a:.6g}, "
             f"det B = {det_b:.6g}"
+        )
+    # finite entries whose products overflow: a NaN or Inf determinant would
+    # whiten to NaN and surface as a non-finite parameter
+    if not (math.isfinite(det_a) and math.isfinite(det_b)):
+        raise ValueError(
+            f"local determinant beyond the float range: det A = {det_a:.6g}, "
+            f"det B = {det_b:.6g}; local variances must be <= {_MAX_VARIANCE:g}"
         )
     n, m = math.sqrt(det_a), math.sqrt(det_b)
     p11, p12, p22 = _unit_det_whitener(a11, a12, a22, n, "A")
@@ -340,9 +352,10 @@ def kernel_determinant(form: GaussianStandardForm) -> float:
 def kernel_quadratic_closed_form(
     form: GaussianStandardForm, u: complex, v: complex
 ) -> complex:
-    """Closed form of the quadratic-form difference between the kernels."""
-    u = complex(u)
-    v = complex(v)
+    """Closed form of the quadratic-form difference between the kernels;
+    `u` and `v` are read as complex numbers (`_scalar`)."""
+    u = _scalar(u, "u must be a complex number", kind=complex)
+    v = _scalar(v, "v must be a complex number", kind=complex)
     gap = 2.0 * (1.0 + form.m) * (2.0 + form.n)
     return (8.0j * form.c_prime / (form.c_prime**2 - gap)) * u.imag * v.real - (
         8.0j * form.c / (form.c**2 - gap)
@@ -359,10 +372,11 @@ def kernel_quadratic_difference(
     one dense numerical inverse per form, computed on first use, and its
     imaginary part is kept and shared by every probe (u, v) of that form;
     it stays independent of `kernel_quadratic_closed_form`, and the CLI
-    reports the gap between the two as `quadraticIdentityResidual`.
+    reports the gap between the two as `quadraticIdentityResidual`.  `u`
+    and `v` are read as complex numbers (`_scalar`).
     """
-    u = complex(u)
-    v = complex(v)
+    u = _scalar(u, "u must be a complex number", kind=complex)
+    v = _scalar(v, "v must be a complex number", kind=complex)
     b = np.array([u.imag, u.real, v.imag, v.real, u.imag, u.real])
     return 2j * float(b @ form._plus_inverse_imag @ b)
 

@@ -53,7 +53,7 @@ from .bloch import (
     _check_dims,
     _check_side,
     _check_tolerance,
-    _float_array,
+    _number_array,
     _require_finite,
     reconstruct,
 )
@@ -123,7 +123,7 @@ def contraction_matrix(coeffs, basis: SuBasis) -> np.ndarray:
     signed index permutations of every stored triple, so its cost is linear
     in the number of nonzero constants.
     """
-    coeffs = _float_array(coeffs, "coefficient vector")
+    coeffs = _number_array(coeffs, "coefficient vector", real=True)
     _check_coefficients(coeffs, basis)
     _require_finite(coeffs, "coefficient vector")
     return _contraction(coeffs, basis)
@@ -201,8 +201,8 @@ def diagonal_correlation_state(x, y, correlations) -> DensityMatrix:
     equivalence for the rows they silence.  The result may be unphysical
     for large coefficients; check `is_physical`.
     """
-    x, y = _float_array(x, "x"), _float_array(y, "y")
-    correlations = _float_array(correlations, "correlations")
+    x, y = _number_array(x, "x", real=True), _number_array(y, "y", real=True)
+    correlations = _number_array(correlations, "correlations", real=True)
     if x.shape != (8,) or y.shape != (8,) or correlations.shape != (8,):
         raise DimensionMismatchError(
             "diagonal-correlation family needs three length-8 vectors, got "

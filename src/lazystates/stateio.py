@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bloch import DensityMatrix, _float_array, _locate, _reject_boolean_or_null
+from .bloch import DensityMatrix, _locate, _number_array, _reject_boolean_or_null
 from .errors import InvalidStateError
 from .gaussian import CovarianceState
 
@@ -59,17 +59,10 @@ def state_from_dict(obj) -> DensityMatrix:
     """Validated DensityMatrix from its JSON dictionary.
 
     Violations surface as InvalidStateError naming the failed invariant
-    and its magnitude; a boolean or null in the matrix is named by its
-    JSON path, e.g. "boolean true at $.matrix[0][0][0]".
+    and its magnitude; a boolean or null in a matrix of lists is named by
+    its JSON path, e.g. "boolean true at $.matrix[0][0][0]"
+    (`_number_array`).
     """
-    if isinstance(obj, dict) and "matrix" in obj:
-        _reject_boolean_or_null(obj["matrix"], "$.matrix")
-    return _state_from_document(obj)
-
-
-def _state_from_document(obj) -> DensityMatrix:
-    """`state_from_dict` once the matrix holds no boolean or null: a state
-    file's text has been scanned for them, so its lists are not walked."""
     if not isinstance(obj, dict):
         raise InvalidStateError(f"state document must be an object, got {type(obj).__name__}")
     missing = {"dimA", "dimB", "matrix"} - obj.keys()
@@ -79,7 +72,7 @@ def _state_from_document(obj) -> DensityMatrix:
     # `type(x) is int`: JSON true/false load as bool, a subclass of int
     if not all(type(x) is int and x >= 1 for x in (dim_a, dim_b)):
         raise InvalidStateError(f"dimensions must be positive integers, got ({dim_a!r}, {dim_b!r})")
-    arr = _float_array(obj["matrix"], "matrix entries")
+    arr = _number_array(obj["matrix"], "matrix entries", "$.matrix", real=True)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidStateError(
             f"matrix must be square with [re, im] entries, got shape {arr.shape}"
@@ -102,9 +95,12 @@ def _load_json(path, numeric: tuple[str, ...]):
     single-character scans pass a plain numeric document; only then is the
     text searched for the words, and the numbers are walked only on a hit,
     which may lie elsewhere, such as inside a string.  A key whose whole
-    value is null counts as absent.  A number with a fraction or exponent
-    beyond the float range, such as 1e999, parses to inf without a token;
-    it is left to the matrix checks, which name its entry.
+    value is null counts as absent.  The scanned numbers are handed back
+    as arrays, which `_number_array` does not walk again; a value numpy
+    cannot convert, such as a ragged list, stays a list for it to name.
+    A number with a fraction or exponent beyond the float range, such as
+    1e999, parses to inf without a token; it is left to the matrix checks,
+    which name its entry.
     """
     text = Path(path).read_text()
     tokens: list[str] = []
@@ -120,19 +116,22 @@ def _load_json(path, numeric: tuple[str, ...]):
     if tokens:
         where, _ = _locate(obj, lambda value: value is _NON_FINITE)
         raise InvalidStateError(f"non-finite number {tokens[0]} at {where} in {path}")
-    if (
-        isinstance(obj, dict)
-        and ("u" in text or "l" in text)
-        and any(word in text for word in ("true", "false", "null"))
-    ):
-        numbers = {key: obj[key] for key in numeric if obj.get(key) is not None}
+    if not isinstance(obj, dict):
+        return obj
+    numbers = {key: obj[key] for key in numeric if obj.get(key) is not None}
+    if ("u" in text or "l" in text) and any(word in text for word in ("true", "false", "null")):
         _reject_boolean_or_null(numbers, "$", f" in {path}")
+    for key, value in numbers.items():
+        try:
+            obj[key] = np.array(value)
+        except ValueError:
+            pass
     return obj
 
 
 def load_state(path) -> DensityMatrix:
     """Load and validate a state file."""
-    return _state_from_document(_load_json(path, ("matrix",)))
+    return state_from_dict(_load_json(path, ("matrix",)))
 
 
 def save_state(rho: DensityMatrix, path) -> None:

@@ -1,13 +1,17 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import lazystates as lz
-from lazystates import bloch
+from lazystates import bloch, stateio
 from conftest import (
     block_reconstruct,
     einsum_reconstruct,
@@ -242,6 +246,144 @@ def test_public_array_entries_check_their_numbers(build, message):
     assert str(info.value) == message
 
 
+def _state_22():
+    return lz.random_density_matrix(2, 2, 0)
+
+
+def _form():
+    return lz.GaussianStandardForm(2.0, 2.0, 0.5, -0.5)
+
+
+#: every public entry that reads an array: (build from the array, a valid
+#: nesting of lists, the name its messages give, the label of its walk,
+#: whether it takes complex numbers)
+ARRAY_ENTRIES = {
+    "DensityMatrix": (lambda v: lz.DensityMatrix(1, 2, v), [[0.5, 0], [0, 0.5]],
+                      "matrix", "matrix", True),
+    "product_state": (lambda v: lz.product_state(v, [[1.0]]), [[0.5, 0], [0, 0.5]],
+                      "marginal a", "marginal a", True),
+    "Coupling": (lambda v: lz.Coupling(hamiltonian=v, seed=0), [[1, 0], [0, 1]],
+                 "coupling", "coupling", True),
+    "evolve": (lambda v: lz.evolve(_state_22(), v, 0.1), np.eye(4).tolist(),
+               "hamiltonian", "hamiltonian", True),
+    "BlochForm x": (lambda v: lz.BlochForm(x=v, y=np.zeros(3), T=np.zeros((3, 3))),
+                    [0.5, 0, 0], "x", "x", False),
+    "BlochForm T": (lambda v: lz.BlochForm(x=np.zeros(3), y=np.zeros(3), T=v),
+                    np.zeros((3, 3)).tolist(), "T", "T", False),
+    "contraction_matrix": (lambda v: lz.contraction_matrix(v, lz.build_su_basis(3)),
+                           [0.1] * 8, "coefficient vector", "coefficient vector", False),
+    "diagonal_correlation_state": (
+        lambda v: lz.diagonal_correlation_state(np.zeros(8), np.zeros(8), v),
+        [0.1] * 8, "correlations", "correlations", False),
+    "CovarianceState V": (lambda v: lz.CovarianceState(v), np.eye(4).tolist(),
+                          "covariance matrix V", "$.V", False),
+    "CovarianceState d": (lambda v: lz.CovarianceState(np.eye(4), v), [0.0] * 4,
+                          "displacement d", "$.d", False),
+    "state_from_dict": (lambda v: stateio.state_from_dict({"dimA": 1, "dimB": 1, "matrix": v}),
+                        [[[1, 0]]], "matrix entries", "$.matrix", False),
+    "product example": (lambda v: lz.generate_example("product", {"a": v}), [0.7, 0.3],
+                        "marginal spec", "marginal spec", False),
+    "diagonal_correlation example": (
+        lambda v: lz.generate_example("diagonal_correlation", {"x": v}),
+        [0.01] * 8, "x", "x", False),
+}
+
+
+def _first_leaf(nesting, replace):
+    """A copy of a nesting of lists with its first number replaced by
+    `replace(number)`, and the depth of that number."""
+    if not isinstance(nesting, list):
+        return replace(nesting), 0
+    first, depth = _first_leaf(nesting[0], replace)
+    return [first, *copy.deepcopy(nesting[1:])], depth + 1
+
+
+#: what numpy would accept, with what goes in place of the first number;
+#: the last is passed as an object array
+ARRAY_DIVERGENCES = {
+    "complex": lambda x: x + 1j,
+    "boolean": lambda x: True,
+    "null": lambda x: None,
+    "ragged": lambda x: [x, x],
+    "object boolean": lambda x: True,
+}
+
+
+@pytest.mark.parametrize(
+    "entry,divergence",
+    [
+        pytest.param(entry, divergence, id=f"{entry}-{divergence}")
+        for entry, (*_, takes_complex) in ARRAY_ENTRIES.items()
+        for divergence in ARRAY_DIVERGENCES
+        if not (divergence == "complex" and takes_complex)
+    ],
+)
+def test_every_array_entry_reads_its_numbers_one_way(entry, divergence):
+    # numpy would drop an imaginary part with a warning, read True as 1
+    # and None as NaN, and give a bare ValueError on a ragged nesting
+    build, valid, name, where, _ = ARRAY_ENTRIES[entry]
+    build(valid)
+    value, depth = _first_leaf(valid, ARRAY_DIVERGENCES[divergence])
+    if divergence == "object boolean":
+        value = np.array(value, dtype=object)
+    with pytest.raises(lz.InvalidStateError) as info:
+        build(value)
+    message = str(info.value)
+    at = where + "[0]" * depth
+    if divergence == "complex":
+        assert message == f"malformed {name}: a complex number where a real one belongs"
+    elif divergence in ("boolean", "object boolean"):
+        assert message == f"boolean true at {at}"
+    elif divergence == "null":
+        assert message == f"null at {at}"
+    else:
+        assert message.startswith(f"malformed {name}: setting an array element with a sequence")
+
+
+#: every public scalar: (call with the value, the message before ", got")
+SCALAR_ENTRIES = {
+    "is_lazy tol": (lambda v: lz.is_lazy(_state_22(), "A", v),
+                    "tolerance must be a positive finite number"),
+    "is_lazy_gaussian tol": (lambda v: lz.is_lazy_gaussian(_form(), v),
+                             "tolerance must be a positive finite number"),
+    "GaussianStandardForm n": (lambda v: lz.GaussianStandardForm(v, 2.0, 0.5, -0.5),
+                               "standard-form parameter n must be a real number"),
+    "GaussianStandardForm c_prime": (lambda v: lz.GaussianStandardForm(2.0, 2.0, 0.5, v),
+                                     "standard-form parameter c_prime must be a real number"),
+    "werner p": (lambda v: lz.werner(v), "parameter p must be a finite number"),
+    "kernel_quadratic_difference u": (lambda v: lz.kernel_quadratic_difference(_form(), v, 0.5),
+                                      "u must be a complex number"),
+    "kernel_quadratic_closed_form v": (lambda v: lz.kernel_quadratic_closed_form(_form(), 1j, v),
+                                       "v must be a complex number"),
+    "evolve t": (lambda v: lz.evolve(_state_22(), np.eye(4), v), "t must be a finite real number"),
+}
+
+
+@pytest.mark.parametrize("value", ["1", True], ids=["string", "boolean"])
+@pytest.mark.parametrize("entry", list(SCALAR_ENTRIES))
+def test_every_scalar_entry_rejects_strings_and_booleans(entry, value):
+    # float and complex would read "1" and True as 1
+    call, message = SCALAR_ENTRIES[entry]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{message}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [(np.complex128(0.5), "tolerance must be a positive finite number, got np.complex128(0.5+0j)"),
+     (np.float64(-1.0), "tolerance must be a positive finite number, got -1.0"),
+     (10**400, f"tolerance must be a positive finite number, got {10**400}")],
+    ids=["numpy complex", "numpy float out of range", "integer beyond the float range"],
+)
+def test_a_scalar_is_named_as_read(value, message):
+    # float would drop the imaginary part with a warning and raise
+    # OverflowError on the integer; a range failure shows the float as read
+    with pytest.raises(ValueError) as info:
+        lz.is_lazy(_state_22(), "A", value)
+    assert str(info.value) == message
+
+
 class TestFrobenius:
     @pytest.mark.parametrize("na,nb", [(2, 2), (3, 4), (5, 3), (8, 8), (16, 2), (2, 16)])
     def test_one_dot_for_real_and_complex_arrays(self, na, nb):
@@ -257,6 +399,29 @@ class TestFrobenius:
                 squares = (mp.mpf(float(v)) ** 2 for v in c.reshape(-1).view(np.float64))
                 exact = float(mp.sqrt(mp.fsum(squares)))
             assert abs(norm - exact) <= math.ulp(exact)
+
+    def test_norms_do_not_depend_on_the_thread_count(self):
+        # OpenBLAS splits a dot of more than 10^4 entries across threads;
+        # the commutators here hold 10368 (9 x 8) to 131072 (16 x 16) floats
+        code = (
+            "import lazystates as lz\n"
+            "for na, nb in ((9, 8), (36, 2), (16, 16)):\n"
+            "    rho = lz.random_density_matrix(na, nb, 1)\n"
+            "    for side in 'AB':\n"
+            "        audit = lz.dynamics_audit(rho, side, trials=2)\n"
+            "        print(lz.commutator_residual(rho, side).hex(), audit.rate_bound.hex())\n"
+        )
+        src = str(Path(lz.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        one, two = (
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            ).stdout
+            for threads in ("1", "2")
+        )
+        assert one.count("\n") == 6
+        assert one == two
 
 
 def quiet_rejection(build):

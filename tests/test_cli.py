@@ -458,6 +458,23 @@ class TestGaussian:
         assert (code, out) == (2, "")
         assert err.startswith("error: local variances must be <= 1e+76, got n=")
 
+    @pytest.mark.parametrize("block", ["A", "B"])
+    def test_covariance_whose_local_determinant_overflows_exits_two(self, capsys, tmp_path, block):
+        # the block and the bound are named, not the n = inf it would give
+        diagonal = [1e160, 1e160, 2.0, 2.0] if block == "A" else [2.0, 2.0, 1e160, 1e160]
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"V": np.diag(diagonal).tolist()}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["gaussian", "--cov", str(path)])
+        assert [str(w.message) for w in caught] == []
+        dets = "det A = inf, det B = 4" if block == "A" else "det A = 4, det B = inf"
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: local determinant beyond the float range: {dets}; "
+            "local variances must be <= 1e+76\n"
+        )
+
     def test_variances_at_the_bound_give_a_finite_manifest(self, capsys):
         for form, expected in (("1e76,1e76,0,0", 0), ("1e76,1e76,0.9e76,0.9e76", 1)):
             with warnings.catch_warnings(record=True) as caught:

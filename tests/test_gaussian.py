@@ -145,7 +145,7 @@ class TestStandardForm:
         assert lo * lo + hi * hi == pytest.approx(n * n + m * m + 2 * c * cp, rel=1e-12)
 
     def test_keeps_converted_parameters_and_eigenvalues(self):
-        form = lz.GaussianStandardForm(np.float32(2.0), 3, "0.5", np.float64(-0.2))
+        form = lz.GaussianStandardForm(np.float32(2.0), 3, np.float16(0.5), np.float64(-0.2))
         params = (form.n, form.m, form.c, form.c_prime, form.nu_minus, form.nu_plus)
         assert all(type(value) is float for value in params)
         assert (form.n, form.m, form.c, form.c_prime) == (2.0, 3.0, 0.5, -0.2)
@@ -376,7 +376,8 @@ class TestStandardFormExtraction:
         [
             ([[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], None,
              r"boolean true at \$\.V\[0\]\[0\]"),
-            (np.eye(4, dtype=bool), None, r"boolean true at \$\.V\[0\]\[0\]"),
+            (np.eye(4, dtype=bool), None,
+             "malformed covariance matrix V: a boolean where a number belongs"),
             ((np.eye(4)[0], np.eye(4)[1], (0, 0, False, 0), np.eye(4)[3]), None,
              r"boolean false at \$\.V\[2\]\[2\]"),
             (np.eye(4), [0.0, np.True_, 0.0, 0.0], r"boolean true at \$\.d\[1\]"),
@@ -399,6 +400,26 @@ class TestStandardFormExtraction:
             lz.CovarianceState(v)
         with pytest.raises(ValueError, match=r"displacement d at \(3,\)"):
             lz.CovarianceState(np.eye(4), d=[0.0, 0.0, 0.0, np.nan])
+
+    @pytest.mark.parametrize(
+        "diagonal,off,message",
+        [((1e160, 1e160, 2.0, 2.0), 0.0, "det A = inf, det B = 4"),
+         ((2.0, 2.0, 1e160, 1e160), 0.0, "det A = 4, det B = inf"),
+         ((1e160, 1e160, 2.0, 2.0), 1e160, "det A = nan, det B = 4")],
+        ids=["block A", "block B", "inf - inf"],
+    )
+    def test_a_local_determinant_beyond_the_float_range_is_named(self, diagonal, off, message):
+        # finite entries whose products overflow would whiten to NaN and be
+        # named as the parameter n = inf or m = inf; inf - inf slips past
+        # the vacuum check
+        v = np.diag(diagonal)
+        v[0, 1] = v[1, 0] = off
+        with pytest.raises(ValueError) as info:
+            lz.standard_form_from_covariance(lz.CovarianceState(v))
+        assert str(info.value) == (
+            f"local determinant beyond the float range: {message}; "
+            "local variances must be <= 1e+76"
+        )
 
 
 class TestKernels:

@@ -5,7 +5,7 @@ import pytest
 
 import lazystates as lz
 from conftest import reference_canonical_json
-from lazystates import stateio
+from lazystates import bloch, stateio
 from lazystates.stateio import (
     _Fragment,
     canonical_json,
@@ -172,9 +172,9 @@ class TestStateFiles:
 
     @pytest.mark.parametrize(
         "matrix,message",
-        [([[[True, False]]], r"boolean true at \$\.matrix\[0\]\[0\]\[0\]"),
+        [([[[True, False]]], "malformed matrix entries: a boolean where a number belongs"),
          ([[[1.0, None]]], r"null at \$\.matrix\[0\]\[0\]\[1\]"),
-         (np.array([[[True, False]]]), r"boolean true at \$\.matrix\[0\]\[0\]\[0\]"),
+         (np.array([[[True, False]]]), "malformed matrix entries: a boolean where a number belongs"),
          ([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, np.False_]]],
           r"boolean false at \$\.matrix\[1\]\[1\]\[1\]")],
         ids=["booleans", "null", "bool array", "numpy bool"],
@@ -186,15 +186,17 @@ class TestStateFiles:
 
     def test_load_walks_the_matrix_only_on_a_word_in_the_text(self, tmp_path, monkeypatch):
         # the text scan already rules booleans and nulls out of a plain
-        # numeric file, so its lists are not walked again
+        # numeric file, so its lists are not walked again; the number
+        # reader walks a dictionary's lists
         calls = []
-        original = stateio._reject_boolean_or_null
+        original = bloch._reject_boolean_or_null
 
         def counting(*args):
             calls.append(args[1])
             return original(*args)
 
-        monkeypatch.setattr(stateio, "_reject_boolean_or_null", counting)
+        for module in (stateio, bloch):
+            monkeypatch.setattr(module, "_reject_boolean_or_null", counting)
         path = tmp_path / "plain.json"
         path.write_text('{"dimA": 1, "dimB": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
         load_state(path)
@@ -257,6 +259,24 @@ class TestCovarianceFiles:
         path.write_text('{"d": [0, 0, 0, 0]}')
         with pytest.raises(lz.InvalidStateError, match="'V'"):
             lz.load_covariance(path)
+
+
+def test_loaders_never_walk_a_clean_file(tmp_path, monkeypatch):
+    # the text scan has ruled booleans and nulls out, so neither loader
+    # walks the numbers again: every walk goes through bloch._locate
+    def refuse(*args):
+        raise AssertionError("a clean file was walked")
+
+    monkeypatch.setattr(bloch, "_locate", refuse)
+    state = lz.random_density_matrix(2, 2, 4)
+    save_state(state, tmp_path / "state.json")
+    assert np.array_equal(load_state(tmp_path / "state.json").data, state.data)
+    v = lz.GaussianStandardForm(2.0, 2.0, 0.5, -0.5).matrix()
+    (tmp_path / "cov.json").write_text(canonical_json({"V": v, "d": [0.0, 0.5, 0.0, 0.0]}))
+    cov = lz.load_covariance(tmp_path / "cov.json")
+    assert np.array_equal(cov.V, v) and cov.d.tolist() == [0.0, 0.5, 0.0, 0.0]
+    (tmp_path / "v.json").write_text(canonical_json({"V": v}))
+    assert np.array_equal(lz.load_covariance(tmp_path / "v.json").V, v)
 
 
 class TestExamples:
