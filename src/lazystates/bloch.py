@@ -115,28 +115,30 @@ def _number_array(value, name: str, where: str | None = None, real: bool = False
     """`value` as a new float64 array, or complex128 if it holds complex
     numbers; what is not a number raises InvalidStateError naming `name`.
 
-    numpy would read "1" and True as 1.0, and None as NaN.  numpy's own
-    errors, on a ragged nesting, an object or an integer beyond the float
-    range, follow "malformed {name}: ".  A string or boolean dtype is
-    rejected, and so is a complex one when `real` is set.  A boolean or
-    null among the numbers of a `value` that is not an array, or of an
-    object array, is then named by its position from `where` (default
-    `name`), such as "null at matrix[1][0]" (`_reject_boolean_or_null`);
-    a numeric array is not walked.
+    numpy would read "1" and True as 1.0, and None as NaN.  A boolean or
+    object array is read as the nested list it holds, so its numbers are
+    typed as a list's would be.  numpy's own errors, on a ragged nesting,
+    an object or an integer beyond the float range, follow "malformed
+    {name}: ".  A string dtype is rejected; then a boolean or null in a
+    list, or in a boolean or object array, is named by its position from
+    `where` (default `name`), such as "null at matrix[1][0]"
+    (`_reject_boolean_or_null`); a numeric array is not walked.  A
+    complex dtype is rejected when `real` is set.
     """
     try:
         arr = np.asarray(value)
+        if arr.dtype.kind in "bO":
+            value = arr.tolist()
+            arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise InvalidStateError(f"malformed {name}: {exc}") from exc
     kind = arr.dtype.kind
     if kind in "SU" or (kind == "O" and any(isinstance(x, (str, bytes)) for x in arr.flat)):
         raise InvalidStateError(f"malformed {name}: a string where a number belongs")
-    if kind == "b":
-        raise InvalidStateError(f"malformed {name}: a boolean where a number belongs")
+    if not isinstance(value, np.ndarray):
+        _reject_boolean_or_null(value, where or name)
     if kind == "c" and real:
         raise InvalidStateError(f"malformed {name}: a complex number where a real one belongs")
-    if kind == "O" or not isinstance(value, np.ndarray):
-        _reject_boolean_or_null(arr.tolist() if kind == "O" else value, where or name)
     try:
         return np.array(arr, dtype=complex if kind == "c" else float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -180,15 +182,13 @@ def _reject_boolean_or_null(value, where: str, suffix: str = "") -> None:
 def _frobenius(x: np.ndarray) -> float:
     """Frobenius norm of a real or complex `x`, from its float64 view v.
 
-    Up to _DOT_ENTRIES entries it is one contiguous dot v.v, the sum the
-    sector residual takes.  OpenBLAS splits a longer dot across threads,
-    which moves its last bits with the thread count, so a longer v is
-    summed in order over the dots of its consecutive _DOT_ENTRIES-entry
-    chunks, each below that cut.
+    It is the in-order sum of the dots of v's consecutive
+    _DOT_ENTRIES-entry chunks: up to _DOT_ENTRIES entries one contiguous
+    dot v.v, the sum the sector residual takes.  OpenBLAS splits a longer
+    dot across threads, which moves its last bits with the thread count;
+    each chunk stays below that cut.
     """
     v = x.reshape(-1).view(np.float64)
-    if v.size <= _DOT_ENTRIES:
-        return math.sqrt(v.dot(v))
     total = 0.0
     for start in range(0, v.size, _DOT_ENTRIES):
         chunk = v[start : start + _DOT_ENTRIES]

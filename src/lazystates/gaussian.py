@@ -224,8 +224,8 @@ class CovarianceState:
 
     The displacement is stored but plays no role in the laziness decision,
     which depends only on the second moments.  `V` and `d` are read as real
-    numbers (`_number_array`), a boolean or null in lists named by its
-    position, e.g. "boolean true at $.V[0][0]".
+    numbers (`_number_array`), a boolean or null named by its position,
+    e.g. "boolean true at $.V[0][0]".
     """
 
     def __init__(self, V, d=None):

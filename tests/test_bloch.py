@@ -46,23 +46,23 @@ def reference_rejection(data):
 
 
 NOT_NUMBERS = [
-    ([["1"]], "string"),
-    (np.array([["1"]]), "string"),
-    (np.array([[b"1"]]), "string"),
-    (np.array([["1"]], dtype=object), "string"),
-    ([[True]], "boolean"),
-    (np.array([[True]]), "boolean"),
+    ([["1"]], "malformed matrix: a string where a number belongs"),
+    (np.array([["1"]]), "malformed matrix: a string where a number belongs"),
+    (np.array([[b"1"]]), "malformed matrix: a string where a number belongs"),
+    (np.array([["1"]], dtype=object), "malformed matrix: a string where a number belongs"),
+    ([[True]], "boolean true at matrix[0][0]"),
+    (np.array([[True]]), "boolean true at matrix[0][0]"),
 ]
 NOT_NUMBER_IDS = ["str list", "str array", "bytes array", "object array", "bool list", "bool array"]
 
 
 class TestDensityMatrix:
-    @pytest.mark.parametrize("data,kind", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
-    def test_rejects_strings_and_booleans(self, data, kind):
+    @pytest.mark.parametrize("data,message", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+    def test_rejects_strings_and_booleans(self, data, message):
         # numpy would read each as [[1.0]], a valid 1 x 1 state
         with pytest.raises(lz.InvalidStateError) as info:
             lz.DensityMatrix(1, 1, data)
-        assert str(info.value) == f"malformed matrix: a {kind} where a number belongs"
+        assert str(info.value) == message
 
     def test_rejects_non_hermitian(self):
         data = np.eye(4, dtype=complex) / 4.0
@@ -172,8 +172,9 @@ class TestDensityMatrix:
                 lz.random_density_matrix(2, 2, seed)
 
 
-#: public entries given a string, a boolean, a null or a NaN that numpy
-#: would read as a number, with the message that names it
+#: public entries given a string array, a boolean array, a string or a NaN
+#: that numpy would read as a number, with the message that names it;
+#: test_every_array_entry_reads_its_numbers_one_way covers the lists
 NUMBER_CHECKS = [
     pytest.param(
         lambda: lz.Coupling(hamiltonian=np.array([["1", "0"], ["0", "1"]]), seed=0),
@@ -182,18 +183,8 @@ NUMBER_CHECKS = [
     ),
     pytest.param(
         lambda: lz.Coupling(hamiltonian=np.eye(2, dtype=bool), seed=0),
-        "malformed coupling: a boolean where a number belongs",
+        "boolean true at coupling[0][0]",
         id="Coupling booleans",
-    ),
-    pytest.param(
-        lambda: lz.BlochForm(x=["1"] * 3, y=np.zeros(3), T=np.zeros((3, 3))),
-        "malformed x: a string where a number belongs",
-        id="BlochForm strings",
-    ),
-    pytest.param(
-        lambda: lz.contraction_matrix(["1"] * 8, lz.build_su_basis(3)),
-        "malformed coefficient vector: a string where a number belongs",
-        id="contraction_matrix strings",
     ),
     pytest.param(
         lambda: lz.contraction_matrix([np.nan] * 8, lz.build_su_basis(3)),
@@ -206,34 +197,14 @@ NUMBER_CHECKS = [
         id="contraction_matrix inf",
     ),
     pytest.param(
-        lambda: lz.product_state([["1"]], [["1"]]),
-        "malformed marginal a: a string where a number belongs",
-        id="product_state strings",
-    ),
-    pytest.param(
         lambda: lz.diagonal_correlation_state(["0"] * 8, np.zeros(8), np.full(8, 0.1)),
         "malformed x: a string where a number belongs",
         id="diagonal_correlation_state strings",
     ),
     pytest.param(
-        lambda: lz.generate_example("product", {"a": ["0.5", "0.5"]}),
-        "malformed marginal spec: a string where a number belongs",
-        id="product example strings",
-    ),
-    pytest.param(
         lambda: lz.generate_example("diagonal_correlation", {"x": "0.1"}),
         "malformed x: a string where a number belongs",
         id="diagonal_correlation example string",
-    ),
-    pytest.param(
-        lambda: lz.DensityMatrix(1, 2, [[0.5, True], [True, 0.5]]),
-        "boolean true at matrix[0][1]",
-        id="DensityMatrix boolean among numbers",
-    ),
-    pytest.param(
-        lambda: lz.DensityMatrix(1, 2, [[0.5, 0.0], [None, 0.5]]),
-        "null at matrix[1][0]",
-        id="DensityMatrix null among numbers",
     ),
 ]
 
@@ -255,37 +226,38 @@ def _form():
 
 
 #: every public entry that reads an array: (build from the array, a valid
-#: nesting of lists, the name its messages give, the label of its walk,
-#: whether it takes complex numbers)
+#: nesting of lists, the name its messages give, the label of its walk, a
+#: valid nesting of complex numbers or None where real numbers belong)
+_HERMITIAN_4 = (np.eye(4) + 1j * np.triu(np.ones((4, 4)), 1) - 1j * np.tril(np.ones((4, 4)), -1))
 ARRAY_ENTRIES = {
     "DensityMatrix": (lambda v: lz.DensityMatrix(1, 2, v), [[0.5, 0], [0, 0.5]],
-                      "matrix", "matrix", True),
+                      "matrix", "matrix", [[0.5, 0.5j], [-0.5j, 0.5]]),
     "product_state": (lambda v: lz.product_state(v, [[1.0]]), [[0.5, 0], [0, 0.5]],
-                      "marginal a", "marginal a", True),
+                      "marginal a", "marginal a", [[0.5, 0.5j], [-0.5j, 0.5]]),
     "Coupling": (lambda v: lz.Coupling(hamiltonian=v, seed=0), [[1, 0], [0, 1]],
-                 "coupling", "coupling", True),
+                 "coupling", "coupling", [[1, 1j], [-1j, 1]]),
     "evolve": (lambda v: lz.evolve(_state_22(), v, 0.1), np.eye(4).tolist(),
-               "hamiltonian", "hamiltonian", True),
+               "hamiltonian", "hamiltonian", _HERMITIAN_4.tolist()),
     "BlochForm x": (lambda v: lz.BlochForm(x=v, y=np.zeros(3), T=np.zeros((3, 3))),
-                    [0.5, 0, 0], "x", "x", False),
+                    [0.5, 0, 0], "x", "x", None),
     "BlochForm T": (lambda v: lz.BlochForm(x=np.zeros(3), y=np.zeros(3), T=v),
-                    np.zeros((3, 3)).tolist(), "T", "T", False),
+                    np.zeros((3, 3)).tolist(), "T", "T", None),
     "contraction_matrix": (lambda v: lz.contraction_matrix(v, lz.build_su_basis(3)),
-                           [0.1] * 8, "coefficient vector", "coefficient vector", False),
+                           [0.1] * 8, "coefficient vector", "coefficient vector", None),
     "diagonal_correlation_state": (
         lambda v: lz.diagonal_correlation_state(np.zeros(8), np.zeros(8), v),
-        [0.1] * 8, "correlations", "correlations", False),
+        [0.1] * 8, "correlations", "correlations", None),
     "CovarianceState V": (lambda v: lz.CovarianceState(v), np.eye(4).tolist(),
-                          "covariance matrix V", "$.V", False),
+                          "covariance matrix V", "$.V", None),
     "CovarianceState d": (lambda v: lz.CovarianceState(np.eye(4), v), [0.0] * 4,
-                          "displacement d", "$.d", False),
+                          "displacement d", "$.d", None),
     "state_from_dict": (lambda v: stateio.state_from_dict({"dimA": 1, "dimB": 1, "matrix": v}),
-                        [[[1, 0]]], "matrix entries", "$.matrix", False),
+                        [[[1, 0]]], "matrix entries", "$.matrix", None),
     "product example": (lambda v: lz.generate_example("product", {"a": v}), [0.7, 0.3],
-                        "marginal spec", "marginal spec", False),
+                        "marginal spec", "marginal spec", None),
     "diagonal_correlation example": (
         lambda v: lz.generate_example("diagonal_correlation", {"x": v}),
-        [0.01] * 8, "x", "x", False),
+        [0.01] * 8, "x", "x", None),
 }
 
 
@@ -299,13 +271,15 @@ def _first_leaf(nesting, replace):
 
 
 #: what numpy would accept, with what goes in place of the first number;
-#: the last is passed as an object array
+#: those named "object ..." are passed as an object array
 ARRAY_DIVERGENCES = {
+    "string": str,
     "complex": lambda x: x + 1j,
+    "object complex": lambda x: x + 1j,
     "boolean": lambda x: True,
+    "object boolean": lambda x: True,
     "null": lambda x: None,
     "ragged": lambda x: [x, x],
-    "object boolean": lambda x: True,
 }
 
 
@@ -313,31 +287,47 @@ ARRAY_DIVERGENCES = {
     "entry,divergence",
     [
         pytest.param(entry, divergence, id=f"{entry}-{divergence}")
-        for entry, (*_, takes_complex) in ARRAY_ENTRIES.items()
+        for entry, (*_, complex_valid) in ARRAY_ENTRIES.items()
         for divergence in ARRAY_DIVERGENCES
-        if not (divergence == "complex" and takes_complex)
+        if not ("complex" in divergence and complex_valid is not None)
     ],
 )
 def test_every_array_entry_reads_its_numbers_one_way(entry, divergence):
-    # numpy would drop an imaginary part with a warning, read True as 1
-    # and None as NaN, and give a bare ValueError on a ragged nesting
+    # numpy would read "1" as a string array, drop an imaginary part with a
+    # warning, read True as 1 and None as NaN, and give a bare ValueError
+    # on a ragged nesting
     build, valid, name, where, _ = ARRAY_ENTRIES[entry]
     build(valid)
     value, depth = _first_leaf(valid, ARRAY_DIVERGENCES[divergence])
-    if divergence == "object boolean":
+    if divergence.startswith("object"):
         value = np.array(value, dtype=object)
     with pytest.raises(lz.InvalidStateError) as info:
         build(value)
     message = str(info.value)
     at = where + "[0]" * depth
-    if divergence == "complex":
+    if divergence == "string":
+        assert message == f"malformed {name}: a string where a number belongs"
+    elif divergence.endswith("complex"):
         assert message == f"malformed {name}: a complex number where a real one belongs"
-    elif divergence in ("boolean", "object boolean"):
+    elif divergence.endswith("boolean"):
         assert message == f"boolean true at {at}"
     elif divergence == "null":
         assert message == f"null at {at}"
     else:
         assert message.startswith(f"malformed {name}: setting an array element with a sequence")
+
+
+@pytest.mark.parametrize(
+    "entry", [entry for entry, (*_, complex_valid) in ARRAY_ENTRIES.items() if complex_valid]
+)
+def test_an_object_array_of_complex_numbers_reads_as_its_list(entry):
+    # numpy would read an object array with float(), which rejects a complex
+    build, *_, complex_valid = ARRAY_ENTRIES[entry]
+    listed, held = build(complex_valid), build(np.array(complex_valid, dtype=object))
+    if isinstance(listed, lz.DensityMatrix):
+        assert np.array_equal(held.data, listed.data)
+    else:
+        assert np.array_equal(held.hamiltonian, listed.hamiltonian)
 
 
 #: every public scalar: (call with the value, the message before ", got")

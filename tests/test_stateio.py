@@ -172,9 +172,9 @@ class TestStateFiles:
 
     @pytest.mark.parametrize(
         "matrix,message",
-        [([[[True, False]]], "malformed matrix entries: a boolean where a number belongs"),
+        [([[[True, False]]], r"boolean true at \$\.matrix\[0\]\[0\]\[0\]"),
          ([[[1.0, None]]], r"null at \$\.matrix\[0\]\[0\]\[1\]"),
-         (np.array([[[True, False]]]), "malformed matrix entries: a boolean where a number belongs"),
+         (np.array([[[True, False]]]), r"boolean true at \$\.matrix\[0\]\[0\]\[0\]"),
          ([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, np.False_]]],
           r"boolean false at \$\.matrix\[1\]\[1\]\[1\]")],
         ids=["booleans", "null", "bool array", "numpy bool"],
