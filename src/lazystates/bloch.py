@@ -35,8 +35,9 @@ from typing import Literal
 
 import numpy as np
 
+from ._scalars import _scalar
 from .errors import DimensionMismatchError, InvalidStateError
-from .su_algebra import SuBasis, build_su_basis
+from .su_algebra import SuBasis, _su_basis
 
 __all__ = [
     "Side",
@@ -78,37 +79,6 @@ def _require_finite(arr: np.ndarray, label: str) -> None:
     if not np.isfinite(arr).all():
         pos = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
         raise InvalidStateError(f"non-finite entry in {label} at {pos}")
-
-
-#: what `complex` would read as a number but `_scalar` does not
-_NOT_COMPLEX = (str, bytes, bool, np.bool_)
-#: and `float`, which would also read a numpy complex as its real part
-_NOT_REAL = _NOT_COMPLEX + (np.complexfloating,)
-
-
-def _scalar(value, message: str, valid=None, kind=float):
-    """`value` as a float, or a complex for `kind=complex`, that `valid`
-    holds for; otherwise ValueError "{message}, got ..." with the value.
-
-    `float` and `complex` would read "1" and True as numbers, and `float`
-    a numpy complex as its real part: a str, bytes, bool or np.bool_ is
-    rejected, and so is a numpy complex read as a float.  A value that
-    fails `valid` is shown as read, e.g. "got nan" for np.float64(nan).  A
-    Python float read as a float, or complex as a complex, is taken as it
-    is.
-    """
-    if type(value) is kind and (valid is None or valid(value)):
-        return value
-    shown = value
-    if not isinstance(value, _NOT_REAL if kind is float else _NOT_COMPLEX):
-        try:
-            shown = kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if valid is None or valid(shown):
-                return shown
-    raise ValueError(f"{message}, got {shown!r}")
 
 
 def _number_array(value, name: str, where: str | None = None, real: bool = False) -> np.ndarray:
@@ -229,24 +199,6 @@ def _check_trace(trace: complex) -> None:
         raise InvalidStateError(f"trace deviation {trace_dev:.3e}")
 
 
-def _check_integer(value, what: str) -> int:
-    """`value` as an int; floats, bools and other non-integers are rejected."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise DimensionMismatchError(f"{what} must be an integer, got {value!r}")
-
-
-def _check_count(value, what: str, minimum: int = 0) -> int:
-    """`value` as an int >= minimum, e.g. a seed or a trial count.
-
-    Floats, bools and other non-integers raise ValueError naming `what`,
-    before any random draw can turn them into a numpy message.
-    """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
-        return int(value)
-    raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
-
-
 def _check_dense_size(dim: int, what: str) -> None:
     """ValueError naming `what` when a dense dim x dim complex matrix is too big.
 
@@ -262,14 +214,12 @@ def _check_dense_size(dim: int, what: str) -> None:
 
 
 def _check_dims(dim_a, dim_b) -> tuple[int, int]:
-    if type(dim_a) is not int or type(dim_b) is not int:
-        dim_a = _check_integer(dim_a, "subsystem dimension")
-        dim_b = _check_integer(dim_b, "subsystem dimension")
-    if dim_a < 1 or dim_b < 1:
-        raise DimensionMismatchError(
-            f"subsystem dimensions must be >= 1, got ({dim_a}, {dim_b})"
-        )
-    return dim_a, dim_b
+    """Both subsystem dimensions as ints >= 1 (`_scalar`)."""
+    message = "subsystem dimension must be an integer >= 1"
+    return (
+        _scalar(dim_a, message, lambda v: v >= 1, int),
+        _scalar(dim_b, message, lambda v: v >= 1, int),
+    )
 
 
 class DensityMatrix:
@@ -707,7 +657,7 @@ def _change_of_basis(dim: int, basis: SuBasis | None) -> np.ndarray:
     if dim == 1:
         return np.ones((1, 1))
     if basis is None:
-        return build_su_basis(dim).S
+        return _su_basis(dim).S
     if basis.dim != dim:
         raise DimensionMismatchError(
             f"basis dimension {basis.dim} does not match subsystem dimension {dim}"
@@ -803,7 +753,8 @@ def random_density_matrix(dim_a: int, dim_b: int, seed) -> DensityMatrix:
     dim_a, dim_b = _check_dims(dim_a, dim_b)
     d = dim_a * dim_b
     _check_dense_size(d, f"dimensions dimA x dimB = {dim_a} x {dim_b} are too large")
-    rng = np.random.default_rng(_check_count(seed, "seed"))
+    seed = _scalar(seed, "seed must be an integer >= 0", lambda v: v >= 0, int)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     w = g @ g.conj().T
     w = (w + w.conj().T) / 2.0

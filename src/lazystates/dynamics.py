@@ -63,15 +63,13 @@ import numpy as np
 from .bloch import (
     DensityMatrix,
     Side,
-    _check_count,
-    _check_dims,
     _check_hermitian,
     _check_side,
     _frobenius,
     _number_array,
-    _scalar,
     reduced_state,
 )
+from ._scalars import _scalar
 from .errors import DimensionMismatchError
 from .laziness import DEFAULT_TOL
 
@@ -131,7 +129,8 @@ class Coupling:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _check_count(self.seed, "seed"))
+        seed = _scalar(self.seed, "seed must be an integer >= 0", lambda v: v >= 0, int)
+        object.__setattr__(self, "seed", seed)
         h = _hamiltonian(self.hamiltonian, "coupling")
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
@@ -228,13 +227,13 @@ def entropy_rate(
 
 
 def _coupling_rng(dim_a, dim_b, seed):
-    """(dim_a, dim_b, default_rng(seed)), with both dimensions >= 2 and seed >= 0."""
-    dim_a, dim_b = _check_dims(dim_a, dim_b)
-    if dim_a < 2 or dim_b < 2:
-        raise DimensionMismatchError(
-            f"coupling needs both dimensions >= 2, got ({dim_a}, {dim_b})"
-        )
-    return dim_a, dim_b, np.random.default_rng(_check_count(seed, "seed"))
+    """(dim_a, dim_b, default_rng(seed)), read as ints (`_scalar`): both
+    dimensions >= 2 and seed >= 0."""
+    message = "coupling dimension must be an integer >= 2"
+    dim_a = _scalar(dim_a, message, lambda v: v >= 2, int)
+    dim_b = _scalar(dim_b, message, lambda v: v >= 2, int)
+    seed = _scalar(seed, "seed must be an integer >= 0", lambda v: v >= 0, int)
+    return dim_a, dim_b, np.random.default_rng(seed)
 
 
 def _hermitian_factors(g: np.ndarray) -> np.ndarray:
@@ -260,7 +259,7 @@ def product_couplings(
     and a[i] = herm((1+i) G_A), b[i] = herm((1+i) G_B).  Each factor has the
     law of (G + G^dag)/2, and the first k couplings do not depend on `count`.
     """
-    count = _check_count(count, "count", 1)
+    count = _scalar(count, "count must be an integer >= 1", lambda v: v >= 1, int)
     dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
     draws = rng.standard_normal((count, dim_a**2 + dim_b**2))
     split = dim_a**2
@@ -313,8 +312,9 @@ def derive_trial_seed(seed: int, index: int) -> int:
     derives independent seeds for callers that draw one `random_coupling`
     per index.
     """
-    key = (_check_count(seed, "seed"), _check_count(index, "index"))
-    return int(np.random.SeedSequence(key).generate_state(1)[0])
+    seed = _scalar(seed, "seed must be an integer >= 0", lambda v: v >= 0, int)
+    index = _scalar(index, "index must be an integer >= 0", lambda v: v >= 0, int)
+    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
 def dynamics_audit(
@@ -338,7 +338,7 @@ def dynamics_audit(
     magnitude depends on the state.
     """
     side = _check_side(side)
-    trials = _check_count(trials, "trials", 1)
+    trials = _scalar(trials, "trials must be an integer >= 1", lambda v: v >= 1, int)
     na, nb, rng = _coupling_rng(rho.dim_a, rho.dim_b, seed)
     draws = rng.standard_normal((trials, na * na + nb * nb))
     # one raw marginal of the side checked above serves the verdict and the rates

@@ -10,7 +10,12 @@ class InvalidStateError(LazyStatesError, ValueError):
 
 
 class DimensionMismatchError(LazyStatesError, ValueError):
-    """Operands disagree on subsystem dimensions or shapes."""
+    """Operands disagree on subsystem dimensions or shapes.
+
+    A malformed or out-of-range integer argument, such as a subsystem
+    dimension of 2.5 or 0, is not a disagreement: it raises a plain
+    ValueError naming the argument and its range.
+    """
 
 
 class UnphysicalFormError(LazyStatesError, ValueError):

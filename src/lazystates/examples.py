@@ -14,12 +14,11 @@ import numpy as np
 from .bloch import (
     DensityMatrix,
     _check_dense_size,
-    _check_integer,
     _number_array,
     _require_finite,
-    _scalar,
     random_density_matrix,
 )
+from ._scalars import _scalar
 from .laziness import diagonal_correlation_state
 
 __all__ = [
@@ -32,10 +31,9 @@ __all__ = [
 
 
 def maximally_entangled(dim: int) -> DensityMatrix:
-    """Projector onto sum_i |ii> / sqrt(dim) on a dim x dim split."""
-    dim = _check_integer(dim, "maximally entangled dimension")
-    if dim < 2:
-        raise ValueError(f"maximally entangled state needs dim >= 2, got {dim}")
+    """Projector onto sum_i |ii> / sqrt(dim) on a dim x dim split, dim an int >= 2 (`_scalar`)."""
+    message = "maximally entangled dimension must be an integer >= 2"
+    dim = _scalar(dim, message, lambda v: v >= 2, int)
     _check_dense_size(dim * dim, f"maximally entangled dimension d = {dim} is too large")
     vec = np.zeros(dim * dim, dtype=complex)
     vec[:: dim + 1] = 1.0 / np.sqrt(dim)
@@ -86,7 +84,9 @@ def _vector8(value, default=0.0):
 
 
 def _integer_param(params: dict, key: str, default: int) -> int:
-    return _check_integer(params.pop(key, default), f"parameter {key}")
+    """`params[key]` popped, or `default`, as an int (`_scalar`); the
+    generator it feeds checks its range."""
+    return _scalar(params.pop(key, default), f"parameter {key} must be an integer", kind=int)
 
 
 EXAMPLE_NAMES = (

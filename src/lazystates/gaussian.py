@@ -67,13 +67,12 @@ import numpy as np
 
 from .bloch import (
     SectorDensityMatrix,
-    _check_count,
     _check_hermitian,
     _check_tolerance,
     _number_array,
     _require_finite,
-    _scalar,
 )
+from ._scalars import _scalar
 from .errors import TruncationError, UnphysicalFormError
 from .laziness import DEFAULT_TOL
 
@@ -527,7 +526,7 @@ def fock_truncate(form: GaussianStandardForm, cutoff: int) -> SectorDensityMatri
     blocks w_d M M^T are formed only when `.sectors` is read, and the
     dense (cutoff + 1)^2 matrix only when `.data` is read.
     """
-    cutoff = _check_count(cutoff, "cutoff", 4)
+    cutoff = _scalar(cutoff, "cutoff must be an integer >= 4", lambda v: v >= 4, int)
     a, b, r = squeezed_thermal_parameters(form)
     q_a, q_b = _thermal_ratio(a), _thermal_ratio(b)
     qq = q_a * q_b

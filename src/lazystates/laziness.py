@@ -58,7 +58,7 @@ from .bloch import (
     reconstruct,
 )
 from .errors import DimensionMismatchError
-from .su_algebra import SuBasis, build_su_basis
+from .su_algebra import SuBasis, _su_basis
 
 __all__ = [
     "LazinessReport",
@@ -179,7 +179,7 @@ def is_lazy(rho: DensityMatrix, side: Side = "A", tol: float = DEFAULT_TOL) -> L
     n = rho.dim_a if side == "A" else rho.dim_b
     criterion = 0.0
     if n >= 2:
-        g = _criterion(rho.bloch_form, build_su_basis(n), side)
+        g = _criterion(rho.bloch_form, _su_basis(n), side)
         if g.size:
             criterion = float(np.abs(g).max())
     return LazinessReport(
@@ -208,6 +208,6 @@ def diagonal_correlation_state(x, y, correlations) -> DensityMatrix:
             "diagonal-correlation family needs three length-8 vectors, got "
             f"{x.shape}, {y.shape}, {correlations.shape}"
         )
-    basis = build_su_basis(3)
+    basis = _su_basis(3)
     form = BlochForm(x=x, y=y, T=np.diag(correlations))
     return reconstruct(form, basis, basis)

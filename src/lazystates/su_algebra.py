@@ -52,6 +52,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ._scalars import _scalar
+
 __all__ = [
     "SuBasis",
     "StructureConstants",
@@ -219,20 +221,24 @@ def _gell_mann_constants(n: int) -> StructureConstants:
     return StructureConstants(n * n - 1, index, data)
 
 
-@lru_cache(maxsize=5)
 def build_su_basis(n: int) -> SuBasis:
     """Construct the su(n) generator basis in canonical order.
 
     The order is: symmetric block, antisymmetric block (each lexicographic
     in (j, k)), then the diagonal generators; the identity precedes them in
-    `S`.  The structure constants come from their closed forms.  The five
-    bases used last are cached, enough for a scan over local dimensions
-    2, 3, 4, 6 and 8 without a rebuild: S alone takes 16 n^4 bytes, 268 MB
-    at n = 64.  The returned arrays are read-only and safe to share.
+    `S`.  The structure constants come from their closed forms.  `n` is
+    read as an int >= 2 (`_scalar`) before the cache is consulted, so
+    np.int64(3) and 3 share one basis.  The returned arrays are read-only
+    and safe to share.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"su(n) basis requires an integer n >= 2, got {n!r}")
-    n = int(n)
+    return _su_basis(_scalar(n, "su(n) dimension must be an integer >= 2", lambda v: v >= 2, int))
+
+
+@lru_cache(maxsize=5)
+def _su_basis(n: int) -> SuBasis:
+    """`build_su_basis` of an int n >= 2.  The five bases used last are
+    cached, enough for a scan over local dimensions 2, 3, 4, 6 and 8
+    without a rebuild: S alone takes 16 n^4 bytes, 268 MB at n = 64."""
     pairs = n * (n - 1) // 2
     row, col = np.triu_indices(n, 1)
     stack = np.zeros((n * n, n, n), dtype=complex)

@@ -386,7 +386,8 @@ def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
     c to K.  The rates are summed in another order, so they agree to
     rounding only.
     """
-    from lazystates.bloch import _check_count, _check_side, _realign
+    from lazystates._scalars import _scalar
+    from lazystates.bloch import _check_side, _realign
     from lazystates.dynamics import LAZY_RATE_TOL, NONLAZY_RATE_FLOOR, DynamicsAudit
     from lazystates.laziness import DEFAULT_TOL, commutator_residual
 
@@ -397,9 +398,10 @@ def reference_dynamics_audit(rho, side="A", trials=100, seed=0):
         return 1j * rho._commutator(log2_red, side)
 
     side = _check_side(side)
-    trials = _check_count(trials, "trials", 1)
+    trials = _scalar(trials, "trials must be an integer >= 1", lambda v: v >= 1, int)
+    seed = _scalar(seed, "seed must be an integer >= 0", lambda v: v >= 0, int)
     na, nb = rho.dim_a, rho.dim_b
-    draws = np.random.default_rng(_check_count(seed, "seed")).standard_normal(
+    draws = np.random.default_rng(seed).standard_normal(
         (trials, na * na + nb * nb)
     )
     a = herm_1i(draws[:, : na * na].reshape(-1, na, na))

@@ -87,7 +87,7 @@ class TestDensityMatrix:
     @pytest.mark.parametrize("dims", [(2.9, 2.9), (2.0, 2), (True, 4), (2, np.True_), ("2", 2)])
     def test_rejects_non_integer_dimensions(self, dims):
         # int() would read 2.9 as 2 and True as 1
-        with pytest.raises(lz.DimensionMismatchError, match="must be an integer"):
+        with pytest.raises(ValueError, match="subsystem dimension must be an integer >= 1"):
             lz.DensityMatrix(*dims, np.eye(4) / 4.0)
 
     def test_numpy_integer_dimensions_are_accepted(self):
@@ -165,7 +165,7 @@ class TestDensityMatrix:
         assert np.array_equal(a.data, b.data)
 
     def test_random_generator_checks_before_drawing(self):
-        with pytest.raises(lz.DimensionMismatchError, match="subsystem dimension"):
+        with pytest.raises(ValueError, match="subsystem dimension must be an integer >= 1"):
             lz.random_density_matrix(2.5, 2, 0)
         for seed in (-1, True, 0.5):
             with pytest.raises(ValueError, match="seed must be an integer >= 0"):
@@ -372,6 +372,97 @@ def test_a_scalar_is_named_as_read(value, message):
     with pytest.raises(ValueError) as info:
         lz.is_lazy(_state_22(), "A", value)
     assert str(info.value) == message
+
+
+def _typed(value):
+    """`value` with its type, so that an int read as an int shows."""
+    return type(value), value
+
+
+def _example(name, key, value):
+    return lz.generate_example(name, {key: value})
+
+
+#: two vacuum modes, which every cutoff keeps whole
+VACUUM = lz.GaussianStandardForm(1.0, 1.0, 0.0, 0.0)
+
+#: every public integer: (call with the value, the message before ", got",
+#: the smallest valid value, the message below it if another entry names it).
+#: Each call returns what the value decides, its type included where it is kept.
+INTEGER_ENTRIES = {
+    "DensityMatrix dim_a": (lambda v: _typed(lz.DensityMatrix(v, 2, np.eye(4) / 4).dim_a),
+                            "subsystem dimension must be an integer >= 1", 1, None),
+    "DensityMatrix dim_b": (lambda v: _typed(lz.DensityMatrix(2, v, np.eye(4) / 4).dim_b),
+                            "subsystem dimension must be an integer >= 1", 1, None),
+    "random_density_matrix dim_a": (lambda v: _typed(lz.random_density_matrix(v, 2, 0).dim_a),
+                                    "subsystem dimension must be an integer >= 1", 1, None),
+    "random_density_matrix seed": (lambda v: lz.random_density_matrix(2, 2, v).data.tobytes(),
+                                   "seed must be an integer >= 0", 0, None),
+    "criterion_prefactor dim_b": (lambda v: _typed(lz.criterion_prefactor(2, v, "B")),
+                                  "subsystem dimension must be an integer >= 1", 1, None),
+    "Coupling seed": (lambda v: _typed(lz.Coupling(np.eye(4), v).seed),
+                      "seed must be an integer >= 0", 0, None),
+    "random_coupling dim_a": (lambda v: lz.random_coupling(v, 2, 0).hamiltonian.tobytes(),
+                              "coupling dimension must be an integer >= 2", 2, None),
+    "random_coupling seed": (lambda v: _typed(lz.random_coupling(2, 2, v).seed),
+                             "seed must be an integer >= 0", 0, None),
+    "product_couplings dim_b": (lambda v: lz.product_couplings(2, v, 2, 0)[1].tobytes(),
+                                "coupling dimension must be an integer >= 2", 2, None),
+    "product_couplings count": (lambda v: lz.product_couplings(2, 2, v, 0)[0].tobytes(),
+                                "count must be an integer >= 1", 1, None),
+    "product_couplings seed": (lambda v: lz.product_couplings(2, 2, 2, v)[0].tobytes(),
+                               "seed must be an integer >= 0", 0, None),
+    "dynamics_audit trials": (lambda v: _typed(lz.dynamics_audit(_state_22(), "A", v, 0).trials),
+                              "trials must be an integer >= 1", 1, None),
+    "dynamics_audit seed": (lambda v: lz.dynamics_audit(_state_22(), "A", 2, v).per_trial_rates,
+                            "seed must be an integer >= 0", 0, None),
+    "derive_trial_seed seed": (lambda v: _typed(lz.derive_trial_seed(v, 1)),
+                               "seed must be an integer >= 0", 0, None),
+    "derive_trial_seed index": (lambda v: _typed(lz.derive_trial_seed(1, v)),
+                                "index must be an integer >= 0", 0, None),
+    "fock_truncate cutoff": (lambda v: _typed(lz.fock_truncate(VACUUM, v).dim_a),
+                             "cutoff must be an integer >= 4", 4, None),
+    "build_su_basis n": (lambda v: _typed(lz.build_su_basis(v).dim),
+                         "su(n) dimension must be an integer >= 2", 2, None),
+    "maximally_entangled dim": (lambda v: _typed(lz.maximally_entangled(v).dim_a),
+                                "maximally entangled dimension must be an integer >= 2", 2, None),
+    "example d": (lambda v: _typed(_example("maximally_entangled", "d", v).dim_a),
+                  "parameter d must be an integer", 2,
+                  "maximally entangled dimension must be an integer >= 2"),
+    "example dimA": (lambda v: _typed(_example("random", "dimA", v).dim_a),
+                     "parameter dimA must be an integer", 1,
+                     "subsystem dimension must be an integer >= 1"),
+    "example dimB": (lambda v: _typed(_example("random", "dimB", v).dim_b),
+                     "parameter dimB must be an integer", 1,
+                     "subsystem dimension must be an integer >= 1"),
+    "example seed": (lambda v: _example("random", "seed", v).data.tobytes(),
+                     "parameter seed must be an integer", 0, "seed must be an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [2.0, 2.5, "2", True, np.True_, None, "below"],
+    ids=["float", "fraction", "string", "boolean", "numpy boolean", "None", "below the minimum"],
+)
+@pytest.mark.parametrize("entry", list(INTEGER_ENTRIES))
+def test_every_integer_entry_rejects_what_is_not_an_integer_in_range(entry, value):
+    # int() would read 2.0, 2.5 and "2" as 2 and True as 1; a malformed or
+    # out-of-range integer is a ValueError, not a DimensionMismatchError
+    call, message, minimum, range_message = INTEGER_ENTRIES[entry]
+    if value == "below":
+        value, message = minimum - 1, range_message or message
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{message}, got {value!r}"
+
+
+@pytest.mark.parametrize("read", [np.int64, np.array], ids=["numpy integer", "0-d array"])
+@pytest.mark.parametrize("entry", list(INTEGER_ENTRIES))
+def test_every_integer_entry_reads_a_numpy_integer_as_an_int(entry, read):
+    call, _, minimum, _ = INTEGER_ENTRIES[entry]
+    value = minimum + 1
+    assert call(read(value)) == call(value)
 
 
 class TestFrobenius:

@@ -83,7 +83,7 @@ class TestRandomCoupling:
         assert np.abs(total / 100.0).max() < 0.3
 
     def test_rejects_trivial_dimensions(self):
-        with pytest.raises(lz.DimensionMismatchError):
+        with pytest.raises(ValueError, match="coupling dimension must be an integer >= 2, got 1"):
             lz.random_coupling(1, 4, 0)
 
     def test_draws_its_own_gue_block(self):
@@ -266,9 +266,9 @@ class TestProductCouplings:
     def test_rejects_invalid_seed_and_trivial_dimensions(self):
         with pytest.raises(ValueError, match="seed"):
             lz.product_couplings(3, 2, 4, -1)
-        with pytest.raises(lz.DimensionMismatchError):
+        with pytest.raises(ValueError, match="coupling dimension must be an integer >= 2, got 1"):
             lz.product_couplings(1, 4, 4, 0)
-        with pytest.raises(lz.DimensionMismatchError):
+        with pytest.raises(ValueError, match="coupling dimension must be an integer >= 2, got 2.5"):
             lz.product_couplings(2.5, 2, 4, 0)
 
 

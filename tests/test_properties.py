@@ -94,6 +94,8 @@ def test_local_unitary_invariance_of_both_verdicts(dims, family, seed):
     scale=st.floats(-3.0, 3.0),
     seed=seeds,
 )
+@example(dims=(16, 16), rank_frac=1.0, scale=0.5, seed=0)
+@example(dims=(16, 16), rank_frac=0.01, scale=-2.0, seed=1)
 def test_audit_rates_are_the_linear_form_on_the_coupling_stack(dims, rank_frac, scale, seed):
     na, nb = dims
     rank = 1 + int(rank_frac * (na * nb - 1))
@@ -109,6 +111,7 @@ def test_audit_rates_are_the_linear_form_on_the_coupling_stack(dims, rank_frac, 
 
         direct = [rate(h) for h in stack]
         np.testing.assert_allclose(audit.per_trial_rates, direct, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(audit.per_trial_rates[:5], direct[:5], rtol=1e-12, atol=0)
         norms = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
         assert np.all(np.abs(audit.per_trial_rates) <= audit.rate_bound * norms)
         mixed = rate(stack[0] + scale * stack[1])
@@ -123,21 +126,33 @@ def test_audit_rates_are_the_linear_form_on_the_coupling_stack(dims, rank_frac, 
 )
 @example(dims=(32, 32), family="random", seed=0)
 @example(dims=(32, 32), family="lazy B", seed=1)
+@example(dims=(16, 16), family="rank 1", seed=2)
+@example(dims=(16, 16), family="rank 3", seed=3)
+@example(dims=(64, 4), family="rank 1", seed=4)
+@example(dims=(64, 4), family="rank 3", seed=5)
+@example(dims=(16, 16), family="product", seed=6)
+@example(dims=(64, 4), family="product", seed=7)
 def test_identities_at_local_dimension_16_to_64(dims, family, seed):
     # the norm identity at acceptance 03's tolerance, local-unitary
-    # invariance of the residual and the verdict, and the lazy family lazy
-    # on its side alone
+    # invariance of the residual and the verdict, the lazy family lazy on
+    # its side alone, and a product state lazy on both sides, its residual
+    # below DEFAULT_TOL
     na, nb = dims
     rng = np.random.default_rng(seed)
     if family == "random":
         rho = lz.random_density_matrix(na, nb, seed)
+    elif family.startswith("rank"):
+        rho = wishart_state(na, nb, int(family[-1]), seed)
+    elif family == "product":
+        marginals = (wishart_state(n, 1, n, seed + k).data for k, n in enumerate(dims))
+        rho = lz.DensityMatrix(na, nb, np.kron(*marginals))
     else:
         rho = lazy_state(na, nb, family[-1], rng)
     ua, ub = unitary_group.rvs(na, random_state=rng), unitary_group.rvs(nb, random_state=rng)
     rotated = lz.DensityMatrix(na, nb, locally_rotated(rho.data, ua, ub))
     for side, n in (("A", na), ("B", nb)):
         report = lz.is_lazy(rho, side)
-        assert report.is_lazy == (family == f"lazy {side}")
+        assert report.is_lazy == (family in (f"lazy {side}", "product"))
         g = lz.criterion_matrix(rho.bloch_form, lz.build_su_basis(n), side)
         via = lz.criterion_prefactor(na, nb, side) * np.linalg.norm(g)
         assert via == pytest.approx(report.commutator_residual, rel=1e-11, abs=1e-15)
@@ -163,6 +178,8 @@ def assert_rel_close(actual, expected, rel=1e-13):
 
 @DETERMINISTIC
 @given(dims=local_dims, rank_frac=st.floats(0.0, 1.0), seed=seeds)
+@example(dims=(16, 16), rank_frac=0.2, seed=0)
+@example(dims=(4, 64), rank_frac=1.0, seed=1)
 def test_real_states_agree_with_their_complex_cast(dims, rank_frac, seed):
     na, nb = dims
     rank = 1 + int(rank_frac * (na * nb - 1))

@@ -304,7 +304,7 @@ class TestExamples:
             lz.generate_example("werner", {"q": 0.5})
 
     def test_maximally_entangled_rejects_non_integer_dim(self):
-        with pytest.raises(lz.DimensionMismatchError, match="dimension must be an integer"):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2, got 2.5"):
             lz.maximally_entangled(2.5)
 
     def test_unphysical_parameters_rejected(self):

@@ -179,7 +179,7 @@ def test_rejects_small_dimension():
 @pytest.mark.parametrize("n", [2.0, "3", True, 1, -1])
 def test_rejects_a_dimension_that_is_not_an_integer_of_at_least_two(n):
     build_su_basis(2)  # a cached su(2) must not answer for 2.0
-    with pytest.raises(ValueError, match=r"su\(n\) basis requires an integer n >= 2, got "):
+    with pytest.raises(ValueError, match=r"su\(n\) dimension must be an integer >= 2, got "):
         build_su_basis(n)
 
 
@@ -187,6 +187,13 @@ def test_accepts_a_numpy_integer_dimension():
     basis = build_su_basis(np.int64(3))
     assert type(basis.dim) is int and basis.dim == 3
     np.testing.assert_array_equal(basis.S, build_su_basis(3).S)
+
+
+def test_a_numpy_integer_dimension_shares_the_cached_basis():
+    # n is read before the cache is consulted, so su(3) is built once and
+    # takes one of the five cache slots, whatever integer type names it
+    assert build_su_basis(np.int64(3)) is build_su_basis(3)
+    assert build_su_basis(np.array(3)) is build_su_basis(3)
 
 
 def test_structure_constants_reject_scaled_generator(su3):
