@@ -123,6 +123,8 @@ class Coupling:
     Validated as a state's matrix is (`_hamiltonian`): a string, boolean
     or null entry raises InvalidStateError, and a non-finite entry or an
     asymmetry above HERMITICITY_TOL one naming its position.
+    `random_coupling` keeps its exactly Hermitian draw through `_of`,
+    unchecked.
     """
 
     hamiltonian: np.ndarray
@@ -130,10 +132,21 @@ class Coupling:
 
     def __post_init__(self):
         seed = _scalar(self.seed, "seed must be an integer >= 0", lambda v: v >= 0, int)
+        self._hold(_hamiltonian(self.hamiltonian, "coupling"), seed)
+
+    @classmethod
+    def _of(cls, hamiltonian: np.ndarray, seed: int) -> "Coupling":
+        """The coupling of `hamiltonian`, a fresh complex matrix that is
+        exactly Hermitian and finite, kept without a copy or a check, and
+        of `seed`, an int >= 0."""
+        coupling = object.__new__(cls)
+        coupling._hold(hamiltonian, seed)
+        return coupling
+
+    def _hold(self, hamiltonian: np.ndarray, seed: int) -> None:
+        hamiltonian.setflags(write=False)
+        object.__setattr__(self, "hamiltonian", hamiltonian)
         object.__setattr__(self, "seed", seed)
-        h = _hamiltonian(self.hamiltonian, "coupling")
-        h.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", h)
 
 
 @dataclass(frozen=True)
@@ -227,13 +240,13 @@ def entropy_rate(
 
 
 def _coupling_rng(dim_a, dim_b, seed):
-    """(dim_a, dim_b, default_rng(seed)), read as ints (`_scalar`): both
-    dimensions >= 2 and seed >= 0."""
+    """(dim_a, dim_b, seed, default_rng(seed)), read as ints (`_scalar`):
+    both dimensions >= 2 and seed >= 0."""
     message = "coupling dimension must be an integer >= 2"
     dim_a = _scalar(dim_a, message, lambda v: v >= 2, int)
     dim_b = _scalar(dim_b, message, lambda v: v >= 2, int)
     seed = _scalar(seed, "seed must be an integer >= 0", lambda v: v >= 0, int)
-    return dim_a, dim_b, np.random.default_rng(seed)
+    return dim_a, dim_b, seed, np.random.default_rng(seed)
 
 
 def _hermitian_factors(g: np.ndarray) -> np.ndarray:
@@ -260,7 +273,7 @@ def product_couplings(
     law of (G + G^dag)/2, and the first k couplings do not depend on `count`.
     """
     count = _scalar(count, "count must be an integer >= 1", lambda v: v >= 1, int)
-    dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
+    dim_a, dim_b, _, rng = _coupling_rng(dim_a, dim_b, seed)
     draws = rng.standard_normal((count, dim_a**2 + dim_b**2))
     split = dim_a**2
     return (
@@ -273,11 +286,11 @@ def random_coupling(dim_a: int, dim_b: int, seed: int) -> Coupling:
     """GUE coupling herm((1+i) G) on d = dim_a dim_b, G the d^2 normals of `default_rng(seed)`.
 
     G is read in row-major order, as each factor of `product_couplings` is.
+    The matrix is exactly Hermitian and finite, so it is not checked again.
     """
-    dim_a, dim_b, rng = _coupling_rng(dim_a, dim_b, seed)
+    dim_a, dim_b, seed, rng = _coupling_rng(dim_a, dim_b, seed)
     d = dim_a * dim_b
-    hamiltonian = _hermitian_factors(rng.standard_normal((d, d)))
-    return Coupling(hamiltonian=hamiltonian, seed=seed)
+    return Coupling._of(_hermitian_factors(rng.standard_normal((d, d))), seed)
 
 
 def _rate_kernel(c: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -339,7 +352,7 @@ def dynamics_audit(
     """
     side = _check_side(side)
     trials = _scalar(trials, "trials must be an integer >= 1", lambda v: v >= 1, int)
-    na, nb, rng = _coupling_rng(rho.dim_a, rho.dim_b, seed)
+    na, nb, _, rng = _coupling_rng(rho.dim_a, rho.dim_b, seed)
     draws = rng.standard_normal((trials, na * na + nb * nb))
     # one raw marginal of the side checked above serves the verdict and the rates
     red = rho._partial_trace(side)

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LazyStatesError",
+    "InvalidStateError",
+    "DimensionMismatchError",
+    "UnphysicalFormError",
+    "TruncationError",
+]
+
 
 class LazyStatesError(Exception):
     """Base class for all errors raised by this package."""

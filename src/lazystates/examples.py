@@ -89,19 +89,33 @@ def _integer_param(params: dict, key: str, default: int) -> int:
     return _scalar(params.pop(key, default), f"parameter {key} must be an integer", kind=int)
 
 
-EXAMPLE_NAMES = (
-    "maximally_entangled",
-    "product",
-    "diagonal_correlation",
-    "werner",
-    "random",
-)
+#: each example's builder, which pops the parameters it reads
+_BUILDERS = {
+    "maximally_entangled": lambda params: maximally_entangled(_integer_param(params, "d", 2)),
+    "product": lambda params: product_state(
+        _diag_marginal(params.pop("a", [0.7, 0.3])),
+        _diag_marginal(params.pop("b", [0.7, 0.3])),
+    ),
+    "diagonal_correlation": lambda params: diagonal_correlation_state(
+        _vector8(params.pop("x", None)),
+        _vector8(params.pop("y", None)),
+        _vector8(params.pop("correlations", None), default=0.1),
+    ),
+    "werner": lambda params: werner(params.pop("p", 0.5)),
+    "random": lambda params: random_density_matrix(
+        _integer_param(params, "dimA", 2),
+        _integer_param(params, "dimB", 2),
+        _integer_param(params, "seed", 0),
+    ),
+}
+
+EXAMPLE_NAMES = tuple(_BUILDERS)
 
 
 def generate_example(name: str, params: dict | None = None) -> DensityMatrix:
     """Build a named example state from a parameter mapping.
 
-    Known names and their parameters:
+    Known names (`EXAMPLE_NAMES`) and their parameters:
 
     * maximally_entangled: d (local dimension, default 2)
     * product: a, b (diagonal marginal weights, default [0.7, 0.3] each)
@@ -110,29 +124,10 @@ def generate_example(name: str, params: dict | None = None) -> DensityMatrix:
     * random: dimA, dimB, seed
     """
     params = dict(params or {})
-    if name == "maximally_entangled":
-        state = maximally_entangled(_integer_param(params, "d", 2))
-    elif name == "product":
-        state = product_state(
-            _diag_marginal(params.pop("a", [0.7, 0.3])),
-            _diag_marginal(params.pop("b", [0.7, 0.3])),
-        )
-    elif name == "diagonal_correlation":
-        state = diagonal_correlation_state(
-            _vector8(params.pop("x", None)),
-            _vector8(params.pop("y", None)),
-            _vector8(params.pop("correlations", None), default=0.1),
-        )
-    elif name == "werner":
-        state = werner(params.pop("p", 0.5))
-    elif name == "random":
-        state = random_density_matrix(
-            _integer_param(params, "dimA", 2),
-            _integer_param(params, "dimB", 2),
-            _integer_param(params, "seed", 0),
-        )
-    else:
+    # the tuple is searched first, so an unhashable name is unknown too
+    if name not in EXAMPLE_NAMES:
         raise ValueError(f"unknown example {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
+    state = _BUILDERS[name](params)
     if params:
         raise ValueError(f"unknown parameters for {name!r}: {sorted(params)}")
     return state.require_physical()

@@ -205,10 +205,8 @@ class GaussianStandardForm:
         plus[0, 2] = plus[2, 0] = c
         plus[1, 3] = plus[3, 1] = cp
         plus[2, 2] = plus[3, 3] = m + 1
-        minus = plus.conj()
         plus.setflags(write=False)
-        minus.setflags(write=False)
-        return KernelPair(plus=plus, minus=minus)
+        return KernelPair(plus=plus)
 
     @cached_property
     def _plus_inverse_imag(self) -> np.ndarray:
@@ -248,10 +246,16 @@ class CovarianceState:
 
 @dataclass(frozen=True)
 class KernelPair:
-    """The two overlap kernels; `minus` is the entrywise conjugate of `plus`."""
+    """The two overlap kernels: `plus`, read-only, and its entrywise
+    conjugate `minus`, formed on first read and kept, read-only too."""
 
     plus: np.ndarray
-    minus: np.ndarray
+
+    @cached_property
+    def minus(self) -> np.ndarray:
+        minus = self.plus.conj()
+        minus.setflags(write=False)
+        return minus
 
 
 def _unit_det_whitener(
@@ -337,7 +341,8 @@ def standard_form_from_covariance(cov: CovarianceState) -> GaussianStandardForm:
 def commutator_kernels(form: GaussianStandardForm) -> KernelPair:
     """The 6x6 overlap kernels of the two commutator orderings.
 
-    The pair is built once per form and kept; both arrays are read-only.
+    The pair is built once per form and kept, and its `minus` is formed
+    on first read; both arrays are read-only.
     """
     return form._kernels
 

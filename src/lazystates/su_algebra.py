@@ -64,23 +64,16 @@ __all__ = [
 ZERO_CUTOFF = 1e-12
 
 
-def _permutation_sign(triple: tuple[int, int, int]) -> int:
-    inversions = sum(
-        1 for a in range(3) for b in range(a + 1, 3) if triple[a] > triple[b]
-    )
-    return -1 if inversions % 2 else 1
-
-
 class StructureConstants:
     """Sparse, totally antisymmetric rank-3 tensor in coordinate form.
 
     Only triples with i < j < k are stored: `index` holds them as 0-based
     rows of an (nnz, 3) integer array in lexicographic order and `data`
-    their values.  Every other index order is recovered from the
-    permutation sign, and repeated indices give zero.  The public accessors
-    `value` and `triples` use 1-based indices; `permuted` lists every
-    nonzero entry in all six index orders, the form the contractions consume,
-    and `scatter_index` where each of them lands.
+    their values.  `permuted` lists every nonzero entry in all six index
+    orders, its permutation sign folded into the value: the form the
+    contractions consume, and the table `value` reads, so repeated indices
+    give zero.  `scatter_index` says where each entry of `permuted` lands.
+    The public accessors `value` and `triples` use 1-based indices.
     """
 
     def __init__(self, size: int, index, data):
@@ -99,22 +92,16 @@ class StructureConstants:
             )
         keep = np.abs(data) > ZERO_CUTOFF
         index, data = index[keep], data[keep]
-        keys = (index[:, 0] * self.size + index[:, 1]) * self.size + index[:, 2]
-        order = np.argsort(keys, kind="stable")
-        self.index, self.data, self._keys = index[order], data[order], keys[order]
-        for arr in (self.index, self.data, self._keys):
+        order = np.lexsort(index.T[::-1])
+        self.index, self.data = index[order], data[order]
+        for arr in (self.index, self.data):
             arr.setflags(write=False)
 
     def value(self, i: int, j: int, k: int) -> float:
-        """f_ijk for any 1-based index order."""
-        if len({i, j, k}) < 3:
-            return 0.0
-        a, b, c = sorted((i, j, k))
-        key = ((a - 1) * self.size + b - 1) * self.size + c - 1
-        pos = int(np.searchsorted(self._keys, key))
-        if pos == len(self._keys) or self._keys[pos] != key:
-            return 0.0
-        return _permutation_sign((i, j, k)) * float(self.data[pos])
+        """f_ijk for any 1-based index order, read off `permuted`."""
+        a, b, c, v = self.permuted
+        hits = v[(a == i - 1) & (b == j - 1) & (c == k - 1)]
+        return float(hits[0]) if hits.size else 0.0
 
     def triples(self) -> Iterator[tuple[int, int, int, float]]:
         """Nonzero canonical entries as sorted 1-based (i, j, k, value) tuples."""

@@ -643,6 +643,30 @@ def lazy_state(na, nb, side, rng):
     return lz.DensityMatrix(na, nb, locally_rotated(core.reshape(na * nb, -1), ua, ub))
 
 
+def degenerate_lazy_state(na, nb, dims, rng):
+    """A lazy entangled state on side A whose marginal is degenerate.
+
+    Block k is the maximally entangled pure state between the k-th run of
+    dims[k] columns of a Haar U_A and the first dims[k] columns of a Haar
+    U_B of its own, weighted by a Dirichlet draw p_k.  So rho_A has the
+    eigenvalue p_k / dims[k] on run k, and 0 beyond the runs when
+    sum(dims) < na; each block is an eigenvector of rho_A (x) I, so rho
+    commutes with it.  The blocks' B subspaces overlap at random, so rho_B
+    commutes with rho only when each block fills B.  U_A and U_B are drawn
+    by `scipy.stats.unitary_group`.
+    """
+    p = rng.dirichlet(np.ones(len(dims)))
+    ua = unitary_group.rvs(na, random_state=rng)
+    data = np.zeros((na * nb, na * nb), dtype=complex)
+    start = 0
+    for weight, dim in zip(p, dims):
+        ub = unitary_group.rvs(nb, random_state=rng)[:, :dim]
+        psi = (ua[:, start : start + dim] @ ub.T).reshape(-1) / np.sqrt(dim)
+        data += weight * np.outer(psi, psi.conj())
+        start += dim
+    return lz.DensityMatrix(na, nb, (data + data.conj().T) / 2.0)
+
+
 def sample_physical_diagonal_states(count, rng, lazy_fraction=0.5, min_corr=0.01):
     """Physical diagonal-correlation states with |correlation| >= min_corr.
 

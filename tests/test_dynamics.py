@@ -97,6 +97,28 @@ class TestRandomCoupling:
             assert h.tobytes() == herm_1i(normals.reshape(1, d, d))[0].tobytes()
             assert np.array_equal(h, h.conj().T)
 
+    def test_checks_its_own_matrix_once(self, monkeypatch):
+        # herm((1+i) G) is exactly Hermitian and finite, and the seed is
+        # read once, so the coupling is kept with no second check; it has
+        # the bytes, seed and read-only matrix of the checked construction
+        cases = ((2, 2, 0), (2, 3, np.int64(123)), (4, 4, 7))
+        checked = [
+            lz.Coupling(lz.random_coupling(na, nb, seed).hamiltonian.copy(), seed)
+            for na, nb, seed in cases
+        ]
+
+        def no_check(*args):
+            raise AssertionError("the coupling was checked again")
+
+        monkeypatch.setattr(dynamics, "_hamiltonian", no_check)
+        for (na, nb, seed), reference in zip(cases, checked):
+            coupling = lz.random_coupling(na, nb, seed)
+            assert coupling.hamiltonian.dtype == reference.hamiltonian.dtype
+            assert coupling.hamiltonian.tobytes() == reference.hamiltonian.tobytes()
+            assert type(coupling.seed) is int and coupling.seed == reference.seed == seed
+            assert not coupling.hamiltonian.flags.writeable
+            assert not reference.hamiltonian.flags.writeable
+
     def test_keeps_nothing_once_deleted(self):
         # a gather table cached per size held 2 x 256^2 entries, 2.10 MB, here;
         # a first small call does the lazy imports of the random generator

@@ -520,6 +520,18 @@ class TestSharedKernels:
         assert lz.commutator_kernels(twin) is not pair
         assert np.array_equal(lz.commutator_kernels(twin).plus, pair.plus)
 
+    def test_minus_is_formed_on_first_read(self):
+        # the pair holds `plus` alone until `minus` is read; then `minus`
+        # is kept, read-only, with the bytes of plus.conj()
+        pair = lz.commutator_kernels(lz.GaussianStandardForm(2.0, 3.0, 1.0, -1.0))
+        assert "minus" not in pair.__dict__
+        minus = pair.minus
+        assert pair.__dict__["minus"] is minus and pair.minus is minus
+        assert minus.tobytes() == pair.plus.conj().tobytes()
+        assert not minus.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.minus = pair.plus
+
     def test_kernels_match_the_nested_list_construction(self):
         # `plus` is a copy of a fixed template with the form's 8 entries set;
         # the reference parses the whole matrix from a nested list

@@ -15,7 +15,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import lazystates as lz  # noqa: E402
+from lazystates.dynamics import LAZY_RATE_TOL  # noqa: E402
 from conftest import (  # noqa: E402
+    degenerate_lazy_state,
     haar_unitary,
     lazy_state,
     locally_rotated,
@@ -24,6 +26,10 @@ from conftest import (  # noqa: E402
 from scipy.stats import unitary_group  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+#: the block dimensions of `degenerate_lazy_state` at each split: a
+#: rank-deficient marginal at 16 x 16, 4-dim blocks that fill B at 64 x 4
+DEGENERATE_BLOCKS = {(16, 16): (4, 4, 4, 2), (64, 4): (4,) * 15, (4, 64): (2, 2)}
 
 local_dims = st.tuples(st.integers(2, 8), st.integers(2, 8))
 seeds = st.integers(0, 2**32 - 1)
@@ -132,14 +138,29 @@ def test_audit_rates_are_the_linear_form_on_the_coupling_stack(dims, rank_frac, 
 @example(dims=(64, 4), family="rank 3", seed=5)
 @example(dims=(16, 16), family="product", seed=6)
 @example(dims=(64, 4), family="product", seed=7)
+@example(dims=(16, 16), family="degenerate", seed=8)
+@example(dims=(64, 4), family="degenerate", seed=9)
+@example(dims=(4, 64), family="degenerate", seed=10)
 def test_identities_at_local_dimension_16_to_64(dims, family, seed):
     # the norm identity at acceptance 03's tolerance, local-unitary
     # invariance of the residual and the verdict, the lazy family lazy on
     # its side alone, and a product state lazy on both sides, its residual
-    # below DEFAULT_TOL
+    # below DEFAULT_TOL; a degenerate lazy state is entangled and lazy on
+    # A, its residual rounding noise and its audit rates below
+    # LAZY_RATE_TOL, and on B only where each block fills B (64 x 4)
     na, nb = dims
     rng = np.random.default_rng(seed)
-    if family == "random":
+    lazy_sides = {"lazy A": "A", "lazy B": "B", "product": "AB"}.get(family, "")
+    if family == "degenerate":
+        rho = degenerate_lazy_state(na, nb, DEGENERATE_BLOCKS[dims], rng)
+        lazy_sides = "AB" if dims == (64, 4) else "A"
+        assert lz.commutator_residual(rho, "A") < 1e-15
+        d = na * nb
+        transposed = rho.data.reshape(na, nb, na, nb).transpose(0, 3, 2, 1).reshape(d, d)
+        assert np.linalg.eigvalsh(transposed)[0] < -0.01
+        audit = lz.dynamics_audit(rho, "A", 20, 1)
+        assert audit.consistent_with_laziness and audit.max_rate < LAZY_RATE_TOL
+    elif family == "random":
         rho = lz.random_density_matrix(na, nb, seed)
     elif family.startswith("rank"):
         rho = wishart_state(na, nb, int(family[-1]), seed)
@@ -152,7 +173,7 @@ def test_identities_at_local_dimension_16_to_64(dims, family, seed):
     rotated = lz.DensityMatrix(na, nb, locally_rotated(rho.data, ua, ub))
     for side, n in (("A", na), ("B", nb)):
         report = lz.is_lazy(rho, side)
-        assert report.is_lazy == (family in (f"lazy {side}", "product"))
+        assert report.is_lazy == (side in lazy_sides)
         g = lz.criterion_matrix(rho.bloch_form, lz.build_su_basis(n), side)
         via = lz.criterion_prefactor(na, nb, side) * np.linalg.norm(g)
         assert via == pytest.approx(report.commutator_residual, rel=1e-11, abs=1e-15)

@@ -299,6 +299,21 @@ class TestExamples:
         with pytest.raises(ValueError, match="unknown example"):
             lz.generate_example("ghz", {})
 
+    @pytest.mark.parametrize("name", ["ghz", 3, None, ["werner"], {"werner": 1}])
+    def test_unknown_name_of_any_type(self, name):
+        # an unhashable name is unknown too, not a TypeError of the lookup
+        known = "maximally_entangled, product, diagonal_correlation, werner, random"
+        with pytest.raises(ValueError) as info:
+            lz.generate_example(name, {})
+        assert str(info.value) == f"unknown example {name!r}; known: {known}"
+
+    def test_every_listed_name_builds(self):
+        assert lz.EXAMPLE_NAMES == (
+            "maximally_entangled", "product", "diagonal_correlation", "werner", "random"
+        )
+        for name in lz.EXAMPLE_NAMES:
+            assert lz.generate_example(name).is_physical
+
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown parameters"):
             lz.generate_example("werner", {"q": 0.5})

@@ -140,6 +140,19 @@ def test_dense_tensor_antisymmetry(su3):
         assert f[a, b, c] == su3.f.value(a + 1, b + 1, c + 1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_value_reads_the_signed_table(n):
+    # `value` reads `permuted`, with no sorted key array beside it, and
+    # matches the dense trace oracle on every index triple
+    basis = build_su_basis(n)
+    g = basis.generators
+    triple = np.einsum("aij,bjk,cki->abc", g, g, g)
+    dense = ((triple - triple.transpose(1, 0, 2)) / 4j).real
+    assert not hasattr(basis.f, "_keys")
+    values = [basis.f.value(a + 1, b + 1, c + 1) for a, b, c in np.ndindex(dense.shape)]
+    assert_allclose(np.reshape(values, dense.shape), dense, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_scatter_index_is_the_flat_position_of_each_permuted_entry(n):
     f = build_su_basis(n).f

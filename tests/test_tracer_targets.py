@@ -33,3 +33,11 @@ def test_tracer_target_resolves(module, name):
 def test_package_exports_resolve():
     missing = [name for name in lz.__all__ if not hasattr(lz, name)]
     assert missing == []
+    # the package re-exports its modules' own lists, each name once
+    listed = ["__version__"]
+    for module in (
+        "su_algebra", "bloch", "laziness", "dynamics", "gaussian", "stateio", "examples", "errors"
+    ):
+        listed += importlib.import_module(f"lazystates.{module}").__all__
+    assert lz.__all__ == listed
+    assert len(set(listed)) == len(listed)
